@@ -73,16 +73,17 @@ class Scale:
     catvar_clusters: int = 8
 
 
-# Sizes chosen so one iteration of each workload takes 0.5-3 s on a 2-core
-# machine; see perfbench/README.md for the traffic they produce.  Each
+# Sizes chosen so one iteration of each workload takes 0.5-2 s on a 2-core
+# machine, which gives a run of 25 s a few dozen samples of each time; see
+# perfbench/README.md for the traffic they produce.  Each
 # letters value keeps the trigram vocabulary small against the number of
 # training words (see the module docstring).
 SCALES = {
-    "nbcp": Scale(synsets=250, letters=9, density=0.5, malformed=20),
-    "ingest": Scale(synsets=250, letters=6, density=0.2, oov_fraction=0.9,
+    "nbcp": Scale(synsets=300, letters=6, density=0.2, malformed=20),
+    "ingest": Scale(synsets=100, letters=6, density=0.15, oov_fraction=0.9,
                     malformed=200, shards=4, gzip_shards=2),
-    "experiments": Scale(synsets=60, letters=4),
-    "staged": Scale(synsets=120, letters=5, oov_fraction=0.3, malformed=20,
+    "experiments": Scale(synsets=60, letters=4, density=0.3),
+    "staged": Scale(synsets=50, letters=4, density=0.5, oov_fraction=0.3, malformed=20,
                     shards=2, gzip_shards=1),
 }
 
@@ -302,8 +303,9 @@ def generate(scale, seed, out_dir):
             tokens.append(token)
             if rng.random() < 0.8:  # the rest are never attested
                 born = rng.randrange(1650, 1991)
-                s = _trend(rng, rng.uniform(5, 200), rng.uniform(-1, 1),
-                           range(born, LAST_YEAR + 1))
+                span = range(born, LAST_YEAR + 1)
+                years = sorted(rng.sample(span, max(1, round(scale.density * len(span)))))
+                s = _trend(rng, rng.uniform(5, 200), rng.uniform(-1, 1), years)
                 blocks.append([_row(rng, token, y, c) for y, c in sorted(s.items())])
                 kept_rows += len(s)
                 derived_keys += 1

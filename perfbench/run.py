@@ -10,9 +10,11 @@ iteration at a time, in this process.  An iteration is a set-up step
 against the generator's ground truth.
 
 With ``--trace 0`` the last line of standard output is a JSON object with
-the end-to-end metrics (medians over the iterations).  With ``--trace 1``
-untraced and traced iterations alternate, and the JSON object holds the
-per-layer metrics.  The exit code is 0 when every operation and check
+the end-to-end metrics: means over the iterations, with every time put on
+the scale of the reference kernel in reference.py, which runs between the
+iterations and measures how fast the shared host is at the moment.  With
+``--trace 1`` untraced and traced iterations alternate, and the JSON
+object holds the per-layer metrics.  The exit code is 0 when every operation and check
 passed, 1 when one failed, and 2 when the checkout has no lexevo
 sources.  See perfbench/README.md for the workloads and metrics.
 """
@@ -31,6 +33,8 @@ import subprocess
 import sys
 import time
 import types
+
+from reference import Reference
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -90,6 +94,10 @@ def digest(obj):
 
 class Workload:
     """One workload: a set-up step, a job, and the checks on their outputs."""
+
+    # Untraced iterations time the set-up this many times, so that a set-up
+    # much shorter than the job still gets enough samples for its mean.
+    setup_repeats = 1
 
     def __init__(self, lx, truth, inputs_dir, out_dir, ops):
         self.lx = lx  # namespace of lexevo modules
@@ -189,6 +197,8 @@ class Ingest(Workload):
 class Experiments(Workload):
     """drop_one ablation of every feature, then the cycle sweep."""
 
+    setup_repeats = 5
+
     def job(self, loaded):
         inputs = loaded[0]
         train, test = self.last_window_pair()
@@ -224,6 +234,8 @@ class Experiments(Workload):
 
 class Staged(Workload):
     """evocli ingest, then the staged chain over the filtered corpus."""
+
+    setup_repeats = 2
 
     def cli(self, *argv):
         err = io.StringIO()
@@ -313,16 +325,20 @@ class Runner:
         self.rows_read = None
         self.per_run = []  # per-layer metrics of each traced iteration
         self.samples = {}
+        self.reference = Reference()
 
     def iterate(self, seconds, min_each, tracer=None):
         """Time iterations until the next one would overrun the budget.
 
-        A first warm-up iteration is checked but not timed.  With a tracer,
+        A first warm-up iteration is checked but not timed.  The reference
+        kernel runs before every set-up and every job.  With a tracer,
         every second timed iteration is traced, so traced and untraced
-        iterations share the machine's conditions.  Returns the (setup_s,
-        run_s) pairs of the untraced and of the traced iterations.
+        iterations share the machine's conditions.  Returns the
+        ([setup_s, ...], run_s) pairs of the untraced and of the traced
+        iterations.
         """
         self.once(None, "warmup")
+        self.reference.times.clear()
         timed = {False: [], True: []}
         kinds = (False, True) if tracer else (False,)
         start = time.perf_counter()
@@ -343,9 +359,15 @@ class Runner:
         if tracer:
             tracer.start_run(f"{self.run_name}-{label}")
             tracer.install()
+        setups = []
         try:
-            t0 = time.perf_counter()
-            loaded = self.w.setup()
+            for _ in range(1 if tracer else self.w.setup_repeats):
+                loaded = None  # free the previous set-up's result before timing
+                self.reference.measure()
+                t0 = time.perf_counter()
+                loaded = self.w.setup()
+                setups.append(time.perf_counter() - t0)
+            self.reference.measure()
             t1 = time.perf_counter()
             result = self.w.job(loaded)
             t2 = time.perf_counter()
@@ -359,13 +381,25 @@ class Runner:
         if self.rows_read is None:
             self.rows_read = rows
         self.w.ops.check_equal("rows read repeat", rows, self.rows_read)
-        return t1 - t0, t2 - t1
+        return setups, t2 - t1
+
+
+def means(times):
+    """Mean wall setup_s over every set-up and mean wall run_s over every job.
+
+    Means, not medians: the shared host flips between a fast and a slow
+    state every few seconds, and a median jumps between the two when a run
+    spends about half its time in each, while a mean moves in proportion.
+    """
+    return (statistics.fmean([s for setups, _ in times for s in setups]),
+            statistics.fmean([r for _, r in times]))
 
 
 def end_to_end(runner, times):
-    """End-to-end metrics: medians over the iterations' (setup_s, run_s)."""
-    setup_s = statistics.median([s for s, _ in times])
-    run_s = statistics.median([r for _, r in times])
+    """End-to-end metrics: means over the iterations' set-ups and jobs,
+    on the reference kernel's time scale."""
+    scale = runner.reference.scale()
+    setup_s, run_s = (t * scale for t in means(times))
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "setup_s": setup_s,
@@ -395,10 +429,11 @@ def measure(workload, seconds, trace, trace_path, run_name):
     per_run = runner.per_run
     counts = [{k: v for k, v in m.items() if PER_LAYER[k][0] != "s"} for m in per_run]
     workload.ops.check("per-layer counts repeat", all(c == counts[0] for c in counts[1:]))
-    metrics = {name: statistics.median([m[name] for m in per_run]) if unit == "s" else per_run[0][name]
+    scale = runner.reference.scale()
+    metrics = {name: (statistics.fmean([m[name] for m in per_run]) * scale if unit == "s"
+                      else per_run[0][name])
                for name, (unit, _) in PER_LAYER.items() if name in per_run[0]}
-    metrics["trace.overhead_s"] = (statistics.median([s + r for s, r in traced])
-                                   - statistics.median([s + r for s, r in untraced]))
+    metrics["trace.overhead_s"] = (sum(means(traced)) - sum(means(untraced))) * scale
     metrics["model.saturated_probs"] = workload.saturated or 0
     metrics["evaluate.f_score_pct"] = workload.f_score_pct or 0.0
     if isinstance(workload, Staged):
@@ -468,9 +503,15 @@ def main(argv=None):
     if runner is not None:
         print(f"workload {args.workload} seed {args.seed}: {iterations} iterations, "
               f"report sha256 {runner.digests[0]}")
+        wall_setup_s, wall_run_s = means(runner.samples["untraced"])
+        reference_s = sum(runner.reference.times) / len(runner.reference.times)
+        print(f"reference kernel {1000 * reference_s:.3f} ms (mean of "
+              f"{len(runner.reference.times)}), time scale {runner.reference.scale():.4f}; "
+              f"wall setup_s {wall_setup_s:.6g} s, wall run_s {wall_run_s:.6g} s")
         for kind, samples in runner.samples.items():
-            print(f"{kind} samples (setup_s, run_s): "
-                  + " ".join(f"{s:.4f},{r:.4f}" for s, r in samples))
+            print(f"{kind} wall samples (setup_s..., run_s): "
+                  + " ".join(",".join(f"{t:.4f}" for t in setups + [r])
+                             for setups, r in samples))
     for name, (value, unit) in metrics.items():
         print(f"{name} {value:.6g} {unit}")
     if workload.f_score_pct is not None and not args.trace:
