@@ -1,24 +1,9 @@
-"""Small shared helpers: parallel mapping and atomic file writes."""
+"""Small shared helpers: gzip-aware opening and atomic file writes."""
 
 import gzip
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-
-
-def parallel_map(fn, items, workers=1):
-    """Map fn over items, preserving input order.
-
-    With workers > 1 the calls run on a thread pool; results are returned
-    in input order, so output is identical for any worker count as long
-    as fn is pure.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def open_maybe_gzip(path, mode="rt"):

@@ -20,7 +20,7 @@ from . import experiments as experiments_mod
 from . import features as features_mod
 from . import model as model_mod
 from ._util import atomic_write_json, atomic_write_text
-from .errors import LexevoError
+from .errors import DataError, LexevoError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,7 +44,6 @@ class RunConfig:
     anchor_year: int = 2000
     floor_year: int = 1800
     seed: int = 0
-    workers: int = 1
 
     def validate(self):
         if self.floor_year >= self.anchor_year:
@@ -53,12 +52,9 @@ class RunConfig:
             raise LexevoError("cycle_years must be positive")
         if self.half_width < 0:
             raise LexevoError("half_width must be non-negative")
-        if self.workers < 1:
-            raise LexevoError("workers must be >= 1")
 
 
-_INT_KEYS = {"cycle_years", "half_width", "anchor_year", "floor_year",
-             "seed", "workers"}
+_INT_KEYS = {"cycle_years", "half_width", "anchor_year", "floor_year", "seed"}
 
 
 def read_config_file(path):
@@ -106,7 +102,6 @@ def _add_common(parser):
     parser.add_argument("--anchor-year", type=int, dest="anchor_year")
     parser.add_argument("--floor-year", type=int, dest="floor_year")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
 
 
 def build_parser():
@@ -170,7 +165,7 @@ def _load_inputs(config):
     _require(config, "corpus", "lexicon")
     return experiments_mod.load_pipeline_inputs(
         config.corpus, config.lexicon, config.catvar, config.syllables,
-        half_width=config.half_width, workers=config.workers,
+        half_width=config.half_width,
     )
 
 
@@ -208,7 +203,7 @@ def cmd_build_dataset(args, config):
     windows = sorted({w for pair in _window_pairs(config) for w in pair})
     for window in windows:
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window,
-                                       config.half_width, workers=config.workers)
+                                       config.half_width)
         stem = os.path.join(config.out, f"dataset_{window.label()}")
         dataset_mod.write_dataset(ds, stem + ".tsv", stem + ".json")
     return EXIT_OK
@@ -222,7 +217,7 @@ def cmd_extract_features(args, config):
                                   os.path.splitext(args.dataset)[0] + ".json")
     vectors = features_mod.extract_features(
         ds, inputs.clusters, inputs.births, inputs.syllable_exceptions,
-        include_class=not args.no_class, workers=config.workers,
+        include_class=not args.no_class,
     )
     os.makedirs(config.out, exist_ok=True)
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
@@ -267,23 +262,41 @@ def cmd_predict(args, config):
     return EXIT_OK
 
 
-def cmd_evaluate(args, config):
-    if not args.dataset or not args.probabilities:
-        raise LexevoError("evaluate needs --dataset and --probabilities")
+def _read_scores(path):
+    """SenseId -> ranking score from a predict output file.
+
+    Ranks by the log-odds column when present, since probabilities
+    saturate; a row without a parseable sense and score is a DataError.
+    """
     from .lexicon import SenseId
 
-    ds = dataset_mod.read_dataset(args.dataset,
-                                  os.path.splitext(args.dataset)[0] + ".json")
-    # rank by the log-odds column when present; probabilities saturate
-    scores_by_sense = {}
-    with open(args.probabilities, encoding="utf-8") as handle:
+    scores = {}
+    with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split("\t")
         column = len(header) - 1 if header[-1] == "log_odds" else 2
-        for line in handle:
+        for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
-            scores_by_sense[SenseId.parse(fields[1])] = float(fields[column])
+            try:
+                scores[SenseId.parse(fields[1])] = float(fields[column])
+            except (IndexError, ValueError) as exc:
+                raise DataError(
+                    f"{path} line {line_number}: bad probability row {fields!r}"
+                ) from exc
+    return scores
+
+
+def cmd_evaluate(args, config):
+    if not args.dataset or not args.probabilities:
+        raise LexevoError("evaluate needs --dataset and --probabilities")
+    ds = dataset_mod.read_dataset(args.dataset,
+                                  os.path.splitext(args.dataset)[0] + ".json")
+    scores_by_sense = _read_scores(args.probabilities)
+    for snapshot in ds.snapshots:
+        for sense in snapshot.counts:
+            if sense not in scores_by_sense:
+                raise DataError(f"{args.probabilities}: no score for sense {sense}")
     counts, scores, outcomes = evaluate_mod.evaluate_predictions(
         ds.snapshots, scores_by_sense
     )
@@ -312,8 +325,7 @@ def cmd_ablate(args, config):
     for feature in feature_list:
         spec = experiments_mod.AblationSpec(args.mode, feature)
         rows.append(experiments_mod.run_ablation(
-            spec, train_window, test_window, inputs,
-            seed=config.seed, workers=config.workers,
+            spec, train_window, test_window, inputs, seed=config.seed,
         ))
     directory = _report_dir(config, f"ablation_{args.mode}", test_window)
     atomic_write_json(os.path.join(directory, "report.json"), {"rows": rows})
@@ -326,8 +338,7 @@ def cmd_sweep(args, config):
     inputs, _, _ = _load_inputs(config)
     cycles = [int(c) for c in args.cycles.split(",") if c]
     result = experiments_mod.run_cycle_sweep(
-        cycles, inputs, config.anchor_year, config.floor_year,
-        seed=config.seed, workers=config.workers,
+        cycles, inputs, config.anchor_year, config.floor_year, seed=config.seed,
     )
     directory = os.path.join(config.out, "reports", "sweep")
     os.makedirs(directory, exist_ok=True)
@@ -341,7 +352,7 @@ def cmd_interpret(args, config):
     inputs, _, _ = _load_inputs(config)
     train_window, test_window = _window_pairs(config)[-1]
     run = experiments_mod.run_nbcp(train_window, test_window, inputs,
-                                   seed=config.seed, workers=config.workers)
+                                   seed=config.seed)
     tables = experiments_mod.interpretation_tables(run["model"])
     directory = _report_dir(config, "interpretation", test_window)
     atomic_write_json(os.path.join(directory, "report.json"), tables)

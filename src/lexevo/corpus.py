@@ -11,7 +11,7 @@ all-zero series.
 import io
 from dataclasses import dataclass, field
 
-from ._util import open_maybe_gzip, parallel_map
+from ._util import open_maybe_gzip
 from .errors import DataError, NoBirthError, RowParseError
 
 MIN_YEAR = 1500
@@ -82,27 +82,18 @@ class LoadReport:
     rows_filtered: int = 0
     rows_skipped: int = 0
 
-    def merge(self, other):
-        self.rows_kept += other.rows_kept
-        self.rows_filtered += other.rows_filtered
-        self.rows_skipped += other.rows_skipped
-
 
 class CorpusTable:
     """Immutable map from UnigramKey to a sorted (year, count) series.
 
-    Duplicate (key, year) entries are summed during construction, so the
-    table is identical however the input rows were sharded or ordered.
+    Built from key -> {year: count} dicts whose duplicate rows are already
+    summed, so the table is identical however the input rows were sharded
+    or ordered.
     """
 
     def __init__(self, series=None):
-        self._series = {}
-        if series:
-            for key, points in series.items():
-                acc = {}
-                for year, count in points.items() if isinstance(points, dict) else points:
-                    acc[year] = acc.get(year, 0) + count
-                self._series[key] = dict(sorted(acc.items()))
+        self._series = {key: dict(sorted(points.items()))
+                        for key, points in (series or {}).items()}
 
     def series(self, key):
         """Year -> count mapping for key; empty dict when absent."""
@@ -117,25 +108,15 @@ class CorpusTable:
     def __len__(self):
         return len(self._series)
 
-    def merged_with(self, other):
-        merged = {k: dict(v) for k, v in self._series.items()}
-        for key, points in other._series.items():
-            acc = merged.setdefault(key, {})
-            for year, count in points.items():
-                acc[year] = acc.get(year, 0) + count
-        return CorpusTable(merged)
 
+def _read_rows(source, filter_keys, series, report):
+    """Sum one stream's kept rows into series and count them in report.
 
-def load_unigram_series(source, filter_keys):
-    """Load one stream, keeping only rows whose key is in filter_keys.
-
-    Returns (CorpusTable, LoadReport).  Malformed rows are skipped and
-    counted; duplicate (key, year) rows are summed.
+    series maps each key to a year -> count dict; malformed rows are
+    skipped and counted, and duplicate (key, year) rows are summed.
     """
     if not filter_keys:
         raise DataError("empty vocabulary filter")
-    series = {}
-    report = LoadReport()
     for line_number, line in enumerate(source, start=1):
         if not line.strip():
             continue
@@ -150,30 +131,35 @@ def load_unigram_series(source, filter_keys):
         acc = series.setdefault(record.key, {})
         acc[record.year] = acc.get(record.year, 0) + record.match_count
         report.rows_kept += 1
+
+
+def load_unigram_series(source, filter_keys):
+    """Load one stream, keeping only rows whose key is in filter_keys.
+
+    Returns (CorpusTable, LoadReport).  Malformed rows are skipped and
+    counted; duplicate (key, year) rows are summed.
+    """
+    series = {}
+    report = LoadReport()
+    _read_rows(source, filter_keys, series, report)
     return CorpusTable(series), report
 
 
-def load_corpus(paths, filter_keys, workers=1):
+def load_corpus(paths, filter_keys):
     """Load and merge one or more unigram files (.tsv or .tsv.gz).
 
-    Files are sharded across workers; the merged table is independent of
-    worker count because aggregation is a commutative sum.
+    Every file's rows are summed into one series map and a single table
+    is built from it, so the result is independent of file order.
     """
-
-    def load_one(path):
+    series = {}
+    report = LoadReport()
+    for path in paths:
         try:
             with open_maybe_gzip(path) as handle:
-                return load_unigram_series(handle, filter_keys)
+                _read_rows(handle, filter_keys, series, report)
         except OSError as exc:
             raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-
-    results = parallel_map(load_one, paths, workers=workers)
-    table = CorpusTable()
-    report = LoadReport()
-    for part_table, part_report in results:
-        table = table.merged_with(part_table)
-        report.merge(part_report)
-    return table, report
+    return CorpusTable(series), report
 
 
 def period_count(series, center, half_width=DEFAULT_HALF_WIDTH):

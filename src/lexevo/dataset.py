@@ -10,7 +10,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ._util import parallel_map
 from .corpus import DEFAULT_HALF_WIDTH, period_count
 from .errors import DataError
 from .lexicon import SenseId, Synset
@@ -104,12 +103,23 @@ class SynsetSnapshot:
         return self.present_leader != self.future_leader
 
 
-def build_snapshot(synset, corpus, window, half_width=DEFAULT_HALF_WIDTH):
-    """Return (snapshot, None) or (None, removal reason).
+def _removal_reason(counts):
+    """The removal rule that a synset's member counts break, or None.
 
     A synset is removed as dead_word when any member has a zero present
     count, and as tie when the maximum present or future count is shared.
     """
+    if any(c.present == 0 for c in counts):
+        return REMOVAL_DEAD_WORD
+    presents = [c.present for c in counts]
+    futures = [c.future for c in counts]
+    if presents.count(max(presents)) > 1 or futures.count(max(futures)) > 1:
+        return REMOVAL_TIE
+    return None
+
+
+def build_snapshot(synset, corpus, window, half_width=DEFAULT_HALF_WIDTH):
+    """Return (snapshot, None) or (None, removal reason)."""
     counts = {}
     for member in synset.members:
         series = corpus.series(member.corpus_key())
@@ -118,12 +128,9 @@ def build_snapshot(synset, corpus, window, half_width=DEFAULT_HALF_WIDTH):
             period_count(series, window.present, half_width),
             period_count(series, window.future, half_width),
         )
-    if any(c.present == 0 for c in counts.values()):
-        return None, REMOVAL_DEAD_WORD
-    presents = [c.present for c in counts.values()]
-    futures = [c.future for c in counts.values()]
-    if presents.count(max(presents)) > 1 or futures.count(max(futures)) > 1:
-        return None, REMOVAL_TIE
+    reason = _removal_reason(counts.values())
+    if reason is not None:
+        return None, reason
     return SynsetSnapshot(synset, counts), None
 
 
@@ -162,16 +169,12 @@ class Dataset:
         }
 
 
-def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH, workers=1):
+def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     """Apply the removal rules to every synset; order-independent result."""
-    results = parallel_map(
-        lambda synset: build_snapshot(synset, corpus, window, half_width),
-        synsets,
-        workers=workers,
-    )
     snapshots = []
     removal_log = Counter()
-    for snapshot, reason in results:
+    for synset in synsets:
+        snapshot, reason = build_snapshot(synset, corpus, window, half_width)
         if snapshot is not None:
             snapshots.append(snapshot)
         else:
@@ -250,7 +253,11 @@ def write_dataset(dataset, tsv_path, json_path=None):
 
 
 def read_dataset(tsv_path, json_path):
-    """Reload a serialized dataset (synsets reconstructed from sense ids)."""
+    """Reload a serialized dataset (synsets reconstructed from sense ids).
+
+    Every synset must pass the removal rules that build_dataset applies;
+    one that breaks them is a DataError naming the synset and the rule.
+    """
     with open(json_path, encoding="utf-8") as handle:
         summary = json.load(handle)
     window = TimeWindow(*summary["window"])
@@ -259,16 +266,21 @@ def read_dataset(tsv_path, json_path):
         header = handle.readline()
         if not header.startswith("synset_id\t"):
             raise DataError(f"{tsv_path}: missing dataset header")
-        for line in handle:
+        for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            synset_id, sense_text, past, present, future = line.rstrip("\n").split("\t")
-            sense = SenseId.parse(sense_text)
-            groups.setdefault(synset_id, []).append(
-                (sense, MemberCounts(int(past), int(present), int(future)))
-            )
+            try:
+                synset_id, sense_text, past, present, future = line.rstrip("\n").split("\t")
+                member = (SenseId.parse(sense_text),
+                          MemberCounts(int(past), int(present), int(future)))
+            except ValueError as exc:
+                raise DataError(f"{tsv_path} line {line_number}: {exc}") from exc
+            groups.setdefault(synset_id, []).append(member)
     snapshots = []
     for synset_id, members in groups.items():
+        reason = _removal_reason([c for _, c in members])
+        if reason is not None:
+            raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         synset = Synset(synset_id, members[0][0].pos, tuple(s for s, _ in members))
         snapshots.append(SynsetSnapshot(synset, dict(members)))
     removals = Counter(summary.get("removals", {}))

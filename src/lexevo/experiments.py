@@ -38,7 +38,7 @@ class PipelineInputs:
 
 
 def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
-                         syllables_path=None, half_width=5, workers=1):
+                         syllables_path=None, half_width=5):
     """Load all raw inputs into a PipelineInputs bundle.
 
     The corpus vocabulary filter covers the eligible synset members plus
@@ -60,7 +60,7 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
         clusters = load_catvar(iter(()))
     filter_keys = {m.corpus_key() for s in synsets for m in s.members}
     filter_keys.update(UnigramKey(lemma, pos) for lemma, pos in clusters.members())
-    table, report = load_corpus(corpus_paths, filter_keys, workers=workers)
+    table, report = load_corpus(corpus_paths, filter_keys)
     exceptions = {}
     if syllables_path:
         with open_maybe_gzip(syllables_path) as handle:
@@ -88,27 +88,21 @@ class AblationSpec:
             raise DataError(f"unknown feature {self.feature!r}")
 
 
-def _births_by_pair(births):
-    return {(k.lemma, k.pos) if hasattr(k, "lemma") else k: v
-            for k, v in births.items()}
-
-
 def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
-             seed=0, workers=1):
+             seed=0):
     """Train on one window, score the next, and evaluate at synset level.
 
     The future period of the training window (the present of the test
     window) is the only future data the model ever sees.
     """
-    births = _births_by_pair(inputs.births)
     train_ds = build_dataset(inputs.synsets, inputs.corpus, train_window,
-                             inputs.half_width, workers=workers)
+                             inputs.half_width)
     test_ds = build_dataset(inputs.synsets, inputs.corpus, test_window,
-                            inputs.half_width, workers=workers)
-    train_vectors = extract_features(train_ds, inputs.clusters, births,
-                                     inputs.syllable_exceptions, workers=workers)
-    test_vectors = extract_features(test_ds, inputs.clusters, births,
-                                    inputs.syllable_exceptions, workers=workers)
+                            inputs.half_width)
+    train_vectors = extract_features(train_ds, inputs.clusters, inputs.births,
+                                     inputs.syllable_exceptions)
+    test_vectors = extract_features(test_ds, inputs.clusters, inputs.births,
+                                    inputs.syllable_exceptions)
     model = fit(train_vectors, features=features)
     # rank by log-odds: same argmax as the probability, but immune to
     # float saturation at 0/1
@@ -152,7 +146,7 @@ def _wilson_overlap(f1, f2, n1, n2):
     return not (hi1 < lo2 or hi2 < lo1)
 
 
-def run_ablation(spec, train_window, test_window, inputs, seed=0, workers=1):
+def run_ablation(spec, train_window, test_window, inputs, seed=0):
     """F-score delta for one ablation variant.
 
     drop_one: F(all features minus one) - F(all features).
@@ -161,14 +155,14 @@ def run_ablation(spec, train_window, test_window, inputs, seed=0, workers=1):
     if spec.mode == "drop_one":
         features = tuple(f for f in FEATURE_NAMES if f != spec.feature)
         variant = run_nbcp(train_window, test_window, inputs, features,
-                           seed=seed, workers=workers)
+                           seed=seed)
         baseline = run_nbcp(train_window, test_window, inputs, FEATURE_NAMES,
-                            seed=seed, workers=workers)
+                            seed=seed)
         f_variant = variant["report"]["metrics"]["f_score"]
         f_baseline = baseline["report"]["metrics"]["f_score"]
     else:
         variant = run_nbcp(train_window, test_window, inputs, (spec.feature,),
-                           seed=seed, workers=workers)
+                           seed=seed)
         f_variant = variant["report"]["metrics"]["f_score"]
         f_baseline = variant["report"]["random"]["f_score"]
     n = variant["report"]["counts"]["synsets"]
@@ -186,7 +180,7 @@ def run_ablation(spec, train_window, test_window, inputs, seed=0, workers=1):
 
 
 def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
-                    seed=0, workers=1):
+                    seed=0):
     """Per-cycle, per-test-window summary rows, keyed by the future period."""
     rows = []
     skipped = []
@@ -197,8 +191,7 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
             skipped.append({"cycle": cycle, "reason": str(exc)})
             continue
         for train_window, test_window in pairs:
-            run = run_nbcp(train_window, test_window, inputs, seed=seed,
-                           workers=workers)
+            run = run_nbcp(train_window, test_window, inputs, seed=seed)
             report = run["report"]
             rows.append({
                 "cycle": cycle,

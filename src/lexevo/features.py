@@ -193,23 +193,14 @@ def make_feature_vector(member, snapshot, clusters, births, window,
 
 
 def extract_features(dataset, clusters, births, syllable_exceptions=None,
-                     include_class=True, workers=1):
+                     include_class=True):
     """Feature vectors for every word of every snapshot in a dataset."""
-    from ._util import parallel_map
-
-    def one_snapshot(snapshot):
-        return [
-            make_feature_vector(
-                member, snapshot, clusters, births, dataset.window,
-                syllable_exceptions, include_class,
-            )
-            for member in snapshot.counts
-        ]
-
-    vectors = []
-    for group in parallel_map(one_snapshot, dataset.snapshots, workers=workers):
-        vectors.extend(group)
-    return vectors
+    return [
+        make_feature_vector(member, snapshot, clusters, births, dataset.window,
+                            syllable_exceptions, include_class)
+        for snapshot in dataset.snapshots
+        for member in snapshot.counts
+    ]
 
 
 _FEATURE_TSV_HEADER = (

@@ -88,6 +88,11 @@ SYNTHETIC_TYPES = {
 SYNTHETIC_MINOR = (50, 60, 70, 80)
 
 
+# two letters a-z give 26 * 26 distinct synset codes; past that the
+# lemmas leave a-z and fail eligibility
+MAX_SYNTHETIC_SYNSETS = 26 * 26
+
+
 def _code(i):
     a, b = divmod(i, 26)
     return chr(97 + a) + chr(97 + b) + "q"
@@ -106,8 +111,12 @@ def write_synthetic_fixture(directory, n_synsets=50):
     Winner lemmas contain 'uzzz'; the 'zzz' trigram never appears in the
     other members, so it lands in the winner's unique set.  Counts carry
     small deterministic jitter (margins stay far larger) so the corpus
-    features vary across synsets.
+    features vary across synsets.  n_synsets must lie in
+    [1, MAX_SYNTHETIC_SYNSETS].
     """
+    if not 1 <= n_synsets <= MAX_SYNTHETIC_SYNSETS:
+        raise ValueError(
+            f"n_synsets {n_synsets} outside [1, {MAX_SYNTHETIC_SYNSETS}]")
     type_names = list(SYNTHETIC_TYPES)
     corpus_rows = []
     lexicon_rows = []

@@ -68,11 +68,6 @@ class NaiveBayesModel:
     trigram_dims: tuple  # ordered trigram strings
     trigram_params: dict  # trigram -> (GaussianParams class0, GaussianParams class1)
 
-    def params_for(self, dimension):
-        if dimension in self.scalar_params:
-            return self.scalar_params[dimension]
-        return self.trigram_params[dimension]
-
 
 def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
     """Fit class priors and per-dimension Gaussians from labeled vectors.

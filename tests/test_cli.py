@@ -28,7 +28,6 @@ class TestRunConfig:
         {"floor_year": 2100},
         {"cycle_years": 0},
         {"half_width": -1},
-        {"workers": 0},
     ])
     def test_invalid_values(self, overrides):
         config = RunConfig()
@@ -46,13 +45,13 @@ class TestConfigFile:
             "corpus = a.tsv, b.tsv\n"
             "lexicon = lex.tsv  # trailing comment\n"
             "cycle_years = 30\n"
-            "workers=4\n"
+            "seed=4\n"
         )
         values = read_config_file(str(path))
         assert values["corpus"] == ["a.tsv", "b.tsv"]
         assert values["lexicon"] == "lex.tsv"
         assert values["cycle_years"] == 30
-        assert values["workers"] == 4
+        assert values["seed"] == 4
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -156,6 +155,32 @@ class TestStagePipeline:
             fields = line.split("\t")
             assert 0.0 <= float(fields[2]) <= 1.0
             float(fields[3])  # parses
+
+    def evaluate_edited(self, paths, out, edit, capsys):
+        """Evaluate against an edited copy of the probabilities file."""
+        self.run_stages(paths, out)
+        capsys.readouterr()
+        lines = (out / "probabilities.tsv").read_text().splitlines()
+        edited = out / "edited.tsv"
+        edited.write_text("\n".join(edit(lines)) + "\n")
+        code = main(["evaluate", "--dataset", str(out / "dataset_1900_1950_2000.tsv"),
+                     "--probabilities", str(edited)] + common_flags(paths, out))
+        return code, capsys.readouterr().err
+
+    def test_evaluate_missing_sense_is_data_error(self, tmp_path, synthetic_paths,
+                                                  capsys):
+        code, err = self.evaluate_edited(synthetic_paths, tmp_path / "out",
+                                         lambda lines: lines[:-1], capsys)
+        assert code == EXIT_DATA
+        assert "no score for sense" in err and "edited.tsv" in err
+
+    def test_evaluate_short_row_is_data_error(self, tmp_path, synthetic_paths,
+                                              capsys):
+        code, err = self.evaluate_edited(synthetic_paths, tmp_path / "out",
+                                         lambda lines: lines[:1] + ["s00000"] + lines[1:],
+                                         capsys)
+        assert code == EXIT_DATA
+        assert "edited.tsv line 2" in err
 
     def test_reruns_byte_identical(self, tmp_path, synthetic_paths):
         out_a = tmp_path / "a"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexevo.corpus import (
-    CorpusTable,
+    LoadReport,
     UnigramKey,
     birth_year,
     load_corpus,
@@ -93,14 +93,18 @@ class TestLoadUnigramSeries:
         table, _ = load_corpus([str(path)], {RAPT})
         assert table.series(RAPT) == {1900: 7}
 
-    def test_sharded_load_is_worker_independent(self, tmp_path):
+    def test_sharded_load_is_order_independent(self, tmp_path):
         paths = []
         for i in range(4):
             path = tmp_path / f"part{i}.tsv"
             path.write_text(f"rapt_ADJ\t19{i:02d}\t{i + 1}\t1\nrapt_ADJ\t1900\t1\t1\n")
             paths.append(str(path))
-        tables = [load_corpus(paths, {RAPT}, workers=w)[0] for w in (1, 2, 4)]
-        assert all(t.series(RAPT) == tables[0].series(RAPT) for t in tables)
+        forward, forward_report = load_corpus(paths, {RAPT})
+        backward, backward_report = load_corpus(paths[::-1], {RAPT})
+        # every shard has a 1900 row, so the shards' counts are summed
+        assert forward.series(RAPT) == {1900: 5, 1901: 2, 1902: 3, 1903: 4}
+        assert backward.series(RAPT) == forward.series(RAPT)
+        assert forward_report == backward_report == LoadReport(rows_kept=8)
 
 
 class TestPeriodCount:
@@ -169,9 +173,3 @@ class TestAnnualShares:
         csv = shares_to_csv(rows, ["one", "two"])
         assert csv.splitlines()[0] == "year,one,two"
         assert csv.splitlines()[1] == "1900,0.333333,0.666667"
-
-
-def test_corpus_table_merge_sums_duplicates():
-    a = CorpusTable({RAPT: {1900: 1}})
-    b = CorpusTable({RAPT: {1900: 2, 1901: 3}})
-    assert a.merged_with(b).series(RAPT) == {1900: 3, 1901: 3}

@@ -156,20 +156,6 @@ class TestBuildDataset:
         assert ds.word_count == 0
         assert ds.change_fraction == 0.0
 
-    def test_worker_count_invariance(self):
-        table = table_for({
-            "one": {1900: 5, 1950: 9}, "two": {1900: 3, 1950: 1},
-            "three": {1900: 1, 1950: 2}, "four": {1900: 2, 1950: 4},
-            "five": {1900: 7, 1950: 7}, "six": {1900: 6, 1950: 2},
-        })
-        reference = build_dataset(self.three_synsets(), table, WINDOW, workers=1)
-        for workers in (2, 8):
-            ds = build_dataset(self.three_synsets(), table, WINDOW, workers=workers)
-            assert [s.synset.id for s in ds.snapshots] == [
-                s.synset.id for s in reference.snapshots
-            ]
-            assert ds.removal_log == reference.removal_log
-
 
 class TestChangeStatistics:
     def test_transition_counting(self):
@@ -221,3 +207,24 @@ class TestDatasetSerialization:
         original = {str(s): c for s, c in ds.snapshots[0].counts.items()}
         restored = {str(s): c for s, c in loaded.snapshots[0].counts.items()}
         assert restored == original
+
+    @staticmethod
+    def write_rows(tmp_path, rows):
+        tsv = tmp_path / "dataset.tsv"
+        sidecar = tmp_path / "dataset.json"
+        tsv.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
+                       + "\n".join(rows) + "\n")
+        sidecar.write_text('{"window": [1850, 1900, 1950]}\n')
+        return str(tsv), str(sidecar)
+
+    @pytest.mark.parametrize("rows, reason", [
+        (["x1\tone#n#1\t2\t5\t9", "x1\ttwo#n#1\t4\t3\t9"], "tie"),
+        (["x1\tone#n#1\t2\t5\t9", "x1\ttwo#n#1\t4\t0\t1"], "dead_word"),
+    ])
+    def test_read_rejects_rule_breaking_synset(self, tmp_path, rows, reason):
+        with pytest.raises(DataError, match=f"synset x1 breaks the {reason} rule"):
+            read_dataset(*self.write_rows(tmp_path, rows))
+
+    def test_read_reports_bad_row_line(self, tmp_path):
+        with pytest.raises(DataError, match="line 2"):
+            read_dataset(*self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))

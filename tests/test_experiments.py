@@ -169,15 +169,6 @@ class TestRunNbcp:
         ]
         assert "seed" in report["random"]
 
-    def test_worker_invariance(self, synthetic_inputs):
-        train_window, test_window = schedule_windows(50)[1]
-        reference = run_nbcp(train_window, test_window, synthetic_inputs)
-        for workers in (2, 8):
-            run = run_nbcp(train_window, test_window, synthetic_inputs,
-                           workers=workers)
-            assert run["report"] == reference["report"]
-            assert run["outcomes"] == reference["outcomes"]
-
     def test_feature_subset_runs(self, synthetic_inputs):
         train_window, test_window = schedule_windows(50)[1]
         run = run_nbcp(train_window, test_window, synthetic_inputs,

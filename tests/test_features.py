@@ -235,18 +235,3 @@ class TestSerialization:
         path.write_text("wrong\theader\n")
         with pytest.raises(DataError):
             read_feature_vectors(str(path))
-
-
-def test_extract_features_worker_invariance(synthetic_inputs):
-    from lexevo.dataset import build_dataset, schedule_windows
-    from lexevo.lexicon import eligible_synsets
-
-    _, test_window = schedule_windows(50)[1]
-    synsets = synthetic_inputs.synsets
-    ds = build_dataset(synsets, synthetic_inputs.corpus, test_window)
-    reference = extract_features(ds, synthetic_inputs.clusters, synthetic_inputs.births)
-    for workers in (2, 8):
-        vectors = extract_features(
-            ds, synthetic_inputs.clusters, synthetic_inputs.births, workers=workers
-        )
-        assert vectors == reference
