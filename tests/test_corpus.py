@@ -106,6 +106,24 @@ class TestLoadUnigramSeries:
         assert backward.series(RAPT) == forward.series(RAPT)
         assert forward_report == backward_report == LoadReport(rows_kept=8)
 
+    def test_sharded_load_is_worker_independent(self, tmp_path):
+        # the same rows split into four shards or kept in one file give
+        # the same table and report, however the loading work is divided
+        rows = []
+        paths = []
+        for i in range(4):
+            shard = f"rapt_ADJ\t19{i:02d}\t{i + 1}\t1\nrapt_ADJ\t1900\t1\t1\n"
+            rows.append(shard)
+            path = tmp_path / f"part{i}.tsv"
+            path.write_text(shard)
+            paths.append(str(path))
+        whole = tmp_path / "whole.tsv"
+        whole.write_text("".join(rows))
+        sharded, sharded_report = load_corpus(paths, {RAPT})
+        single, single_report = load_corpus([str(whole)], {RAPT})
+        assert sharded.series(RAPT) == single.series(RAPT)
+        assert sharded_report == single_report
+
 
 class TestPeriodCount:
     def test_window_boundaries(self):
@@ -173,3 +191,12 @@ class TestAnnualShares:
         csv = shares_to_csv(rows, ["one", "two"])
         assert csv.splitlines()[0] == "year,one,two"
         assert csv.splitlines()[1] == "1900,0.333333,0.666667"
+
+
+def test_corpus_table_merge_sums_duplicates(tmp_path):
+    a = tmp_path / "a.tsv"
+    a.write_text("rapt_ADJ\t1900\t1\t1\n")
+    b = tmp_path / "b.tsv"
+    b.write_text("rapt_ADJ\t1900\t2\t1\nrapt_ADJ\t1901\t3\t1\n")
+    table, _ = load_corpus([str(a), str(b)], {RAPT})
+    assert table.series(RAPT) == {1900: 3, 1901: 3}
