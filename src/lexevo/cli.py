@@ -74,7 +74,11 @@ def read_config_file(path):
             if key == "corpus":
                 values[key] = [p.strip() for p in value.split(",") if p.strip()]
             elif key in _INT_KEYS:
-                values[key] = int(value)
+                try:
+                    values[key] = int(value)
+                except ValueError:
+                    raise LexevoError(f"{path} line {line_number}: {key} must be "
+                                      f"an integer, got {value!r}") from None
             else:
                 values[key] = value
     return values

@@ -12,7 +12,7 @@ from typing import Optional
 from scipy import special
 
 from .dataset import build_dataset, schedule_windows
-from .errors import DataError
+from .errors import DataError, UnfittableModelError
 from .evaluate import (
     evaluate_predictions,
     evaluation_report,
@@ -181,7 +181,11 @@ def run_ablation(spec, train_window, test_window, inputs, seed=0):
 
 def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
                     seed=0):
-    """Per-cycle, per-test-window summary rows, keyed by the future period."""
+    """Per-cycle, per-test-window summary rows, keyed by the future period.
+
+    A cycle that cannot be scheduled, or a window pair whose training
+    window leaves a class without vectors, is listed in ``skipped``.
+    """
     rows = []
     skipped = []
     for cycle in cycles:
@@ -191,7 +195,12 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
             skipped.append({"cycle": cycle, "reason": str(exc)})
             continue
         for train_window, test_window in pairs:
-            run = run_nbcp(train_window, test_window, inputs, seed=seed)
+            try:
+                run = run_nbcp(train_window, test_window, inputs, seed=seed)
+            except UnfittableModelError as exc:
+                skipped.append({"cycle": cycle, "window": test_window.label(),
+                                "reason": str(exc)})
+                continue
             report = run["report"]
             rows.append({
                 "cycle": cycle,

@@ -5,11 +5,23 @@ trigram) gets two Gaussians, one per class.  Priors carry add-one
 smoothing and variances are floored so binary dimensions never produce a
 singular density.  Fitting uses exact sums, so a permutation of the
 training set yields bit-identical parameters.
+
+Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
+``fit`` counts each class's trigram ones in one pass.  Scoring uses the
+Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): a
+class's log density with every trigram absent is summed once per model,
+and a word only corrects it for its own trained trigrams, adding
+log N(1) - log N(0) for each.  A class score is one ``math.fsum``
+(Shewchuk 1997) over the log prior, the scalar terms, the exact parts of
+that absent sum and the corrections, so it is the correctly rounded sum
+of the dense per-dimension terms.  That matters: floored variances make
+single terms reach about 5e8, where one ulp is about 6e-8.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from ._util import atomic_write_json
 from .errors import DataError, UnfittableModelError
@@ -67,6 +79,10 @@ class NaiveBayesModel:
     scalar_params: dict  # name -> (GaussianParams class0, GaussianParams class1)
     trigram_dims: tuple  # ordered trigram strings
     trigram_params: dict  # trigram -> (GaussianParams class0, GaussianParams class1)
+    # per class, floats summing exactly to the log density of "every trigram
+    # absent"; built by the first score, never saved, shown or compared
+    _absent_parts: tuple = field(default=None, init=False, repr=False,
+                                 compare=False)
 
 
 def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
@@ -103,42 +119,78 @@ def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
     trigram_dims = ()
     trigram_params = {}
     if "unique_ngrams" in features:
-        dims = set()
-        for v in vectors:
-            dims.update(v.unique_ngrams)
-        trigram_dims = tuple(sorted(dims))
+        ones = (Counter(), Counter())
+        for c in (0, 1):
+            for v in by_class[c]:
+                ones[c].update(set(v.unique_ngrams))
+        trigram_dims = tuple(sorted(ones[0].keys() | ones[1].keys()))
         for tri in trigram_dims:
             trigram_params[tri] = tuple(
-                _fit_binary_gaussian(
-                    sum(1 for v in by_class[c] if tri in set(v.unique_ngrams)),
-                    len(by_class[c]),
-                    variance_floor,
-                )
+                _fit_binary_gaussian(ones[c][tri], len(by_class[c]),
+                                     variance_floor)
                 for c in (0, 1)
             )
     return NaiveBayesModel(priors, tuple(features), scalar_params,
                            trigram_dims, trigram_params)
 
 
+def _exact_parts(terms):
+    """Floats whose exact sum is the exact sum of terms.
+
+    Each part is the correctly rounded remainder the earlier parts leave,
+    so an fsum over the parts and further terms rounds only once.
+    """
+    terms = list(terms)
+    parts = []
+    while True:
+        part = math.fsum(terms)
+        if part == 0.0:
+            return tuple(parts)
+        parts.append(part)
+        if not math.isfinite(part):
+            return tuple(parts)
+        terms.append(-part)
+
+
+def _absent_parts(model):
+    """Per class, the exact parts of the sum of log N(0) over trigram dims."""
+    if model._absent_parts is None:
+        model._absent_parts = tuple(
+            _exact_parts(gaussian_log_pdf(model.trigram_params[tri][c], 0.0)
+                         for tri in model.trigram_dims)
+            for c in (0, 1)
+        )
+    return model._absent_parts
+
+
 def class_log_scores(model, vector):
-    """Unnormalized log score (log prior + log likelihood) per class."""
-    scores = [math.log(model.priors[0]), math.log(model.priors[1])]
-    # fixed dimension order keeps scores identical across (de)serialization
+    """Unnormalized log score (log prior + log likelihood) per class.
+
+    Each score is the correctly rounded sum of the log prior and one term
+    per dimension, trigrams absent from the word included; the cost is
+    O(scalar dims + the word's own trigrams) once the model's absent sums
+    exist.  Trigrams unseen in training are ignored.
+    """
+    terms = ([math.log(model.priors[0])], [math.log(model.priors[1])])
     for name in SCALAR_FEATURES:
         params = model.scalar_params.get(name)
         if params is None:
             continue
         x = vector.scalar(name)
-        scores[0] += gaussian_log_pdf(params[0], x)
-        scores[1] += gaussian_log_pdf(params[1], x)
+        for c in (0, 1):
+            terms[c].append(gaussian_log_pdf(params[c], x))
     if model.trigram_dims:
-        present = set(vector.unique_ngrams)
-        for tri in model.trigram_dims:
-            params = model.trigram_params[tri]
-            x = 1.0 if tri in present else 0.0
-            scores[0] += gaussian_log_pdf(params[0], x)
-            scores[1] += gaussian_log_pdf(params[1], x)
-    return tuple(scores)
+        absent = _absent_parts(model)
+        for c in (0, 1):
+            terms[c].extend(absent[c])
+        for tri in set(vector.unique_ngrams):
+            params = model.trigram_params.get(tri)
+            if params is None:
+                continue
+            for c in (0, 1):
+                terms[c].append(gaussian_log_pdf(params[c], 1.0))
+                terms[c].append(-gaussian_log_pdf(params[c], 0.0))
+    return math.fsum(terms[0]), math.fsum(terms[1])
 
 
 def win_log_odds(model, vector):
@@ -174,7 +226,11 @@ def _params_to_json(params):
 
 
 def _params_from_json(obj):
-    return GaussianParams(obj["mean"], obj["variance"], obj["sample_count"])
+    params = GaussianParams(float(obj["mean"]), float(obj["variance"]),
+                            int(obj["sample_count"]))
+    if not params.variance > 0:
+        raise ValueError(f"variance must be positive, got {params.variance!r}")
+    return params
 
 
 def save_model(model, path):
@@ -196,10 +252,33 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
+    """Read a model written by save_model.
+
+    A file that is not JSON, lacks a key or holds a malformed value raises
+    DataError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON model file: {exc}") from None
+    try:
+        model = _model_from_json(obj)
+    except KeyError as exc:
+        raise DataError(f"{path}: model file has no key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file: {exc}") from None
+    if len(model.priors) != 2 or not all(p > 0 for p in model.priors):
+        raise DataError(f"{path}: priors must be two positive probabilities")
+    if set(model.trigram_params) != set(model.trigram_dims):
+        raise DataError(f"{path}: trigram_dims and trigram_params name "
+                        "different trigrams")
+    return model
+
+
+def _model_from_json(obj):
     return NaiveBayesModel(
-        priors=tuple(obj["priors"]),
+        priors=tuple(float(p) for p in obj["priors"]),
         features=tuple(obj["features"]),
         scalar_params={
             name: (_params_from_json(p["class0"]), _params_from_json(p["class1"]))

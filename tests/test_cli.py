@@ -59,6 +59,12 @@ class TestConfigFile:
         with pytest.raises(LexevoError):
             read_config_file(str(path))
 
+    def test_non_integer_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("# comment\nseed = x\n")
+        with pytest.raises(LexevoError, match=r"run\.conf line 2: seed must be an integer"):
+            read_config_file(str(path))
+
     def test_missing_equals_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("just a line\n")
@@ -212,7 +218,40 @@ class TestStagePipeline:
         assert load_model(model_path).trigram_dims == ()
 
 
+class TestPredict:
+    @pytest.mark.parametrize("model_text, message", [
+        ('{"priors": [0.5, 0.5]}', "has no key 'features'"),
+        ("not json\n", "not a JSON model file"),
+    ], ids=["missing_key", "not_json"])
+    def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
+                                          capsys, model_text, message):
+        from lexevo.dataset import schedule_windows
+        from lexevo.experiments import run_nbcp
+        from lexevo.features import write_feature_vectors
+
+        train_window, test_window = schedule_windows(50)[1]
+        run = run_nbcp(train_window, test_window, synthetic_inputs)
+        features = tmp_path / "features.tsv"
+        write_feature_vectors(run["test_vectors"], str(features))
+        model = tmp_path / "model.json"
+        model.write_text(model_text)
+        code = main(["predict", "--features", str(features), "--model", str(model),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{model}: " in err and message in err
+        assert "Traceback" not in err
+
+
 class TestSweep:
+    def test_unfittable_windows_are_skipped(self, tmp_path, synthetic_paths):
+        out = tmp_path / "out"
+        assert main(["sweep"] + common_flags(synthetic_paths, out)) == EXIT_OK
+        report = json.loads((out / "reports" / "sweep" / "report.json").read_text())
+        assert [row["cycle"] for row in report["rows"]] == [50, 50]
+        assert {"cycle": 60, "window": "1880_1940_2000",
+                "reason": "need vectors in both classes, got 0/0"} in report["skipped"]
+
     def test_sweep_outputs(self, tmp_path, synthetic_paths):
         out = tmp_path / "out"
         flags = common_flags(synthetic_paths, out)

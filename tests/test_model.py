@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -86,7 +87,7 @@ def brute_force_probability(train, features, query, variance_floor=VARIANCE_FLOO
 
     scores = []
     for c, members in ((0, class0), (1, class1)):
-        score = math.log(priors[c])
+        terms = [math.log(priors[c])]
         for dim in dims:
             values = [value_of(v, dim) for v in members]
             mean = sum(values) / len(values)
@@ -96,8 +97,9 @@ def brute_force_probability(train, features, query, variance_floor=VARIANCE_FLOO
                 var = sum((x - mean) ** 2 for x in values) / (len(values) - 1)
                 var = max(var, variance_floor)
             x = value_of(query, dim)
-            score += -0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var)
-        scores.append(score)
+            terms.append(-0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var))
+        # exact summation: the reference must not share the scorer's rounding order
+        scores.append(math.fsum(terms))
     peak = max(scores)
     e0 = math.exp(scores[0] - peak)
     e1 = math.exp(scores[1] - peak)
@@ -287,4 +289,70 @@ class TestSerialization:
         b = tmp_path / "b.json"
         save_model(model, str(a))
         save_model(model, str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestSparseScoring:
+    def test_pinned_floored_variance_case(self):
+        # "|aa" occurs in every winner and no loser, "|bb" the reverse, so
+        # all four of their variances sit on the floor and a word with both
+        # gets a term of about -5e8 in each class; the classes then differ
+        # by well under one, where left-to-right summation is off by 1e-8
+        train = [
+            make_vector(i, [0.3 + 0.1 * i, 1 + i % 3, 0.2 + 0.05 * i, i % 4,
+                            0.1 * i - 0.2, 0.5 + 0.1 * i, 100 + 10 * i],
+                        ["|aa" if i % 2 else "|bb"] + (["abc"] if i % 3 == 0 else []),
+                        i % 2)
+            for i in range(6)
+        ]
+        query = make_vector(99, [0.555, 2, 0.35, 1, 0.05, 0.75, 125],
+                            ["|aa", "|bb", "abc"], None)
+        model = fit(train)
+        for tri, c in (("|aa", 0), ("|bb", 1)):
+            assert model.trigram_params[tri][c].variance == VARIANCE_FLOOR
+            assert gaussian_log_pdf(model.trigram_params[tri][c], 1.0) < -4e8
+        p = win_probability(model, query)
+        assert 0.4 < p < 0.6
+        expected = brute_force_probability(train, list(model.features), query)
+        assert p == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("dims", [5, 5000])
+    def test_score_cost_ignores_absent_trigrams(self, dims, monkeypatch):
+        import lexevo.model as model_mod
+
+        pool = [f"{i:04d}" for i in range(dims)]
+        vectors = [
+            dataclasses.replace(v, unique_ngrams=tuple(pool[i::10]))
+            for i, v in enumerate(random_vectors(random.Random(dims), 10))
+        ]
+        model = fit(vectors)
+        assert len(model.trigram_dims) == dims
+        query = make_vector(99, [0.5, 2, 0.5, 1, 0.0, 0.5, 100],
+                            ["0001", "0003", "unseen"], None)
+        win_log_odds(model, query)  # the first score builds the absent sums
+
+        calls = []
+        original = model_mod.gaussian_log_pdf
+
+        def counted(params, x):
+            calls.append(x)
+            return original(params, x)
+
+        monkeypatch.setattr(model_mod, "gaussian_log_pdf", counted)
+        win_log_odds(model, query)
+        # two per scalar dimension, four per trained trigram of the word
+        assert len(calls) == 2 * len(model.scalar_params) + 4 * 2
+
+    def test_absent_sum_cache_is_private(self, tmp_path):
+        rng = random.Random(13)
+        vectors = random_vectors(rng, 12)
+        scored = fit(vectors)
+        fresh = fit(vectors)
+        win_probability(scored, vectors[0])
+        assert scored == fresh
+        assert repr(scored) == repr(fresh)
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        save_model(scored, str(a))
+        save_model(fresh, str(b))
         assert a.read_bytes() == b.read_bytes()
