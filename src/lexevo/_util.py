@@ -6,13 +6,11 @@ import os
 import tempfile
 
 
-def open_maybe_gzip(path, mode="rt"):
-    """Open a file, transparently decompressing by .gz extension."""
+def open_maybe_gzip(path):
+    """Open a UTF-8 text file, decompressing it when its name ends in .gz."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode, encoding="utf-8" if "t" in mode else None)
-    if "t" in mode:
-        return open(path, mode, encoding="utf-8")
-    return open(path, mode)
+        return gzip.open(path, "rt", encoding="utf-8")
+    return open(path, encoding="utf-8")
 
 
 def atomic_write_text(path, text):

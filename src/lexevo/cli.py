@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -183,9 +182,9 @@ def cmd_ingest(args, config):
     inputs, _, report = _load_inputs(config)
     os.makedirs(config.out, exist_ok=True)
     lines = []
-    for key in sorted(inputs.corpus.keys()):
-        for year, count in inputs.corpus.series(key).items():
-            lines.append(f"{key.token()}\t{year}\t{count}\t0")
+    for lemma, pos in sorted(inputs.corpus.keys()):
+        for year, count in inputs.corpus.series((lemma, pos)).items():
+            lines.append(f"{lemma}_{pos}\t{year}\t{count}\t0")
     atomic_write_text(os.path.join(config.out, "corpus.tsv"),
                       "\n".join(lines) + "\n")
     atomic_write_json(os.path.join(config.out, "ingest_report.json"), {
@@ -256,9 +255,8 @@ def cmd_predict(args, config):
     fitted = model_mod.load_model(args.model)
     lines = ["synset_id\tsense_id\twin_probability\tlog_odds"]
     for v in vectors:
-        bare = v.without_class()
-        p = model_mod.win_probability(fitted, bare)
-        odds = model_mod.win_log_odds(fitted, bare)
+        odds = model_mod.win_log_odds(fitted, v)
+        p = model_mod.logistic(odds)
         lines.append(f"{v.synset_id}\t{v.sense}\t{p!r}\t{odds!r}")
     os.makedirs(config.out, exist_ok=True)
     atomic_write_text(os.path.join(config.out, "probabilities.tsv"),

@@ -9,7 +9,7 @@ all-zero series.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._util import open_maybe_gzip
 from .errors import DataError, NoBirthError, RowParseError
@@ -20,47 +20,30 @@ MAX_YEAR = 2008
 DEFAULT_HALF_WIDTH = 5
 
 
-@dataclass(frozen=True, order=True)
-class UnigramKey:
-    """A (lemma, corpus POS tag) pair, e.g. ('rapt', 'ADJ')."""
+def split_token(token):
+    """The (lemma, corpus POS tag) key of a lemma_POS token.
 
-    lemma: str
-    pos: str
-
-    def token(self):
-        return f"{self.lemma}_{self.pos}"
-
-    @classmethod
-    def from_token(cls, token):
-        lemma, sep, pos = token.rpartition("_")
-        if not sep or not lemma or not pos:
-            raise ValueError(f"token {token!r} has no _POS suffix")
-        return cls(lemma, pos)
-
-
-@dataclass(frozen=True)
-class FrequencyRecord:
-    key: UnigramKey
-    year: int
-    match_count: int
-    volume_count: int
-
-    def to_line(self):
-        return f"{self.key.token()}\t{self.year}\t{self.match_count}\t{self.volume_count}"
+    The token is split on its final underscore; ValueError when either
+    side is empty.
+    """
+    lemma, _, pos = token.rpartition("_")
+    if not lemma or not pos:
+        raise ValueError(f"token {token!r} has no _POS suffix")
+    return lemma, pos
 
 
 def parse_ngram_row(line, line_number=0):
-    """Parse one TSV row into a FrequencyRecord.
+    """Parse one TSV row into a (key, year, match_count, volume_count) tuple.
 
-    Raises RowParseError (recoverable; carries the line number) on a
-    malformed row.  The word token is split on its final underscore.
+    key is the (lemma, POS) pair of the word token.  Raises RowParseError
+    (recoverable; carries the line number) on a malformed row.
     """
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 4:
         raise RowParseError(f"expected 4 columns, got {len(fields)}", line_number)
     token, year_s, match_s, volume_s = fields
     try:
-        key = UnigramKey.from_token(token)
+        key = split_token(token)
     except ValueError as exc:
         raise RowParseError(str(exc), line_number) from exc
     try:
@@ -73,7 +56,7 @@ def parse_ngram_row(line, line_number=0):
         raise RowParseError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]", line_number)
     if match_count < 0 or volume_count < 0:
         raise RowParseError("negative count", line_number)
-    return FrequencyRecord(key, year, match_count, volume_count)
+    return key, year, match_count, volume_count
 
 
 @dataclass
@@ -84,16 +67,16 @@ class LoadReport:
 
 
 class CorpusTable:
-    """Immutable map from UnigramKey to a sorted (year, count) series.
+    """Immutable map from (lemma, POS) keys to sorted (year, count) series.
 
     Built from key -> {year: count} dicts whose duplicate rows are already
     summed, so the table is identical however the input rows were sharded
     or ordered.
     """
 
-    def __init__(self, series=None):
+    def __init__(self, series):
         self._series = {key: dict(sorted(points.items()))
-                        for key, points in (series or {}).items()}
+                        for key, points in series.items()}
 
     def series(self, key):
         """Year -> count mapping for key; empty dict when absent."""
@@ -101,9 +84,6 @@ class CorpusTable:
 
     def keys(self):
         return self._series.keys()
-
-    def __contains__(self, key):
-        return key in self._series
 
     def __len__(self):
         return len(self._series)
@@ -121,28 +101,16 @@ def _read_rows(source, filter_keys, series, report):
         if not line.strip():
             continue
         try:
-            record = parse_ngram_row(line, line_number)
+            key, year, match_count, _ = parse_ngram_row(line, line_number)
         except RowParseError:
             report.rows_skipped += 1
             continue
-        if record.key not in filter_keys:
+        if key not in filter_keys:
             report.rows_filtered += 1
             continue
-        acc = series.setdefault(record.key, {})
-        acc[record.year] = acc.get(record.year, 0) + record.match_count
+        acc = series.setdefault(key, {})
+        acc[year] = acc.get(year, 0) + match_count
         report.rows_kept += 1
-
-
-def load_unigram_series(source, filter_keys):
-    """Load one stream, keeping only rows whose key is in filter_keys.
-
-    Returns (CorpusTable, LoadReport).  Malformed rows are skipped and
-    counted; duplicate (key, year) rows are summed.
-    """
-    series = {}
-    report = LoadReport()
-    _read_rows(source, filter_keys, series, report)
-    return CorpusTable(series), report
 
 
 def load_corpus(paths, filter_keys):

@@ -87,8 +87,7 @@ class SynsetSnapshot:
     counts: dict  # SenseId -> MemberCounts
 
     def _leader(self, getter):
-        best = max(self.counts.values(), key=getter)
-        return next(s for s, c in self.counts.items() if getter(c) == getter(best))
+        return max(self.counts, key=lambda sense: getter(self.counts[sense]))
 
     @property
     def present_leader(self):
@@ -182,7 +181,7 @@ def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     return Dataset(window, snapshots, removal_log)
 
 
-def _period_leader(synset, counts, previous):
+def _period_leader(counts, previous):
     """Leader lemma for one period under the Table-3 style tie rules.
 
     Zero total inherits the previous leader; a tie keeps the previous
@@ -219,7 +218,7 @@ def change_statistics(synsets, corpus, periods, half_width=DEFAULT_HALF_WIDTH):
                 m.lemma: period_count(corpus.series(m.corpus_key()), period, half_width)
                 for m in synset.members
             }
-            leader = _period_leader(synset, counts, previous)
+            leader = _period_leader(counts, previous)
             if previous is not None and leader != previous:
                 changes += 1
             previous = leader
@@ -257,10 +256,10 @@ def read_dataset(tsv_path, json_path):
 
     Every synset must pass the removal rules that build_dataset applies;
     one that breaks them is a DataError naming the synset and the rule.
+    A JSON sidecar that is not JSON or lacks a valid window is a DataError
+    naming the file (and the key).
     """
-    with open(json_path, encoding="utf-8") as handle:
-        summary = json.load(handle)
-    window = TimeWindow(*summary["window"])
+    window, removals = _read_summary(json_path)
     groups = {}
     with open(tsv_path, encoding="utf-8") as handle:
         header = handle.readline()
@@ -283,5 +282,29 @@ def read_dataset(tsv_path, json_path):
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         synset = Synset(synset_id, members[0][0].pos, tuple(s for s, _ in members))
         snapshots.append(SynsetSnapshot(synset, dict(members)))
-    removals = Counter(summary.get("removals", {}))
     return Dataset(window, snapshots, removals)
+
+
+def _read_summary(json_path):
+    """(TimeWindow, removal Counter) from a dataset's JSON sidecar."""
+    try:
+        with open(json_path, encoding="utf-8") as handle:
+            summary = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{json_path}: not a JSON dataset summary: {exc}") from None
+    if not isinstance(summary, dict) or "window" not in summary:
+        raise DataError(f"{json_path}: dataset summary has no key 'window'")
+    years = summary["window"]
+    try:
+        if not (isinstance(years, list) and len(years) == 3
+                and all(type(year) is int for year in years)):
+            raise ValueError("need three integer years")
+        window = TimeWindow(*years)
+    except ValueError as exc:
+        raise DataError(f"{json_path}: bad key 'window' {years!r}: {exc}") from None
+    removals = summary.get("removals", {})
+    if not (isinstance(removals, dict)
+            and all(type(n) is int and n >= 0 for n in removals.values())):
+        raise DataError(f"{json_path}: key 'removals' must map reasons to "
+                        f"counts, got {removals!r}")
+    return window, Counter(removals)

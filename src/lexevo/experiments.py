@@ -7,10 +7,11 @@ carry no timestamps, so repeated runs are byte-identical.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from scipy import special
 
+from ._util import open_maybe_gzip
+from .corpus import birth_years, load_corpus
 from .dataset import build_dataset, schedule_windows
 from .errors import DataError, UnfittableModelError
 from .evaluate import (
@@ -19,7 +20,9 @@ from .evaluate import (
     random_baseline,
     wilson_interval,
 )
-from .features import FEATURE_NAMES, SCALAR_FEATURES, extract_features
+from .features import (FEATURE_NAMES, SCALAR_FEATURES, extract_features,
+                       load_syllable_exceptions)
+from .lexicon import CatVarClusters, eligible_synsets, load_catvar, load_lexicon
 from .model import fit, win_log_odds
 
 ABLATION_MODES = ("drop_one", "single_only")
@@ -29,10 +32,10 @@ ABLATION_MODES = ("drop_one", "single_only")
 class PipelineInputs:
     """Everything the modeling stages need, loaded once up front."""
 
-    corpus: object  # CorpusTable
+    corpus: object  # CorpusTable, keyed by (lemma, corpus POS) tuples
     synsets: list  # output of eligible_synsets
     clusters: object  # CatVarClusters
-    births: dict  # (lemma, corpus POS) -> year
+    births: dict  # corpus key -> birth year, for every key with a nonzero count
     syllable_exceptions: dict = field(default_factory=dict)
     half_width: int = 5
 
@@ -45,35 +48,33 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
     every cluster member, so categorial variations can be birth-dated.
     Returns (inputs, lexicon, corpus load report).
     """
-    from ._util import open_maybe_gzip
-    from .corpus import UnigramKey, birth_years, load_corpus
-    from .features import load_syllable_exceptions
-    from .lexicon import eligible_synsets, load_catvar, load_lexicon
-
-    with open_maybe_gzip(lexicon_path) as handle:
-        lexicon = load_lexicon(handle)
+    lexicon = _load_file(lexicon_path, load_lexicon)
     synsets = eligible_synsets(lexicon)
-    if catvar_path:
-        with open_maybe_gzip(catvar_path) as handle:
-            clusters = load_catvar(handle)
-    else:
-        clusters = load_catvar(iter(()))
-    filter_keys = {m.corpus_key() for s in synsets for m in s.members}
-    filter_keys.update(UnigramKey(lemma, pos) for lemma, pos in clusters.members())
+    clusters = (_load_file(catvar_path, load_catvar) if catvar_path
+                else CatVarClusters())
+    filter_keys = ({m.corpus_key() for s in synsets for m in s.members}
+                   | set(clusters.members()))
     table, report = load_corpus(corpus_paths, filter_keys)
-    exceptions = {}
-    if syllables_path:
-        with open_maybe_gzip(syllables_path) as handle:
-            exceptions = load_syllable_exceptions(handle)
+    exceptions = (_load_file(syllables_path, load_syllable_exceptions)
+                  if syllables_path else {})
     inputs = PipelineInputs(
         corpus=table,
         synsets=synsets,
         clusters=clusters,
-        births={(k.lemma, k.pos): y for k, y in birth_years(table).items()},
+        births=birth_years(table),
         syllable_exceptions=exceptions,
         half_width=half_width,
     )
     return inputs, lexicon, report
+
+
+def _load_file(path, loader):
+    """loader(handle) over a plain or gzipped file; its DataError names the file."""
+    with open_maybe_gzip(path) as handle:
+        try:
+            return loader(handle)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,7 @@ def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
     model = fit(train_vectors, features=features)
     # rank by log-odds: same argmax as the probability, but immune to
     # float saturation at 0/1
-    log_odds = {v.sense: win_log_odds(model, v.without_class())
-                for v in test_vectors}
+    log_odds = {v.sense: win_log_odds(model, v) for v in test_vectors}
     counts, scores, outcomes = evaluate_predictions(test_ds.snapshots, log_odds)
     _, random_scores, _ = random_baseline(test_ds.snapshots, seed)
     report = evaluation_report(counts, scores)

@@ -6,10 +6,10 @@ block is a sparse binary vector over boundary-extended letter trigrams
 that no other synset member shares.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .corpus import birth_year
 from .errors import DataError
 from .lexicon import SenseId, categorial_variation_count
 
@@ -110,10 +110,12 @@ def load_syllable_exceptions(source):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise DataError(f"syllable exceptions line {line_number}: expected 2 columns")
-        exceptions[fields[0]] = int(fields[1])
+        try:
+            lemma, count = line.split("\t")
+            exceptions[lemma] = int(count)
+        except ValueError:
+            raise DataError(f"syllable exceptions line {line_number}: expected "
+                            f"lemma<TAB>integer count, got {line!r}") from None
     return exceptions
 
 
@@ -159,17 +161,18 @@ def make_feature_vector(member, snapshot, clusters, births, window,
                         syllable_exceptions=None, include_class=True):
     """Assemble the full vector for one member of a snapshot.
 
-    births maps (lemma, corpus POS tag) pairs to first-attestation years
-    and must cover every snapshot member (they all have nonzero present
-    counts, so a missing birth year signals a corpus/dataset mismatch).
+    births maps corpus keys, the (lemma, corpus POS tag) tuples that
+    SenseId.corpus_key() returns, to first-attestation years and must cover
+    every snapshot member (they all have nonzero present counts, so a
+    missing birth year signals a corpus/dataset mismatch).
     """
     lemmas = snapshot.synset.lemmas()
     max_len = max(len(l) for l in lemmas)
     unique, shared_fraction = partition_trigrams(member.lemma, lemmas)
     key = member.corpus_key()
-    born = births.get((key.lemma, key.pos))
+    born = births.get(key)
     if born is None:
-        raise DataError(f"no birth year for {key.token()}")
+        raise DataError(f"no birth year for {key[0]}_{key[1]}")
     rel = relative_frequencies(snapshot)
     f1, f2 = rel[member]
     target = None
@@ -183,7 +186,7 @@ def make_feature_vector(member, snapshot, clusters, births, window,
         unique_ngrams=unique,
         shared_ngrams=shared_fraction,
         categorial_variations=categorial_variation_count(
-            (key.lemma, key.pos), window.present, clusters, births
+            key, window.present, clusters, births
         ),
         relative_growth=f2 - f1,
         linear_extrapolation=2.0 * f2 - f1,
@@ -233,31 +236,45 @@ def write_feature_vectors(vectors, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_feature_vectors(path):
+    """Reload vectors written by write_feature_vectors.
+
+    A malformed row is a DataError naming the file and line.
+    """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != _FEATURE_TSV_HEADER:
             raise DataError(f"{path}: unexpected feature file header")
         vectors = []
-        for line in handle:
+        for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 11:
-                raise DataError(f"{path}: bad feature row {fields!r}")
-            (synset_id, sense_text, norm_len, syll, shared, catvar,
-             growth, extrap, age, target, trigrams) = fields
-            vectors.append(FeatureVector(
-                sense=SenseId.parse(sense_text),
-                synset_id=synset_id,
-                normalized_length=float(norm_len),
-                syllable_count=int(syll),
-                unique_ngrams=tuple(t for t in trigrams.split(",") if t),
-                shared_ngrams=float(shared),
-                categorial_variations=int(catvar),
-                relative_growth=float(growth),
-                linear_extrapolation=float(extrap),
-                present_age=int(age),
-                target_class=int(target) if target else None,
-            ))
+            try:
+                (synset_id, sense_text, norm_len, syll, shared, catvar,
+                 growth, extrap, age, target, trigrams) = fields
+                if target not in ("", "0", "1"):
+                    raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
+                vectors.append(FeatureVector(
+                    sense=SenseId.parse(sense_text),
+                    synset_id=synset_id,
+                    normalized_length=_finite(norm_len),
+                    syllable_count=int(syll),
+                    unique_ngrams=tuple(t for t in trigrams.split(",") if t),
+                    shared_ngrams=_finite(shared),
+                    categorial_variations=int(catvar),
+                    relative_growth=_finite(growth),
+                    linear_extrapolation=_finite(extrap),
+                    present_age=int(age),
+                    target_class=int(target) if target else None,
+                ))
+            except ValueError as exc:
+                raise DataError(f"{path} line {line_number}: {exc}") from None
     return vectors

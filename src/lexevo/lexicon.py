@@ -12,7 +12,7 @@ Lines starting with '#' are ignored in both formats.
 import re
 from dataclasses import dataclass, field
 
-from .corpus import UnigramKey
+from .corpus import split_token
 from .errors import DataError, RowParseError
 
 # lexicon pos letter -> corpus tag
@@ -41,7 +41,8 @@ class SenseId:
         return cls(parts[0], parts[1], int(parts[2]))
 
     def corpus_key(self):
-        return UnigramKey(self.lemma, POS_TO_CORPUS[self.pos])
+        """The (lemma, corpus POS tag) key of this sense, e.g. ('rapt', 'ADJ')."""
+        return self.lemma, POS_TO_CORPUS[self.pos]
 
 
 @dataclass(frozen=True)
@@ -154,10 +155,9 @@ def load_catvar(source):
         for token in line.split(","):
             token = token.strip()
             try:
-                key = UnigramKey.from_token(token)
+                cluster.add(split_token(token))
             except ValueError as exc:
                 raise RowParseError(str(exc), line_number) from exc
-            cluster.add((key.lemma, key.pos))
         clusters.append(frozenset(cluster))
     return CatVarClusters(clusters)
 

@@ -8,14 +8,17 @@ training set yields bit-identical parameters.
 
 Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
 ``fit`` counts each class's trigram ones in one pass.  Scoring uses the
-Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): a
-class's log density with every trigram absent is summed once per model,
-and a word only corrects it for its own trained trigrams, adding
-log N(1) - log N(0) for each.  A class score is one ``math.fsum``
-(Shewchuk 1997) over the log prior, the scalar terms, the exact parts of
-that absent sum and the corrections, so it is the correctly rounded sum
-of the dense per-dimension terms.  That matters: floored variances make
-single terms reach about 5e8, where one ulp is about 6e-8.
+Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): the
+classes' log densities with every trigram absent are summed once per
+model, and a word only corrects them for its own trained trigrams, adding
+log N(1) - log N(0) for each.  The log odds is one ``math.fsum``
+(Shewchuk 1997) over the class-1 terms and the negated class-0 terms: the
+log priors, the scalar terms, the exact parts of that absent sum and the
+corrections.  It is therefore the correctly rounded difference of the
+dense per-dimension class scores.  That matters: floored variances make
+single terms reach about 5e8, where one ulp is about 6e-8, while the two
+classes often differ by less than one.  The win probability is the
+logistic of the log odds.
 """
 
 import json
@@ -79,8 +82,9 @@ class NaiveBayesModel:
     scalar_params: dict  # name -> (GaussianParams class0, GaussianParams class1)
     trigram_dims: tuple  # ordered trigram strings
     trigram_params: dict  # trigram -> (GaussianParams class0, GaussianParams class1)
-    # per class, floats summing exactly to the log density of "every trigram
-    # absent"; built by the first score, never saved, shown or compared
+    # floats summing exactly to the class-1 minus class-0 log density of
+    # "every trigram absent"; built by the first score, never saved, shown
+    # or compared
     _absent_parts: tuple = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -153,68 +157,58 @@ def _exact_parts(terms):
 
 
 def _absent_parts(model):
-    """Per class, the exact parts of the sum of log N(0) over trigram dims."""
+    """Exact parts of the sum over trigram dims of log N1(0) - log N0(0)."""
     if model._absent_parts is None:
-        model._absent_parts = tuple(
-            _exact_parts(gaussian_log_pdf(model.trigram_params[tri][c], 0.0)
-                         for tri in model.trigram_dims)
-            for c in (0, 1)
+        model._absent_parts = _exact_parts(
+            term
+            for tri in model.trigram_dims
+            for term in (gaussian_log_pdf(model.trigram_params[tri][1], 0.0),
+                         -gaussian_log_pdf(model.trigram_params[tri][0], 0.0))
         )
     return model._absent_parts
 
 
-def class_log_scores(model, vector):
-    """Unnormalized log score (log prior + log likelihood) per class.
+def win_log_odds(model, vector):
+    """log P(class 1) - log P(class 0) for one vector, correctly rounded.
 
-    Each score is the correctly rounded sum of the log prior and one term
-    per dimension, trigrams absent from the word included; the cost is
-    O(scalar dims + the word's own trigrams) once the model's absent sums
-    exist.  Trigrams unseen in training are ignored.
+    One fsum over the class-1 terms and the negated class-0 terms: the log
+    priors, one term per dimension, trigrams absent from the word included.
+    The cost is O(scalar dims + the word's own trigrams) once the model's
+    absent sum exists.  Trigrams unseen in training are ignored.  Use this
+    for ranking words: it never saturates the way win_probability does
+    near 0 and 1.
     """
-    terms = ([math.log(model.priors[0])], [math.log(model.priors[1])])
+    terms = [math.log(model.priors[1]), -math.log(model.priors[0])]
     for name in SCALAR_FEATURES:
         params = model.scalar_params.get(name)
         if params is None:
             continue
         x = vector.scalar(name)
-        for c in (0, 1):
-            terms[c].append(gaussian_log_pdf(params[c], x))
-    if model.trigram_dims:
-        absent = _absent_parts(model)
-        for c in (0, 1):
-            terms[c].extend(absent[c])
-        for tri in set(vector.unique_ngrams):
-            params = model.trigram_params.get(tri)
-            if params is None:
-                continue
-            for c in (0, 1):
-                terms[c].append(gaussian_log_pdf(params[c], 1.0))
-                terms[c].append(-gaussian_log_pdf(params[c], 0.0))
-    return math.fsum(terms[0]), math.fsum(terms[1])
+        terms += [gaussian_log_pdf(params[1], x),
+                  -gaussian_log_pdf(params[0], x)]
+    terms.extend(_absent_parts(model))
+    for tri in set(vector.unique_ngrams):
+        params = model.trigram_params.get(tri)
+        if params is None:
+            continue
+        terms += [gaussian_log_pdf(params[1], 1.0),
+                  -gaussian_log_pdf(params[1], 0.0),
+                  -gaussian_log_pdf(params[0], 1.0),
+                  gaussian_log_pdf(params[0], 0.0)]
+    return math.fsum(terms)
 
 
-def win_log_odds(model, vector):
-    """log P(class 1) - log P(class 0); monotone in win_probability.
-
-    Use this for ranking words: it never saturates the way the
-    normalized probability does near 0 and 1.
-    """
-    s0, s1 = class_log_scores(model, vector)
-    return s1 - s0
+def logistic(odds):
+    """P(class 1) from win_log_odds, computed without overflow."""
+    if odds >= 0:
+        return 1.0 / (math.exp(-odds) + 1.0)
+    e = math.exp(odds)
+    return e / (1.0 + e)
 
 
 def win_probability(model, vector):
-    """P(class 1) for one vector under the fitted model, in [0, 1].
-
-    Trigram dimensions absent from the word's unique set contribute x=0;
-    trigrams unseen in training are dropped (no fitted Gaussian exists).
-    Computed with a stable two-class softmax over log scores.
-    """
-    s0, s1 = class_log_scores(model, vector)
-    peak = max(s0, s1)
-    e0 = math.exp(s0 - peak)
-    e1 = math.exp(s1 - peak)
-    return e1 / (e0 + e1)
+    """P(class 1) for one vector under the fitted model, in [0, 1]."""
+    return logistic(win_log_odds(model, vector))
 
 
 def _params_to_json(params):
@@ -228,8 +222,9 @@ def _params_to_json(params):
 def _params_from_json(obj):
     params = GaussianParams(float(obj["mean"]), float(obj["variance"]),
                             int(obj["sample_count"]))
-    if not params.variance > 0:
-        raise ValueError(f"variance must be positive, got {params.variance!r}")
+    if not (math.isfinite(params.mean) and 0 < params.variance < math.inf):
+        raise ValueError(f"need a finite mean and a positive finite variance, "
+                         f"got {params.mean!r} and {params.variance!r}")
     return params
 
 
@@ -268,8 +263,8 @@ def load_model(path):
         raise DataError(f"{path}: model file has no key {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {exc}") from None
-    if len(model.priors) != 2 or not all(p > 0 for p in model.priors):
-        raise DataError(f"{path}: priors must be two positive probabilities")
+    if len(model.priors) != 2 or not all(0 < p < 1 for p in model.priors):
+        raise DataError(f"{path}: priors must be two probabilities in (0, 1)")
     if set(model.trigram_params) != set(model.trigram_dims):
         raise DataError(f"{path}: trigram_dims and trigram_params name "
                         "different trigrams")

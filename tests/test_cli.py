@@ -218,11 +218,84 @@ class TestStagePipeline:
         assert load_model(model_path).trigram_dims == ()
 
 
+class TestArtifactReaders:
+    """Malformed artifacts exit 2 naming the file, with no traceback."""
+
+    @pytest.fixture(scope="class")
+    def stage_dir(self, synthetic_paths, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stages")
+        flags = common_flags(synthetic_paths, out)
+        assert main(["build-dataset"] + flags) == EXIT_OK
+        return out
+
+    @pytest.mark.parametrize("sidecar_text, message", [
+        ('{"synsets": 1}\n', "dataset summary has no key 'window'"),
+        ('{"window": [1900, 1950]}\n', "bad key 'window' [1900, 1950]"),
+        ("not json\n", "not a JSON dataset summary"),
+    ], ids=["no_window", "short_window", "not_json"])
+    def test_bad_dataset_sidecar(self, tmp_path, synthetic_paths, stage_dir, capsys,
+                                 sidecar_text, message):
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text((stage_dir / "dataset_1850_1900_1950.tsv").read_text())
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(sidecar_text)
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{sidecar}: {message}" in err
+        assert "Traceback" not in err
+
+    def test_bad_syllable_count(self, tmp_path, synthetic_paths, capsys):
+        syllables = tmp_path / "syllables.tsv"
+        syllables.write_text("# overrides\nrapt\tx\n")
+        code = main(["ingest", "--syllables", str(syllables)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{syllables}: syllable exceptions line 2: expected lemma<TAB>integer "
+                "count, got 'rapt\\tx'") in err
+        assert "Traceback" not in err
+
+
 class TestPredict:
+    def test_one_log_odds_per_vector(self, tmp_path, synthetic_inputs, monkeypatch):
+        import lexevo.model as model_mod
+        from lexevo.dataset import schedule_windows
+        from lexevo.experiments import run_nbcp
+        from lexevo.features import write_feature_vectors
+
+        train_window, test_window = schedule_windows(50)[1]
+        run = run_nbcp(train_window, test_window, synthetic_inputs)
+        features = tmp_path / "features.tsv"
+        write_feature_vectors(run["test_vectors"], str(features))
+        model = tmp_path / "model.json"
+        model_mod.save_model(run["model"], str(model))
+        calls = []
+        original = model_mod.win_log_odds
+
+        def counted(fitted, vector):
+            calls.append(vector.sense)
+            return original(fitted, vector)
+
+        monkeypatch.setattr(model_mod, "win_log_odds", counted)
+        out = tmp_path / "out"
+        assert main(["predict", "--features", str(features), "--model", str(model),
+                     "--out", str(out)]) == EXIT_OK
+        assert calls == [v.sense for v in run["test_vectors"]]
+        rows = [line.split("\t")
+                for line in (out / "probabilities.tsv").read_text().splitlines()[1:]]
+        for row in rows:
+            assert float(row[2]) == model_mod.logistic(float(row[3]))
+
     @pytest.mark.parametrize("model_text, message", [
         ('{"priors": [0.5, 0.5]}', "has no key 'features'"),
         ("not json\n", "not a JSON model file"),
-    ], ids=["missing_key", "not_json"])
+        ('{"priors": [0.5, 0.5], "features": ["present_age"], "scalar_features": '
+         '{"present_age": {"class0": {"mean": Infinity, "variance": 1, "sample_count": 2}, '
+         '"class1": {"mean": Infinity, "variance": 1, "sample_count": 2}}}, '
+         '"trigram_dims": [], "trigram_params": {}}', "need a finite mean"),
+    ], ids=["missing_key", "not_json", "infinite_mean"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows

@@ -1,15 +1,12 @@
 import gzip
-import io
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lexevo.corpus import (
     LoadReport,
-    UnigramKey,
     birth_year,
     load_corpus,
-    load_unigram_series,
     parse_ngram_row,
     period_count,
     shares_to_csv,
@@ -17,19 +14,26 @@ from lexevo.corpus import (
 )
 from lexevo.errors import DataError, NoBirthError, RowParseError
 
-RAPT = UnigramKey("rapt", "ADJ")
+RAPT = ("rapt", "ADJ")
+
+
+def load_text(tmp_path, text, filter_keys):
+    """load_corpus over one file holding text."""
+    path = tmp_path / "part.tsv"
+    path.write_text(text)
+    return load_corpus([str(path)], filter_keys)
 
 
 class TestParseNgramRow:
     def test_basic_row(self):
-        rec = parse_ngram_row("rapt_ADJ\t1900\t1759\t1201")
-        assert rec.key == RAPT
-        assert (rec.year, rec.match_count, rec.volume_count) == (1900, 1759, 1201)
+        key, year, match_count, volume_count = parse_ngram_row("rapt_ADJ\t1900\t1759\t1201")
+        assert key == RAPT
+        assert (year, match_count, volume_count) == (1900, 1759, 1201)
 
     def test_another_row(self):
-        rec = parse_ngram_row("ecstatic_ADJ\t1850\t507\t400")
-        assert rec.key == UnigramKey("ecstatic", "ADJ")
-        assert rec.match_count == 507
+        key, _, match_count, _ = parse_ngram_row("ecstatic_ADJ\t1850\t507\t400")
+        assert key == ("ecstatic", "ADJ")
+        assert match_count == 507
 
     def test_no_tabs_is_parse_error(self):
         with pytest.raises(RowParseError):
@@ -49,42 +53,54 @@ class TestParseNgramRow:
         assert info.value.line_number == 42
 
     def test_roundtrip_identity(self):
+        # a row written back from the parsed tuple, as evocli ingest writes
+        # corpus.tsv, parses to the same tuple
         rec = parse_ngram_row("rapt_ADJ\t1900\t1759\t1201")
-        assert parse_ngram_row(rec.to_line()) == rec
+        key, *numbers = rec
+        line = "\t".join(["_".join(key)] + [str(n) for n in numbers])
+        assert parse_ngram_row(line) == rec
 
 
 class TestLoadUnigramSeries:
-    def test_filter_keeps_only_requested_keys(self):
-        stream = io.StringIO(
+    """load_corpus over unigram files."""
+
+    def test_filter_keeps_only_requested_keys(self, tmp_path):
+        text = (
             "rapt_ADJ\t1899\t10\t1\n"
             "rapt_ADJ\t1900\t20\t1\n"
             "rapt_ADJ\t1901\t30\t1\n"
             "zebra_NOUN\t1900\t5\t1\n"
         )
-        table, report = load_unigram_series(stream, {RAPT})
+        table, report = load_text(tmp_path, text, {RAPT})
         assert len(table) == 1
         assert table.series(RAPT) == {1899: 10, 1900: 20, 1901: 30}
         assert report.rows_filtered == 1
 
-    def test_duplicate_rows_are_summed(self):
-        stream = io.StringIO("rapt_ADJ\t1900\t100\t5\nrapt_ADJ\t1900\t50\t5\n")
-        table, _ = load_unigram_series(stream, {RAPT})
+    def test_duplicate_rows_are_summed(self, tmp_path):
+        text = "rapt_ADJ\t1900\t100\t5\nrapt_ADJ\t1900\t50\t5\n"
+        table, _ = load_text(tmp_path, text, {RAPT})
         assert table.series(RAPT)[1900] == 150
 
-    def test_empty_stream(self):
-        table, report = load_unigram_series(io.StringIO(""), {RAPT})
+    def test_empty_stream(self, tmp_path):
+        table, report = load_text(tmp_path, "", {RAPT})
         assert len(table) == 0
         assert report.rows_skipped == 0
 
-    def test_malformed_rows_counted_not_fatal(self):
-        stream = io.StringIO("garbage\nrapt_ADJ\t1900\t1\t1\n")
-        table, report = load_unigram_series(stream, {RAPT})
+    def test_malformed_rows_counted_not_fatal(self, tmp_path):
+        table, report = load_text(tmp_path, "garbage\nrapt_ADJ\t1900\t1\t1\n", {RAPT})
         assert report.rows_skipped == 1
         assert table.series(RAPT) == {1900: 1}
 
-    def test_empty_filter_rejected(self):
+    def test_malformed_row_is_skipped_whatever_its_token(self, tmp_path):
+        # every row is validated before the filter, so a bad row of a word
+        # outside the vocabulary counts as skipped, not filtered
+        text = "zebra_NOUN\t1900\tx\t1\nzebra_NOUN\t2100\t1\t1\nzebra_NOUN\t1900\t1\t1\n"
+        _, report = load_text(tmp_path, text, {RAPT})
+        assert report == LoadReport(rows_filtered=1, rows_skipped=2)
+
+    def test_empty_filter_rejected(self, tmp_path):
         with pytest.raises(DataError):
-            load_unigram_series(io.StringIO(""), set())
+            load_text(tmp_path, "", set())
 
     def test_gzip_input(self, tmp_path):
         path = tmp_path / "part.tsv.gz"

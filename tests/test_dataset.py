@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from lexevo.corpus import CorpusTable, UnigramKey
+from lexevo.corpus import CorpusTable
 from lexevo.dataset import (
     TimeWindow,
     build_dataset,
@@ -23,7 +23,7 @@ def synset(*lemmas, pos="n"):
 
 def table_for(series_by_lemma, pos="NOUN"):
     return CorpusTable({
-        UnigramKey(lemma, pos): series for lemma, series in series_by_lemma.items()
+        (lemma, pos): series for lemma, series in series_by_lemma.items()
     })
 
 

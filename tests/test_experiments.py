@@ -10,6 +10,7 @@ from lexevo.experiments import (
     AblationSpec,
     interpret_model,
     interpretation_tables,
+    load_pipeline_inputs,
     run_ablation,
     run_cycle_sweep,
     run_nbcp,
@@ -154,6 +155,23 @@ class TestInterpretModel:
             assert row["suggests"] in ("winner", "loser")
             expected = "winner" if row["difference"] > 0 else "loser"
             assert row["suggests"] == expected
+
+
+class TestLoadPipelineInputs:
+    @pytest.mark.parametrize("bundle", ["synthetic", "rapture"])
+    def test_one_key_form(self, request, bundle):
+        # births, synset members and cluster members all name corpus keys
+        # in the same (lemma, corpus POS) form the corpus table uses
+        paths = request.getfixturevalue(f"{bundle}_paths")
+        inputs, _, _ = load_pipeline_inputs([paths["corpus"]], paths["lexicon"],
+                                            paths["catvar"])
+        keys = set(inputs.corpus.keys())
+        assert inputs.births and set(inputs.births) <= keys
+        for synset in inputs.synsets:
+            for member in synset.members:
+                assert member.corpus_key() in keys
+        for member in inputs.clusters.members():
+            assert member in keys
 
 
 class TestRunNbcp:

@@ -1,7 +1,9 @@
 import io
+import os
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexevo.dataset import MemberCounts, SynsetSnapshot, TimeWindow
 from lexevo.errors import DataError
@@ -114,6 +116,10 @@ class TestSyllableCount:
         with pytest.raises(DataError):
             load_syllable_exceptions(io.StringIO("only_one_column\n"))
 
+    def test_non_integer_count_names_line(self):
+        with pytest.raises(DataError, match="line 2: expected lemma<TAB>integer count"):
+            load_syllable_exceptions(io.StringIO("every\t2\nrapt\tx\n"))
+
 
 class TestRelativeFrequencies:
     def test_sums_to_one(self):
@@ -140,11 +146,7 @@ NO_CLUSTERS = CatVarClusters([])
 
 class TestMakeFeatureVector:
     def births_for(self, snap, year=1800):
-        births = {}
-        for member in snap.counts:
-            key = member.corpus_key()
-            births[(key.lemma, key.pos)] = year
-        return births
+        return {member.corpus_key(): year for member in snap.counts}
 
     def test_basic_values(self):
         snap = snapshot_for({"longword": (2, 6, 2), "tiny": (2, 2, 8)})
@@ -235,3 +237,47 @@ class TestSerialization:
         path.write_text("wrong\theader\n")
         with pytest.raises(DataError):
             read_feature_vectors(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: f[:2] + ["abc"] + f[3:], "could not convert string to float: 'abc'"),
+        (lambda f: f[:-1], "expected 11, got 10"),
+        (lambda f: f[:2] + ["nan"] + f[3:], "non-finite value 'nan'"),
+        (lambda f: f[:9] + ["2"] + f[10:], "target_class must be empty, 0 or 1"),
+        (lambda f: f[:1] + ["rapt#q#1"] + f[2:], "bad sense id"),
+    ], ids=["bad_float", "short_row", "nan", "bad_target", "bad_sense"])
+    def test_bad_row_names_file_and_line(self, tmp_path, edit, message):
+        path = str(tmp_path / "features.tsv")
+        write_feature_vectors(self.make_vectors(), path)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        lines[2] = "\t".join(edit(lines[2].split("\t")))
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            read_feature_vectors(path)
+        assert str(info.value).startswith(f"{path} line 3: ")
+        assert message in str(info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1), st.integers(0, 10),
+           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                   max_size=12))
+    def test_fuzzed_field_parses_or_names_its_line(self, row, column, text):
+        # one field of one row replaced by arbitrary text: the row either
+        # parses or is a DataError naming its own line
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "features.tsv")
+            write_feature_vectors(self.make_vectors(), path)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            fields = lines[row + 1].split("\t")
+            fields[column] = text
+            lines[row + 1] = "\t".join(fields)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            try:
+                vectors = read_feature_vectors(path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path} line {row + 2}: ")
+            else:
+                assert len(vectors) == 2

@@ -146,4 +146,4 @@ def test_sense_id_rendering_roundtrip():
     sense = SenseId("rapt", "a", 1)
     assert str(sense) == "rapt#a#1"
     assert SenseId.parse("rapt#a#1") == sense
-    assert sense.corpus_key().token() == "rapt_ADJ"
+    assert sense.corpus_key() == ("rapt", "ADJ")

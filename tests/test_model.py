@@ -85,7 +85,7 @@ def brute_force_probability(train, features, query, variance_floor=VARIANCE_FLOO
             return float(getattr(vector, name))
         return 1.0 if name in vector.unique_ngrams else 0.0
 
-    scores = []
+    class_terms = []
     for c, members in ((0, class0), (1, class1)):
         terms = [math.log(priors[c])]
         for dim in dims:
@@ -98,12 +98,13 @@ def brute_force_probability(train, features, query, variance_floor=VARIANCE_FLOO
                 var = max(var, variance_floor)
             x = value_of(query, dim)
             terms.append(-0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var))
-        # exact summation: the reference must not share the scorer's rounding order
-        scores.append(math.fsum(terms))
-    peak = max(scores)
-    e0 = math.exp(scores[0] - peak)
-    e1 = math.exp(scores[1] - peak)
-    return e1 / (e0 + e1)
+        class_terms.append(terms)
+    # exact summation of the class-1 terms and the negated class-0 terms:
+    # the reference must not share the scorer's rounding order
+    odds = math.fsum(class_terms[1] + [-t for t in class_terms[0]])
+    if odds >= 0:
+        return 1.0 / (1.0 + math.exp(-odds))
+    return math.exp(odds) / (1.0 + math.exp(odds))
 
 
 class TestGaussianLogPdf:
@@ -315,6 +316,18 @@ class TestSparseScoring:
         assert 0.4 < p < 0.6
         expected = brute_force_probability(train, list(model.features), query)
         assert p == pytest.approx(expected, abs=1e-9)
+        # the log odds is the correctly rounded exact difference of the
+        # model's dense terms, not a difference of two rounded class scores
+        dense = [math.log(model.priors[1]), -math.log(model.priors[0])]
+        for name in SCALAR_FEATURES:
+            params = model.scalar_params[name]
+            dense += [gaussian_log_pdf(params[1], query.scalar(name)),
+                      -gaussian_log_pdf(params[0], query.scalar(name))]
+        for tri in model.trigram_dims:
+            params = model.trigram_params[tri]
+            x = 1.0 if tri in query.unique_ngrams else 0.0
+            dense += [gaussian_log_pdf(params[1], x), -gaussian_log_pdf(params[0], x)]
+        assert win_log_odds(model, query) == math.fsum(dense) == 0.012499999999999512
 
     @pytest.mark.parametrize("dims", [5, 5000])
     def test_score_cost_ignores_absent_trigrams(self, dims, monkeypatch):
