@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -268,7 +269,8 @@ def _read_scores(path):
     """SenseId -> ranking score from a predict output file.
 
     Ranks by the log-odds column when present, since probabilities
-    saturate; a row without a parseable sense and score is a DataError.
+    saturate; a row without a parseable sense and finite score is a
+    DataError naming the file and line.
     """
     from .lexicon import SenseId
 
@@ -281,11 +283,14 @@ def _read_scores(path):
                 continue
             fields = line.rstrip("\n").split("\t")
             try:
-                scores[SenseId.parse(fields[1])] = float(fields[column])
+                score = float(fields[column])
+                if not math.isfinite(score):
+                    raise ValueError(f"non-finite score {fields[column]!r}")
+                scores[SenseId.parse(fields[1])] = score
             except (IndexError, ValueError) as exc:
                 raise DataError(
-                    f"{path} line {line_number}: bad probability row {fields!r}"
-                ) from exc
+                    f"{path} line {line_number}: bad probability row {fields!r}: {exc}"
+                ) from None
     return scores
 
 
@@ -323,12 +328,10 @@ def cmd_ablate(args, config):
     train_window, test_window = _window_pairs(config)[-1]
     feature_list = ([args.feature] if args.feature
                     else list(features_mod.FEATURE_NAMES))
-    rows = []
-    for feature in feature_list:
-        spec = experiments_mod.AblationSpec(args.mode, feature)
-        rows.append(experiments_mod.run_ablation(
-            spec, train_window, test_window, inputs, seed=config.seed,
-        ))
+    specs = [experiments_mod.AblationSpec(args.mode, feature)
+             for feature in feature_list]
+    rows = experiments_mod.run_ablations(specs, train_window, test_window,
+                                         inputs, seed=config.seed)
     directory = _report_dir(config, f"ablation_{args.mode}", test_window)
     atomic_write_json(os.path.join(directory, "report.json"), {"rows": rows})
     atomic_write_text(os.path.join(directory, "ablation.csv"),

@@ -9,6 +9,7 @@ window is the test window shifted back by one cycle.
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus import DEFAULT_HALF_WIDTH, period_count
 from .errors import DataError
@@ -86,16 +87,15 @@ class SynsetSnapshot:
     synset: Synset
     counts: dict  # SenseId -> MemberCounts
 
-    def _leader(self, getter):
-        return max(self.counts, key=lambda sense: getter(self.counts[sense]))
-
-    @property
+    # computed on first access and kept in the instance __dict__, which a
+    # frozen dataclass allows; fields, == and repr are unaffected
+    @cached_property
     def present_leader(self):
-        return self._leader(lambda c: c.present)
+        return max(self.counts, key=lambda sense: self.counts[sense].present)
 
-    @property
+    @cached_property
     def future_leader(self):
-        return self._leader(lambda c: c.future)
+        return max(self.counts, key=lambda sense: self.counts[sense].future)
 
     @property
     def changed(self):
@@ -181,61 +181,6 @@ def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     return Dataset(window, snapshots, removal_log)
 
 
-def _period_leader(counts, previous):
-    """Leader lemma for one period under the Table-3 style tie rules.
-
-    Zero total inherits the previous leader; a tie keeps the previous
-    leader when it is among the maxima, else the smallest tied lemma.
-    """
-    total = sum(counts.values())
-    if total == 0:
-        return previous
-    best = max(counts.values())
-    tied = sorted(lemma for lemma, count in counts.items() if count == best)
-    if len(tied) == 1:
-        return tied[0]
-    if previous in tied:
-        return previous
-    return tied[0]
-
-
-def change_statistics(synsets, corpus, periods, half_width=DEFAULT_HALF_WIDTH):
-    """Cumulative histogram of leadership changes across sampling periods.
-
-    Counts changes between consecutive periods for every synset (no
-    step-4 removals are applied).  Returns a dict with per-synset change
-    counts summarized as cumulative (>= n) rows.
-    """
-    if len(periods) < 2:
-        raise DataError("need at least two periods for change statistics")
-    periods = sorted(periods)
-    change_counts = []
-    for synset in synsets:
-        previous = None
-        changes = 0
-        for period in periods:
-            counts = {
-                m.lemma: period_count(corpus.series(m.corpus_key()), period, half_width)
-                for m in synset.members
-            }
-            leader = _period_leader(counts, previous)
-            if previous is not None and leader != previous:
-                changes += 1
-            previous = leader
-        change_counts.append(changes)
-    total = len(change_counts)
-    max_changes = len(periods) - 1
-    rows = []
-    for n in range(1, max_changes + 1):
-        count = sum(1 for c in change_counts if c >= n)
-        rows.append({
-            "at_least": n,
-            "synsets": count,
-            "percent": round(100.0 * count / total, 4) if total else 0.0,
-        })
-    return {"total_synsets": total, "rows": rows}
-
-
 def write_dataset(dataset, tsv_path, json_path=None):
     """Serialize a dataset: member-count TSV plus a JSON summary sidecar."""
     from ._util import atomic_write_json, atomic_write_text
@@ -254,6 +199,8 @@ def write_dataset(dataset, tsv_path, json_path=None):
 def read_dataset(tsv_path, json_path):
     """Reload a serialized dataset (synsets reconstructed from sense ids).
 
+    A malformed row, a negative count or a repeated sense is a DataError
+    naming the line.
     Every synset must pass the removal rules that build_dataset applies;
     one that breaks them is a DataError naming the synset and the rule.
     A JSON sidecar that is not JSON or lacks a valid window is a DataError
@@ -261,6 +208,7 @@ def read_dataset(tsv_path, json_path):
     """
     window, removals = _read_summary(json_path)
     groups = {}
+    seen = set()
     with open(tsv_path, encoding="utf-8") as handle:
         header = handle.readline()
         if not header.startswith("synset_id\t"):
@@ -270,11 +218,16 @@ def read_dataset(tsv_path, json_path):
                 continue
             try:
                 synset_id, sense_text, past, present, future = line.rstrip("\n").split("\t")
-                member = (SenseId.parse(sense_text),
-                          MemberCounts(int(past), int(present), int(future)))
+                counts = MemberCounts(int(past), int(present), int(future))
+                if min(counts.past, counts.present, counts.future) < 0:
+                    raise ValueError(f"negative count in {line.strip()!r}")
+                sense = SenseId.parse(sense_text)
+                if sense in seen:
+                    raise ValueError(f"repeated sense {sense_text}")
             except ValueError as exc:
                 raise DataError(f"{tsv_path} line {line_number}: {exc}") from exc
-            groups.setdefault(synset_id, []).append(member)
+            seen.add(sense)
+            groups.setdefault(synset_id, []).append((sense, counts))
     snapshots = []
     for synset_id, members in groups.items():
         reason = _removal_reason([c for _, c in members])

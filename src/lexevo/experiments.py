@@ -89,21 +89,26 @@ class AblationSpec:
             raise DataError(f"unknown feature {self.feature!r}")
 
 
-def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
-             seed=0):
-    """Train on one window, score the next, and evaluate at synset level.
+def prepare_window(window, inputs):
+    """(dataset, labelled feature vectors) of one time window.
 
-    The future period of the training window (the present of the test
-    window) is the only future data the model ever sees.
+    This is the costly half of a run.  Ablations and sweeps prepare each
+    window once and fit every model they need on the result.
     """
-    train_ds = build_dataset(inputs.synsets, inputs.corpus, train_window,
-                             inputs.half_width)
-    test_ds = build_dataset(inputs.synsets, inputs.corpus, test_window,
+    dataset = build_dataset(inputs.synsets, inputs.corpus, window,
                             inputs.half_width)
-    train_vectors = extract_features(train_ds, inputs.clusters, inputs.births,
-                                     inputs.syllable_exceptions)
-    test_vectors = extract_features(test_ds, inputs.clusters, inputs.births,
-                                    inputs.syllable_exceptions)
+    vectors = extract_features(dataset, inputs.clusters, inputs.births,
+                               inputs.syllable_exceptions)
+    return dataset, vectors
+
+
+def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
+    """Fit on one prepared window, score another, evaluate at synset level.
+
+    train and test are prepare_window results.  Returns the run_nbcp dict.
+    """
+    train_ds, train_vectors = train
+    test_ds, test_vectors = test
     model = fit(train_vectors, features=features)
     # rank by log-odds: same argmax as the probability, but immune to
     # float saturation at 0/1
@@ -135,6 +140,17 @@ def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
     }
 
 
+def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
+             seed=0):
+    """Train on one window, score the next, and evaluate at synset level.
+
+    The future period of the training window (the present of the test
+    window) is the only future data the model ever sees.
+    """
+    return fit_and_score(prepare_window(train_window, inputs),
+                         prepare_window(test_window, inputs), features, seed)
+
+
 def _wilson_overlap(f1, f2, n1, n2):
     """True when the 95% Wilson bands of two scores overlap.
 
@@ -146,37 +162,49 @@ def _wilson_overlap(f1, f2, n1, n2):
     return not (hi1 < lo2 or hi2 < lo1)
 
 
+def run_ablations(specs, train_window, test_window, inputs, seed=0):
+    """run_ablation rows for several specs on one window pair.
+
+    Both windows are prepared once, and every drop_one spec is compared
+    with one shared full-feature baseline fit.
+    """
+    train = prepare_window(train_window, inputs)
+    test = prepare_window(test_window, inputs)
+    baseline = None
+    rows = []
+    for spec in specs:
+        if spec.mode == "drop_one":
+            features = tuple(f for f in FEATURE_NAMES if f != spec.feature)
+            variant = fit_and_score(train, test, features, seed)
+            if baseline is None:
+                baseline = fit_and_score(train, test, FEATURE_NAMES, seed)
+            f_baseline = baseline["report"]["metrics"]["f_score"]
+        else:
+            variant = fit_and_score(train, test, (spec.feature,), seed)
+            f_baseline = variant["report"]["random"]["f_score"]
+        f_variant = variant["report"]["metrics"]["f_score"]
+        n = variant["report"]["counts"]["synsets"]
+        delta = f_variant - f_baseline
+        rows.append({
+            "mode": spec.mode,
+            "feature": spec.feature,
+            "f_variant": f_variant,
+            "f_baseline": f_baseline,
+            "delta": delta,
+            "delta_percent": round(100.0 * delta, 2),
+            "significant_95": not _wilson_overlap(f_variant, f_baseline, n, n),
+            "significance_rule": "non-overlapping 95% Wilson intervals (stand-in)",
+        })
+    return rows
+
+
 def run_ablation(spec, train_window, test_window, inputs, seed=0):
     """F-score delta for one ablation variant.
 
     drop_one: F(all features minus one) - F(all features).
     single_only: F(one feature alone) - F(random baseline).
     """
-    if spec.mode == "drop_one":
-        features = tuple(f for f in FEATURE_NAMES if f != spec.feature)
-        variant = run_nbcp(train_window, test_window, inputs, features,
-                           seed=seed)
-        baseline = run_nbcp(train_window, test_window, inputs, FEATURE_NAMES,
-                            seed=seed)
-        f_variant = variant["report"]["metrics"]["f_score"]
-        f_baseline = baseline["report"]["metrics"]["f_score"]
-    else:
-        variant = run_nbcp(train_window, test_window, inputs, (spec.feature,),
-                           seed=seed)
-        f_variant = variant["report"]["metrics"]["f_score"]
-        f_baseline = variant["report"]["random"]["f_score"]
-    n = variant["report"]["counts"]["synsets"]
-    delta = f_variant - f_baseline
-    return {
-        "mode": spec.mode,
-        "feature": spec.feature,
-        "f_variant": f_variant,
-        "f_baseline": f_baseline,
-        "delta": delta,
-        "delta_percent": round(100.0 * delta, 2),
-        "significant_95": not _wilson_overlap(f_variant, f_baseline, n, n),
-        "significance_rule": "non-overlapping 95% Wilson intervals (stand-in)",
-    }
+    return run_ablations([spec], train_window, test_window, inputs, seed)[0]
 
 
 def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
@@ -185,6 +213,8 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
 
     A cycle that cannot be scheduled, or a window pair whose training
     window leaves a class without vectors, is listed in ``skipped``.
+    Each window is prepared once: a pair's test window is the next pair's
+    training window.
     """
     rows = []
     skipped = []
@@ -194,9 +224,14 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
         except DataError as exc:
             skipped.append({"cycle": cycle, "reason": str(exc)})
             continue
+        prepared = {}  # window -> prepare_window result, until its last pair
         for train_window, test_window in pairs:
+            for window in (train_window, test_window):
+                if window not in prepared:
+                    prepared[window] = prepare_window(window, inputs)
             try:
-                run = run_nbcp(train_window, test_window, inputs, seed=seed)
+                run = fit_and_score(prepared.pop(train_window),
+                                    prepared[test_window], seed=seed)
             except UnfittableModelError as exc:
                 skipped.append({"cycle": cycle, "window": test_window.label(),
                                 "reason": str(exc)})

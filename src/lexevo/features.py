@@ -7,6 +7,7 @@ that no other synset member shares.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -43,20 +44,27 @@ def boundary_trigrams(lemma):
     return tuple(seen)
 
 
+def _trigram_holders(lemmas):
+    """Trigrams by distinct lemma, and how many distinct lemmas hold each trigram."""
+    trigrams = {lemma: boundary_trigrams(lemma) for lemma in lemmas}
+    holders = Counter(tri for own in trigrams.values() for tri in own)
+    return trigrams, holders
+
+
+def _split_trigrams(own, holders):
+    """(unique trigrams in order, shared fraction) of one lemma's trigrams."""
+    unique = tuple(tri for tri in own if holders[tri] == 1)
+    return unique, (len(own) - len(unique)) / len(own)
+
+
 def partition_trigrams(lemma, synset_lemmas):
     """Split a member's trigrams into unique and shared.
 
     Returns (unique trigrams in order, shared fraction).  Shared means
     present in at least one other member of the synset.
     """
-    own = boundary_trigrams(lemma)
-    others = set()
-    for other in synset_lemmas:
-        if other != lemma:
-            others.update(boundary_trigrams(other))
-    unique = tuple(tri for tri in own if tri not in others)
-    shared_fraction = (len(own) - len(unique)) / len(own)
-    return unique, shared_fraction
+    trigrams, holders = _trigram_holders([lemma, *synset_lemmas])
+    return _split_trigrams(trigrams[lemma], holders)
 
 
 def _is_vowel_at(lemma, i):
@@ -157,31 +165,39 @@ class FeatureVector:
         return replace(self, target_class=None)
 
 
-def make_feature_vector(member, snapshot, clusters, births, window,
-                        syllable_exceptions=None, include_class=True):
-    """Assemble the full vector for one member of a snapshot.
+@dataclass(frozen=True)
+class _SynsetValues:
+    """What every member's vector reads from its snapshot, derived once."""
 
-    births maps corpus keys, the (lemma, corpus POS tag) tuples that
-    SenseId.corpus_key() returns, to first-attestation years and must cover
-    every snapshot member (they all have nonzero present counts, so a
-    missing birth year signals a corpus/dataset mismatch).
-    """
+    trigrams: dict  # lemma -> boundary_trigrams(lemma)
+    holders: Counter  # trigram -> number of distinct member lemmas holding it
+    max_len: int
+    frequencies: dict  # SenseId -> (f1, f2), from relative_frequencies
+
+
+def _synset_values(snapshot):
     lemmas = snapshot.synset.lemmas()
-    max_len = max(len(l) for l in lemmas)
-    unique, shared_fraction = partition_trigrams(member.lemma, lemmas)
+    trigrams, holders = _trigram_holders(lemmas)
+    return _SynsetValues(trigrams, holders, max(len(l) for l in lemmas),
+                         relative_frequencies(snapshot))
+
+
+def _member_vector(member, snapshot, values, clusters, births, window,
+                   syllable_exceptions, include_class):
+    unique, shared_fraction = _split_trigrams(values.trigrams[member.lemma],
+                                              values.holders)
     key = member.corpus_key()
     born = births.get(key)
     if born is None:
         raise DataError(f"no birth year for {key[0]}_{key[1]}")
-    rel = relative_frequencies(snapshot)
-    f1, f2 = rel[member]
+    f1, f2 = values.frequencies[member]
     target = None
     if include_class:
         target = 1 if snapshot.future_leader == member else 0
     return FeatureVector(
         sense=member,
         synset_id=snapshot.synset.id,
-        normalized_length=len(member.lemma) / max_len,
+        normalized_length=len(member.lemma) / values.max_len,
         syllable_count=syllable_count(member.lemma, syllable_exceptions),
         unique_ngrams=unique,
         shared_ngrams=shared_fraction,
@@ -195,15 +211,35 @@ def make_feature_vector(member, snapshot, clusters, births, window,
     )
 
 
+def make_feature_vector(member, snapshot, clusters, births, window,
+                        syllable_exceptions=None, include_class=True):
+    """Assemble the full vector for one member of a snapshot.
+
+    births maps corpus keys, the (lemma, corpus POS tag) tuples that
+    SenseId.corpus_key() returns, to first-attestation years and must cover
+    every snapshot member (they all have nonzero present counts, so a
+    missing birth year signals a corpus/dataset mismatch).
+    """
+    return _member_vector(member, snapshot, _synset_values(snapshot), clusters,
+                          births, window, syllable_exceptions, include_class)
+
+
 def extract_features(dataset, clusters, births, syllable_exceptions=None,
                      include_class=True):
-    """Feature vectors for every word of every snapshot in a dataset."""
-    return [
-        make_feature_vector(member, snapshot, clusters, births, dataset.window,
-                            syllable_exceptions, include_class)
-        for snapshot in dataset.snapshots
-        for member in snapshot.counts
-    ]
+    """Feature vectors for every word of every snapshot in a dataset.
+
+    The synset-wide values (trigrams, relative frequencies, longest lemma)
+    are derived once per snapshot, so a k-member synset costs O(k).
+    """
+    vectors = []
+    for snapshot in dataset.snapshots:
+        values = _synset_values(snapshot)
+        vectors.extend(
+            _member_vector(member, snapshot, values, clusters, births,
+                           dataset.window, syllable_exceptions, include_class)
+            for member in snapshot.counts
+        )
+    return vectors
 
 
 _FEATURE_TSV_HEADER = (
@@ -236,17 +272,28 @@ def write_feature_vectors(vectors, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _finite(text):
-    value = float(text)
-    if not math.isfinite(value):
+# Largest magnitude a feature file may hold.  The model squares the
+# difference of a value and a class mean (at most 2e100 in a loaded model)
+# and divides it by twice the variance floor: (3e100)**2 / 2e-9 < 1e210,
+# so every fit and score term stays finite.
+MAX_FEATURE_MAGNITUDE = 1e100
+
+
+def _feature_value(text, parse=float):
+    value = parse(text)
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
+    if abs(value) > MAX_FEATURE_MAGNITUDE:
+        raise ValueError(f"value {text!r} exceeds the feature magnitude bound "
+                         f"{MAX_FEATURE_MAGNITUDE:g}")
     return value
 
 
 def read_feature_vectors(path):
     """Reload vectors written by write_feature_vectors.
 
-    A malformed row is a DataError naming the file and line.
+    A malformed row, or a value beyond MAX_FEATURE_MAGNITUDE, is a
+    DataError naming the file and line.
     """
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
@@ -265,14 +312,14 @@ def read_feature_vectors(path):
                 vectors.append(FeatureVector(
                     sense=SenseId.parse(sense_text),
                     synset_id=synset_id,
-                    normalized_length=_finite(norm_len),
-                    syllable_count=int(syll),
+                    normalized_length=_feature_value(norm_len),
+                    syllable_count=_feature_value(syll, int),
                     unique_ngrams=tuple(t for t in trigrams.split(",") if t),
-                    shared_ngrams=_finite(shared),
-                    categorial_variations=int(catvar),
-                    relative_growth=_finite(growth),
-                    linear_extrapolation=_finite(extrap),
-                    present_age=int(age),
+                    shared_ngrams=_feature_value(shared),
+                    categorial_variations=_feature_value(catvar, int),
+                    relative_growth=_feature_value(growth),
+                    linear_extrapolation=_feature_value(extrap),
+                    present_age=_feature_value(age, int),
                     target_class=int(target) if target else None,
                 ))
             except ValueError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ._util import atomic_write_json
 from .errors import DataError, UnfittableModelError
-from .features import FEATURE_NAMES, SCALAR_FEATURES
+from .features import FEATURE_NAMES, MAX_FEATURE_MAGNITUDE, SCALAR_FEATURES
 
 VARIANCE_FLOOR = 1e-9
 
@@ -46,9 +46,9 @@ def gaussian_log_pdf(params, x):
     """Log density of N(mean, variance) at x."""
     if params.variance <= 0:
         raise ValueError("variance must be positive")
-    return -0.5 * (_LOG_2PI + math.log(params.variance)) - (
-        (x - params.mean) ** 2
-    ) / (2.0 * params.variance)
+    d = x - params.mean
+    return -0.5 * (_LOG_2PI + math.log(params.variance)) - (d * d) / (
+        2.0 * params.variance)
 
 
 def _fit_gaussian(values, variance_floor):
@@ -58,7 +58,7 @@ def _fit_gaussian(values, variance_floor):
     if n < 2:
         variance = variance_floor
     else:
-        ss = math.fsum((x - mean) ** 2 for x in values)
+        ss = math.fsum((x - mean) * (x - mean) for x in values)
         variance = max(ss / (n - 1), variance_floor)
     return GaussianParams(mean, variance, n)
 
@@ -222,9 +222,15 @@ def _params_to_json(params):
 def _params_from_json(obj):
     params = GaussianParams(float(obj["mean"]), float(obj["variance"]),
                             int(obj["sample_count"]))
-    if not (math.isfinite(params.mean) and 0 < params.variance < math.inf):
-        raise ValueError(f"need a finite mean and a positive finite variance, "
-                         f"got {params.mean!r} and {params.variance!r}")
+    # fit keeps means within the feature bound (up to rounding, hence the
+    # factor 2) and variances at or above the floor; with a feature value
+    # within the bound, every score term then stays finite
+    if not (abs(params.mean) <= 2 * MAX_FEATURE_MAGNITUDE
+            and VARIANCE_FLOOR <= params.variance < math.inf):
+        raise ValueError(f"need a finite mean of magnitude at most "
+                         f"{2 * MAX_FEATURE_MAGNITUDE:g} and a finite variance of "
+                         f"at least {VARIANCE_FLOOR:g}, got {params.mean!r} and "
+                         f"{params.variance!r}")
     return params
 
 

@@ -1,17 +1,21 @@
 import json
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexevo.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    _read_scores,
     main,
     read_config_file,
 )
-from lexevo.errors import LexevoError
+from lexevo.errors import DataError, LexevoError
 
 
 def common_flags(paths, out):
@@ -188,6 +192,20 @@ class TestStagePipeline:
         assert code == EXIT_DATA
         assert "edited.tsv line 2" in err
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_evaluate_non_finite_score_is_data_error(self, tmp_path, synthetic_paths,
+                                                     capsys, score):
+        def edit(lines):
+            fields = lines[1].split("\t")
+            fields[3] = score
+            return [lines[0], "\t".join(fields)] + lines[2:]
+
+        code, err = self.evaluate_edited(synthetic_paths, tmp_path / "out", edit,
+                                         capsys)
+        assert code == EXIT_DATA
+        assert "edited.tsv line 2" in err and f"non-finite score '{score}'" in err
+        assert "Traceback" not in err
+
     def test_reruns_byte_identical(self, tmp_path, synthetic_paths):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -246,6 +264,30 @@ class TestArtifactReaders:
         assert f"{sidecar}: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("column, value", [
+        (2, "1e200"),  # normalized_length
+        (8, str(10 ** 200)),  # present_age
+    ], ids=["huge_float", "huge_int"])
+    def test_huge_feature_value(self, tmp_path, synthetic_paths, stage_dir, capsys,
+                                column, value):
+        flags = common_flags(synthetic_paths, tmp_path)
+        assert main(["extract-features", "--dataset",
+                     str(stage_dir / "dataset_1850_1900_1950.tsv")] + flags) == EXIT_OK
+        features = tmp_path / "features_1850_1900_1950.tsv"
+        lines = features.read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = value
+        lines[1] = "\t".join(fields)
+        features.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["train", "--features", str(features),
+                     "--model", str(tmp_path / "model.json")] + flags)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{features} line 2: " in err
+        assert "exceeds the feature magnitude bound" in err
+        assert "Traceback" not in err
+
     def test_bad_syllable_count(self, tmp_path, synthetic_paths, capsys):
         syllables = tmp_path / "syllables.tsv"
         syllables.write_text("# overrides\nrapt\tx\n")
@@ -256,6 +298,36 @@ class TestArtifactReaders:
         assert (f"{syllables}: syllable exceptions line 2: expected lemma<TAB>integer "
                 "count, got 'rapt\\tx'") in err
         assert "Traceback" not in err
+
+
+class TestReadScores:
+    ROWS = ["synset_id\tsense_id\twin_probability\tlog_odds",
+            "s00001\trapt#a#1\t0.25\t-1.0986122886681098",
+            "s00001\tecstatic#a#1\t0.75\t1.0986122886681098"]
+
+    @settings(max_examples=300, deadline=None)
+    @example(0, 3, "nan")
+    @given(st.integers(0, 1), st.integers(0, 3),
+           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                   max_size=12))
+    def test_fuzzed_field_parses_or_names_its_line(self, row, column, text):
+        # one field of one row replaced by arbitrary text: the row either
+        # parses or is a DataError naming its own line
+        lines = list(self.ROWS)
+        fields = lines[row + 1].split("\t")
+        fields[column] = text
+        lines[row + 1] = "\t".join(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "probabilities.tsv")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            try:
+                scores = _read_scores(path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path} line {row + 2}: ")
+            else:
+                assert 1 <= len(scores) <= 2
+                assert all(math.isfinite(score) for score in scores.values())
 
 
 class TestPredict:
@@ -295,7 +367,11 @@ class TestPredict:
          '{"present_age": {"class0": {"mean": Infinity, "variance": 1, "sample_count": 2}, '
          '"class1": {"mean": Infinity, "variance": 1, "sample_count": 2}}}, '
          '"trigram_dims": [], "trigram_params": {}}', "need a finite mean"),
-    ], ids=["missing_key", "not_json", "infinite_mean"])
+        ('{"priors": [0.5, 0.5], "features": ["present_age"], "scalar_features": '
+         '{"present_age": {"class0": {"mean": 0, "variance": 1e-300, "sample_count": 2}, '
+         '"class1": {"mean": 0, "variance": 1e-300, "sample_count": 2}}}, '
+         '"trigram_dims": [], "trigram_params": {}}', "a finite variance of at least 1e-09"),
+    ], ids=["missing_key", "not_json", "infinite_mean", "variance_below_floor"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows
@@ -349,6 +425,29 @@ class TestAblate:
         report = json.loads(path.read_text())
         assert len(report["rows"]) == 1
         assert report["rows"][0]["feature"] == "syllable_count"
+
+
+    def test_drop_one_fits_one_baseline(self, tmp_path, synthetic_paths, monkeypatch):
+        import lexevo.experiments as experiments_mod
+        from lexevo.features import FEATURE_NAMES
+
+        fits = []
+        original = experiments_mod.fit
+
+        def counted(vectors, *args, **kwargs):
+            fits.append(1)
+            return original(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "fit", counted)
+        out = tmp_path / "out"
+        assert main(["ablate", "--mode", "drop_one"]
+                    + common_flags(synthetic_paths, out)) == EXIT_OK
+        assert len(fits) == len(FEATURE_NAMES) + 1 == 9
+        path = (out / "reports" / "ablation_drop_one" / "50"
+                / "1900_1950_2000" / "report.json")
+        rows = json.loads(path.read_text())["rows"]
+        assert [row["feature"] for row in rows] == list(FEATURE_NAMES)
+        assert len({row["f_baseline"] for row in rows}) == 1
 
 
 class TestInterpret:

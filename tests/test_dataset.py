@@ -1,13 +1,16 @@
 import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lexevo.corpus import CorpusTable
 from lexevo.dataset import (
+    SynsetSnapshot,
     TimeWindow,
     build_dataset,
     build_snapshot,
-    change_statistics,
     read_dataset,
     schedule_windows,
     write_dataset,
@@ -123,6 +126,20 @@ class TestBuildSnapshot:
         assert snapshot.present_leader == best_present
         assert snapshot.future_leader == best_future
 
+    def test_leaders_computed_once(self):
+        table = table_for({
+            "alpha": {1850: 1, 1900: 7, 1950: 2},
+            "beta": {1850: 9, 1900: 6, 1950: 8},
+        })
+        snapshot, _ = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        fresh = SynsetSnapshot(snapshot.synset, snapshot.counts)
+        leaders = (snapshot.present_leader, snapshot.future_leader)
+        # kept on the instance, and invisible to == and repr
+        assert {"present_leader", "future_leader"} <= set(vars(snapshot))
+        assert (snapshot.present_leader, snapshot.future_leader) == leaders
+        assert snapshot == fresh
+        assert repr(snapshot) == repr(fresh)
+
 
 class TestBuildDataset:
     def three_synsets(self):
@@ -155,40 +172,6 @@ class TestBuildDataset:
         assert ds.synset_count == 0
         assert ds.word_count == 0
         assert ds.change_fraction == 0.0
-
-
-class TestChangeStatistics:
-    def test_transition_counting(self):
-        # leaders A A B B A over five periods -> 2 changes
-        table = table_for({
-            "aaa": {1800: 9, 1850: 9, 1900: 1, 1950: 1, 2000: 9},
-            "bbb": {1800: 1, 1850: 1, 1900: 9, 1950: 9, 2000: 1},
-        })
-        stats = change_statistics(
-            [synset("aaa", "bbb")], table, [1800, 1850, 1900, 1950, 2000]
-        )
-        by_threshold = {row["at_least"]: row["synsets"] for row in stats["rows"]}
-        assert by_threshold == {1: 1, 2: 1, 3: 0, 4: 0}
-
-    def test_constant_leader(self):
-        table = table_for({
-            "aaa": {1800: 9, 1900: 9, 2000: 9},
-            "bbb": {1800: 1, 1900: 1, 2000: 1},
-        })
-        stats = change_statistics([synset("aaa", "bbb")], table, [1800, 1900, 2000])
-        assert all(row["synsets"] == 0 for row in stats["rows"])
-
-    def test_zero_period_inherits_leader(self):
-        table = table_for({
-            "aaa": {1800: 9, 2000: 9},
-            "bbb": {1800: 1, 2000: 1},
-        })
-        stats = change_statistics([synset("aaa", "bbb")], table, [1800, 1900, 2000])
-        assert stats["rows"][0]["synsets"] == 0
-
-    def test_requires_two_periods(self):
-        with pytest.raises(DataError):
-            change_statistics([], table_for({}), [1900])
 
 
 class TestDatasetSerialization:
@@ -228,3 +211,44 @@ class TestDatasetSerialization:
     def test_read_reports_bad_row_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
             read_dataset(*self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))
+
+    @pytest.mark.parametrize("second_row, message", [
+        ("x1\ttwo#n#1\t4\t-3\t1", "line 3: negative count"),
+        ("x2\tone#n#1\t4\t3\t1", "line 3: repeated sense one#n#1"),
+    ], ids=["negative_count", "repeated_sense"])
+    def test_read_rejects_bad_second_row(self, tmp_path, second_row, message):
+        with pytest.raises(DataError, match=message):
+            read_dataset(*self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                                     second_row]))
+
+    @settings(max_examples=300, deadline=None)
+    @example(1, 3, "-3")
+    @given(st.integers(0, 1), st.integers(0, 4),
+           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                   max_size=12))
+    def test_fuzzed_field_parses_or_names_its_line(self, row, column, text):
+        # one field of one row replaced by arbitrary text: the row either
+        # parses or is a DataError naming its own line; a row that parses
+        # may still leave its synset breaking a removal rule
+        rows = ["x1\tone#n#1\t2\t5\t9", "x1\ttwo#n#1\t4\t3\t1"]
+        fields = rows[row].split("\t")
+        fields[column] = text
+        rows[row] = "\t".join(fields)
+        with tempfile.TemporaryDirectory() as tmp:
+            tsv = os.path.join(tmp, "dataset.tsv")
+            sidecar = os.path.join(tmp, "dataset.json")
+            with open(tsv, "w", encoding="utf-8") as handle:
+                handle.write("synset_id\tsense_id\tpast\tpresent\tfuture\n"
+                             + "\n".join(rows) + "\n")
+            with open(sidecar, "w", encoding="utf-8") as handle:
+                handle.write('{"window": [1850, 1900, 1950]}\n')
+            try:
+                dataset = read_dataset(tsv, sidecar)
+            except DataError as exc:
+                message = str(exc)
+                assert (message.startswith(f"{tsv} line {row + 2}: ")
+                        or message.startswith(f"{tsv}: synset ")), message
+            else:
+                assert dataset.word_count == 2
+                assert all(min(c.past, c.present, c.future) >= 0
+                           for s in dataset.snapshots for c in s.counts.values())

@@ -8,10 +8,13 @@ from lexevo.dataset import schedule_windows
 from lexevo.errors import DataError
 from lexevo.experiments import (
     AblationSpec,
+    fit_and_score,
     interpret_model,
     interpretation_tables,
     load_pipeline_inputs,
+    prepare_window,
     run_ablation,
+    run_ablations,
     run_cycle_sweep,
     run_nbcp,
     welch_t_test,
@@ -195,6 +198,40 @@ class TestRunNbcp:
         assert run["model"].trigram_dims == ()
 
 
+def count_window_calls(monkeypatch):
+    """Patch experiments' build_dataset and extract_features to record
+    the window of every call; returns the two lists."""
+    import lexevo.experiments as experiments_mod
+
+    builds, extracts = [], []
+    build, extract = experiments_mod.build_dataset, experiments_mod.extract_features
+
+    def counted_build(synsets, corpus, window, *args, **kwargs):
+        builds.append(window)
+        return build(synsets, corpus, window, *args, **kwargs)
+
+    def counted_extract(dataset, *args, **kwargs):
+        extracts.append(dataset.window)
+        return extract(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(experiments_mod, "build_dataset", counted_build)
+    monkeypatch.setattr(experiments_mod, "extract_features", counted_extract)
+    return builds, extracts
+
+
+class TestPrepareWindow:
+    def test_run_nbcp_is_fit_and_score_of_prepared_windows(self, synthetic_inputs):
+        train_window, test_window = schedule_windows(50)[1]
+        direct = run_nbcp(train_window, test_window, synthetic_inputs)
+        train = prepare_window(train_window, synthetic_inputs)
+        test = prepare_window(test_window, synthetic_inputs)
+        assert train[0].window == train_window
+        assert len(train[1]) == train[0].word_count
+        staged = fit_and_score(train, test)
+        assert staged["report"] == direct["report"]
+        assert staged["test_vectors"] == direct["test_vectors"]
+
+
 class TestRunAblation:
     def test_spec_validation(self):
         with pytest.raises(DataError):
@@ -225,6 +262,34 @@ class TestRunAblation:
                            features=("relative_growth",), seed=0)
         assert result["f_baseline"] == variant["report"]["random"]["f_score"]
 
+    def test_drop_one_prepares_two_windows(self, synthetic_inputs, monkeypatch):
+        train_window, test_window = schedule_windows(50)[1]
+        builds, extracts = count_window_calls(monkeypatch)
+        run_ablation(AblationSpec("drop_one", "syllable_count"),
+                     train_window, test_window, synthetic_inputs)
+        assert sorted(builds) == sorted(extracts) == [train_window, test_window]
+
+    def test_many_specs_share_one_baseline(self, synthetic_inputs, monkeypatch):
+        import lexevo.experiments as experiments_mod
+
+        train_window, test_window = schedule_windows(50)[1]
+        specs = [AblationSpec("drop_one", f) for f in FEATURE_NAMES]
+        fits = []
+        original = experiments_mod.fit
+
+        def counted(vectors, features=FEATURE_NAMES, **kwargs):
+            fits.append(tuple(features))
+            return original(vectors, features=features, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "fit", counted)
+        rows = run_ablations(specs, train_window, test_window, synthetic_inputs)
+        assert len(fits) == len(FEATURE_NAMES) + 1
+        assert fits.count(FEATURE_NAMES) == 1
+        monkeypatch.undo()
+        for spec, row in zip(specs, rows):
+            assert row == run_ablation(spec, train_window, test_window,
+                                       synthetic_inputs)
+
 
 class TestRunCycleSweep:
     def test_rows_keyed_by_future_period(self, synthetic_inputs):
@@ -242,3 +307,11 @@ class TestRunCycleSweep:
         assert len(sweep["skipped"]) == 1
         assert sweep["skipped"][0]["cycle"] == 10
         assert [row["cycle"] for row in sweep["rows"]] == [50, 50]
+
+    def test_each_window_prepared_once(self, synthetic_inputs, monkeypatch):
+        cycles = [30, 40, 50, 60]
+        builds, extracts = count_window_calls(monkeypatch)
+        run_cycle_sweep(cycles, synthetic_inputs)
+        windows = sorted({w for cycle in cycles
+                          for pair in schedule_windows(cycle) for w in pair})
+        assert sorted(builds) == sorted(extracts) == windows

@@ -5,8 +5,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexevo.dataset import MemberCounts, SynsetSnapshot, TimeWindow
+from lexevo.dataset import (MemberCounts, SynsetSnapshot, TimeWindow,
+                            build_dataset, schedule_windows)
 from lexevo.errors import DataError
+from lexevo.experiments import load_pipeline_inputs
 from lexevo.features import (
     FeatureVector,
     boundary_trigrams,
@@ -20,6 +22,7 @@ from lexevo.features import (
     write_feature_vectors,
 )
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
+from tests.conftest import bundle_paths
 
 LEMMA = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=12)
 
@@ -195,6 +198,54 @@ class TestMakeFeatureVector:
         assert sum(v.target_class for v in vectors) == 1
 
 
+def fixture_datasets(bundle):
+    """(inputs, datasets of every window scheduled for cycles 30-60)."""
+    paths = bundle_paths(bundle)
+    inputs, _, _ = load_pipeline_inputs([paths["corpus"]], paths["lexicon"],
+                                        paths["catvar"], paths["syllables"])
+    windows = sorted({w for cycle in (30, 40, 50, 60)
+                      for pair in schedule_windows(cycle) for w in pair})
+    return inputs, [build_dataset(inputs.synsets, inputs.corpus, w)
+                    for w in windows]
+
+
+class TestExtractFeatures:
+    @pytest.mark.parametrize("bundle", ["synthetic", "rapture"])
+    @pytest.mark.parametrize("include_class", [True, False])
+    def test_matches_make_feature_vector(self, bundle, include_class):
+        inputs, datasets = fixture_datasets(bundle)
+        assert sum(ds.word_count for ds in datasets) > 0
+        for ds in datasets:
+            expected = [
+                make_feature_vector(member, snapshot, inputs.clusters,
+                                    inputs.births, ds.window,
+                                    inputs.syllable_exceptions, include_class)
+                for snapshot in ds.snapshots
+                for member in snapshot.counts
+            ]
+            assert extract_features(ds, inputs.clusters, inputs.births,
+                                    inputs.syllable_exceptions,
+                                    include_class) == expected
+
+    def test_trigrams_once_per_member(self, monkeypatch):
+        import lexevo.features as features_mod
+
+        inputs, datasets = fixture_datasets("rapture")
+        calls = []
+        original = features_mod.boundary_trigrams
+
+        def counted(lemma):
+            calls.append(lemma)
+            return original(lemma)
+
+        monkeypatch.setattr(features_mod, "boundary_trigrams", counted)
+        for ds in datasets:
+            calls.clear()
+            extract_features(ds, inputs.clusters, inputs.births)
+            assert sorted(calls) == sorted(m.lemma for s in ds.snapshots
+                                           for m in s.counts)
+
+
 class TestSerialization:
     def make_vectors(self):
         return [
@@ -244,7 +295,11 @@ class TestSerialization:
         (lambda f: f[:2] + ["nan"] + f[3:], "non-finite value 'nan'"),
         (lambda f: f[:9] + ["2"] + f[10:], "target_class must be empty, 0 or 1"),
         (lambda f: f[:1] + ["rapt#q#1"] + f[2:], "bad sense id"),
-    ], ids=["bad_float", "short_row", "nan", "bad_target", "bad_sense"])
+        (lambda f: f[:2] + ["1e200"] + f[3:], "exceeds the feature magnitude bound"),
+        (lambda f: f[:8] + [str(10 ** 200)] + f[9:],
+         "exceeds the feature magnitude bound"),
+    ], ids=["bad_float", "short_row", "nan", "bad_target", "bad_sense",
+            "huge_float", "huge_int"])
     def test_bad_row_names_file_and_line(self, tmp_path, edit, message):
         path = str(tmp_path / "features.tsv")
         write_feature_vectors(self.make_vectors(), path)
