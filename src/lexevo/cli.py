@@ -93,6 +93,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _cycle_list(text):
+    """--cycles value: comma-separated cycle lengths, at least one."""
+    try:
+        cycles = [int(c) for c in text.split(",") if c]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if not cycles:
+        raise argparse.ArgumentTypeError("no cycle lengths given")
+    return cycles
+
+
+def _year_range(text):
+    """--years value: inclusive range START:END (or one year), not empty."""
+    start, _, end = text.partition(":")
+    try:
+        years = range(int(start), int(end or start) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected START:END integer years, got {text!r}") from None
+    if not years:
+        raise argparse.ArgumentTypeError(f"empty year range {text!r}")
+    return years
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--corpus", action="append",
@@ -136,11 +161,11 @@ def build_parser():
             p.add_argument("--feature",
                            help="one feature name; default: all features in turn")
         elif name == "sweep":
-            p.add_argument("--cycles", default="30,40,50,60",
+            p.add_argument("--cycles", type=_cycle_list, default="30,40,50,60",
                            help="comma-separated cycle lengths")
         elif name == "plot-data":
             p.add_argument("--synset", required=True, help="synset id to plot")
-            p.add_argument("--years", default="1800:2000",
+            p.add_argument("--years", type=_year_range, default="1800:2000",
                            help="inclusive year range, START:END")
     return parser
 
@@ -341,9 +366,8 @@ def cmd_ablate(args, config):
 
 def cmd_sweep(args, config):
     inputs, _, _ = _load_inputs(config)
-    cycles = [int(c) for c in args.cycles.split(",") if c]
     result = experiments_mod.run_cycle_sweep(
-        cycles, inputs, config.anchor_year, config.floor_year, seed=config.seed,
+        args.cycles, inputs, config.anchor_year, config.floor_year, seed=config.seed,
     )
     directory = os.path.join(config.out, "reports", "sweep")
     os.makedirs(directory, exist_ok=True)
@@ -373,10 +397,8 @@ def cmd_plot_data(args, config):
     synset = next((s for s in lexicon.synsets if s.id == args.synset), None)
     if synset is None:
         raise LexevoError(f"synset {args.synset!r} not found in lexicon")
-    start, _, end = args.years.partition(":")
-    years = range(int(start), int(end or start) + 1)
     member_series = [inputs.corpus.series(m.corpus_key()) for m in synset.members]
-    rows = corpus_mod.synset_annual_shares(member_series, years)
+    rows = corpus_mod.synset_annual_shares(member_series, args.years)
     os.makedirs(config.out, exist_ok=True)
     atomic_write_text(
         os.path.join(config.out, f"shares_{synset.id}.csv"),

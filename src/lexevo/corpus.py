@@ -5,14 +5,18 @@ Input rows follow the published unigram TSV shape:
     word_POS<TAB>year<TAB>match_count<TAB>volume_count
 
 Years run from 1500 to 2008.  A word absent from the corpus behaves as an
-all-zero series.
+all-zero series.  Each word's series is stored as cumulative sums over its
+attested years, so a period sum is two bisections and a subtraction
+(prefix sums; Blelloch 1990).
 """
 
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ._util import open_maybe_gzip
-from .errors import DataError, NoBirthError, RowParseError
+from .errors import DataError, NoBirthError
 
 MIN_YEAR = 1500
 MAX_YEAR = 2008
@@ -32,33 +36,6 @@ def split_token(token):
     return lemma, pos
 
 
-def parse_ngram_row(line, line_number=0):
-    """Parse one TSV row into a (key, year, match_count, volume_count) tuple.
-
-    key is the (lemma, POS) pair of the word token.  Raises RowParseError
-    (recoverable; carries the line number) on a malformed row.
-    """
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 4:
-        raise RowParseError(f"expected 4 columns, got {len(fields)}", line_number)
-    token, year_s, match_s, volume_s = fields
-    try:
-        key = split_token(token)
-    except ValueError as exc:
-        raise RowParseError(str(exc), line_number) from exc
-    try:
-        year = int(year_s)
-        match_count = int(match_s)
-        volume_count = int(volume_s)
-    except ValueError as exc:
-        raise RowParseError(f"non-integer field in {fields!r}", line_number) from exc
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise RowParseError(f"year {year} outside [{MIN_YEAR}, {MAX_YEAR}]", line_number)
-    if match_count < 0 or volume_count < 0:
-        raise RowParseError("negative count", line_number)
-    return key, year, match_count, volume_count
-
-
 @dataclass
 class LoadReport:
     rows_kept: int = 0
@@ -66,51 +43,84 @@ class LoadReport:
     rows_skipped: int = 0
 
 
-class CorpusTable:
-    """Immutable map from (lemma, POS) keys to sorted (year, count) series.
+# the sums of a key absent from the corpus: no years, one zero prefix sum
+_NO_SUMS = ((), (0,))
 
-    Built from key -> {year: count} dicts whose duplicate rows are already
+
+class CorpusTable:
+    """Immutable map from (lemma, POS) keys to period-sum lookups.
+
+    Each key is stored once, as (years, cum): the sorted tuple of its
+    attested years and the cumulative sums of their counts, cum[i] being
+    the sum of the first i counts.  Any period sum is then two bisections
+    and a subtraction (period_count).  The constructor takes key ->
+    {year: non-negative count} dicts whose duplicate rows are already
     summed, so the table is identical however the input rows were sharded
-    or ordered.
+    or ordered.  It keeps no reference to those dicts.
     """
 
     def __init__(self, series):
-        self._series = {key: dict(sorted(points.items()))
-                        for key, points in series.items()}
+        self._sums = {}
+        for key, points in series.items():
+            years = tuple(sorted(points))
+            self._sums[key] = (years, tuple(accumulate(
+                (points[year] for year in years), initial=0)))
+
+    def sums(self, key):
+        """(years, cumulative sums) of key, as period_count takes them."""
+        return self._sums.get(key, _NO_SUMS)
 
     def series(self, key):
-        """Year -> count mapping for key; empty dict when absent."""
-        return self._series.get(key, {})
+        """Year -> count mapping for key, attested zero counts included;
+        empty dict when absent."""
+        years, cum = self.sums(key)
+        return {year: cum[i + 1] - cum[i] for i, year in enumerate(years)}
 
     def keys(self):
-        return self._series.keys()
+        return self._sums.keys()
 
     def __len__(self):
-        return len(self._series)
+        return len(self._sums)
 
 
 def _read_rows(source, filter_keys, series, report):
     """Sum one stream's kept rows into series and count them in report.
 
-    series maps each key to a year -> count dict; malformed rows are
-    skipped and counted, and duplicate (key, year) rows are summed.
+    series maps each key to a year -> count dict.  A row is kept only if
+    it has four tab-separated columns, a lemma_POS token, integer fields,
+    a year in [MIN_YEAR, MAX_YEAR] and non-negative counts; any other
+    non-blank row is skipped and counted, whatever its token, and a valid
+    row outside filter_keys is counted as filtered.  Duplicate (key, year)
+    rows are summed.
     """
     if not filter_keys:
         raise DataError("empty vocabulary filter")
-    for line_number, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
+    kept = filtered = skipped = 0
+    for line in source:
         try:
-            key, year, match_count, _ = parse_ngram_row(line, line_number)
-        except RowParseError:
-            report.rows_skipped += 1
+            token, year_s, match_s, volume_s = line.split("\t")
+            key = split_token(token)
+            year = int(year_s)
+            match_count = int(match_s)
+            if (int(volume_s) < 0 or match_count < 0
+                    or not MIN_YEAR <= year <= MAX_YEAR):
+                raise ValueError
+        except ValueError:
+            # a blank line fails the column or token check and is not a row
+            if line.strip():
+                skipped += 1
             continue
         if key not in filter_keys:
-            report.rows_filtered += 1
+            filtered += 1
             continue
-        acc = series.setdefault(key, {})
+        acc = series.get(key)
+        if acc is None:
+            acc = series[key] = {}
         acc[year] = acc.get(year, 0) + match_count
-        report.rows_kept += 1
+        kept += 1
+    report.rows_kept += kept
+    report.rows_filtered += filtered
+    report.rows_skipped += skipped
 
 
 def load_corpus(paths, filter_keys):
@@ -130,22 +140,28 @@ def load_corpus(paths, filter_keys):
     return CorpusTable(series), report
 
 
-def period_count(series, center, half_width=DEFAULT_HALF_WIDTH):
+def period_count(sums, center, half_width=DEFAULT_HALF_WIDTH):
     """Sum of counts over [center - half_width, center + half_width].
 
-    Missing years contribute 0; an empty series yields 0.
+    sums is a CorpusTable.sums result; missing years contribute 0 and an
+    absent key yields 0.
     """
-    lo = center - half_width
-    hi = center + half_width
-    return sum(count for year, count in series.items() if lo <= year <= hi)
+    years, cum = sums
+    return (cum[bisect_right(years, center + half_width)]
+            - cum[bisect_left(years, center - half_width)])
 
 
-def birth_year(series):
-    """Smallest year with a nonzero count; NoBirthError if none exists."""
-    years = [year for year, count in series.items() if count > 0]
-    if not years:
+def birth_year(sums):
+    """First attested year with a nonzero count; NoBirthError if none exists.
+
+    sums is a CorpusTable.sums result.
+    """
+    years, cum = sums
+    # cum[i] > 0 first at i = index of the first nonzero count + 1
+    first = bisect_right(cum, 0)
+    if first == len(cum):
         raise NoBirthError("series has no nonzero count")
-    return min(years)
+    return years[first - 1]
 
 
 @dataclass(frozen=True)
@@ -189,7 +205,7 @@ def birth_years(table):
     births = {}
     for key in table.keys():
         try:
-            births[key] = birth_year(table.series(key))
+            births[key] = birth_year(table.sums(key))
         except NoBirthError:
             continue
     return births

@@ -121,11 +121,11 @@ def build_snapshot(synset, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     """Return (snapshot, None) or (None, removal reason)."""
     counts = {}
     for member in synset.members:
-        series = corpus.series(member.corpus_key())
+        sums = corpus.sums(member.corpus_key())
         counts[member] = MemberCounts(
-            period_count(series, window.past, half_width),
-            period_count(series, window.present, half_width),
-            period_count(series, window.future, half_width),
+            period_count(sums, window.past, half_width),
+            period_count(sums, window.present, half_width),
+            period_count(sums, window.future, half_width),
         )
     reason = _removal_reason(counts.values())
     if reason is not None:

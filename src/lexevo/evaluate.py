@@ -110,7 +110,11 @@ def evaluate_predictions(snapshots, probabilities):
 
 
 def evaluation_report(counts, scores, confidence=0.95):
-    """JSON-ready report: counts, percentage metrics, Wilson intervals."""
+    """JSON-ready report: counts, percentage metrics, Wilson intervals.
+
+    wilson_95 holds a band for precision and one for recall, each only
+    when it has at least one trial.
+    """
     n = counts.total
     report = {
         "counts": {
@@ -128,15 +132,14 @@ def evaluation_report(counts, scores, confidence=0.95):
             "f_score": scores.f_score,
         },
     }
-    if n > 0:
-        report["wilson_95"] = {
-            name: list(wilson_interval(round(value * n), n, confidence))
-            for name, value in (
-                ("precision", scores.precision),
-                ("recall", scores.recall),
-                ("f_score", scores.f_score),
-            )
-        }
+    # precision is tp of tp+fp trials and recall tp of tp+fn; F is not a
+    # binomial proportion and has no band, nor has a proportion of 0 trials
+    report["wilson_95"] = {
+        name: list(wilson_interval(counts.tp, trials, confidence))
+        for name, trials in (("precision", counts.tp + counts.fp),
+                             ("recall", counts.tp + counts.fn))
+        if trials
+    }
     return report
 
 

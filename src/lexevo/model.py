@@ -255,39 +255,69 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by save_model.
 
-    A file that is not JSON, lacks a key or holds a malformed value raises
-    DataError naming the file.
+    A file that is not JSON is a DataError naming the file and the line;
+    a missing key or a malformed value is one naming the file and the key.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON model file: {exc}") from None
-    try:
-        model = _model_from_json(obj)
-    except KeyError as exc:
-        raise DataError(f"{path}: model file has no key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed model file: {exc}") from None
-    if len(model.priors) != 2 or not all(0 < p < 1 for p in model.priors):
-        raise DataError(f"{path}: priors must be two probabilities in (0, 1)")
-    if set(model.trigram_params) != set(model.trigram_dims):
-        raise DataError(f"{path}: trigram_dims and trigram_params name "
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: model file is not a JSON object")
+    values = {}
+    for key, convert in _MODEL_KEYS.items():
+        if key not in obj:
+            raise DataError(f"{path}: model file has no key {key!r}")
+        try:
+            values[key] = convert(obj[key])
+        except _VALUE_ERRORS as exc:
+            raise DataError(f"{path}: bad key {key!r}: {exc}") from None
+    if len(values["priors"]) != 2 or not all(0 < p < 1 for p in values["priors"]):
+        raise DataError(f"{path}: key 'priors' must hold two probabilities "
+                        "in (0, 1)")
+    if set(values["trigram_params"]) != set(values["trigram_dims"]):
+        raise DataError(f"{path}: keys 'trigram_dims' and 'trigram_params' name "
                         "different trigrams")
-    return model
-
-
-def _model_from_json(obj):
     return NaiveBayesModel(
-        priors=tuple(float(p) for p in obj["priors"]),
-        features=tuple(obj["features"]),
-        scalar_params={
-            name: (_params_from_json(p["class0"]), _params_from_json(p["class1"]))
-            for name, p in obj["scalar_features"].items()
-        },
-        trigram_dims=tuple(obj["trigram_dims"]),
-        trigram_params={
-            tri: (_params_from_json(p["class0"]), _params_from_json(p["class1"]))
-            for tri, p in obj["trigram_params"].items()
-        },
+        priors=values["priors"],
+        features=values["features"],
+        scalar_params=values["scalar_features"],
+        trigram_dims=values["trigram_dims"],
+        trigram_params=values["trigram_params"],
     )
+
+
+# what converting a malformed JSON value can raise
+_VALUE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _names_from_json(obj):
+    if not (isinstance(obj, list) and all(isinstance(n, str) for n in obj)
+            and len(set(obj)) == len(obj)):
+        raise ValueError("need a list of distinct strings")
+    return tuple(obj)
+
+
+def _params_by_name_from_json(obj):
+    """name -> (class-0, class-1) GaussianParams; ValueError names the name."""
+    params = {}
+    for name, pair in obj.items():
+        try:
+            params[name] = (_params_from_json(pair["class0"]),
+                            _params_from_json(pair["class1"]))
+        except KeyError as exc:
+            raise ValueError(f"{name!r} has no key {exc.args[0]!r}") from None
+        except _VALUE_ERRORS as exc:
+            raise ValueError(f"{name!r}: {exc}") from None
+    return params
+
+
+# save_model's top-level keys, each with how its value is read back
+_MODEL_KEYS = {
+    "priors": lambda obj: tuple(float(p) for p in obj),
+    "features": _names_from_json,
+    "scalar_features": _params_by_name_from_json,
+    "trigram_dims": _names_from_json,
+    "trigram_params": _params_by_name_from_json,
+}

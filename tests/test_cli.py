@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -69,6 +71,33 @@ class TestConfigFile:
         with pytest.raises(LexevoError, match=r"run\.conf line 2: seed must be an integer"):
             read_config_file(str(path))
 
+    CONFIG = ["# run settings", "corpus = a.tsv, b.tsv", "lexicon = lex.tsv",
+              "cycle_years = 30", "half_width = 5", "seed = 4"]
+
+    @settings(max_examples=300, deadline=None)
+    @example(3, True, "3#0")
+    @example(5, False, "seed")
+    @example(2, False, "workers = 2")
+    @given(st.integers(0, 5), st.booleans(),
+           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                   max_size=12))
+    def test_fuzzed_line_parses_or_names_its_line(self, index, value_only, text):
+        # one line, or the value on it, replaced by arbitrary text: the
+        # file either parses or is a LexevoError naming that line
+        lines = list(self.CONFIG)
+        key, equals, _ = lines[index].partition(" = ")
+        lines[index] = f"{key} = {text}" if value_only and equals else text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.conf")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            try:
+                values = read_config_file(path)
+            except LexevoError as exc:
+                assert str(exc).startswith(f"{path} line {index + 1}: ")
+            else:
+                assert set(values) <= {f.name for f in fields(RunConfig)}
+
     def test_missing_equals_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text("just a line\n")
@@ -112,6 +141,22 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--cycles", "x"], "--cycles"),
+        (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
+        (["plot-data", "--synset", "a00001", "--years", "2000:1800"], "--years"),
+    ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed"])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
+        # the flag is checked before any input is read: the corpus named
+        # here does not exist, which would otherwise be a data error
+        code = main(argv + ["--corpus", str(tmp_path / "nope.tsv"),
+                            "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                            "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"argument {flag}: " in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestIngest:
     def test_report_written(self, tmp_path, synthetic_paths):
@@ -121,6 +166,39 @@ class TestIngest:
         assert report["eligible_synsets"] == 50
         assert report["rows_kept"] > 0
         assert (out / "corpus.tsv").exists()
+
+
+def tree_sha256(directory):
+    """sha256 over the sorted file names and contents of a directory."""
+    hasher = hashlib.sha256()
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            hasher.update(name.encode() + b"\0" + handle.read())
+    return hasher.hexdigest()
+
+
+class TestPinnedOutputs:
+    """ingest and build-dataset write these exact bytes on the fixtures."""
+
+    PINNED = {
+        ("rapture", "ingest"):
+            "cc235a492d0614cedee807e4ab020955d3c17a6e1e66edca915198800e16cb5e",
+        ("rapture", "build-dataset"):
+            "26db0490ee25287951bc485af4f53870b171606195c3516f66b4e332a267bb44",
+        ("synthetic", "ingest"):
+            "0461b26a90d774d8ddd4436e0a3098cf36b201496f2d04170a68681bd2cf5074",
+        ("synthetic", "build-dataset"):
+            "42e2e80025d458f40938135b662c3f43af9fb7977fac60deb9d5da279bfb8f37",
+    }
+
+    @pytest.mark.parametrize("bundle, command", sorted(PINNED))
+    def test_output_bytes(self, tmp_path, request, bundle, command):
+        paths = request.getfixturevalue(f"{bundle}_paths")
+        flags = [flag for key in ("corpus", "lexicon", "catvar", "syllables")
+                 for flag in (f"--{key}", paths[key])]
+        out = tmp_path / "out"
+        assert main([command] + flags + ["--out", str(out)]) == EXIT_OK
+        assert tree_sha256(out) == self.PINNED[bundle, command]
 
 
 class TestStagePipeline:

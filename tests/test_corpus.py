@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexevo.corpus import (
+    CorpusTable,
     LoadReport,
     birth_year,
+    birth_years,
     load_corpus,
-    parse_ngram_row,
     period_count,
     shares_to_csv,
     synset_annual_shares,
 )
-from lexevo.errors import DataError, NoBirthError, RowParseError
+from lexevo.errors import DataError, NoBirthError
 
 RAPT = ("rapt", "ADJ")
 
@@ -25,40 +26,59 @@ def load_text(tmp_path, text, filter_keys):
 
 
 class TestParseNgramRow:
-    def test_basic_row(self):
-        key, year, match_count, volume_count = parse_ngram_row("rapt_ADJ\t1900\t1759\t1201")
-        assert key == RAPT
-        assert (year, match_count, volume_count) == (1900, 1759, 1201)
+    """The row contract, one row at a time through load_corpus."""
 
-    def test_another_row(self):
-        key, _, match_count, _ = parse_ngram_row("ecstatic_ADJ\t1850\t507\t400")
-        assert key == ("ecstatic", "ADJ")
-        assert match_count == 507
+    def test_basic_row(self, tmp_path):
+        table, report = load_text(tmp_path, "rapt_ADJ\t1900\t1759\t1201\n", {RAPT})
+        assert table.series(RAPT) == {1900: 1759}
+        assert report == LoadReport(rows_kept=1)
 
-    def test_no_tabs_is_parse_error(self):
-        with pytest.raises(RowParseError):
-            parse_ngram_row("no_tabs_here", line_number=7)
+    def test_another_row(self, tmp_path):
+        key = ("ecstatic", "ADJ")
+        table, _ = load_text(tmp_path, "ecstatic_ADJ\t1850\t507\t400\n", {key})
+        assert table.series(key) == {1850: 507}
 
-    def test_missing_pos_suffix(self):
-        with pytest.raises(RowParseError):
-            parse_ngram_row("rapt\t1900\t5\t1")
+    def test_no_tabs_is_parse_error(self, tmp_path):
+        _, report = load_text(tmp_path, "no_tabs_here\n", {RAPT})
+        assert report == LoadReport(rows_skipped=1)
 
-    def test_non_integer_field(self):
-        with pytest.raises(RowParseError):
-            parse_ngram_row("rapt_ADJ\t1900\tx\t1")
+    def test_missing_pos_suffix(self, tmp_path):
+        _, report = load_text(tmp_path, "rapt\t1900\t5\t1\n", {RAPT})
+        assert report == LoadReport(rows_skipped=1)
 
-    def test_error_carries_line_number(self):
-        with pytest.raises(RowParseError) as info:
-            parse_ngram_row("bad row", line_number=42)
-        assert info.value.line_number == 42
+    def test_non_integer_field(self, tmp_path):
+        _, report = load_text(tmp_path, "rapt_ADJ\t1900\tx\t1\n", {RAPT})
+        assert report == LoadReport(rows_skipped=1)
 
-    def test_roundtrip_identity(self):
-        # a row written back from the parsed tuple, as evocli ingest writes
-        # corpus.tsv, parses to the same tuple
-        rec = parse_ngram_row("rapt_ADJ\t1900\t1759\t1201")
-        key, *numbers = rec
-        line = "\t".join(["_".join(key)] + [str(n) for n in numbers])
-        assert parse_ngram_row(line) == rec
+    @pytest.mark.parametrize("row", [
+        "rapt_ADJ\t1900\t5",
+        "rapt_ADJ\t1900\t5\t1\t1",
+        "_ADJ\t1900\t5\t1",
+        "rapt_\t1900\t5\t1",
+        "rapt_ADJ\tx\t5\t1",
+        "rapt_ADJ\t1900\t5\tx",
+        "rapt_ADJ\t1900\t1.5\t1",
+        "rapt_ADJ\t1900\t\t1",
+        "rapt_ADJ\t1499\t5\t1",
+        "rapt_ADJ\t2009\t5\t1",
+        "rapt_ADJ\t1900\t-5\t1",
+        "rapt_ADJ\t1900\t5\t-1",
+    ])
+    def test_bad_row_is_skipped(self, tmp_path, row):
+        # wrong column count, no lemma or POS, a non-integer field, a year
+        # outside [1500, 2008], a negative count (the volume count too)
+        _, report = load_text(tmp_path, row + "\n", {RAPT})
+        assert report == LoadReport(rows_skipped=1)
+
+    def test_roundtrip_identity(self, tmp_path):
+        # rows written back from the table, as evocli ingest writes
+        # corpus.tsv, load to the same table
+        table, _ = load_text(tmp_path, "rapt_ADJ\t1900\t1759\t1201\n"
+                             "rapt_ADJ\t1901\t0\t3\n", {RAPT})
+        lines = "".join(f"rapt_ADJ\t{year}\t{count}\t0\n"
+                        for year, count in table.series(RAPT).items())
+        again, _ = load_text(tmp_path, lines, {RAPT})
+        assert again.series(RAPT) == table.series(RAPT) == {1900: 1759, 1901: 0}
 
 
 class TestLoadUnigramSeries:
@@ -141,50 +161,171 @@ class TestLoadUnigramSeries:
         assert sharded_report == single_report
 
 
+def sums_of(series):
+    """period_count's argument for one year -> count dict, via CorpusTable."""
+    return CorpusTable({RAPT: dict(series)}).sums(RAPT)
+
+
+SERIES = st.dictionaries(st.integers(1500, 2008), st.integers(0, 10_000), max_size=40)
+
+
 class TestPeriodCount:
     def test_window_boundaries(self):
         series = {1795: 1, 1805: 2, 1806: 100}
-        assert period_count(series, 1800) == 3
+        assert period_count(sums_of(series), 1800) == 3
 
     def test_empty_series(self):
-        assert period_count({}, 1900) == 0
+        assert period_count(sums_of({}), 1900) == 0
+        assert period_count(CorpusTable({}).sums(RAPT), 1900) == 0
 
     def test_absent_years_contribute_zero(self):
-        assert period_count({1850: 4}, 1850, half_width=0) == 4
+        assert period_count(sums_of({1850: 4}), 1850, half_width=0) == 4
 
-    @given(
-        st.dictionaries(st.integers(1500, 2008), st.integers(0, 10_000), max_size=40),
-        st.integers(1505, 2000),
-        st.integers(0, 10),
-    )
+    @given(SERIES, st.integers(1505, 2000), st.integers(0, 10))
     def test_matches_bruteforce_loop(self, series, center, half_width):
         expected = 0
         for year in range(center - half_width, center + half_width + 1):
             expected += series.get(year, 0)
-        assert period_count(series, center, half_width) == expected
+        assert period_count(sums_of(series), center, half_width) == expected
 
-    @given(
-        st.dictionaries(st.integers(1500, 2008), st.integers(0, 10_000), max_size=40),
-        st.integers(1505, 2000),
-        st.integers(0, 9),
-    )
+    @given(SERIES, st.integers(1505, 2000), st.integers(0, 9))
     def test_monotone_in_half_width(self, series, center, half_width):
-        assert period_count(series, center, half_width) <= period_count(
-            series, center, half_width + 1
+        sums = sums_of(series)
+        assert period_count(sums, center, half_width) <= period_count(
+            sums, center, half_width + 1
         )
+
+    @given(SERIES)
+    def test_series_round_trips(self, series):
+        # the sums are the only stored form; the series derived from them
+        # keeps every attested year, zero counts included, in year order
+        table = CorpusTable({RAPT: dict(series)})
+        assert list(table.series(RAPT).items()) == sorted(series.items())
+
+    def test_table_keeps_no_input_dict(self):
+        series = {RAPT: {1900: 1}, ("zebra", "NOUN"): {1901: 2}}
+        table = CorpusTable(series)
+        series[RAPT][1900] = 5
+        series[("zebra", "NOUN")].clear()
+        assert table.series(RAPT) == {1900: 1}
+        assert table.series(("zebra", "NOUN")) == {1901: 2}
+        assert list(table.keys()) == [RAPT, ("zebra", "NOUN")]
 
 
 class TestBirthYear:
     def test_skips_zero_entries(self):
-        assert birth_year({1800: 0, 1801: 7}) == 1801
+        assert birth_year(sums_of({1800: 0, 1801: 7})) == 1801
 
     def test_empty_series_raises(self):
         with pytest.raises(NoBirthError):
-            birth_year({})
+            birth_year(sums_of({}))
 
     def test_all_zero_raises(self):
         with pytest.raises(NoBirthError):
-            birth_year({1900: 0})
+            birth_year(sums_of({1900: 0}))
+
+    @given(SERIES)
+    def test_matches_bruteforce_loop(self, series):
+        born = [year for year in sorted(series) if series[year] > 0]
+        if born:
+            assert birth_year(sums_of(series)) == born[0]
+        else:
+            with pytest.raises(NoBirthError):
+                birth_year(sums_of(series))
+
+    def test_birth_years_skips_unborn_keys(self):
+        table = CorpusTable({RAPT: {1900: 0, 1950: 3}, ("zebra", "NOUN"): {1900: 0}})
+        assert birth_years(table) == {RAPT: 1950}
+
+
+# The row contract, written out as a brute-force classifier of one line
+# (without its line break): a blank line is not a row; a row is kept only
+# with four tab-separated columns, a token split at its last underscore
+# into a non-empty lemma and POS, three fields that int() accepts, a year
+# in [1500, 2008] and no negative count; a valid row is filtered when its
+# key is outside the vocabulary.
+def classify_row(line, filter_keys):
+    if not line.strip():
+        return "blank", None
+    fields = line.split("\t")
+    if len(fields) != 4:
+        return "skipped", None
+    lemma, _, pos = fields[0].rpartition("_")
+    if not lemma or not pos:
+        return "skipped", None
+    try:
+        year, match_count, volume_count = (int(f) for f in fields[1:])
+    except ValueError:
+        return "skipped", None
+    if not 1500 <= year <= 2008 or match_count < 0 or volume_count < 0:
+        return "skipped", None
+    if (lemma, pos) not in filter_keys:
+        return "filtered", None
+    return "kept", ((lemma, pos), year, match_count)
+
+
+VOCAB = {RAPT, ("a_b", "NOUN")}
+TOKENS = st.sampled_from(["rapt_ADJ", "a_b_NOUN", "zebra_NOUN", "rapt", "_ADJ",
+                          "rapt_", "", " rapt_ADJ"])
+SPACE = st.sampled_from(["", " ", "\x0c", "\u00a0"])
+
+
+@st.composite
+def integer_fields(draw):
+    """An integer written as int() may or may not accept it, or not one."""
+    value = draw(st.sampled_from([1499, 1500, 1900, 2008, 2009, 0, 7, 1234, -1, -30]))
+    text = str(value)
+    form = draw(st.sampled_from(["plain", "plus", "underscore", "spaced", "junk"]))
+    if form == "plus" and value >= 0:
+        text = "+" + text
+    elif form == "underscore":
+        text = draw(st.sampled_from([text[:1] + "_" + text[1:], "_" + text,
+                                     text + "_", text[:1] + "__" + text[1:]]))
+    elif form == "spaced":
+        text = draw(SPACE) + text + draw(SPACE)
+    elif form == "junk":
+        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--1", "+-1"]))
+    return text
+
+
+@st.composite
+def corpus_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "columns", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t \t", "\x0c", "\t\t\t"]))
+    fields = [draw(TOKENS)] + [draw(integer_fields()) for _ in range(3)]
+    if kind == "columns":
+        fields = fields[:draw(st.integers(1, 3))] if draw(st.booleans()) else fields + ["1"]
+    return "\t".join(fields)
+
+
+class TestRowContract:
+    @given(st.lists(st.tuples(corpus_lines(), st.sampled_from(["\n", "\r\n"])),
+                    max_size=25),
+           st.booleans())
+    def test_load_matches_bruteforce_classifier(self, tmp_path_factory, lines, last_break):
+        text = "".join(line + end for line, end in lines)
+        if lines and not last_break:
+            text = text[:-len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("rows") / "part.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        table, report = load_corpus([str(path)], VOCAB)
+
+        expected = LoadReport()
+        series = {}
+        for line, _ in lines:
+            verdict, row = classify_row(line, VOCAB)
+            if verdict == "kept":
+                key, year, match_count = row
+                points = series.setdefault(key, {})
+                points[year] = points.get(year, 0) + match_count
+            if verdict != "blank":
+                setattr(expected, f"rows_{verdict}",
+                        getattr(expected, f"rows_{verdict}") + 1)
+        assert report == expected
+        assert set(table.keys()) == set(series)
+        for key in VOCAB:
+            assert table.series(key) == dict(sorted(series.get(key, {}).items()))
 
 
 class TestAnnualShares:

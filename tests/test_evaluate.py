@@ -174,9 +174,26 @@ class TestEvaluationReport:
         report = evaluation_report(counts, metrics(counts))
         assert report["counts"]["synsets"] == 10
         assert report["metrics_percent"]["precision"] == 66.7
-        assert set(report["wilson_95"]) == {"precision", "recall", "f_score"}
+        assert set(report["wilson_95"]) == {"precision", "recall"}
         low, high = report["wilson_95"]["recall"]
         assert low <= 0.5 <= high
+
+    def test_wilson_bands_use_their_own_trials(self):
+        # precision is 2 of tp+fp = 3 trials, recall 2 of tp+fn = 4; the
+        # synset total (10) is the denominator of neither
+        counts = ContingencyCounts(tp=2, fp=1, fn=2, tn=5)
+        bands = evaluation_report(counts, metrics(counts))["wilson_95"]
+        assert bands["precision"] == list(wilson_interval(2, 3))
+        assert bands["recall"] == list(wilson_interval(2, 4))
+
+    @pytest.mark.parametrize("counts, names", [
+        (ContingencyCounts(fn=3, tn=4), {"recall"}),
+        (ContingencyCounts(fp=3, tn=4), {"precision"}),
+        (ContingencyCounts(tn=4), set()),
+        (ContingencyCounts(), set()),
+    ])
+    def test_band_without_trials_is_omitted(self, counts, names):
+        assert set(evaluation_report(counts, metrics(counts))["wilson_95"]) == names
 
 
 class TestRandomBaseline:

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexevo.errors import DataError, UnfittableModelError
 from lexevo.features import SCALAR_FEATURES, FeatureVector
@@ -291,6 +293,49 @@ class TestSerialization:
         save_model(model, str(a))
         save_model(model, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModelFileFuzz:
+    """load_model on a model file with one line or value replaced."""
+
+    @staticmethod
+    def model_lines():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(fit(random_vectors(random.Random(13), 8)), path)
+            with open(path, encoding="utf-8") as handle:
+                return handle.read().splitlines()
+
+    @settings(max_examples=300, deadline=None)
+    @example(19, True, "Infinity")  # a sample count
+    @example(18, True, "1e999")  # a mean
+    @example(2, False, "[1],")  # a feature name
+    @example(102, False, "[1],")  # a trigram dimension
+    @example(3, False, '"normalized_length",')
+    @given(st.integers(0, 10_000), st.booleans(),
+           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
+                   max_size=12))
+    def test_fuzzed_value_loads_or_names_its_key(self, index, value_only, text):
+        # the model file either loads or raises DataError naming the file
+        # and the key (or, for text that is not JSON, the line)
+        lines = self.model_lines()
+        index %= len(lines)
+        head, colon, value = lines[index].partition(": ")
+        if value_only and colon:
+            comma = "," if value.endswith(",") else ""
+            lines[index] = f"{head}: {text}{comma}"
+        else:
+            lines[index] = text
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            try:
+                load_model(path)
+            except DataError as exc:
+                message = str(exc)
+                assert message.startswith(f"{path}: ")
+                assert "key '" in message or "keys '" in message or " line " in message
 
 
 class TestSparseScoring:
