@@ -29,3 +29,7 @@ class NoBirthError(DataError):
 
 class UnfittableModelError(DataError):
     """Training data has a class with zero vectors."""
+
+
+class ConvergenceError(LexevoError):
+    """An iterative numerical method did not converge."""

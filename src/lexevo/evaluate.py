@@ -1,5 +1,6 @@
 """Synset-level evaluation: winner selection, contingency cells, metrics,
-Wilson intervals, and the seeded uniform-random baseline.
+Wilson intervals, the seeded uniform-random baseline, and exact tests of
+per-synset right/wrong outcomes.
 
 A prediction counts as true positive only when the synset changed leader
 and the predicted word is the actual future leader; a stable synset
@@ -9,6 +10,7 @@ with right/wrong).
 
 import hashlib
 import logging
+import math
 import statistics as _stats
 from dataclasses import dataclass
 
@@ -175,23 +177,38 @@ def random_baseline(snapshots, seed):
     return evaluate_predictions(snapshots, probabilities)
 
 
-def random_baseline_spread(snapshots, seeds):
-    """Mean and stdev of baseline metrics across several seeds.
+def is_right(outcome):
+    """True when an evaluate_predictions outcome row named the future leader."""
+    return outcome["cell"] in ("tp", "tn")
 
-    Multi-seed reporting is an extension over the usual single-run
-    number, so reports carry an explicit flag.
+
+def mcnemar_exact(b, c):
+    """Exact two-sided McNemar test of b against c discordant pairs.
+
+    b and c count the items only one of two paired classifiers gets right
+    (Dietterich 1998).  Under the null each discordant pair is a fair coin,
+    so p = 2 * P(Binomial(b + c, 1/2) <= min(b, c)), capped at 1.  Returns
+    (p, significant at 5%); the decision is made in exact integers.
     """
-    runs = [random_baseline(snapshots, seed)[1] for seed in seeds]
-    def agg(name):
-        values = [getattr(m, name) for m in runs]
-        return {
-            "mean": _stats.fmean(values),
-            "stdev": _stats.stdev(values) if len(values) > 1 else 0.0,
-        }
-    return {
-        "seeds": list(seeds),
-        "multi_seed_extension": True,
-        "precision": agg("precision"),
-        "recall": agg("recall"),
-        "f_score": agg("f_score"),
-    }
+    n = b + c
+    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    return min(1.0, 2 * tail / 2 ** n), 40 * tail < 2 ** n
+
+
+def uniform_baseline_tail(sizes, right):
+    """Exact P(at least `right` synsets right) under the uniform baseline.
+
+    A synset of k members is right with probability 1/k, independently, so
+    the count is Poisson-binomial.  Its distribution is the coefficient
+    list of the product over synsets of (k - 1 + z), divided by the product
+    of the k.  Returns (p, significant at 5%); the decision is made in
+    exact integers.
+    """
+    ways = [1]  # ways[j]: member choices with exactly j synsets right
+    for k in sizes:
+        product = [(k - 1) * w for w in ways] + [0]
+        for j, w in enumerate(ways):
+            product[j + 1] += w
+        ways = product
+    tail, total = sum(ways[right:]), sum(ways)
+    return tail / total, 20 * tail < total

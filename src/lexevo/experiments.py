@@ -8,17 +8,17 @@ carry no timestamps, so repeated runs are byte-identical.
 import math
 from dataclasses import dataclass, field
 
-from scipy import special
-
 from ._util import open_maybe_gzip
 from .corpus import birth_years, load_corpus
 from .dataset import build_dataset, schedule_windows
-from .errors import DataError, UnfittableModelError
+from .errors import ConvergenceError, DataError, UnfittableModelError
 from .evaluate import (
     evaluate_predictions,
     evaluation_report,
+    is_right,
+    mcnemar_exact,
     random_baseline,
-    wilson_interval,
+    uniform_baseline_tail,
 )
 from .features import (FEATURE_NAMES, SCALAR_FEATURES, extract_features,
                        load_syllable_exceptions)
@@ -151,15 +151,16 @@ def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
                          prepare_window(test_window, inputs), features, seed)
 
 
-def _wilson_overlap(f1, f2, n1, n2):
-    """True when the 95% Wilson bands of two scores overlap.
-
-    Stand-in significance rule for F-score deltas; the bands treat each
-    score as a proportion of evaluated synsets.
-    """
-    lo1, hi1 = wilson_interval(round(f1 * n1), n1) if n1 else (0.0, 1.0)
-    lo2, hi2 = wilson_interval(round(f2 * n2), n2) if n2 else (0.0, 1.0)
-    return not (hi1 < lo2 or hi2 < lo1)
+def _paired_counts(variant, baseline):
+    """(b, c): synsets only the baseline run gets right, only the variant run."""
+    baseline_right = {row["synset_id"]: is_right(row)
+                      for row in baseline["outcomes"]}
+    b = c = 0
+    for row in variant["outcomes"]:
+        right, was_right = is_right(row), baseline_right[row["synset_id"]]
+        b += was_right and not right
+        c += right and not was_right
+    return b, c
 
 
 def run_ablations(specs, train_window, test_window, inputs, seed=0):
@@ -179,11 +180,17 @@ def run_ablations(specs, train_window, test_window, inputs, seed=0):
             if baseline is None:
                 baseline = fit_and_score(train, test, FEATURE_NAMES, seed)
             f_baseline = baseline["report"]["metrics"]["f_score"]
+            _, significant = mcnemar_exact(*_paired_counts(variant, baseline))
+            rule = "exact McNemar test of per-synset right/wrong, two-sided p < 0.05"
         else:
             variant = fit_and_score(train, test, (spec.feature,), seed)
             f_baseline = variant["report"]["random"]["f_score"]
+            right = sum(map(is_right, variant["outcomes"]))
+            sizes = [len(s.counts) for s in test[0].snapshots]
+            _, significant = uniform_baseline_tail(sizes, right)
+            rule = ("exact Poisson-binomial tail of synsets right under uniform "
+                    "random, one-sided p < 0.05")
         f_variant = variant["report"]["metrics"]["f_score"]
-        n = variant["report"]["counts"]["synsets"]
         delta = f_variant - f_baseline
         rows.append({
             "mode": spec.mode,
@@ -192,17 +199,21 @@ def run_ablations(specs, train_window, test_window, inputs, seed=0):
             "f_baseline": f_baseline,
             "delta": delta,
             "delta_percent": round(100.0 * delta, 2),
-            "significant_95": not _wilson_overlap(f_variant, f_baseline, n, n),
-            "significance_rule": "non-overlapping 95% Wilson intervals (stand-in)",
+            "significant_95": significant,
+            "significance_rule": rule,
         })
     return rows
 
 
 def run_ablation(spec, train_window, test_window, inputs, seed=0):
-    """F-score delta for one ablation variant.
+    """F-score delta for one ablation variant, with an exact test.
 
-    drop_one: F(all features minus one) - F(all features).
-    single_only: F(one feature alone) - F(random baseline).
+    drop_one: F(all features minus one) - F(all features); significant_95
+    is an exact McNemar test on the synsets exactly one of the two runs
+    gets right.
+    single_only: F(one feature alone) - F(random baseline); significant_95
+    is the exact upper tail of the number of synsets right when a synset
+    of k members is right with probability 1/k.
     """
     return run_ablations([spec], train_window, test_window, inputs, seed)[0]
 
@@ -268,8 +279,61 @@ def welch_t_test(mean1, var1, n1, mean2, var2, n2, alpha=0.05):
     df = se2 ** 2 / (
         (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
     )
-    p = 2.0 * float(special.stdtr(df, -abs(t)))
+    p = student_t_two_tailed_p(t, df)
     return t, df, p, p < alpha
+
+
+_CF_MAX_TERMS = 1000  # 3,000 random cases, df up to 1e15, needed at most 83
+_CF_TOLERANCE = 1e-15
+_CF_TINY = 1e-300
+
+
+def student_t_two_tailed_p(t, df):
+    """P(|T| >= |t|) for Student's t with df > 0 degrees of freedom.
+
+    This is the regularized incomplete beta function I_x(df/2, 1/2) at
+    x = df / (df + t^2) (Press et al., Numerical Recipes, 6.4).
+    """
+    r = t * t / df  # x = 1 / (1 + r) and 1 - x = r / (1 + r)
+    if r == 0:
+        return 1.0
+    if r == math.inf:
+        return 0.0
+    log_x = -math.log1p(r)
+    log_y = math.log(r) + log_x
+    a, b = df / 2.0, 0.5
+    if r < (b + 1) / (a + 1):  # x > (a + 1) / (a + b + 2): I_x(a, b) = 1 - I_y(b, a)
+        return 1.0 - _incomplete_beta(b, a, log_y, log_x)
+    return _incomplete_beta(a, b, log_x, log_y)
+
+
+def _incomplete_beta(a, b, log_x, log_y):
+    """I_x(a, b) from log x and log(1 - x), for x at most (a + 1) / (a + b + 2).
+
+    The continued fraction 1 / (1 + d1 / (1 + d2 / (1 + ...))) is
+    evaluated by the modified Lentz method; f - 1 converges to it.
+    """
+    x = math.exp(log_x)
+    log_front = (a * log_x + b * log_y + math.lgamma(a + b) - math.lgamma(a)
+                 - math.lgamma(b))
+    f, c, d = 1.0, 1.0, 0.0
+    for i in range(_CF_MAX_TERMS):
+        m = i // 2
+        if i == 0:
+            numerator = 1.0
+        elif i % 2:
+            numerator = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            numerator = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 + numerator * d
+        d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+        c = 1.0 + numerator / c
+        c = c if abs(c) > _CF_TINY else _CF_TINY
+        f *= c * d
+        if abs(c * d - 1.0) < _CF_TOLERANCE:
+            return math.exp(log_front) * (f - 1.0) / a
+    raise ConvergenceError(f"incomplete beta I_x({a!r}, {b!r}) at x = {x!r} "
+                           f"did not converge in {_CF_MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)

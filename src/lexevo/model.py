@@ -257,6 +257,9 @@ def load_model(path):
 
     A file that is not JSON is a DataError naming the file and the line;
     a missing key or a malformed value is one naming the file and the key.
+    So is a feature list that names an unknown feature, scalar parameters
+    for other scalars than it names, or trigram dimensions without
+    'unique_ngrams' in it.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -279,6 +282,16 @@ def load_model(path):
     if set(values["trigram_params"]) != set(values["trigram_dims"]):
         raise DataError(f"{path}: keys 'trigram_dims' and 'trigram_params' name "
                         "different trigrams")
+    features = values["features"]
+    unknown = sorted(set(features) - set(FEATURE_NAMES))
+    if unknown:
+        raise DataError(f"{path}: key 'features' names unknown features {unknown}")
+    if set(values["scalar_features"]) != set(features) & set(SCALAR_FEATURES):
+        raise DataError(f"{path}: keys 'features' and 'scalar_features' name "
+                        "different scalar features")
+    if values["trigram_dims"] and "unique_ngrams" not in features:
+        raise DataError(f"{path}: key 'trigram_dims' must be empty when "
+                        "'features' leaves out 'unique_ngrams'")
     return NaiveBayesModel(
         priors=values["priors"],
         features=values["features"],

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -449,7 +451,15 @@ class TestPredict:
          '{"present_age": {"class0": {"mean": 0, "variance": 1e-300, "sample_count": 2}, '
          '"class1": {"mean": 0, "variance": 1e-300, "sample_count": 2}}}, '
          '"trigram_dims": [], "trigram_params": {}}', "a finite variance of at least 1e-09"),
-    ], ids=["missing_key", "not_json", "infinite_mean", "variance_below_floor"])
+        ('{"priors": [0.5, 0.5], "features": ["bogus"], "scalar_features": {}, '
+         '"trigram_dims": [], "trigram_params": {}}', "names unknown features"),
+        ('{"priors": [0.5, 0.5], "features": ["present_age", "relative_growth"], '
+         '"scalar_features": {"present_age": {"class0": {"mean": 0, "variance": 1, '
+         '"sample_count": 2}, "class1": {"mean": 0, "variance": 1, "sample_count": 2}}}, '
+         '"trigram_dims": [], "trigram_params": {}}',
+         "keys 'features' and 'scalar_features' name different"),
+    ], ids=["missing_key", "not_json", "infinite_mean", "variance_below_floor",
+            "unknown_feature", "scalar_feature_missing"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows
@@ -468,6 +478,23 @@ class TestPredict:
         assert code == EXIT_DATA
         assert f"{model}: " in err and message in err
         assert "Traceback" not in err
+
+
+class TestImports:
+    def test_cli_import_loads_no_numeric_library(self):
+        # evocli needs only the standard library; a fresh interpreter that
+        # imports it must not have loaded scipy or numpy
+        import lexevo
+
+        src = os.path.dirname(os.path.dirname(lexevo.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, lexevo.cli; "
+                "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,11 +12,13 @@ from lexevo.evaluate import (
     classify_outcome,
     evaluate_predictions,
     evaluation_report,
+    is_right,
+    mcnemar_exact,
     metrics,
     outcomes_to_tsv,
     predict_synset_winner,
     random_baseline,
-    random_baseline_spread,
+    uniform_baseline_tail,
     wilson_interval,
 )
 from lexevo.lexicon import SenseId, load_lexicon
@@ -228,9 +232,61 @@ class TestRandomBaseline:
         backward = random_baseline(list(reversed(snaps)), seed=3)[0]
         assert forward == backward
 
-    def test_spread_reports_extension_flag(self):
+    def test_right_count_is_uniform_baseline_mean(self):
+        # over many seeds the mean number of synsets right approaches
+        # sum(1/k), the mean of the count uniform_baseline_tail models
         snaps = self.make_snapshots(20)
-        spread = random_baseline_spread(snaps, seeds=[0, 1, 2])
-        assert spread["multi_seed_extension"] is True
-        assert spread["seeds"] == [0, 1, 2]
-        assert 0.0 <= spread["recall"]["mean"] <= 1.0
+        rights = [sum(map(is_right, random_baseline(snaps, seed)[2]))
+                  for seed in range(400)]
+        assert sum(rights) / len(rights) == pytest.approx(10.0, abs=0.5)
+
+
+class TestMcNemarExact:
+    @pytest.mark.parametrize("b,c,p,significant", [
+        (7, 1, 18 / 256, False),  # p = 0.0703
+        (9, 1, 22 / 1024, True),  # p = 0.0215
+        (1, 9, 22 / 1024, True),
+        (0, 0, 1.0, False),
+        (3, 3, 1.0, False),
+        (6, 0, 2 / 64, True),
+        (5, 0, 2 / 32, False),
+    ])
+    def test_pinned(self, b, c, p, significant):
+        assert mcnemar_exact(b, c) == (p, significant)
+
+    @given(st.integers(0, 60), st.integers(0, 60))
+    def test_matches_exact_binomial_tail(self, b, c):
+        # two-sided p from the binomial(b + c, 1/2) tail in exact fractions
+        n = b + c
+        tail = sum(Fraction(math.comb(n, i), 2 ** n) for i in range(min(b, c) + 1))
+        exact = min(Fraction(1), 2 * tail)
+        p, significant = mcnemar_exact(b, c)
+        assert p == float(exact)
+        assert significant == (exact < Fraction(1, 20))
+        assert mcnemar_exact(c, b) == (p, significant)
+
+
+class TestUniformBaselineTail:
+    @given(st.lists(st.integers(2, 4), max_size=6), st.integers(0, 7))
+    def test_matches_enumeration(self, sizes, right):
+        # enumerate every choice of one member per synset; member 0 is right
+        choices = list(itertools.product(*(range(k) for k in sizes)))
+        hits = sum(1 for choice in choices if choice.count(0) >= right)
+        exact = Fraction(hits, len(choices))
+        p, significant = uniform_baseline_tail(sizes, right)
+        assert p == float(exact)
+        assert significant == (exact < Fraction(1, 20))
+
+    def test_pairs_are_a_fair_binomial(self):
+        # 20 two-member synsets: P(at least 15 right) = 21700 / 2**20
+        tail = sum(math.comb(20, j) for j in range(15, 21))
+        assert tail == 21700
+        assert uniform_baseline_tail([2] * 20, 15) == (tail / 2 ** 20, True)
+        assert uniform_baseline_tail([2] * 20, 14)[1] is False
+
+    def test_none_right_is_certain(self):
+        assert uniform_baseline_tail([3, 5, 2], 0) == (1.0, False)
+        assert uniform_baseline_tail([], 0) == (1.0, False)
+
+    def test_more_right_than_synsets_is_impossible(self):
+        assert uniform_baseline_tail([2, 2], 3) == (0.0, True)

@@ -1,11 +1,13 @@
 import math
 import random
 
-import numpy
 import pytest
+from hypothesis import given, strategies as st
 
+import lexevo.experiments as experiments_mod
 from lexevo.dataset import schedule_windows
-from lexevo.errors import DataError
+from lexevo.errors import ConvergenceError, DataError, LexevoError
+from lexevo.evaluate import is_right, mcnemar_exact, uniform_baseline_tail
 from lexevo.experiments import (
     AblationSpec,
     fit_and_score,
@@ -17,6 +19,7 @@ from lexevo.experiments import (
     run_ablations,
     run_cycle_sweep,
     run_nbcp,
+    student_t_two_tailed_p,
     welch_t_test,
 )
 from lexevo.features import FEATURE_NAMES, SCALAR_FEATURES
@@ -32,12 +35,75 @@ def t_density(x, df):
     )
 
 
-def tail_probability(t, df):
-    """Two-tailed p by numerical integration of the t density."""
-    hi = abs(t) + 60.0
-    grid = numpy.linspace(abs(t), hi, 200_001)
-    one_tail = numpy.trapezoid(numpy.array([t_density(x, df) for x in grid]), grid)
-    return 2.0 * float(one_tail)
+def tail_probability(t, df, intervals=20_000):
+    """Two-tailed p by composite Simpson integration of the t density."""
+    lo = abs(t)
+    h = 60.0 / intervals
+    weights = [1] + [4 if i % 2 else 2 for i in range(1, intervals)] + [1]
+    one_tail = h / 3 * math.fsum(w * t_density(lo + i * h, df)
+                                 for i, w in enumerate(weights))
+    return 2.0 * one_tail
+
+
+# 2 * scipy.special.stdtr(df, -|t|) from scipy 1.17.1, pinned so the tests
+# need no numeric library: (df, |t|, two-tailed p)
+STDTR_TWO_TAILED = [
+    (1, 0.5, 0.7048327646991335),
+    (1, 2, 0.2951672353008665),
+    (1, 10, 0.06345103486110713),
+    (1, 50, 0.012730698201945594),
+    (1.5, 0.5, 0.68056711066994),
+    (1.5, 2, 0.22418833035605112),
+    (1.5, 10, 0.023659355113621557),
+    (1.5, 50, 0.002132430910288866),
+    (2.7, 0.5, 0.6549470619957614),
+    (2.7, 2, 0.149423438070502),
+    (2.7, 10, 0.003287656064689192),
+    (2.7, 50, 4.380021292323658e-05),
+    (10, 0.5, 0.627893605742973),
+    (10, 2, 0.07338803477074037),
+    (10, 10, 1.5895531755964125e-06),
+    (10, 50, 2.47431032930268e-13),
+    (1e3, 0.5, 0.6171850808338747),
+    (1e3, 2, 0.04577034649325166),
+    (1e3, 10, 1.6670702958600137e-22),
+    (1e3, 50, 2.758672412325172e-274),
+    (1e5, 0.5, 0.6170761776544179),
+    (1e5, 2, 0.04550296345750651),
+    (1e5, 10, 1.5633015300207252e-23),
+    (1e5, 50, 0.0),  # below the smallest float
+]
+
+
+class TestStudentTTail:
+    @pytest.mark.parametrize("df,t,expected", STDTR_TWO_TAILED)
+    def test_matches_pinned_stdtr(self, df, t, expected):
+        assert student_t_two_tailed_p(t, df) == pytest.approx(expected, rel=1e-8)
+        assert student_t_two_tailed_p(-t, df) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("df", [1, 1.5, 2.7, 10, 1e3, 1e5])
+    def test_zero_and_infinite_t(self, df):
+        assert student_t_two_tailed_p(0.0, df) == 1.0
+        assert student_t_two_tailed_p(math.inf, df) == 0.0
+        assert student_t_two_tailed_p(-math.inf, df) == 0.0
+
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(1, 1e5))
+    def test_probability_symmetric_and_falling_in_abs_t(self, t1, t2, df):
+        p1 = student_t_two_tailed_p(t1, df)
+        p2 = student_t_two_tailed_p(t2, df)
+        assert 0.0 <= p1 <= 1.0
+        assert student_t_two_tailed_p(-t1, df) == p1
+        if abs(t1) <= abs(t2):
+            # math.lgamma rounds its large results to some ulps, so two
+            # nearly equal |t| may come out in either order by up to ~1e-9
+            # relative; the tail is asserted to 1e-8 above
+            assert p2 <= p1 * (1 + 1e-8)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments_mod, "_CF_MAX_TERMS", 3)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            student_t_two_tailed_p(1.7, 300.0)
+        assert issubclass(ConvergenceError, LexevoError)
 
 
 class TestWelchTTest:
@@ -261,6 +327,49 @@ class TestRunAblation:
         variant = run_nbcp(train_window, test_window, synthetic_inputs,
                            features=("relative_growth",), seed=0)
         assert result["f_baseline"] == variant["report"]["random"]["f_score"]
+
+    @pytest.mark.parametrize("bundle", ["synthetic", "rapture"])
+    def test_significance_is_exact_paired_test(self, request, bundle):
+        inputs = request.getfixturevalue(f"{bundle}_inputs")
+        train_window, test_window = schedule_windows(50)[1]
+        train = prepare_window(train_window, inputs)
+        test = prepare_window(test_window, inputs)
+        baseline = fit_and_score(train, test)
+        sizes = [len(s.counts) for s in test[0].snapshots]
+        specs = [AblationSpec(mode, f) for mode in ("drop_one", "single_only")
+                 for f in FEATURE_NAMES]
+        rows = run_ablations(specs, train_window, test_window, inputs)
+        for spec, row in zip(specs, rows):
+            if spec.mode == "drop_one":
+                features = [f for f in FEATURE_NAMES if f != spec.feature]
+            else:
+                features = [spec.feature]
+            variant = fit_and_score(train, test, features)
+            right = [is_right(r) for r in variant["outcomes"]]
+            if spec.mode == "drop_one":
+                # both runs list the test window's synsets in one order
+                assert ([r["synset_id"] for r in variant["outcomes"]]
+                        == [r["synset_id"] for r in baseline["outcomes"]])
+                was_right = [is_right(r) for r in baseline["outcomes"]]
+                b = sum(w and not r for r, w in zip(right, was_right))
+                c = sum(r and not w for r, w in zip(right, was_right))
+                expected = mcnemar_exact(b, c)[1]
+                assert "McNemar" in row["significance_rule"]
+            else:
+                expected = uniform_baseline_tail(sizes, sum(right))[1]
+                assert "Poisson-binomial" in row["significance_rule"]
+            assert row["significant_95"] is expected
+
+    def test_single_only_significance_on_synthetic(self, synthetic_inputs):
+        # one feature that ranks every synset right beats uniform random;
+        # one that ranks none right is no better than it
+        train_window, test_window = schedule_windows(50)[1]
+        rows = run_ablations(
+            [AblationSpec("single_only", "relative_growth"),
+             AblationSpec("single_only", "categorial_variations")],
+            train_window, test_window, synthetic_inputs)
+        assert [row["f_variant"] for row in rows] == [1.0, 0.0]
+        assert [row["significant_95"] for row in rows] == [True, False]
 
     def test_drop_one_prepares_two_windows(self, synthetic_inputs, monkeypatch):
         train_window, test_window = schedule_windows(50)[1]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import random
@@ -293,6 +294,52 @@ class TestSerialization:
         save_model(model, str(a))
         save_model(model, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModelFeatureAgreement:
+    """load_model rejects a file whose feature keys disagree."""
+
+    @staticmethod
+    def edited_model(tmp_path, edit, features=None):
+        model = fit(random_vectors(random.Random(14), 12),
+                    **({"features": features} if features else {}))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_unknown_feature_named(self, tmp_path):
+        def edit(obj):
+            obj["features"].append("bogus")
+        path = self.edited_model(tmp_path, edit)
+        with pytest.raises(DataError, match=r"key 'features' names unknown "
+                                            r"features \['bogus'\]"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["scalar_features"].pop("present_age"),
+        lambda obj: obj["features"].remove("present_age"),
+    ], ids=["scalar_params_missing", "scalar_params_unlisted"])
+    def test_scalar_features_match_features(self, tmp_path, edit):
+        path = self.edited_model(tmp_path, edit)
+        with pytest.raises(DataError, match="keys 'features' and "
+                                            "'scalar_features' name different"):
+            load_model(path)
+
+    def test_trigrams_need_unique_ngrams(self, tmp_path):
+        def edit(obj):
+            obj["features"].remove("unique_ngrams")
+        path = self.edited_model(tmp_path, edit)
+        with pytest.raises(DataError, match="key 'trigram_dims' must be empty"):
+            load_model(path)
+
+    def test_feature_subsets_round_trip(self, tmp_path):
+        for features in (("present_age",), ("unique_ngrams",),
+                         ("unique_ngrams", "relative_growth")):
+            path = self.edited_model(tmp_path, lambda obj: None, features)
+            assert load_model(path).features == features
 
 
 class TestModelFileFuzz:
