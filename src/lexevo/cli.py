@@ -19,8 +19,9 @@ from . import evaluate as evaluate_mod
 from . import experiments as experiments_mod
 from . import features as features_mod
 from . import model as model_mod
-from ._util import atomic_write_json, atomic_write_text
+from ._util import atomic_write_json, atomic_write_text, parse_lines
 from .errors import DataError, LexevoError
+from .lexicon import SenseId
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +119,23 @@ def _year_range(text):
     return years
 
 
+def _feature_selection(keep):
+    """argparse type of --only (keep=True) and --drop (keep=False): the
+    selected features in FEATURE_NAMES order, from known names only."""
+    def parse(text):
+        names = {n for n in text.split(",") if n}
+        unknown = names - set(features_mod.FEATURE_NAMES)
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown features: {', '.join(sorted(unknown))}")
+        selection = tuple(n for n in features_mod.FEATURE_NAMES
+                          if (n in names) == keep)
+        if not selection:
+            raise argparse.ArgumentTypeError("no features selected")
+        return selection
+    return parse
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--corpus", action="append",
@@ -147,8 +165,14 @@ def build_parser():
         elif name == "train":
             p.add_argument("--features", help="feature TSV from extract-features")
             p.add_argument("--model", help="output model JSON path")
-            p.add_argument("--only", help="comma-separated feature subset")
-            p.add_argument("--drop", help="comma-separated features to exclude")
+            subset = p.add_mutually_exclusive_group()
+            subset.add_argument("--only", dest="selection", metavar="NAMES",
+                                type=_feature_selection(True),
+                                help="comma-separated feature subset")
+            subset.add_argument("--drop", dest="selection", metavar="NAMES",
+                                type=_feature_selection(False),
+                                help="comma-separated features to exclude")
+            p.set_defaults(selection=features_mod.FEATURE_NAMES)
         elif name == "predict":
             p.add_argument("--features", help="feature TSV to score")
             p.add_argument("--model", help="fitted model JSON")
@@ -206,7 +230,6 @@ def _window_pairs(config):
 
 def cmd_ingest(args, config):
     inputs, _, report = _load_inputs(config)
-    os.makedirs(config.out, exist_ok=True)
     lines = []
     for lemma, pos in sorted(inputs.corpus.keys()):
         for year, count in inputs.corpus.series((lemma, pos)).items():
@@ -228,13 +251,12 @@ def cmd_ingest(args, config):
 
 def cmd_build_dataset(args, config):
     inputs, _, _ = _load_inputs(config)
-    os.makedirs(config.out, exist_ok=True)
     windows = sorted({w for pair in _window_pairs(config) for w in pair})
     for window in windows:
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window,
                                        config.half_width)
-        stem = os.path.join(config.out, f"dataset_{window.label()}")
-        dataset_mod.write_dataset(ds, stem + ".tsv", stem + ".json")
+        dataset_mod.write_dataset(
+            ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"))
     return EXIT_OK
 
 
@@ -242,33 +264,21 @@ def cmd_extract_features(args, config):
     if not args.dataset:
         raise LexevoError("missing required input: --dataset")
     inputs, _, _ = _load_inputs(config)
-    ds = dataset_mod.read_dataset(args.dataset,
-                                  os.path.splitext(args.dataset)[0] + ".json")
+    ds = dataset_mod.read_dataset(args.dataset)
     vectors = features_mod.extract_features(
         ds, inputs.clusters, inputs.births, inputs.syllable_exceptions,
         include_class=not args.no_class,
     )
-    os.makedirs(config.out, exist_ok=True)
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
     return EXIT_OK
-
-
-def _feature_subset(args):
-    names = features_mod.FEATURE_NAMES
-    if args.only:
-        return tuple(n for n in names if n in args.only.split(","))
-    if args.drop:
-        dropped = set(args.drop.split(","))
-        return tuple(n for n in names if n not in dropped)
-    return names
 
 
 def cmd_train(args, config):
     if not args.features:
         raise LexevoError("missing required input: --features")
     vectors = features_mod.read_feature_vectors(args.features)
-    fitted = model_mod.fit(vectors, features=_feature_subset(args))
+    fitted = model_mod.fit(vectors, features=args.selection)
     out = args.model or os.path.join(config.out, "model.json")
     model_mod.save_model(fitted, out)
     return EXIT_OK
@@ -284,7 +294,6 @@ def cmd_predict(args, config):
         odds = model_mod.win_log_odds(fitted, v)
         p = model_mod.logistic(odds)
         lines.append(f"{v.synset_id}\t{v.sense}\t{p!r}\t{odds!r}")
-    os.makedirs(config.out, exist_ok=True)
     atomic_write_text(os.path.join(config.out, "probabilities.tsv"),
                       "\n".join(lines) + "\n")
     return EXIT_OK
@@ -294,36 +303,35 @@ def _read_scores(path):
     """SenseId -> ranking score from a predict output file.
 
     Ranks by the log-odds column when present, since probabilities
-    saturate; a row without a parseable sense and finite score is a
-    DataError naming the file and line.
+    saturate; a row without a parseable sense and finite score, or one
+    repeating a sense, is a DataError naming the file and line.
     """
-    from .lexicon import SenseId
-
     scores = {}
+
+    def parse(line):
+        fields = line.split("\t")
+        try:
+            score = float(fields[column])
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {fields[column]!r}")
+            sense = SenseId.parse(fields[1])
+            if sense in scores:
+                raise ValueError(f"repeated sense {sense}")
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"bad probability row {fields!r}: {exc}") from None
+        scores[sense] = score
+
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n").split("\t")
         column = len(header) - 1 if header[-1] == "log_odds" else 2
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            try:
-                score = float(fields[column])
-                if not math.isfinite(score):
-                    raise ValueError(f"non-finite score {fields[column]!r}")
-                scores[SenseId.parse(fields[1])] = score
-            except (IndexError, ValueError) as exc:
-                raise DataError(
-                    f"{path} line {line_number}: bad probability row {fields!r}: {exc}"
-                ) from None
+        parse_lines(handle, parse, start=2)
     return scores
 
 
 def cmd_evaluate(args, config):
     if not args.dataset or not args.probabilities:
         raise LexevoError("evaluate needs --dataset and --probabilities")
-    ds = dataset_mod.read_dataset(args.dataset,
-                                  os.path.splitext(args.dataset)[0] + ".json")
+    ds = dataset_mod.read_dataset(args.dataset)
     scores_by_sense = _read_scores(args.probabilities)
     for snapshot in ds.snapshots:
         for sense in snapshot.counts:
@@ -334,7 +342,6 @@ def cmd_evaluate(args, config):
     )
     report = evaluate_mod.evaluation_report(counts, scores)
     report["dataset"] = ds.summary()
-    os.makedirs(config.out, exist_ok=True)
     atomic_write_json(os.path.join(config.out, "report.json"), report)
     atomic_write_text(os.path.join(config.out, "outcomes.tsv"),
                       evaluate_mod.outcomes_to_tsv(outcomes))
@@ -342,10 +349,8 @@ def cmd_evaluate(args, config):
 
 
 def _report_dir(config, experiment, window):
-    path = os.path.join(config.out, "reports", experiment,
+    return os.path.join(config.out, "reports", experiment,
                         str(config.cycle_years), window.label())
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def cmd_ablate(args, config):
@@ -370,7 +375,6 @@ def cmd_sweep(args, config):
         args.cycles, inputs, config.anchor_year, config.floor_year, seed=config.seed,
     )
     directory = os.path.join(config.out, "reports", "sweep")
-    os.makedirs(directory, exist_ok=True)
     atomic_write_json(os.path.join(directory, "report.json"), result)
     atomic_write_text(os.path.join(directory, "sweep.csv"),
                       _rows_to_csv(result["rows"]))
@@ -380,9 +384,8 @@ def cmd_sweep(args, config):
 def cmd_interpret(args, config):
     inputs, _, _ = _load_inputs(config)
     train_window, test_window = _window_pairs(config)[-1]
-    run = experiments_mod.run_nbcp(train_window, test_window, inputs,
-                                   seed=config.seed)
-    tables = experiments_mod.interpretation_tables(run["model"])
+    _, vectors = experiments_mod.prepare_window(train_window, inputs)
+    tables = experiments_mod.interpretation_tables(model_mod.fit(vectors))
     directory = _report_dir(config, "interpretation", test_window)
     atomic_write_json(os.path.join(directory, "report.json"), tables)
     atomic_write_text(os.path.join(directory, "scalar_features.csv"),
@@ -399,7 +402,6 @@ def cmd_plot_data(args, config):
         raise LexevoError(f"synset {args.synset!r} not found in lexicon")
     member_series = [inputs.corpus.series(m.corpus_key()) for m in synset.members]
     rows = corpus_mod.synset_annual_shares(member_series, args.years)
-    os.makedirs(config.out, exist_ok=True)
     atomic_write_text(
         os.path.join(config.out, f"shares_{synset.id}.csv"),
         corpus_mod.shares_to_csv(rows, synset.lemmas()),

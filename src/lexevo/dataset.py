@@ -7,10 +7,12 @@ window is the test window shifted back by one cycle.
 """
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._util import atomic_write_json, atomic_write_text, parse_lines
 from .corpus import DEFAULT_HALF_WIDTH, period_count
 from .errors import DataError
 from .lexicon import SenseId, Synset
@@ -181,10 +183,13 @@ def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     return Dataset(window, snapshots, removal_log)
 
 
-def write_dataset(dataset, tsv_path, json_path=None):
-    """Serialize a dataset: member-count TSV plus a JSON summary sidecar."""
-    from ._util import atomic_write_json, atomic_write_text
+def _summary_path(tsv_path):
+    """The JSON summary sidecar of a dataset TSV: <stem>.json beside it."""
+    return os.path.splitext(tsv_path)[0] + ".json"
 
+
+def write_dataset(dataset, tsv_path):
+    """Serialize a dataset: member-count TSV plus its JSON summary sidecar."""
     lines = ["synset_id\tsense_id\tpast\tpresent\tfuture"]
     for snapshot in dataset.snapshots:
         for sense, c in snapshot.counts.items():
@@ -192,11 +197,10 @@ def write_dataset(dataset, tsv_path, json_path=None):
                 f"{snapshot.synset.id}\t{sense}\t{c.past}\t{c.present}\t{c.future}"
             )
     atomic_write_text(tsv_path, "\n".join(lines) + "\n")
-    if json_path is not None:
-        atomic_write_json(json_path, dataset.summary())
+    atomic_write_json(_summary_path(tsv_path), dataset.summary())
 
 
-def read_dataset(tsv_path, json_path):
+def read_dataset(tsv_path):
     """Reload a serialized dataset (synsets reconstructed from sense ids).
 
     A malformed row, a negative count or a repeated sense is a DataError
@@ -206,28 +210,25 @@ def read_dataset(tsv_path, json_path):
     A JSON sidecar that is not JSON or lacks a valid window is a DataError
     naming the file (and the key).
     """
-    window, removals = _read_summary(json_path)
+    window, removals = _read_summary(_summary_path(tsv_path))
     groups = {}
     seen = set()
+
+    def parse(line):
+        synset_id, sense_text, past, present, future = line.split("\t")
+        counts = MemberCounts(int(past), int(present), int(future))
+        if min(counts.past, counts.present, counts.future) < 0:
+            raise ValueError(f"negative count in {line.strip()!r}")
+        sense = SenseId.parse(sense_text)
+        if sense in seen:
+            raise ValueError(f"repeated sense {sense_text}")
+        seen.add(sense)
+        groups.setdefault(synset_id, []).append((sense, counts))
+
     with open(tsv_path, encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header.startswith("synset_id\t"):
+        if not handle.readline().startswith("synset_id\t"):
             raise DataError(f"{tsv_path}: missing dataset header")
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                synset_id, sense_text, past, present, future = line.rstrip("\n").split("\t")
-                counts = MemberCounts(int(past), int(present), int(future))
-                if min(counts.past, counts.present, counts.future) < 0:
-                    raise ValueError(f"negative count in {line.strip()!r}")
-                sense = SenseId.parse(sense_text)
-                if sense in seen:
-                    raise ValueError(f"repeated sense {sense_text}")
-            except ValueError as exc:
-                raise DataError(f"{tsv_path} line {line_number}: {exc}") from exc
-            seen.add(sense)
-            groups.setdefault(synset_id, []).append((sense, counts))
+        parse_lines(handle, parse, start=2)
     snapshots = []
     for synset_id, members in groups.items():
         reason = _removal_reason([c for _, c in members])

@@ -69,12 +69,9 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
 
 
 def _load_file(path, loader):
-    """loader(handle) over a plain or gzipped file; its DataError names the file."""
+    """loader(handle) over a plain or gzipped file."""
     with open_maybe_gzip(path) as handle:
-        try:
-            return loader(handle)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        return loader(handle)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ._util import atomic_write_text, parse_lines
 from .errors import DataError
 from .lexicon import SenseId, categorial_variation_count
 
@@ -112,19 +113,18 @@ def syllable_count(lemma, exceptions=None):
 
 
 def load_syllable_exceptions(source):
-    """Parse a lemma<TAB>count override file ('#' comments allowed)."""
-    exceptions = {}
-    for line_number, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    """Parse a lemma<TAB>count override file ('#' comments allowed, counts >= 1)."""
+    def parse(line):
         try:
             lemma, count = line.split("\t")
-            exceptions[lemma] = int(count)
+            count = int(count)
         except ValueError:
-            raise DataError(f"syllable exceptions line {line_number}: expected "
-                            f"lemma<TAB>integer count, got {line!r}") from None
-    return exceptions
+            raise ValueError(f"expected lemma<TAB>integer count, got {line!r}") from None
+        if count < 1:
+            raise ValueError(f"syllable count of {lemma!r} must be at least 1, got {count}")
+        return lemma, count
+
+    return dict(parse_lines(source, parse, comments=True))
 
 
 def relative_frequencies(snapshot):
@@ -251,8 +251,6 @@ _FEATURE_TSV_HEADER = (
 
 def write_feature_vectors(vectors, path):
     """Dump vectors as TSV; floats use repr so the file round-trips exactly."""
-    from ._util import atomic_write_text
-
     lines = [_FEATURE_TSV_HEADER]
     for v in vectors:
         target = "" if v.target_class is None else str(v.target_class)
@@ -295,33 +293,26 @@ def read_feature_vectors(path):
     A malformed row, or a value beyond MAX_FEATURE_MAGNITUDE, is a
     DataError naming the file and line.
     """
+    def parse(line):
+        (synset_id, sense_text, norm_len, syll, shared, catvar,
+         growth, extrap, age, target, trigrams) = line.split("\t")
+        if target not in ("", "0", "1"):
+            raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
+        return FeatureVector(
+            sense=SenseId.parse(sense_text),
+            synset_id=synset_id,
+            normalized_length=_feature_value(norm_len),
+            syllable_count=_feature_value(syll, int),
+            unique_ngrams=tuple(t for t in trigrams.split(",") if t),
+            shared_ngrams=_feature_value(shared),
+            categorial_variations=_feature_value(catvar, int),
+            relative_growth=_feature_value(growth),
+            linear_extrapolation=_feature_value(extrap),
+            present_age=_feature_value(age, int),
+            target_class=int(target) if target else None,
+        )
+
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != _FEATURE_TSV_HEADER:
+        if handle.readline().rstrip("\n") != _FEATURE_TSV_HEADER:
             raise DataError(f"{path}: unexpected feature file header")
-        vectors = []
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            try:
-                (synset_id, sense_text, norm_len, syll, shared, catvar,
-                 growth, extrap, age, target, trigrams) = fields
-                if target not in ("", "0", "1"):
-                    raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
-                vectors.append(FeatureVector(
-                    sense=SenseId.parse(sense_text),
-                    synset_id=synset_id,
-                    normalized_length=_feature_value(norm_len),
-                    syllable_count=_feature_value(syll, int),
-                    unique_ngrams=tuple(t for t in trigrams.split(",") if t),
-                    shared_ngrams=_feature_value(shared),
-                    categorial_variations=_feature_value(catvar, int),
-                    relative_growth=_feature_value(growth),
-                    linear_extrapolation=_feature_value(extrap),
-                    present_age=_feature_value(age, int),
-                    target_class=int(target) if target else None,
-                ))
-            except ValueError as exc:
-                raise DataError(f"{path} line {line_number}: {exc}") from None
-    return vectors
+        return parse_lines(handle, parse, start=2)

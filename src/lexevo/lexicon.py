@@ -12,12 +12,11 @@ Lines starting with '#' are ignored in both formats.
 import re
 from dataclasses import dataclass, field
 
+from ._util import parse_lines
 from .corpus import split_token
-from .errors import DataError, RowParseError
 
 # lexicon pos letter -> corpus tag
 POS_TO_CORPUS = {"n": "NOUN", "v": "VERB", "a": "ADJ", "r": "ADV"}
-CORPUS_TO_POS = {v: k for k, v in POS_TO_CORPUS.items()}
 
 _ELIGIBLE_RE = re.compile(r"[a-z]{3,}")
 
@@ -67,35 +66,34 @@ def load_lexicon(source):
     Duplicate synset ids and empty member lists are fatal.  Sense numbers
     are assigned by order of appearance of (lemma, pos) in the file.
     """
-    lexicon = Lexicon()
+    sense_count = {}
     seen_ids = set()
-    for line_number, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+
+    def parse(line):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise DataError(f"lexicon line {line_number}: expected 3 columns")
+            raise ValueError("expected 3 columns")
         synset_id, pos, members_field = fields
         if pos == "s":
             pos = "a"
         if pos not in POS_TO_CORPUS:
-            raise DataError(f"lexicon line {line_number}: unknown pos {pos!r}")
+            raise ValueError(f"unknown pos {pos!r}")
         if synset_id in seen_ids:
-            raise DataError(f"lexicon line {line_number}: duplicate synset id {synset_id}")
+            raise ValueError(f"duplicate synset id {synset_id}")
         seen_ids.add(synset_id)
         lemmas = [l for l in members_field.split(",") if l]
         if not lemmas:
-            raise DataError(f"lexicon line {line_number}: empty member list")
+            raise ValueError("empty member list")
         if len(set(lemmas)) != len(lemmas):
-            raise DataError(f"lexicon line {line_number}: repeated lemma in synset")
+            raise ValueError("repeated lemma in synset")
         members = []
         for lemma in lemmas:
-            count = lexicon.sense_count.get((lemma, pos), 0) + 1
-            lexicon.sense_count[(lemma, pos)] = count
+            count = sense_count.get((lemma, pos), 0) + 1
+            sense_count[(lemma, pos)] = count
             members.append(SenseId(lemma, pos, count))
-        lexicon.synsets.append(Synset(synset_id, pos, tuple(members)))
-    return lexicon
+        return Synset(synset_id, pos, tuple(members))
+
+    return Lexicon(parse_lines(source, parse, comments=True), sense_count)
 
 
 def is_eligible_lemma(lemma):
@@ -125,17 +123,13 @@ def eligible_synsets(lexicon):
 
 @dataclass
 class CatVarClusters:
-    """Derivational clusters of (lemma, corpus POS tag) pairs."""
+    """Disjoint derivational clusters of (lemma, corpus POS tag) pairs."""
 
     clusters: list = field(default_factory=list)
 
     def __post_init__(self):
-        self._index = {}
-        for cluster in self.clusters:
-            for member in cluster:
-                if member in self._index:
-                    raise DataError(f"{member} appears in more than one cluster")
-                self._index[member] = cluster
+        self._index = {member: cluster for cluster in self.clusters
+                       for member in cluster}
 
     def cluster_of(self, member):
         return self._index.get(member)
@@ -145,21 +139,19 @@ class CatVarClusters:
 
 
 def load_catvar(source):
-    """Parse a cluster file; malformed tokens are fatal with a line number."""
-    clusters = []
-    for line_number, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        cluster = set()
-        for token in line.split(","):
-            token = token.strip()
-            try:
-                cluster.add(split_token(token))
-            except ValueError as exc:
-                raise RowParseError(str(exc), line_number) from exc
-        clusters.append(frozenset(cluster))
-    return CatVarClusters(clusters)
+    """Parse a cluster file; a bad token or a repeated member is fatal."""
+    seen = set()
+
+    def parse(line):
+        cluster = frozenset(split_token(token.strip()) for token in line.split(","))
+        repeated = cluster & seen
+        if repeated:
+            lemma, pos = min(repeated)
+            raise ValueError(f"{lemma}_{pos} appears in more than one cluster")
+        seen.update(cluster)
+        return cluster
+
+    return CatVarClusters(parse_lines(source, parse, comments=True))
 
 
 def categorial_variation_count(word, present, clusters, births):

@@ -51,27 +51,27 @@ def gaussian_log_pdf(params, x):
         2.0 * params.variance)
 
 
-def _fit_gaussian(values, variance_floor):
+def _fit_gaussian(values):
     """Exact mean and unbiased variance of a value list, floored."""
     n = len(values)
     mean = math.fsum(values) / n
     if n < 2:
-        variance = variance_floor
+        variance = VARIANCE_FLOOR
     else:
         ss = math.fsum((x - mean) * (x - mean) for x in values)
-        variance = max(ss / (n - 1), variance_floor)
+        variance = max(ss / (n - 1), VARIANCE_FLOOR)
     return GaussianParams(mean, variance, n)
 
 
-def _fit_binary_gaussian(ones, n, variance_floor):
+def _fit_binary_gaussian(ones, n):
     """Gaussian of a 0/1 dimension from its count of ones (exact)."""
     mean = ones / n
     if n < 2:
-        variance = variance_floor
+        variance = VARIANCE_FLOOR
     else:
         # sum of squared deviations of a binary sample, in closed form
         ss = ones * (1.0 - mean) ** 2 + (n - ones) * mean ** 2
-        variance = max(ss / (n - 1), variance_floor)
+        variance = max(ss / (n - 1), VARIANCE_FLOOR)
     return GaussianParams(mean, variance, n)
 
 
@@ -89,7 +89,7 @@ class NaiveBayesModel:
                                  compare=False)
 
 
-def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
+def fit(vectors, features=FEATURE_NAMES):
     """Fit class priors and per-dimension Gaussians from labeled vectors.
 
     The trigram dimension space is the union of unique trigrams seen in
@@ -116,7 +116,7 @@ def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
         if name not in features:
             continue
         scalar_params[name] = tuple(
-            _fit_gaussian([v.scalar(name) for v in by_class[c]], variance_floor)
+            _fit_gaussian([v.scalar(name) for v in by_class[c]])
             for c in (0, 1)
         )
 
@@ -130,8 +130,7 @@ def fit(vectors, features=FEATURE_NAMES, variance_floor=VARIANCE_FLOOR):
         trigram_dims = tuple(sorted(ones[0].keys() | ones[1].keys()))
         for tri in trigram_dims:
             trigram_params[tri] = tuple(
-                _fit_binary_gaussian(ones[c][tri], len(by_class[c]),
-                                     variance_floor)
+                _fit_binary_gaussian(ones[c][tri], len(by_class[c]))
                 for c in (0, 1)
             )
     return NaiveBayesModel(priors, tuple(features), scalar_params,

@@ -20,6 +20,7 @@ from lexevo.cli import (
     read_config_file,
 )
 from lexevo.errors import DataError, LexevoError
+from lexevo.features import FEATURE_NAMES
 
 
 def common_flags(paths, out):
@@ -147,7 +148,16 @@ class TestExitCodes:
         (["sweep", "--cycles", "x"], "--cycles"),
         (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
         (["plot-data", "--synset", "a00001", "--years", "2000:1800"], "--years"),
-    ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed"])
+        (["train", "--features", "f.tsv", "--only", "bogus"], "--only"),
+        (["train", "--features", "f.tsv", "--drop", "present_agee"], "--drop"),
+        (["train", "--features", "f.tsv", "--only", "present_age",
+          "--drop", "present_age"], "--drop"),
+        (["train", "--features", "f.tsv", "--only", ","], "--only"),
+        (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
+         "--drop"),
+    ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed",
+            "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
+            "only_nothing", "drop_everything"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
         # the flag is checked before any input is read: the corpus named
         # here does not exist, which would otherwise be a data error
@@ -375,8 +385,18 @@ class TestArtifactReaders:
                     + common_flags(synthetic_paths, tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
-        assert (f"{syllables}: syllable exceptions line 2: expected lemma<TAB>integer "
-                "count, got 'rapt\\tx'") in err
+        assert (f"{syllables} line 2: expected lemma<TAB>integer count, "
+                "got 'rapt\\tx'") in err
+        assert "Traceback" not in err
+
+    def test_member_in_two_clusters(self, tmp_path, synthetic_paths, capsys):
+        catvar = tmp_path / "catvar.tsv"
+        catvar.write_text("# clusters\nrapt_ADJ,rapture_NOUN\nrapture_NOUN,rapt_ADV\n")
+        code = main(["ingest", "--catvar", str(catvar)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{catvar} line 3: rapture_NOUN appears in more than one cluster" in err
         assert "Traceback" not in err
 
 
@@ -408,6 +428,12 @@ class TestReadScores:
             else:
                 assert 1 <= len(scores) <= 2
                 assert all(math.isfinite(score) for score in scores.values())
+
+    def test_repeated_sense_names_its_line(self, tmp_path):
+        path = tmp_path / "probabilities.tsv"
+        path.write_text("\n".join(self.ROWS + ["s00001\trapt#a#1\t0.9\t2.0"]) + "\n")
+        with pytest.raises(DataError, match=f"{path} line 4: .*repeated sense rapt#a#1"):
+            _read_scores(str(path))
 
 
 class TestPredict:

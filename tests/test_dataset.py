@@ -182,9 +182,9 @@ class TestDatasetSerialization:
         })
         ds = build_dataset([synset("one", "two")], table, WINDOW)
         tsv = tmp_path / "dataset.tsv"
-        sidecar = tmp_path / "dataset.json"
-        write_dataset(ds, str(tsv), str(sidecar))
-        loaded = read_dataset(str(tsv), str(sidecar))
+        write_dataset(ds, str(tsv))
+        assert (tmp_path / "dataset.json").exists()
+        loaded = read_dataset(str(tsv))
         assert loaded.window == ds.window
         assert loaded.synset_count == ds.synset_count
         original = {str(s): c for s, c in ds.snapshots[0].counts.items()}
@@ -198,7 +198,7 @@ class TestDatasetSerialization:
         tsv.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
                        + "\n".join(rows) + "\n")
         sidecar.write_text('{"window": [1850, 1900, 1950]}\n')
-        return str(tsv), str(sidecar)
+        return str(tsv)
 
     @pytest.mark.parametrize("rows, reason", [
         (["x1\tone#n#1\t2\t5\t9", "x1\ttwo#n#1\t4\t3\t9"], "tie"),
@@ -206,11 +206,11 @@ class TestDatasetSerialization:
     ])
     def test_read_rejects_rule_breaking_synset(self, tmp_path, rows, reason):
         with pytest.raises(DataError, match=f"synset x1 breaks the {reason} rule"):
-            read_dataset(*self.write_rows(tmp_path, rows))
+            read_dataset(self.write_rows(tmp_path, rows))
 
     def test_read_reports_bad_row_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
-            read_dataset(*self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))
+            read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))
 
     @pytest.mark.parametrize("second_row, message", [
         ("x1\ttwo#n#1\t4\t-3\t1", "line 3: negative count"),
@@ -218,8 +218,8 @@ class TestDatasetSerialization:
     ], ids=["negative_count", "repeated_sense"])
     def test_read_rejects_bad_second_row(self, tmp_path, second_row, message):
         with pytest.raises(DataError, match=message):
-            read_dataset(*self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
-                                                     second_row]))
+            read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                                    second_row]))
 
     @settings(max_examples=300, deadline=None)
     @example(1, 3, "-3")
@@ -243,7 +243,7 @@ class TestDatasetSerialization:
             with open(sidecar, "w", encoding="utf-8") as handle:
                 handle.write('{"window": [1850, 1900, 1950]}\n')
             try:
-                dataset = read_dataset(tsv, sidecar)
+                dataset = read_dataset(tsv)
             except DataError as exc:
                 message = str(exc)
                 assert (message.startswith(f"{tsv} line {row + 2}: ")

@@ -123,6 +123,13 @@ class TestSyllableCount:
         with pytest.raises(DataError, match="line 2: expected lemma<TAB>integer count"):
             load_syllable_exceptions(io.StringIO("every\t2\nrapt\tx\n"))
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_names_line(self, count):
+        # syllable_count never returns less than 1, so neither may an override
+        with pytest.raises(DataError, match=f"line 2: syllable count of 'rapt' must be "
+                                            f"at least 1, got {count}"):
+            load_syllable_exceptions(io.StringIO(f"every\t2\nrapt\t{count}\n"))
+
 
 class TestRelativeFrequencies:
     def test_sums_to_one(self):

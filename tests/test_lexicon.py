@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from lexevo.errors import DataError, RowParseError
+from lexevo.errors import DataError
 from lexevo.lexicon import (
     SenseId,
     categorial_variation_count,
@@ -105,11 +105,11 @@ class TestCatVar:
         assert load_catvar(io.StringIO("")).clusters == []
 
     def test_token_without_pos_fatal(self):
-        with pytest.raises(RowParseError):
+        with pytest.raises(DataError, match="line 1: token 'hunger' has no _POS suffix"):
             load_catvar(io.StringIO("hunger\n"))
 
     def test_duplicate_membership_fatal(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="line 2: a_NOUN appears in more than one cluster"):
             load_catvar(io.StringIO("a_NOUN,b_NOUN\na_NOUN,c_NOUN\n"))
 
 
