@@ -20,7 +20,7 @@ from . import experiments as experiments_mod
 from . import features as features_mod
 from . import model as model_mod
 from ._util import atomic_write_json, atomic_write_text, parse_lines
-from .errors import DataError, LexevoError
+from .errors import DataError, LexevoError, UsageError
 from .lexicon import SenseId
 
 EXIT_OK = 0
@@ -159,11 +159,13 @@ def build_parser():
         p = sub.add_parser(name)
         _add_common(p)
         if name == "extract-features":
-            p.add_argument("--dataset", help="dataset TSV from build-dataset")
+            p.add_argument("--dataset", required=True,
+                           help="dataset TSV from build-dataset")
             p.add_argument("--no-class", action="store_true",
                            help="omit target classes (prediction-time vectors)")
         elif name == "train":
-            p.add_argument("--features", help="feature TSV from extract-features")
+            p.add_argument("--features", required=True,
+                           help="feature TSV from extract-features")
             p.add_argument("--model", help="output model JSON path")
             subset = p.add_mutually_exclusive_group()
             subset.add_argument("--only", dest="selection", metavar="NAMES",
@@ -174,11 +176,13 @@ def build_parser():
                                 help="comma-separated features to exclude")
             p.set_defaults(selection=features_mod.FEATURE_NAMES)
         elif name == "predict":
-            p.add_argument("--features", help="feature TSV to score")
-            p.add_argument("--model", help="fitted model JSON")
+            p.add_argument("--features", required=True, help="feature TSV to score")
+            p.add_argument("--model", required=True, help="fitted model JSON")
         elif name == "evaluate":
-            p.add_argument("--dataset", help="dataset TSV with future counts")
-            p.add_argument("--probabilities", help="probability TSV from predict")
+            p.add_argument("--dataset", required=True,
+                           help="dataset TSV with future counts")
+            p.add_argument("--probabilities", required=True,
+                           help="probability TSV from predict")
         elif name == "ablate":
             p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
                            default="drop_one")
@@ -208,9 +212,11 @@ def resolve_config(args):
 
 
 def _require(config, *names):
+    """--corpus and --lexicon may come from --config, so argparse cannot
+    require them."""
     for name in names:
         if not getattr(config, name):
-            raise LexevoError(f"missing required input: --{name}")
+            raise UsageError(f"missing required input: --{name}")
 
 
 def _load_inputs(config):
@@ -255,19 +261,27 @@ def cmd_build_dataset(args, config):
     for window in windows:
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window,
                                        config.half_width)
+        ds.births = {key: inputs.births.get(key)
+                     for key in features_mod.birth_keys(ds, inputs.clusters)}
         dataset_mod.write_dataset(
             ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"))
     return EXIT_OK
 
 
 def cmd_extract_features(args, config):
-    if not args.dataset:
-        raise LexevoError("missing required input: --dataset")
-    inputs, _, _ = _load_inputs(config)
+    """Features from the dataset and its sidecar's births; no corpus or
+    lexicon is read, so --corpus and --lexicon are ignored."""
     ds = dataset_mod.read_dataset(args.dataset)
+    clusters, exceptions = experiments_mod.load_word_tables(config.catvar,
+                                                            config.syllables)
+    missing = features_mod.birth_keys(ds, clusters) - ds.births.keys()
+    if missing:
+        lemma, pos = min(missing)
+        raise DataError(f"{dataset_mod.summary_path(args.dataset)}: key 'births' "
+                        f"has no {lemma}_{pos}; build the dataset with the "
+                        f"--catvar given here")
     vectors = features_mod.extract_features(
-        ds, inputs.clusters, inputs.births, inputs.syllable_exceptions,
-        include_class=not args.no_class,
+        ds, clusters, ds.births, exceptions, include_class=not args.no_class,
     )
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
@@ -275,8 +289,6 @@ def cmd_extract_features(args, config):
 
 
 def cmd_train(args, config):
-    if not args.features:
-        raise LexevoError("missing required input: --features")
     vectors = features_mod.read_feature_vectors(args.features)
     fitted = model_mod.fit(vectors, features=args.selection)
     out = args.model or os.path.join(config.out, "model.json")
@@ -285,8 +297,6 @@ def cmd_train(args, config):
 
 
 def cmd_predict(args, config):
-    if not args.features or not args.model:
-        raise LexevoError("predict needs --features and --model")
     vectors = features_mod.read_feature_vectors(args.features)
     fitted = model_mod.load_model(args.model)
     lines = ["synset_id\tsense_id\twin_probability\tlog_odds"]
@@ -329,8 +339,6 @@ def _read_scores(path):
 
 
 def cmd_evaluate(args, config):
-    if not args.dataset or not args.probabilities:
-        raise LexevoError("evaluate needs --dataset and --probabilities")
     ds = dataset_mod.read_dataset(args.dataset)
     scores_by_sense = _read_scores(args.probabilities)
     for snapshot in ds.snapshots:
@@ -447,7 +455,7 @@ def main(argv=None):
         return _HANDLERS[args.command](args, config)
     except (LexevoError, OSError, ValueError) as exc:
         print(f"evocli: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._util import atomic_write_json, atomic_write_text, parse_lines
-from .corpus import DEFAULT_HALF_WIDTH, period_count
+from .corpus import DEFAULT_HALF_WIDTH, period_count, split_token
 from .errors import DataError
 from .lexicon import SenseId, Synset
 
@@ -140,6 +140,9 @@ class Dataset:
     window: TimeWindow
     snapshots: list
     removal_log: Counter = field(default_factory=Counter)
+    # corpus key -> birth year or None, for the keys extract_features reads;
+    # build-dataset fills it so that extract-features needs no corpus
+    births: dict = field(default_factory=dict)
 
     @property
     def synset_count(self):
@@ -183,13 +186,14 @@ def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
     return Dataset(window, snapshots, removal_log)
 
 
-def _summary_path(tsv_path):
+def summary_path(tsv_path):
     """The JSON summary sidecar of a dataset TSV: <stem>.json beside it."""
     return os.path.splitext(tsv_path)[0] + ".json"
 
 
 def write_dataset(dataset, tsv_path):
-    """Serialize a dataset: member-count TSV plus its JSON summary sidecar."""
+    """Serialize a dataset: member-count TSV plus a JSON sidecar holding its
+    summary and its births, keyed by lemma_POS tokens."""
     lines = ["synset_id\tsense_id\tpast\tpresent\tfuture"]
     for snapshot in dataset.snapshots:
         for sense, c in snapshot.counts.items():
@@ -197,7 +201,10 @@ def write_dataset(dataset, tsv_path):
                 f"{snapshot.synset.id}\t{sense}\t{c.past}\t{c.present}\t{c.future}"
             )
     atomic_write_text(tsv_path, "\n".join(lines) + "\n")
-    atomic_write_json(_summary_path(tsv_path), dataset.summary())
+    births = {f"{lemma}_{pos}": year
+              for (lemma, pos), year in dataset.births.items()}
+    atomic_write_json(summary_path(tsv_path),
+                      {**dataset.summary(), "births": births})
 
 
 def read_dataset(tsv_path):
@@ -207,10 +214,10 @@ def read_dataset(tsv_path):
     naming the line.
     Every synset must pass the removal rules that build_dataset applies;
     one that breaks them is a DataError naming the synset and the rule.
-    A JSON sidecar that is not JSON or lacks a valid window is a DataError
-    naming the file (and the key).
+    A JSON sidecar that is not JSON or lacks a valid window, removals or
+    births is a DataError naming the file (and the key).
     """
-    window, removals = _read_summary(_summary_path(tsv_path))
+    window, removals, births = _read_summary(summary_path(tsv_path))
     groups = {}
     seen = set()
 
@@ -236,11 +243,11 @@ def read_dataset(tsv_path):
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         synset = Synset(synset_id, members[0][0].pos, tuple(s for s, _ in members))
         snapshots.append(SynsetSnapshot(synset, dict(members)))
-    return Dataset(window, snapshots, removals)
+    return Dataset(window, snapshots, removals, births)
 
 
 def _read_summary(json_path):
-    """(TimeWindow, removal Counter) from a dataset's JSON sidecar."""
+    """(TimeWindow, removal Counter, births) from a dataset's JSON sidecar."""
     try:
         with open(json_path, encoding="utf-8") as handle:
             summary = json.load(handle)
@@ -261,4 +268,19 @@ def _read_summary(json_path):
             and all(type(n) is int and n >= 0 for n in removals.values())):
         raise DataError(f"{json_path}: key 'removals' must map reasons to "
                         f"counts, got {removals!r}")
-    return window, Counter(removals)
+    if "births" not in summary:
+        raise DataError(f"{json_path}: dataset summary has no key 'births'")
+    tokens = summary["births"]
+    if not isinstance(tokens, dict):
+        raise DataError(f"{json_path}: key 'births' must map lemma_POS tokens "
+                        f"to years, got {type(tokens).__name__}")
+    births = {}
+    for token, year in tokens.items():
+        try:
+            if not (year is None or type(year) is int):
+                raise ValueError(f"year {year!r} is not an integer or null")
+            births[split_token(token)] = year
+        except ValueError as exc:
+            raise DataError(f"{json_path}: bad key 'births' entry "
+                            f"{token!r}: {exc}") from None
+    return window, Counter(removals), births

@@ -5,6 +5,10 @@ class LexevoError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(LexevoError):
+    """The command line leaves out a required input."""
+
+
 class DataError(LexevoError):
     """Input data violates a contract (bad file, missing word, etc.)."""
 

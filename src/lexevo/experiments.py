@@ -50,13 +50,10 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
     """
     lexicon = _load_file(lexicon_path, load_lexicon)
     synsets = eligible_synsets(lexicon)
-    clusters = (_load_file(catvar_path, load_catvar) if catvar_path
-                else CatVarClusters())
+    clusters, exceptions = load_word_tables(catvar_path, syllables_path)
     filter_keys = ({m.corpus_key() for s in synsets for m in s.members}
                    | set(clusters.members()))
     table, report = load_corpus(corpus_paths, filter_keys)
-    exceptions = (_load_file(syllables_path, load_syllable_exceptions)
-                  if syllables_path else {})
     inputs = PipelineInputs(
         corpus=table,
         synsets=synsets,
@@ -66,6 +63,15 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
         half_width=half_width,
     )
     return inputs, lexicon, report
+
+
+def load_word_tables(catvar_path=None, syllables_path=None):
+    """(CatVarClusters, syllable exceptions) from their optional files."""
+    clusters = (_load_file(catvar_path, load_catvar) if catvar_path
+                else CatVarClusters())
+    exceptions = (_load_file(syllables_path, load_syllable_exceptions)
+                  if syllables_path else {})
+    return clusters, exceptions
 
 
 def _load_file(path, loader):

@@ -113,7 +113,10 @@ def syllable_count(lemma, exceptions=None):
 
 
 def load_syllable_exceptions(source):
-    """Parse a lemma<TAB>count override file ('#' comments allowed, counts >= 1)."""
+    """Parse a lemma<TAB>count override file ('#' comments allowed, counts >= 1,
+    each lemma once)."""
+    exceptions = {}
+
     def parse(line):
         try:
             lemma, count = line.split("\t")
@@ -122,9 +125,12 @@ def load_syllable_exceptions(source):
             raise ValueError(f"expected lemma<TAB>integer count, got {line!r}") from None
         if count < 1:
             raise ValueError(f"syllable count of {lemma!r} must be at least 1, got {count}")
-        return lemma, count
+        if lemma in exceptions:
+            raise ValueError(f"repeated lemma {lemma!r}")
+        exceptions[lemma] = count
 
-    return dict(parse_lines(source, parse, comments=True))
+    parse_lines(source, parse, comments=True)
+    return exceptions
 
 
 def relative_frequencies(snapshot):
@@ -224,6 +230,18 @@ def make_feature_vector(member, snapshot, clusters, births, window,
                           births, window, syllable_exceptions, include_class)
 
 
+def birth_keys(dataset, clusters):
+    """The corpus keys whose birth years extract_features reads: every
+    snapshot member and every cluster-mate of one."""
+    keys = set()
+    for snapshot in dataset.snapshots:
+        for member in snapshot.counts:
+            key = member.corpus_key()
+            keys.add(key)
+            keys.update(clusters.cluster_of(key) or ())
+    return keys
+
+
 def extract_features(dataset, clusters, births, syllable_exceptions=None,
                      include_class=True):
     """Feature vectors for every word of every snapshot in a dataset.
@@ -290,16 +308,22 @@ def _feature_value(text, parse=float):
 def read_feature_vectors(path):
     """Reload vectors written by write_feature_vectors.
 
-    A malformed row, or a value beyond MAX_FEATURE_MAGNITUDE, is a
-    DataError naming the file and line.
+    A malformed row, a value beyond MAX_FEATURE_MAGNITUDE or a repeated
+    sense is a DataError naming the file and line.
     """
+    seen = set()
+
     def parse(line):
         (synset_id, sense_text, norm_len, syll, shared, catvar,
          growth, extrap, age, target, trigrams) = line.split("\t")
         if target not in ("", "0", "1"):
             raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
+        sense = SenseId.parse(sense_text)
+        if sense in seen:
+            raise ValueError(f"repeated sense {sense_text}")
+        seen.add(sense)
         return FeatureVector(
-            sense=SenseId.parse(sense_text),
+            sense=sense,
             synset_id=synset_id,
             normalized_length=_feature_value(norm_len),
             syllable_count=_feature_value(syll, int),

@@ -131,8 +131,25 @@ class TestExitCodes:
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["ingest", "--bogus-flag"]) == EXIT_USAGE
 
-    def test_missing_inputs_is_data_error(self, tmp_path, capsys):
-        assert main(["ingest", "--out", str(tmp_path)]) == EXIT_DATA
+    def test_missing_inputs_is_usage_error(self, tmp_path, capsys):
+        # --corpus and --lexicon may come from --config, so they are checked
+        # after it is read, yet their absence is still a usage error
+        assert main(["ingest", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "missing required input: --corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--out", "x"], "--features"),
+        (["evaluate"], "--dataset"),
+        (["extract-features"], "--dataset"),
+        (["predict", "--features", "f.tsv"], "--model"),
+    ], ids=["train", "evaluate", "extract_features", "predict"])
+    def test_missing_required_flag_is_usage_error(self, tmp_path, capsys, argv,
+                                                   flag):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "the following arguments are required: " in err and flag in err
+        assert not os.path.exists("x")
 
     def test_nonexistent_corpus_is_data_error(self, tmp_path, synthetic_paths,
                                               capsys):
@@ -196,11 +213,11 @@ class TestPinnedOutputs:
         ("rapture", "ingest"):
             "cc235a492d0614cedee807e4ab020955d3c17a6e1e66edca915198800e16cb5e",
         ("rapture", "build-dataset"):
-            "26db0490ee25287951bc485af4f53870b171606195c3516f66b4e332a267bb44",
+            "a9dcfaa3f434156f607270e53d7205eace1edb520e0c5e7ef7a8177ae3901d87",
         ("synthetic", "ingest"):
             "0461b26a90d774d8ddd4436e0a3098cf36b201496f2d04170a68681bd2cf5074",
         ("synthetic", "build-dataset"):
-            "42e2e80025d458f40938135b662c3f43af9fb7977fac60deb9d5da279bfb8f37",
+            "fccbdf883ec36f9a4ae62c12a011079e55c6ac0b1a76d5b3e6da86901100aa60",
     }
 
     @pytest.mark.parametrize("bundle, command", sorted(PINNED))
@@ -340,7 +357,8 @@ class TestArtifactReaders:
         ('{"synsets": 1}\n', "dataset summary has no key 'window'"),
         ('{"window": [1900, 1950]}\n', "bad key 'window' [1900, 1950]"),
         ("not json\n", "not a JSON dataset summary"),
-    ], ids=["no_window", "short_window", "not_json"])
+        ('{"window": [1850, 1900, 1950]}\n', "dataset summary has no key 'births'"),
+    ], ids=["no_window", "short_window", "not_json", "no_births"])
     def test_bad_dataset_sidecar(self, tmp_path, synthetic_paths, stage_dir, capsys,
                                  sidecar_text, message):
         dataset = tmp_path / "dataset.tsv"
@@ -398,6 +416,76 @@ class TestArtifactReaders:
         assert code == EXIT_DATA
         assert f"{catvar} line 3: rapture_NOUN appears in more than one cluster" in err
         assert "Traceback" not in err
+
+
+class TestExtractFeaturesFromDataset:
+    """extract-features reads the dataset and the births in its sidecar,
+    plus --catvar and --syllables; no corpus and no lexicon."""
+
+    @staticmethod
+    def build(paths, out, *keys):
+        flags = [flag for key in ("corpus", "lexicon") + keys
+                 for flag in (f"--{key}", paths[key])]
+        assert main(["build-dataset"] + flags + ["--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("bundle", ["rapture", "synthetic"])
+    def test_matches_in_process_features(self, tmp_path, request, bundle):
+        from lexevo.dataset import build_dataset, schedule_windows
+        from lexevo.experiments import load_pipeline_inputs
+        from lexevo.features import extract_features, write_feature_vectors
+
+        paths = request.getfixturevalue(f"{bundle}_paths")
+        out = tmp_path / "out"
+        self.build(paths, out, "catvar", "syllables")
+        inputs, _, _ = load_pipeline_inputs([paths["corpus"]], paths["lexicon"],
+                                            paths["catvar"], paths["syllables"])
+        for window in sorted({w for pair in schedule_windows(50) for w in pair}):
+            label = window.label()
+            assert main(["extract-features",
+                         "--dataset", str(out / f"dataset_{label}.tsv"),
+                         "--catvar", paths["catvar"],
+                         "--syllables", paths["syllables"],
+                         "--out", str(out)]) == EXIT_OK
+            expected = tmp_path / f"expected_{label}.tsv"
+            write_feature_vectors(
+                extract_features(build_dataset(inputs.synsets, inputs.corpus, window),
+                                 inputs.clusters, inputs.births,
+                                 inputs.syllable_exceptions),
+                str(expected))
+            assert (out / f"features_{label}.tsv").read_bytes() == expected.read_bytes()
+
+    def test_reads_no_corpus(self, tmp_path, rapture_paths, monkeypatch):
+        from lexevo import corpus, experiments
+
+        out = tmp_path / "out"
+        self.build(rapture_paths, out, "catvar")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extract-features loaded a corpus")
+
+        monkeypatch.setattr(corpus, "load_corpus", refuse)
+        monkeypatch.setattr(experiments, "load_corpus", refuse)
+        # --corpus and --lexicon are accepted and ignored
+        assert main(["extract-features",
+                     "--dataset", str(out / "dataset_1850_1900_1950.tsv"),
+                     "--corpus", str(tmp_path / "nope.tsv"),
+                     "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                     "--catvar", rapture_paths["catvar"],
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "features_1850_1900_1950.tsv").exists()
+
+    def test_catvar_not_used_to_build(self, tmp_path, rapture_paths, capsys):
+        out = tmp_path / "out"
+        self.build(rapture_paths, out)
+        code = main(["extract-features",
+                     "--dataset", str(out / "dataset_1850_1900_1950.tsv"),
+                     "--catvar", rapture_paths["catvar"], "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{out / 'dataset_1850_1900_1950.json'}: key 'births' has no "
+                "ecstasy_NOUN; build the dataset with the --catvar given here") in err
+        assert "Traceback" not in err
+        assert not (out / "features_1850_1900_1950.tsv").exists()
 
 
 class TestReadScores:

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import tempfile
 
@@ -191,13 +192,45 @@ class TestDatasetSerialization:
         restored = {str(s): c for s, c in loaded.snapshots[0].counts.items()}
         assert restored == original
 
+    def test_births_roundtrip(self, tmp_path):
+        table = table_for({
+            "one": {1850: 2, 1900: 5, 1950: 9},
+            "two": {1850: 4, 1900: 3, 1950: 1},
+        })
+        ds = build_dataset([synset("one", "two")], table, WINDOW)
+        ds.births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1700,
+                     ("un_der", "VERB"): None}
+        tsv = tmp_path / "dataset.tsv"
+        write_dataset(ds, str(tsv))
+        sidecar = json.loads((tmp_path / "dataset.json").read_text())
+        assert sidecar.pop("births") == {"one_NOUN": 1850, "two_NOUN": 1700,
+                                         "un_der_VERB": None}
+        assert sidecar == ds.summary()
+        assert read_dataset(str(tsv)).births == ds.births
+
+    @pytest.mark.parametrize("births, message", [
+        ([], "key 'births' must map lemma_POS tokens to years, got list"),
+        ({"one": 1850}, "bad key 'births' entry 'one': token 'one' has no _POS suffix"),
+        ({"one_NOUN": "1850"}, "bad key 'births' entry 'one_NOUN': year '1850' "
+                               "is not an integer or null"),
+        ({"one_NOUN": True}, "bad key 'births' entry 'one_NOUN': year True"),
+    ], ids=["not_a_map", "no_pos", "year_text", "year_bool"])
+    def test_bad_births(self, tmp_path, births, message):
+        tsv = self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                         "x1\ttwo#n#1\t4\t3\t1"])
+        (tmp_path / "dataset.json").write_text(
+            json.dumps({"window": [1850, 1900, 1950], "births": births}))
+        with pytest.raises(DataError) as info:
+            read_dataset(tsv)
+        assert str(info.value).startswith(f"{tmp_path / 'dataset.json'}: {message}")
+
     @staticmethod
     def write_rows(tmp_path, rows):
         tsv = tmp_path / "dataset.tsv"
         sidecar = tmp_path / "dataset.json"
         tsv.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
                        + "\n".join(rows) + "\n")
-        sidecar.write_text('{"window": [1850, 1900, 1950]}\n')
+        sidecar.write_text('{"window": [1850, 1900, 1950], "births": {}}\n')
         return str(tsv)
 
     @pytest.mark.parametrize("rows, reason", [
@@ -241,7 +274,7 @@ class TestDatasetSerialization:
                 handle.write("synset_id\tsense_id\tpast\tpresent\tfuture\n"
                              + "\n".join(rows) + "\n")
             with open(sidecar, "w", encoding="utf-8") as handle:
-                handle.write('{"window": [1850, 1900, 1950]}\n')
+                handle.write('{"window": [1850, 1900, 1950], "births": {}}\n')
             try:
                 dataset = read_dataset(tsv)
             except DataError as exc:

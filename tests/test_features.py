@@ -130,6 +130,11 @@ class TestSyllableCount:
                                             f"at least 1, got {count}"):
             load_syllable_exceptions(io.StringIO(f"every\t2\nrapt\t{count}\n"))
 
+    def test_repeated_lemma_names_line(self):
+        # the last count would otherwise win silently
+        with pytest.raises(DataError, match="line 3: repeated lemma 'rapt'"):
+            load_syllable_exceptions(io.StringIO("rapt\t2\nevery\t2\nrapt\t5\n"))
+
 
 class TestRelativeFrequencies:
     def test_sums_to_one(self):
@@ -305,8 +310,9 @@ class TestSerialization:
         (lambda f: f[:2] + ["1e200"] + f[3:], "exceeds the feature magnitude bound"),
         (lambda f: f[:8] + [str(10 ** 200)] + f[9:],
          "exceeds the feature magnitude bound"),
+        (lambda f: f[:1] + ["rapt#a#1"] + f[2:], "repeated sense rapt#a#1"),
     ], ids=["bad_float", "short_row", "nan", "bad_target", "bad_sense",
-            "huge_float", "huge_int"])
+            "huge_float", "huge_int", "repeated_sense"])
     def test_bad_row_names_file_and_line(self, tmp_path, edit, message):
         path = str(tmp_path / "features.tsv")
         write_feature_vectors(self.make_vectors(), path)
