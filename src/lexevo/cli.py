@@ -21,7 +21,7 @@ from . import features as features_mod
 from . import model as model_mod
 from ._util import atomic_write_json, atomic_write_text, parse_lines
 from .errors import DataError, LexevoError, UsageError
-from .lexicon import SenseId
+from .lexicon import CatVarClusters, SenseId
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,11 +48,11 @@ class RunConfig:
 
     def validate(self):
         if self.floor_year >= self.anchor_year:
-            raise LexevoError("floor_year must be before anchor_year")
+            raise UsageError("floor_year must be before anchor_year")
         if self.cycle_years < 1:
-            raise LexevoError("cycle_years must be positive")
+            raise UsageError("cycle_years must be positive")
         if self.half_width < 0:
-            raise LexevoError("half_width must be non-negative")
+            raise UsageError("half_width must be non-negative")
 
 
 _INT_KEYS = {"cycle_years", "half_width", "anchor_year", "floor_year", "seed"}
@@ -261,27 +261,23 @@ def cmd_build_dataset(args, config):
     for window in windows:
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window,
                                        config.half_width)
+        members = {m.corpus_key() for s in ds.snapshots for m in s.counts}
+        ds.clusters = CatVarClusters([cluster for cluster in inputs.clusters.clusters
+                                      if cluster & members])
         ds.births = {key: inputs.births.get(key)
-                     for key in features_mod.birth_keys(ds, inputs.clusters)}
+                     for key in members.union(ds.clusters.members())}
         dataset_mod.write_dataset(
             ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"))
     return EXIT_OK
 
 
 def cmd_extract_features(args, config):
-    """Features from the dataset and its sidecar's births; no corpus or
-    lexicon is read, so --corpus and --lexicon are ignored."""
+    """Features from the dataset and its sidecar's clusters and births;
+    --corpus, --lexicon and --catvar are ignored."""
     ds = dataset_mod.read_dataset(args.dataset)
-    clusters, exceptions = experiments_mod.load_word_tables(config.catvar,
-                                                            config.syllables)
-    missing = features_mod.birth_keys(ds, clusters) - ds.births.keys()
-    if missing:
-        lemma, pos = min(missing)
-        raise DataError(f"{dataset_mod.summary_path(args.dataset)}: key 'births' "
-                        f"has no {lemma}_{pos}; build the dataset with the "
-                        f"--catvar given here")
     vectors = features_mod.extract_features(
-        ds, clusters, ds.births, exceptions, include_class=not args.no_class,
+        ds, ds.clusters, ds.births, experiments_mod.load_syllables(config.syllables),
+        include_class=not args.no_class,
     )
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)

@@ -15,7 +15,7 @@ from functools import cached_property
 from ._util import atomic_write_json, atomic_write_text, parse_lines
 from .corpus import DEFAULT_HALF_WIDTH, period_count, split_token
 from .errors import DataError
-from .lexicon import SenseId, Synset
+from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
 
 REMOVAL_DEAD_WORD = "dead_word"
 REMOVAL_TIE = "tie"
@@ -140,8 +140,10 @@ class Dataset:
     window: TimeWindow
     snapshots: list
     removal_log: Counter = field(default_factory=Counter)
-    # corpus key -> birth year or None, for the keys extract_features reads;
-    # build-dataset fills it so that extract-features needs no corpus
+    # the clusters holding a snapshot member, and corpus key -> birth year or
+    # None for every member of either; build-dataset fills both so that
+    # extract-features needs no corpus and no cluster file
+    clusters: CatVarClusters = field(default_factory=CatVarClusters)
     births: dict = field(default_factory=dict)
 
     @property
@@ -193,7 +195,8 @@ def summary_path(tsv_path):
 
 def write_dataset(dataset, tsv_path):
     """Serialize a dataset: member-count TSV plus a JSON sidecar holding its
-    summary and its births, keyed by lemma_POS tokens."""
+    summary, its births keyed by lemma_POS tokens, and its clusters as
+    sorted lists of those tokens."""
     lines = ["synset_id\tsense_id\tpast\tpresent\tfuture"]
     for snapshot in dataset.snapshots:
         for sense, c in snapshot.counts.items():
@@ -203,8 +206,10 @@ def write_dataset(dataset, tsv_path):
     atomic_write_text(tsv_path, "\n".join(lines) + "\n")
     births = {f"{lemma}_{pos}": year
               for (lemma, pos), year in dataset.births.items()}
-    atomic_write_json(summary_path(tsv_path),
-                      {**dataset.summary(), "births": births})
+    clusters = sorted(sorted(f"{lemma}_{pos}" for lemma, pos in cluster)
+                      for cluster in dataset.clusters.clusters)
+    atomic_write_json(summary_path(tsv_path), {**dataset.summary(), "births": births,
+                                               "clusters": clusters})
 
 
 def read_dataset(tsv_path):
@@ -214,10 +219,12 @@ def read_dataset(tsv_path):
     naming the line.
     Every synset must pass the removal rules that build_dataset applies;
     one that breaks them is a DataError naming the synset and the rule.
-    A JSON sidecar that is not JSON or lacks a valid window, removals or
-    births is a DataError naming the file (and the key).
+    A JSON sidecar that is not JSON or lacks a valid window, removals,
+    births or clusters is a DataError naming the file (and the key); so
+    are clusters that share a member, and births that lack a member.
     """
-    window, removals, births = _read_summary(summary_path(tsv_path))
+    json_path = summary_path(tsv_path)
+    window, removals, births, clusters = _read_summary(json_path)
     groups = {}
     seen = set()
 
@@ -243,11 +250,16 @@ def read_dataset(tsv_path):
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         synset = Synset(synset_id, members[0][0].pos, tuple(s for s, _ in members))
         snapshots.append(SynsetSnapshot(synset, dict(members)))
-    return Dataset(window, snapshots, removals, births)
+    members = {m.corpus_key() for s in snapshots for m in s.counts}
+    missing = members.union(clusters.members()) - births.keys()
+    if missing:
+        lemma, pos = min(missing)
+        raise DataError(f"{json_path}: key 'births' has no {lemma}_{pos}")
+    return Dataset(window, snapshots, removals, clusters, births)
 
 
 def _read_summary(json_path):
-    """(TimeWindow, removal Counter, births) from a dataset's JSON sidecar."""
+    """(TimeWindow, removal Counter, births, clusters) from a JSON sidecar."""
     try:
         with open(json_path, encoding="utf-8") as handle:
             summary = json.load(handle)
@@ -283,4 +295,17 @@ def _read_summary(json_path):
         except ValueError as exc:
             raise DataError(f"{json_path}: bad key 'births' entry "
                             f"{token!r}: {exc}") from None
-    return window, Counter(removals), births
+    if not isinstance(summary.get("clusters"), list):
+        raise DataError(f"{json_path}: dataset summary has no key 'clusters' "
+                        "listing clusters of lemma_POS tokens")
+    clusters, seen = [], set()
+    for tokens in summary["clusters"]:
+        try:
+            if not (isinstance(tokens, list)
+                    and all(isinstance(token, str) for token in tokens)):
+                raise ValueError("need a list of lemma_POS tokens")
+            clusters.append(disjoint_cluster(tokens, seen))
+        except ValueError as exc:
+            raise DataError(f"{json_path}: bad key 'clusters' entry "
+                            f"{tokens!r}: {exc}") from None
+    return window, Counter(removals), births, CatVarClusters(clusters)

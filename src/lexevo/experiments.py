@@ -50,7 +50,8 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
     """
     lexicon = _load_file(lexicon_path, load_lexicon)
     synsets = eligible_synsets(lexicon)
-    clusters, exceptions = load_word_tables(catvar_path, syllables_path)
+    clusters = _load_file(catvar_path, load_catvar) if catvar_path else CatVarClusters()
+    exceptions = load_syllables(syllables_path)
     filter_keys = ({m.corpus_key() for s in synsets for m in s.members}
                    | set(clusters.members()))
     table, report = load_corpus(corpus_paths, filter_keys)
@@ -65,13 +66,9 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
     return inputs, lexicon, report
 
 
-def load_word_tables(catvar_path=None, syllables_path=None):
-    """(CatVarClusters, syllable exceptions) from their optional files."""
-    clusters = (_load_file(catvar_path, load_catvar) if catvar_path
-                else CatVarClusters())
-    exceptions = (_load_file(syllables_path, load_syllable_exceptions)
-                  if syllables_path else {})
-    return clusters, exceptions
+def load_syllables(path=None):
+    """Syllable exceptions from an optional file."""
+    return _load_file(path, load_syllable_exceptions) if path else {}
 
 
 def _load_file(path, loader):
@@ -286,6 +283,20 @@ def welch_t_test(mean1, var1, n1, mean2, var2, n2, alpha=0.05):
     return t, df, p, p < alpha
 
 
+def fisher_exact(ones0, n0, ones1, n1):
+    """Fisher's exact two-sided test of presence x class: ones_c of the n_c
+    vectors of class c hold a trigram (Agresti, Categorical Data Analysis,
+    2002).  p sums the hypergeometric weights comb(n0, x) * comb(n1, k - x)
+    no larger than the observed one, over comb(n0 + n1, k) with k = ones0 +
+    ones1.  Returns (p, significant at 5%), decided in exact integers."""
+    k = ones0 + ones1
+    weights = [math.comb(n0, x) * math.comb(n1, k - x) for x in range(k + 1)]
+    observed = weights[ones0]
+    tail = sum(w for w in weights if w <= observed)
+    total = math.comb(n0 + n1, k)
+    return tail / total, 20 * tail < total
+
+
 _CF_MAX_TERMS = 1000  # 3,000 random cases, df up to 1e15, needed at most 83
 _CF_TOLERANCE = 1e-15
 _CF_TINY = 1e-300
@@ -344,38 +355,35 @@ class InterpretationRow:
     dimension: str
     loser_mean: float
     winner_mean: float
-    difference: float  # winner_mean - loser_mean
     significant: bool
 
-
-def _interpret_dimension(name, params):
-    p0, p1 = params
-    if p0.sample_count >= 2 and p1.sample_count >= 2:
-        _, _, _, significant = welch_t_test(
-            p1.mean, p1.variance, p1.sample_count,
-            p0.mean, p0.variance, p0.sample_count,
-        )
-    else:
-        significant = False
-    return InterpretationRow(name, p0.mean, p1.mean, p1.mean - p0.mean, significant)
+    @property
+    def difference(self):
+        return self.winner_mean - self.loser_mean
 
 
 def interpret_model(model, top_k=12):
-    """Loser/winner Gaussian means per dimension, with t-test significance.
+    """Loser/winner Gaussian means per dimension, with significance.
 
     Returns (scalar feature rows, top-k trigram rows ordered by decreasing
-    absolute mean gap).  The trigram block is analyzed dimension by
-    dimension rather than as one feature.
+    absolute mean gap).  Scalar rows use Welch's t test, which needs two
+    vectors per class, and trigram rows Fisher's exact test on their counts
+    of ones.  The trigram block is analyzed dimension by dimension rather
+    than as one feature.
     """
-    scalar_rows = [
-        _interpret_dimension(name, model.scalar_params[name])
-        for name in SCALAR_FEATURES
-        if name in model.scalar_params
-    ]
-    trigram_rows = [
-        _interpret_dimension(tri, model.trigram_params[tri])
-        for tri in model.trigram_dims
-    ]
+    n0, n1 = model.class_sizes
+    scalar_rows, trigram_rows = [], []
+    for name in SCALAR_FEATURES:
+        if name not in model.scalar_params:
+            continue
+        p0, p1 = model.scalar_params[name]
+        significant = n0 >= 2 and n1 >= 2 and welch_t_test(
+            p1.mean, p1.variance, n1, p0.mean, p0.variance, n0)[3]
+        scalar_rows.append(InterpretationRow(name, p0.mean, p1.mean, significant))
+    for tri, (p0, p1) in model.trigram_params.items():
+        ones0, ones1 = model.trigram_ones[tri]
+        _, significant = fisher_exact(ones0, n0, ones1, n1)
+        trigram_rows.append(InterpretationRow(tri, p0.mean, p1.mean, significant))
     trigram_rows.sort(key=lambda r: (-abs(r.difference), r.dimension))
     return scalar_rows, trigram_rows[:top_k]
 

@@ -230,18 +230,6 @@ def make_feature_vector(member, snapshot, clusters, births, window,
                           births, window, syllable_exceptions, include_class)
 
 
-def birth_keys(dataset, clusters):
-    """The corpus keys whose birth years extract_features reads: every
-    snapshot member and every cluster-mate of one."""
-    keys = set()
-    for snapshot in dataset.snapshots:
-        for member in snapshot.counts:
-            key = member.corpus_key()
-            keys.add(key)
-            keys.update(clusters.cluster_of(key) or ())
-    return keys
-
-
 def extract_features(dataset, clusters, births, syllable_exceptions=None,
                      include_class=True):
     """Feature vectors for every word of every snapshot in a dataset.

@@ -138,20 +138,23 @@ class CatVarClusters:
         return list(self._index)
 
 
+def disjoint_cluster(tokens, seen):
+    """The cluster of some lemma_POS tokens, which then join seen;
+    ValueError for a bad token or one already in seen."""
+    cluster = frozenset(split_token(token.strip()) for token in tokens)
+    repeated = cluster & seen
+    if repeated:
+        lemma, pos = min(repeated)
+        raise ValueError(f"{lemma}_{pos} appears in more than one cluster")
+    seen.update(cluster)
+    return cluster
+
+
 def load_catvar(source):
     """Parse a cluster file; a bad token or a repeated member is fatal."""
     seen = set()
-
-    def parse(line):
-        cluster = frozenset(split_token(token.strip()) for token in line.split(","))
-        repeated = cluster & seen
-        if repeated:
-            lemma, pos = min(repeated)
-            raise ValueError(f"{lemma}_{pos} appears in more than one cluster")
-        seen.update(cluster)
-        return cluster
-
-    return CatVarClusters(parse_lines(source, parse, comments=True))
+    return CatVarClusters(parse_lines(
+        source, lambda line: disjoint_cluster(line.split(","), seen), comments=True))
 
 
 def categorial_variation_count(word, present, clusters, births):

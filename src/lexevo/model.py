@@ -6,6 +6,11 @@ smoothing and variances are floored so binary dimensions never produce a
 singular density.  Fitting uses exact sums, so a permutation of the
 training set yields bit-identical parameters.
 
+A model stores each fact once: the class sizes, the scalar Gaussians and
+each trained trigram's count of ones per class, the sufficient statistics
+of a 0/1 column.  ``NaiveBayesModel`` derives the priors and the trigram
+Gaussians from them, whether ``fit`` or ``load_model`` builds it.
+
 Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
 ``fit`` counts each class's trigram ones in one pass.  Scoring uses the
 Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): the
@@ -24,7 +29,7 @@ logistic of the log odds.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from ._util import atomic_write_json
 from .errors import DataError, UnfittableModelError
@@ -39,7 +44,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class GaussianParams:
     mean: float
     variance: float
-    sample_count: int
 
 
 def gaussian_log_pdf(params, x):
@@ -60,7 +64,7 @@ def _fit_gaussian(values):
     else:
         ss = math.fsum((x - mean) * (x - mean) for x in values)
         variance = max(ss / (n - 1), VARIANCE_FLOOR)
-    return GaussianParams(mean, variance, n)
+    return GaussianParams(mean, variance)
 
 
 def _fit_binary_gaussian(ones, n):
@@ -72,21 +76,36 @@ def _fit_binary_gaussian(ones, n):
         # sum of squared deviations of a binary sample, in closed form
         ss = ones * (1.0 - mean) ** 2 + (n - ones) * mean ** 2
         variance = max(ss / (n - 1), VARIANCE_FLOOR)
-    return GaussianParams(mean, variance, n)
+    return GaussianParams(mean, variance)
 
 
 @dataclass
 class NaiveBayesModel:
-    priors: tuple  # (P(class 0), P(class 1))
+    """A fitted model's stored facts.  __post_init__ derives priors,
+    trigram_dims (sorted), trigram_params (trigram -> class-0 and class-1
+    GaussianParams) and _absent_parts, floats summing exactly to the class-1
+    minus class-0 log density of "every trigram absent"; these are not
+    saved, shown or compared."""
+
     features: tuple  # subset of FEATURE_NAMES used by this model
+    class_sizes: tuple  # (class-0 vectors, class-1 vectors), each at least 1
     scalar_params: dict  # name -> (GaussianParams class0, GaussianParams class1)
-    trigram_dims: tuple  # ordered trigram strings
-    trigram_params: dict  # trigram -> (GaussianParams class0, GaussianParams class1)
-    # floats summing exactly to the class-1 minus class-0 log density of
-    # "every trigram absent"; built by the first score, never saved, shown
-    # or compared
-    _absent_parts: tuple = field(default=None, init=False, repr=False,
-                                 compare=False)
+    trigram_ones: dict  # trigram -> (class-0 vectors with it, class-1 vectors with it)
+
+    def __post_init__(self):
+        n0, n1 = self.class_sizes
+        self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
+        self.trigram_dims = tuple(sorted(self.trigram_ones))
+        self.trigram_params = {
+            tri: tuple(_fit_binary_gaussian(ones, n)
+                       for ones, n in zip(self.trigram_ones[tri], self.class_sizes))
+            for tri in self.trigram_dims
+        }
+        self._absent_parts = _exact_parts(
+            term
+            for p0, p1 in self.trigram_params.values()
+            for term in (gaussian_log_pdf(p1, 0.0), -gaussian_log_pdf(p0, 0.0))
+        )
 
 
 def fit(vectors, features=FEATURE_NAMES):
@@ -108,33 +127,21 @@ def fit(vectors, features=FEATURE_NAMES):
         raise UnfittableModelError(
             f"need vectors in both classes, got {len(by_class[0])}/{len(by_class[1])}"
         )
-    n = len(vectors)
-    priors = ((len(by_class[0]) + 1) / (n + 2), (len(by_class[1]) + 1) / (n + 2))
-
-    scalar_params = {}
-    for name in SCALAR_FEATURES:
-        if name not in features:
-            continue
-        scalar_params[name] = tuple(
-            _fit_gaussian([v.scalar(name) for v in by_class[c]])
-            for c in (0, 1)
-        )
-
-    trigram_dims = ()
-    trigram_params = {}
+    scalar_params = {
+        name: tuple(_fit_gaussian([v.scalar(name) for v in by_class[c]])
+                    for c in (0, 1))
+        for name in SCALAR_FEATURES if name in features
+    }
+    trigram_ones = {}
     if "unique_ngrams" in features:
         ones = (Counter(), Counter())
         for c in (0, 1):
             for v in by_class[c]:
                 ones[c].update(set(v.unique_ngrams))
-        trigram_dims = tuple(sorted(ones[0].keys() | ones[1].keys()))
-        for tri in trigram_dims:
-            trigram_params[tri] = tuple(
-                _fit_binary_gaussian(ones[c][tri], len(by_class[c]))
-                for c in (0, 1)
-            )
-    return NaiveBayesModel(priors, tuple(features), scalar_params,
-                           trigram_dims, trigram_params)
+        trigram_ones = {tri: (ones[0][tri], ones[1][tri])
+                        for tri in sorted(ones[0].keys() | ones[1].keys())}
+    return NaiveBayesModel(tuple(features), (len(by_class[0]), len(by_class[1])),
+                           scalar_params, trigram_ones)
 
 
 def _exact_parts(terms):
@@ -155,25 +162,13 @@ def _exact_parts(terms):
         terms.append(-part)
 
 
-def _absent_parts(model):
-    """Exact parts of the sum over trigram dims of log N1(0) - log N0(0)."""
-    if model._absent_parts is None:
-        model._absent_parts = _exact_parts(
-            term
-            for tri in model.trigram_dims
-            for term in (gaussian_log_pdf(model.trigram_params[tri][1], 0.0),
-                         -gaussian_log_pdf(model.trigram_params[tri][0], 0.0))
-        )
-    return model._absent_parts
-
-
 def win_log_odds(model, vector):
     """log P(class 1) - log P(class 0) for one vector, correctly rounded.
 
     One fsum over the class-1 terms and the negated class-0 terms: the log
     priors, one term per dimension, trigrams absent from the word included.
-    The cost is O(scalar dims + the word's own trigrams) once the model's
-    absent sum exists.  Trigrams unseen in training are ignored.  Use this
+    The cost is O(scalar dims + the word's own trigrams): the model holds
+    the absent sum.  Trigrams unseen in training are ignored.  Use this
     for ranking words: it never saturates the way win_probability does
     near 0 and 1.
     """
@@ -185,7 +180,7 @@ def win_log_odds(model, vector):
         x = vector.scalar(name)
         terms += [gaussian_log_pdf(params[1], x),
                   -gaussian_log_pdf(params[0], x)]
-    terms.extend(_absent_parts(model))
+    terms.extend(model._absent_parts)
     for tri in set(vector.unique_ngrams):
         params = model.trigram_params.get(tri)
         if params is None:
@@ -210,17 +205,8 @@ def win_probability(model, vector):
     return logistic(win_log_odds(model, vector))
 
 
-def _params_to_json(params):
-    return {
-        "mean": params.mean,
-        "variance": params.variance,
-        "sample_count": params.sample_count,
-    }
-
-
 def _params_from_json(obj):
-    params = GaussianParams(float(obj["mean"]), float(obj["variance"]),
-                            int(obj["sample_count"]))
+    params = GaussianParams(float(obj["mean"]), float(obj["variance"]))
     # fit keeps means within the feature bound (up to rounding, hence the
     # factor 2) and variances at or above the floor; with a feature value
     # within the bound, every score term then stays finite
@@ -234,19 +220,16 @@ def _params_from_json(obj):
 
 
 def save_model(model, path):
-    """Serialize a model to JSON; floats round-trip at full precision."""
+    """Serialize a model's stored facts to JSON; floats round-trip at full
+    precision."""
     obj = {
-        "priors": list(model.priors),
         "features": list(model.features),
+        "class_sizes": list(model.class_sizes),
         "scalar_features": {
-            name: {"class0": _params_to_json(p[0]), "class1": _params_to_json(p[1])}
+            name: {"class0": asdict(p[0]), "class1": asdict(p[1])}
             for name, p in model.scalar_params.items()
         },
-        "trigram_dims": list(model.trigram_dims),
-        "trigram_params": {
-            tri: {"class0": _params_to_json(p[0]), "class1": _params_to_json(p[1])}
-            for tri, p in model.trigram_params.items()
-        },
+        "trigram_ones": {tri: list(ones) for tri, ones in model.trigram_ones.items()},
     }
     atomic_write_json(path, obj)
 
@@ -256,9 +239,10 @@ def load_model(path):
 
     A file that is not JSON is a DataError naming the file and the line;
     a missing key or a malformed value is one naming the file and the key.
-    So is a feature list that names an unknown feature, scalar parameters
-    for other scalars than it names, or trigram dimensions without
-    'unique_ngrams' in it.
+    So are counts that are not integers with 1 <= class size <= 2**53
+    (an exact float) and 0 <= ones <= class size, a feature list that names
+    an unknown feature, scalar parameters for other scalars than it names,
+    or trigram counts without 'unique_ngrams' in it.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -267,37 +251,32 @@ def load_model(path):
         raise DataError(f"{path}: not a JSON model file: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: model file is not a JSON object")
-    values = {}
-    for key, convert in _MODEL_KEYS.items():
+
+    def value(key, convert):
         if key not in obj:
             raise DataError(f"{path}: model file has no key {key!r}")
         try:
-            values[key] = convert(obj[key])
+            return convert(obj[key])
         except _VALUE_ERRORS as exc:
             raise DataError(f"{path}: bad key {key!r}: {exc}") from None
-    if len(values["priors"]) != 2 or not all(0 < p < 1 for p in values["priors"]):
-        raise DataError(f"{path}: key 'priors' must hold two probabilities "
-                        "in (0, 1)")
-    if set(values["trigram_params"]) != set(values["trigram_dims"]):
-        raise DataError(f"{path}: keys 'trigram_dims' and 'trigram_params' name "
-                        "different trigrams")
-    features = values["features"]
+
+    features = value("features", _names_from_json)
+    class_sizes = value("class_sizes",
+                        lambda sizes: _counts_from_json(sizes, 1, (2 ** 53,) * 2))
+    scalar_params = value("scalar_features", _params_by_name_from_json)
+    trigram_ones = value("trigram_ones", lambda counts: {
+        tri: _counts_from_json(ones, 0, class_sizes, f"{tri!r}: ")
+        for tri, ones in counts.items()})
     unknown = sorted(set(features) - set(FEATURE_NAMES))
     if unknown:
         raise DataError(f"{path}: key 'features' names unknown features {unknown}")
-    if set(values["scalar_features"]) != set(features) & set(SCALAR_FEATURES):
+    if set(scalar_params) != set(features) & set(SCALAR_FEATURES):
         raise DataError(f"{path}: keys 'features' and 'scalar_features' name "
                         "different scalar features")
-    if values["trigram_dims"] and "unique_ngrams" not in features:
-        raise DataError(f"{path}: key 'trigram_dims' must be empty when "
+    if trigram_ones and "unique_ngrams" not in features:
+        raise DataError(f"{path}: key 'trigram_ones' must be empty when "
                         "'features' leaves out 'unique_ngrams'")
-    return NaiveBayesModel(
-        priors=values["priors"],
-        features=values["features"],
-        scalar_params=values["scalar_features"],
-        trigram_dims=values["trigram_dims"],
-        trigram_params=values["trigram_params"],
-    )
+    return NaiveBayesModel(features, class_sizes, scalar_params, trigram_ones)
 
 
 # what converting a malformed JSON value can raise
@@ -308,6 +287,16 @@ def _names_from_json(obj):
     if not (isinstance(obj, list) and all(isinstance(n, str) for n in obj)
             and len(set(obj)) == len(obj)):
         raise ValueError("need a list of distinct strings")
+    return tuple(obj)
+
+
+def _counts_from_json(obj, low, highs, prefix=""):
+    """(class-0, class-1) counts: two ints, each from low to its high."""
+    if not (isinstance(obj, list) and len(obj) == 2
+            and all(type(k) is int and low <= k <= high
+                    for k, high in zip(obj, highs))):
+        raise ValueError(f"{prefix}need two integer counts from {low} to "
+                         f"{list(highs)}, got {obj!r}")
     return tuple(obj)
 
 
@@ -323,13 +312,3 @@ def _params_by_name_from_json(obj):
         except _VALUE_ERRORS as exc:
             raise ValueError(f"{name!r}: {exc}") from None
     return params
-
-
-# save_model's top-level keys, each with how its value is read back
-_MODEL_KEYS = {
-    "priors": lambda obj: tuple(float(p) for p in obj),
-    "features": _names_from_json,
-    "scalar_features": _params_by_name_from_json,
-    "trigram_dims": _names_from_json,
-    "trigram_params": _params_by_name_from_json,
-}

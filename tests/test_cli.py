@@ -158,6 +158,17 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--floor-year", "2100"), ("--cycle", "0"), ("--half-width", "-1"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(["ingest", flag, value, "--corpus", str(tmp_path / "nope.tsv"),
+                     "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
 
@@ -197,27 +208,28 @@ class TestIngest:
         assert (out / "corpus.tsv").exists()
 
 
-def tree_sha256(directory):
-    """sha256 over the sorted file names and contents of a directory."""
+def tree_sha256(directory, names=None):
+    """sha256 over the sorted file names and contents of a directory, or of
+    the named files in it."""
     hasher = hashlib.sha256()
-    for name in sorted(os.listdir(directory)):
+    for name in sorted(names or os.listdir(directory)):
         with open(os.path.join(directory, name), "rb") as handle:
             hasher.update(name.encode() + b"\0" + handle.read())
     return hasher.hexdigest()
 
 
 class TestPinnedOutputs:
-    """ingest and build-dataset write these exact bytes on the fixtures."""
+    """Every evocli stage writes these exact bytes on the fixtures."""
 
     PINNED = {
         ("rapture", "ingest"):
             "cc235a492d0614cedee807e4ab020955d3c17a6e1e66edca915198800e16cb5e",
         ("rapture", "build-dataset"):
-            "a9dcfaa3f434156f607270e53d7205eace1edb520e0c5e7ef7a8177ae3901d87",
+            "9008cf74aa10154387ecbfa3e9b16826f96f97ed18e0c51623a464d5d27884f1",
         ("synthetic", "ingest"):
             "0461b26a90d774d8ddd4436e0a3098cf36b201496f2d04170a68681bd2cf5074",
         ("synthetic", "build-dataset"):
-            "fccbdf883ec36f9a4ae62c12a011079e55c6ac0b1a76d5b3e6da86901100aa60",
+            "be94e7dbe242a30651fea80b752a732ff9662d813236b5d29ab4a20e03ad1aa5",
     }
 
     @pytest.mark.parametrize("bundle, command", sorted(PINNED))
@@ -228,6 +240,59 @@ class TestPinnedOutputs:
         out = tmp_path / "out"
         assert main([command] + flags + ["--out", str(out)]) == EXIT_OK
         assert tree_sha256(out) == self.PINNED[bundle, command]
+
+    # what the stages after build-dataset write, each hashed on its own so
+    # that a change to one artifact shows which stage moved
+    PINNED_STAGES = {
+        "rapture": {
+            "features":
+                "d2f1a9bf4636527d7a10ab0a6ef0b95226f16ad8afad6533b338be0d3c6dea8d",
+            "probabilities":
+                "3fa99b9a7f520c91cac5dd3358904b9d648ea618fb650fd925db71a8d1ebd5df",
+            "evaluate":
+                "7b2e024d6855c307529b4f811530dda11616e2f468fed258bbbc5c65545e77d2",
+            "interpret":
+                "d2e19a53e9ee91ad9c4cc16be0eb6738cdeb34814eb37fd2da19d940988c1c93",
+        },
+        "synthetic": {
+            "features":
+                "a0839b9e206a8ada2df86bfa5e5d8a0e678da62b2db9d64f056738f939130cc3",
+            "probabilities":
+                "be5ae3cd241944eee11d7b275fc4b4418f1673b9e599c4ef70c78c9b04cb75a4",
+            "evaluate":
+                "552a162f13b6f3aeac5e62d2ee8ff8f9f91e59b92c3fe0aa3db92700b1716d8d",
+            "interpret":
+                "ec83cf7c10de92c5644eeb2efdd0b81ba7d18247e573125b0b10f7baab8126cd",
+        },
+    }
+
+    @pytest.mark.parametrize("bundle", sorted(PINNED_STAGES))
+    def test_stage_output_bytes(self, tmp_path, request, bundle):
+        paths = request.getfixturevalue(f"{bundle}_paths")
+        out = tmp_path / "out"
+        flags = [flag for key in ("corpus", "lexicon", "catvar", "syllables")
+                 for flag in (f"--{key}", paths[key])] + ["--out", str(out)]
+        train, test = "1850_1900_1950", "1900_1950_2000"
+        for argv in (
+            ["build-dataset"],
+            ["extract-features", "--dataset", str(out / f"dataset_{train}.tsv")],
+            ["extract-features", "--dataset", str(out / f"dataset_{test}.tsv")],
+            ["train", "--features", str(out / f"features_{train}.tsv")],
+            ["predict", "--features", str(out / f"features_{test}.tsv"),
+             "--model", str(out / "model.json")],
+            ["evaluate", "--dataset", str(out / f"dataset_{test}.tsv"),
+             "--probabilities", str(out / "probabilities.tsv")],
+            ["interpret"],
+        ):
+            assert main(argv + flags) == EXIT_OK
+        assert {
+            "features": tree_sha256(out, [f"features_{train}.tsv",
+                                          f"features_{test}.tsv"]),
+            "probabilities": tree_sha256(out, ["probabilities.tsv"]),
+            "evaluate": tree_sha256(out, ["report.json", "outcomes.tsv"]),
+            "interpret": tree_sha256(out / "reports" / "interpretation" / "50"
+                                     / test),
+        } == self.PINNED_STAGES[bundle]
 
 
 class TestStagePipeline:
@@ -358,7 +423,16 @@ class TestArtifactReaders:
         ('{"window": [1900, 1950]}\n', "bad key 'window' [1900, 1950]"),
         ("not json\n", "not a JSON dataset summary"),
         ('{"window": [1850, 1900, 1950]}\n', "dataset summary has no key 'births'"),
-    ], ids=["no_window", "short_window", "not_json", "no_births"])
+        ('{"window": [1850, 1900, 1950], "births": {}}\n',
+         "dataset summary has no key 'clusters'"),
+        ('{"window": [1850, 1900, 1950], "births": {}, "clusters": '
+         '[["rapt_ADJ", "rapture_NOUN"], ["rapture_NOUN", "rapt_ADV"]]}\n',
+         "bad key 'clusters' entry ['rapture_NOUN', 'rapt_ADV']: rapture_NOUN "
+         "appears in more than one cluster"),
+        ('{"window": [1850, 1900, 1950], "births": {}, "clusters": []}\n',
+         "key 'births' has no "),
+    ], ids=["no_window", "short_window", "not_json", "no_births", "no_clusters",
+            "overlapping_clusters", "births_lack_a_member"])
     def test_bad_dataset_sidecar(self, tmp_path, synthetic_paths, stage_dir, capsys,
                                  sidecar_text, message):
         dataset = tmp_path / "dataset.tsv"
@@ -419,8 +493,8 @@ class TestArtifactReaders:
 
 
 class TestExtractFeaturesFromDataset:
-    """extract-features reads the dataset and the births in its sidecar,
-    plus --catvar and --syllables; no corpus and no lexicon."""
+    """extract-features reads the dataset and the clusters and births in its
+    sidecar, plus --syllables; no corpus, lexicon or cluster file."""
 
     @staticmethod
     def build(paths, out, *keys):
@@ -474,18 +548,26 @@ class TestExtractFeaturesFromDataset:
                      "--out", str(out)]) == EXIT_OK
         assert (out / "features_1850_1900_1950.tsv").exists()
 
-    def test_catvar_not_used_to_build(self, tmp_path, rapture_paths, capsys):
+    def test_catvar_flag_is_ignored(self, tmp_path, rapture_paths):
+        # the clusters come from the sidecar: without --catvar, or with a
+        # file that does not exist, the categorial variations stay counted
         out = tmp_path / "out"
-        self.build(rapture_paths, out)
-        code = main(["extract-features",
-                     "--dataset", str(out / "dataset_1850_1900_1950.tsv"),
-                     "--catvar", rapture_paths["catvar"], "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == EXIT_DATA
-        assert (f"{out / 'dataset_1850_1900_1950.json'}: key 'births' has no "
-                "ecstasy_NOUN; build the dataset with the --catvar given here") in err
-        assert "Traceback" not in err
-        assert not (out / "features_1850_1900_1950.tsv").exists()
+        self.build(rapture_paths, out, "catvar")
+        dataset = str(out / "dataset_1850_1900_1950.tsv")
+        features = {}
+        for name, catvar in (("given", rapture_paths["catvar"]), ("absent", None),
+                             ("missing", str(tmp_path / "nope.tsv"))):
+            flags = ["--catvar", catvar] if catvar else []
+            assert main(["extract-features", "--dataset", dataset,
+                         "--out", str(tmp_path / name)] + flags) == EXIT_OK
+            features[name] = (tmp_path / name
+                              / "features_1850_1900_1950.tsv").read_text()
+        assert features["absent"] == features["missing"] == features["given"]
+        rows = [line.split("\t") for line in features["absent"].splitlines()]
+        column = rows[0].index("categorial_variations")
+        variations = {row[1]: row[column] for row in rows[1:]}
+        assert variations["ecstatic#a#1"] == "2"
+        assert variations["rapturous#a#1"] == "3"
 
 
 class TestReadScores:
@@ -524,6 +606,16 @@ class TestReadScores:
             _read_scores(str(path))
 
 
+def model_text(mean=0, variance=1, **keys):
+    """A valid model file, or one with its scalar parameters or some
+    top-level keys replaced."""
+    params = {"mean": mean, "variance": variance}
+    obj = {"features": ["present_age", "unique_ngrams"], "class_sizes": [2, 2],
+           "scalar_features": {"present_age": {"class0": params, "class1": params}},
+           "trigram_ones": {"abc": [1, 2]}}
+    return json.dumps({**obj, **keys})
+
+
 class TestPredict:
     def test_one_log_odds_per_vector(self, tmp_path, synthetic_inputs, monkeypatch):
         import lexevo.model as model_mod
@@ -558,22 +650,23 @@ class TestPredict:
         ('{"priors": [0.5, 0.5]}', "has no key 'features'"),
         ("not json\n", "not a JSON model file"),
         ('{"priors": [0.5, 0.5], "features": ["present_age"], "scalar_features": '
-         '{"present_age": {"class0": {"mean": Infinity, "variance": 1, "sample_count": 2}, '
-         '"class1": {"mean": Infinity, "variance": 1, "sample_count": 2}}}, '
-         '"trigram_dims": [], "trigram_params": {}}', "need a finite mean"),
-        ('{"priors": [0.5, 0.5], "features": ["present_age"], "scalar_features": '
-         '{"present_age": {"class0": {"mean": 0, "variance": 1e-300, "sample_count": 2}, '
-         '"class1": {"mean": 0, "variance": 1e-300, "sample_count": 2}}}, '
-         '"trigram_dims": [], "trigram_params": {}}', "a finite variance of at least 1e-09"),
-        ('{"priors": [0.5, 0.5], "features": ["bogus"], "scalar_features": {}, '
-         '"trigram_dims": [], "trigram_params": {}}', "names unknown features"),
-        ('{"priors": [0.5, 0.5], "features": ["present_age", "relative_growth"], '
-         '"scalar_features": {"present_age": {"class0": {"mean": 0, "variance": 1, '
-         '"sample_count": 2}, "class1": {"mean": 0, "variance": 1, "sample_count": 2}}}, '
+         '{"present_age": {"class0": {"mean": 0, "variance": 1, "sample_count": 2}, '
+         '"class1": {"mean": 0, "variance": 1, "sample_count": 2}}}, '
          '"trigram_dims": [], "trigram_params": {}}',
+         "model file has no key 'class_sizes'"),
+        (model_text(mean=math.inf), "need a finite mean"),
+        (model_text(variance=1e-300), "a finite variance of at least 1e-09"),
+        (model_text(features=["bogus"], scalar_features={}, trigram_ones={}),
+         "names unknown features"),
+        (model_text(features=["present_age", "relative_growth", "unique_ngrams"]),
          "keys 'features' and 'scalar_features' name different"),
-    ], ids=["missing_key", "not_json", "infinite_mean", "variance_below_floor",
-            "unknown_feature", "scalar_feature_missing"])
+        (model_text(class_sizes=[0, 2]), "bad key 'class_sizes'"),
+        (model_text(trigram_ones={"abc": [3, 2]}), "bad key 'trigram_ones'"),
+        (model_text(class_sizes=[True, 2]), "bad key 'class_sizes'"),
+        (model_text(trigram_ones={"abc": [1.0, 2]}), "bad key 'trigram_ones'"),
+    ], ids=["missing_key", "not_json", "parent_format", "infinite_mean",
+            "variance_below_floor", "unknown_feature", "scalar_feature_missing",
+            "zero_class_size", "ones_above_class_size", "bool_count", "float_count"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows

@@ -17,7 +17,7 @@ from lexevo.dataset import (
     write_dataset,
 )
 from lexevo.errors import DataError
-from lexevo.lexicon import load_lexicon
+from lexevo.lexicon import CatVarClusters, load_lexicon
 
 
 def synset(*lemmas, pos="n"):
@@ -182,6 +182,7 @@ class TestDatasetSerialization:
             "two": {1850: 4, 1900: 3, 1950: 1},
         })
         ds = build_dataset([synset("one", "two")], table, WINDOW)
+        ds.births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1850}
         tsv = tmp_path / "dataset.tsv"
         write_dataset(ds, str(tsv))
         assert (tmp_path / "dataset.json").exists()
@@ -200,13 +201,17 @@ class TestDatasetSerialization:
         ds = build_dataset([synset("one", "two")], table, WINDOW)
         ds.births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1700,
                      ("un_der", "VERB"): None}
+        ds.clusters = CatVarClusters([frozenset({("un_der", "VERB"), ("one", "NOUN")})])
         tsv = tmp_path / "dataset.tsv"
         write_dataset(ds, str(tsv))
         sidecar = json.loads((tmp_path / "dataset.json").read_text())
         assert sidecar.pop("births") == {"one_NOUN": 1850, "two_NOUN": 1700,
                                          "un_der_VERB": None}
+        assert sidecar.pop("clusters") == [["one_NOUN", "un_der_VERB"]]
         assert sidecar == ds.summary()
-        assert read_dataset(str(tsv)).births == ds.births
+        loaded = read_dataset(str(tsv))
+        assert loaded.births == ds.births
+        assert loaded.clusters.clusters == ds.clusters.clusters
 
     @pytest.mark.parametrize("births, message", [
         ([], "key 'births' must map lemma_POS tokens to years, got list"),
@@ -224,13 +229,34 @@ class TestDatasetSerialization:
             read_dataset(tsv)
         assert str(info.value).startswith(f"{tmp_path / 'dataset.json'}: {message}")
 
-    @staticmethod
-    def write_rows(tmp_path, rows):
+    @pytest.mark.parametrize("clusters, message", [
+        ({}, "dataset summary has no key 'clusters' listing clusters of lemma_POS"),
+        ([["one"]], "bad key 'clusters' entry ['one']: token 'one' has no _POS"),
+        ([[1850]], "bad key 'clusters' entry [1850]: need a list of lemma_POS"),
+        ([["one_NOUN", "un_VERB"], ["un_VERB"]],
+         "bad key 'clusters' entry ['un_VERB']: un_VERB appears in more than one"),
+        ([["one_NOUN", "un_VERB"]], "key 'births' has no un_VERB"),
+    ], ids=["not_a_list", "no_pos", "not_tokens", "overlap", "births_lack_mate"])
+    def test_bad_clusters(self, tmp_path, clusters, message):
+        tsv = self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                         "x1\ttwo#n#1\t4\t3\t1"])
+        (tmp_path / "dataset.json").write_text(json.dumps(
+            {**json.loads(self.SIDECAR), "clusters": clusters}))
+        with pytest.raises(DataError) as info:
+            read_dataset(tsv)
+        assert str(info.value).startswith(f"{tmp_path / 'dataset.json'}: {message}")
+
+    # births for the members one and two of the rows below
+    SIDECAR = ('{"window": [1850, 1900, 1950], "clusters": [], '
+               '"births": {"one_NOUN": 1850, "two_NOUN": 1850}}\n')
+
+    @classmethod
+    def write_rows(cls, tmp_path, rows):
         tsv = tmp_path / "dataset.tsv"
         sidecar = tmp_path / "dataset.json"
         tsv.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
                        + "\n".join(rows) + "\n")
-        sidecar.write_text('{"window": [1850, 1900, 1950], "births": {}}\n')
+        sidecar.write_text(cls.SIDECAR)
         return str(tsv)
 
     @pytest.mark.parametrize("rows, reason", [
@@ -274,13 +300,16 @@ class TestDatasetSerialization:
                 handle.write("synset_id\tsense_id\tpast\tpresent\tfuture\n"
                              + "\n".join(rows) + "\n")
             with open(sidecar, "w", encoding="utf-8") as handle:
-                handle.write('{"window": [1850, 1900, 1950], "births": {}}\n')
+                handle.write(self.SIDECAR)
             try:
                 dataset = read_dataset(tsv)
             except DataError as exc:
+                # a sense fuzzed into another valid one has no birth year
                 message = str(exc)
                 assert (message.startswith(f"{tsv} line {row + 2}: ")
-                        or message.startswith(f"{tsv}: synset ")), message
+                        or message.startswith(f"{tsv}: synset ")
+                        or message.startswith(f"{sidecar}: key 'births' has no ")
+                        ), message
             else:
                 assert dataset.word_count == 2
                 assert all(min(c.past, c.present, c.future) >= 0

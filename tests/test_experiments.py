@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +13,7 @@ from lexevo.errors import ConvergenceError, DataError, LexevoError
 from lexevo.evaluate import is_right, mcnemar_exact, uniform_baseline_tail
 from lexevo.experiments import (
     AblationSpec,
+    fisher_exact,
     fit_and_score,
     interpret_model,
     interpretation_tables,
@@ -153,6 +157,33 @@ class TestWelchTTest:
             welch_t_test(0.0, -1.0, 5, 0.0, 1.0, 5)
 
 
+class TestFisherExact:
+    @pytest.mark.parametrize("ones0, n0, ones1, n1, p, significant", [
+        (1, 4, 3, 4, 34 / 70, False),  # Fisher's tea tasting, p = 0.486
+        (0, 5, 5, 5, 2 / 252, True),
+        (0, 4, 1, 1, 1 / 5, False),  # one winner: Welch's test cannot run
+        (2, 4, 1, 1, 1.0, False),
+        (0, 3, 0, 3, 1.0, False),
+    ])
+    def test_pinned(self, ones0, n0, ones1, n1, p, significant):
+        assert fisher_exact(ones0, n0, ones1, n1) == (p, significant)
+
+    def test_matches_enumeration(self):
+        # under the null every set of k holders among the n0 + n1 vectors
+        # is equally likely; vectors below n0 are class 0
+        for n0, n1 in itertools.product(range(1, 6), repeat=2):
+            for ones0, ones1 in itertools.product(range(n0 + 1), range(n1 + 1)):
+                k = ones0 + ones1
+                ways = Counter(sum(i < n0 for i in holders) for holders
+                               in itertools.combinations(range(n0 + n1), k))
+                exact = Fraction(sum(w for w in ways.values() if w <= ways[ones0]),
+                                 sum(ways.values()))
+                p, significant = fisher_exact(ones0, n0, ones1, n1)
+                assert p == float(exact)
+                assert significant == (exact < Fraction(1, 20))
+                assert fisher_exact(ones1, n1, ones0, n0) == (p, significant)
+
+
 class TestInterpretModel:
     def fitted_model(self, seed=21, n=30):
         rng = random.Random(seed)
@@ -174,10 +205,11 @@ class TestInterpretModel:
                 winner_mean - loser_mean, abs=1e-12
             )
         for row in trigram_rows:
-            loser_mean = sum(
-                1 for v in losers if row.dimension in v.unique_ngrams
-            ) / len(losers)
-            assert row.loser_mean == pytest.approx(loser_mean, abs=1e-12)
+            ones0 = sum(1 for v in losers if row.dimension in v.unique_ngrams)
+            ones1 = sum(1 for v in winners if row.dimension in v.unique_ngrams)
+            assert row.loser_mean == pytest.approx(ones0 / len(losers), abs=1e-12)
+            assert row.significant == fisher_exact(ones0, len(losers),
+                                                   ones1, len(winners))[1]
 
     def test_scalar_rows_cover_model_features(self):
         _, model = self.fitted_model()

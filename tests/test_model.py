@@ -112,13 +112,13 @@ def brute_force_probability(train, features, query, variance_floor=VARIANCE_FLOO
 
 class TestGaussianLogPdf:
     def test_standard_normal_peak(self):
-        params = GaussianParams(0.0, 1.0, 10)
+        params = GaussianParams(0.0, 1.0)
         assert gaussian_log_pdf(params, 0.0) == pytest.approx(
             -0.5 * math.log(2 * math.pi)
         )
 
     def test_matches_exp_form(self):
-        params = GaussianParams(2.0, 0.25, 10)
+        params = GaussianParams(2.0, 0.25)
         density = math.exp(gaussian_log_pdf(params, 1.5))
         expected = (1 / math.sqrt(2 * math.pi * 0.25)) * math.exp(
             -((1.5 - 2.0) ** 2) / (2 * 0.25)
@@ -127,7 +127,7 @@ class TestGaussianLogPdf:
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_log_pdf(GaussianParams(0.0, 0.0, 1), 0.0)
+            gaussian_log_pdf(GaussianParams(0.0, 0.0), 0.0)
 
 
 class TestFit:
@@ -280,11 +280,26 @@ class TestSerialization:
         path = str(tmp_path / "model.json")
         save_model(model, path)
         loaded = load_model(path)
+        assert loaded == model
         assert loaded.priors == model.priors
-        assert loaded.features == model.features
         assert loaded.trigram_dims == model.trigram_dims
+        assert loaded.trigram_params == model.trigram_params
         for v in vectors:
             assert win_probability(loaded, v) == win_probability(model, v)
+
+    def test_file_stores_counts(self, tmp_path):
+        model = fit(random_vectors(random.Random(15), 10))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        obj = json.loads(path.read_text())
+        assert set(obj) == {"features", "class_sizes", "scalar_features",
+                            "trigram_ones"}
+        assert "sample_count" not in path.read_text()
+        assert obj["class_sizes"] == list(model.class_sizes)
+        n0, n1 = model.class_sizes
+        for tri, ones in obj["trigram_ones"].items():
+            assert model.trigram_params[tri][0].mean == ones[0] / n0
+            assert model.trigram_params[tri][1].mean == ones[1] / n1
 
     def test_double_save_is_byte_identical(self, tmp_path):
         rng = random.Random(12)
@@ -332,7 +347,7 @@ class TestModelFeatureAgreement:
         def edit(obj):
             obj["features"].remove("unique_ngrams")
         path = self.edited_model(tmp_path, edit)
-        with pytest.raises(DataError, match="key 'trigram_dims' must be empty"):
+        with pytest.raises(DataError, match="key 'trigram_ones' must be empty"):
             load_model(path)
 
     def test_feature_subsets_round_trip(self, tmp_path):
@@ -354,11 +369,12 @@ class TestModelFileFuzz:
                 return handle.read().splitlines()
 
     @settings(max_examples=300, deadline=None)
-    @example(19, True, "Infinity")  # a sample count
+    @example(2, False, "true,")  # a class size
+    @example(3, False, "0")  # a class size
     @example(18, True, "1e999")  # a mean
-    @example(2, False, "[1],")  # a feature name
-    @example(102, False, "[1],")  # a trigram dimension
-    @example(3, False, '"normalized_length",')
+    @example(6, False, "[1],")  # a feature name
+    @example(102, False, "4")  # a count of ones, above its class size
+    @example(7, False, '"normalized_length",')
     @given(st.integers(0, 10_000), st.booleans(),
            st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
                    max_size=12))
