@@ -1,4 +1,5 @@
-"""Small shared helpers: gzip-aware opening, line parsing and atomic writes."""
+"""Small shared helpers: gzip-aware opening, line parsing, TSV tables and
+atomic writes."""
 
 import gzip
 import json
@@ -33,6 +34,36 @@ def parse_lines(lines, parse, start=1, comments=False):
         except ValueError as exc:
             raise DataError(f"{name} line {line_number}: {exc}") from None
     return rows
+
+
+def read_tsv(path, columns, parse):
+    """[parse(fields) for each row] of a TSV table whose header is columns.
+
+    A first line other than the tab-joined columns is a DataError naming
+    the file; a row with another number of fields is
+    "<file> line N: expected K tab-separated columns, got M".
+    """
+    header, width = "\t".join(columns), len(columns)
+
+    def row(line):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} tab-separated columns, "
+                             f"got {len(fields)}")
+        return parse(fields)
+
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline().rstrip("\n")
+        if first != header:
+            raise DataError(f"{path}: header {first!r} is not {header!r}")
+        return parse_lines(handle, row, start=2)
+
+
+def write_tsv(path, columns, rows):
+    """Atomically write a TSV table: the columns, then each row of strings."""
+    lines = ["\t".join(columns)]
+    lines.extend(map("\t".join, rows))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def atomic_write_text(path, text):

@@ -19,7 +19,7 @@ from . import evaluate as evaluate_mod
 from . import experiments as experiments_mod
 from . import features as features_mod
 from . import model as model_mod
-from ._util import atomic_write_json, atomic_write_text, parse_lines
+from ._util import atomic_write_json, atomic_write_text, read_tsv, write_tsv
 from .errors import DataError, LexevoError, UsageError
 from .lexicon import CatVarClusters, SenseId
 
@@ -47,41 +47,63 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
+        """The check across keys; each key's own range is its converter's."""
         if self.floor_year >= self.anchor_year:
             raise UsageError("floor_year must be before anchor_year")
-        if self.cycle_years < 1:
-            raise UsageError("cycle_years must be positive")
-        if self.half_width < 0:
-            raise UsageError("half_width must be non-negative")
 
 
-_INT_KEYS = {"cycle_years", "half_width", "anchor_year", "floor_year", "seed"}
+def _integer(minimum=None):
+    """Converter of an integer key, at least minimum when one is given."""
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {text!r}") from None
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return convert
+
+
+# The converter of each config key that is not a string; an integer key's
+# is also its flag's argparse type, so a flag and a file reject the same values.
+_CONVERTERS = {
+    "corpus": lambda text: [p.strip() for p in text.split(",") if p.strip()],
+    "cycle_years": _integer(1),
+    "half_width": _integer(0),
+    "anchor_year": _integer(),
+    "floor_year": _integer(),
+    "seed": _integer(),
+}
 
 
 def read_config_file(path):
-    """Parse a UTF-8 key=value config file; '#' starts a comment."""
+    """Parse a UTF-8 key=value config file; '#' starts a comment.
+
+    A line that is not UTF-8, has no '=', names an unknown key or holds a
+    value its key's converter rejects is the UsageError
+    "<file> line N: <reason>".
+    """
     values = {}
     known = {f.name for f in fields(RunConfig)}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_number, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LexevoError(f"{path} line {line_number}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise LexevoError(f"{path} line {line_number}: unknown key {key!r}")
-            if key == "corpus":
-                values[key] = [p.strip() for p in value.split(",") if p.strip()]
-            elif key in _INT_KEYS:
-                try:
-                    values[key] = int(value)
-                except ValueError:
-                    raise LexevoError(f"{path} line {line_number}: {key} must be "
-                                      f"an integer, got {value!r}") from None
-            else:
-                values[key] = value
+            try:
+                line = line.decode("utf-8").split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError("expected key = value")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in known:
+                    raise ValueError(f"unknown key {key!r}")
+                values[key] = _CONVERTERS.get(key, str)(value)
+            except ValueError as exc:  # UnicodeDecodeError too
+                raise UsageError(f"{path} line {line_number}: {exc}") from None
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{path} line {line_number}: {key} {exc}") from None
     return values
 
 
@@ -144,11 +166,10 @@ def _add_common(parser):
     parser.add_argument("--catvar", help="categorial-variation cluster TSV")
     parser.add_argument("--syllables", help="syllable exceptions TSV")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--cycle", type=int, dest="cycle_years")
-    parser.add_argument("--half-width", type=int, dest="half_width")
-    parser.add_argument("--anchor-year", type=int, dest="anchor_year")
-    parser.add_argument("--floor-year", type=int, dest="floor_year")
-    parser.add_argument("--seed", type=int)
+    for flag, key in (("--cycle", "cycle_years"), ("--half-width", "half_width"),
+                      ("--anchor-year", "anchor_year"),
+                      ("--floor-year", "floor_year"), ("--seed", "seed")):
+        parser.add_argument(flag, type=_CONVERTERS[key], dest=key)
 
 
 def build_parser():
@@ -292,45 +313,41 @@ def cmd_train(args, config):
     return EXIT_OK
 
 
+PROBABILITY_COLUMNS = ("synset_id", "sense_id", "win_probability", "log_odds")
+
+
 def cmd_predict(args, config):
     vectors = features_mod.read_feature_vectors(args.features)
     fitted = model_mod.load_model(args.model)
-    lines = ["synset_id\tsense_id\twin_probability\tlog_odds"]
+    rows = []
     for v in vectors:
         odds = model_mod.win_log_odds(fitted, v)
-        p = model_mod.logistic(odds)
-        lines.append(f"{v.synset_id}\t{v.sense}\t{p!r}\t{odds!r}")
-    atomic_write_text(os.path.join(config.out, "probabilities.tsv"),
-                      "\n".join(lines) + "\n")
+        rows.append((v.synset_id, str(v.sense), repr(model_mod.logistic(odds)),
+                     repr(odds)))
+    write_tsv(os.path.join(config.out, "probabilities.tsv"), PROBABILITY_COLUMNS,
+              rows)
     return EXIT_OK
 
 
 def _read_scores(path):
-    """SenseId -> ranking score from a predict output file.
+    """SenseId -> log-odds from a predict output file.
 
-    Ranks by the log-odds column when present, since probabilities
-    saturate; a row without a parseable sense and finite score, or one
-    repeating a sense, is a DataError naming the file and line.
+    evaluate ranks by log_odds, since the probabilities saturate; a row
+    without a parseable sense and finite log-odds, or one repeating a
+    sense, is a DataError naming the file and line.
     """
     scores = {}
 
-    def parse(line):
-        fields = line.split("\t")
-        try:
-            score = float(fields[column])
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {fields[column]!r}")
-            sense = SenseId.parse(fields[1])
-            if sense in scores:
-                raise ValueError(f"repeated sense {sense}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad probability row {fields!r}: {exc}") from None
+    def parse(fields):
+        score = float(fields[3])
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite score {fields[3]!r}")
+        sense = SenseId.parse(fields[1])
+        if sense in scores:
+            raise ValueError(f"repeated sense {sense}")
         scores[sense] = score
 
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        column = len(header) - 1 if header[-1] == "log_odds" else 2
-        parse_lines(handle, parse, start=2)
+    read_tsv(path, PROBABILITY_COLUMNS, parse)
     return scores
 
 
@@ -347,8 +364,8 @@ def cmd_evaluate(args, config):
     report = evaluate_mod.evaluation_report(counts, scores)
     report["dataset"] = ds.summary()
     atomic_write_json(os.path.join(config.out, "report.json"), report)
-    atomic_write_text(os.path.join(config.out, "outcomes.tsv"),
-                      evaluate_mod.outcomes_to_tsv(outcomes))
+    write_tsv(os.path.join(config.out, "outcomes.tsv"), evaluate_mod.OUTCOME_COLUMNS,
+              ([row[c] for c in evaluate_mod.OUTCOME_COLUMNS] for row in outcomes))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._util import atomic_write_json, atomic_write_text, parse_lines
+from ._util import atomic_write_json, read_tsv, write_tsv
 from .corpus import DEFAULT_HALF_WIDTH, period_count, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
@@ -32,10 +32,6 @@ class TimeWindow:
             raise ValueError("window years must be strictly increasing")
         if self.future - self.present != self.present - self.past:
             raise ValueError("window periods must be evenly spaced")
-
-    @property
-    def cycle(self):
-        return self.present - self.past
 
     def label(self):
         return f"{self.past}_{self.present}_{self.future}"
@@ -193,17 +189,16 @@ def summary_path(tsv_path):
     return os.path.splitext(tsv_path)[0] + ".json"
 
 
+DATASET_COLUMNS = ("synset_id", "sense_id", "past", "present", "future")
+
+
 def write_dataset(dataset, tsv_path):
     """Serialize a dataset: member-count TSV plus a JSON sidecar holding its
     summary, its births keyed by lemma_POS tokens, and its clusters as
     sorted lists of those tokens."""
-    lines = ["synset_id\tsense_id\tpast\tpresent\tfuture"]
-    for snapshot in dataset.snapshots:
-        for sense, c in snapshot.counts.items():
-            lines.append(
-                f"{snapshot.synset.id}\t{sense}\t{c.past}\t{c.present}\t{c.future}"
-            )
-    atomic_write_text(tsv_path, "\n".join(lines) + "\n")
+    write_tsv(tsv_path, DATASET_COLUMNS, (
+        (snapshot.synset.id, str(sense), str(c.past), str(c.present), str(c.future))
+        for snapshot in dataset.snapshots for sense, c in snapshot.counts.items()))
     births = {f"{lemma}_{pos}": year
               for (lemma, pos), year in dataset.births.items()}
     clusters = sorted(sorted(f"{lemma}_{pos}" for lemma, pos in cluster)
@@ -215,8 +210,9 @@ def write_dataset(dataset, tsv_path):
 def read_dataset(tsv_path):
     """Reload a serialized dataset (synsets reconstructed from sense ids).
 
-    A malformed row, a negative count or a repeated sense is a DataError
-    naming the line.
+    A header other than DATASET_COLUMNS is a DataError naming the file; a
+    malformed row, a negative count or a repeated sense is one naming the
+    line.
     Every synset must pass the removal rules that build_dataset applies;
     one that breaks them is a DataError naming the synset and the rule.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
@@ -228,21 +224,18 @@ def read_dataset(tsv_path):
     groups = {}
     seen = set()
 
-    def parse(line):
-        synset_id, sense_text, past, present, future = line.split("\t")
+    def parse(fields):
+        synset_id, sense_text, past, present, future = fields
         counts = MemberCounts(int(past), int(present), int(future))
         if min(counts.past, counts.present, counts.future) < 0:
-            raise ValueError(f"negative count in {line.strip()!r}")
+            raise ValueError(f"negative count in {counts}")
         sense = SenseId.parse(sense_text)
         if sense in seen:
             raise ValueError(f"repeated sense {sense_text}")
         seen.add(sense)
         groups.setdefault(synset_id, []).append((sense, counts))
 
-    with open(tsv_path, encoding="utf-8") as handle:
-        if not handle.readline().startswith("synset_id\t"):
-            raise DataError(f"{tsv_path}: missing dataset header")
-        parse_lines(handle, parse, start=2)
+    read_tsv(tsv_path, DATASET_COLUMNS, parse)
     snapshots = []
     for synset_id, members in groups.items():
         reason = _removal_reason([c for _, c in members])

@@ -84,6 +84,11 @@ def wilson_interval(successes, n, confidence=0.95):
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
+# The columns of an outcome row, and of the outcomes table evocli writes.
+OUTCOME_COLUMNS = ("synset_id", "present_leader", "future_leader", "predicted",
+                   "cell")
+
+
 def evaluate_predictions(snapshots, probabilities):
     """Score per-word probabilities at the synset level.
 
@@ -143,15 +148,6 @@ def evaluation_report(counts, scores, confidence=0.95):
         if trials
     }
     return report
-
-
-def outcomes_to_tsv(outcomes):
-    lines = ["synset_id\tpresent_leader\tfuture_leader\tpredicted\tcell"]
-    for row in outcomes:
-        lines.append("\t".join(row[k] for k in
-                               ("synset_id", "present_leader", "future_leader",
-                                "predicted", "cell")))
-    return "\n".join(lines) + "\n"
 
 
 def _uniform_draw(seed, synset_id, sense):

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ._util import atomic_write_text, parse_lines
+from ._util import parse_lines, read_tsv, write_tsv
 from .errors import DataError
 from .lexicon import SenseId, categorial_variation_count
 
@@ -171,109 +171,70 @@ class FeatureVector:
         return replace(self, target_class=None)
 
 
-@dataclass(frozen=True)
-class _SynsetValues:
-    """What every member's vector reads from its snapshot, derived once."""
-
-    trigrams: dict  # lemma -> boundary_trigrams(lemma)
-    holders: Counter  # trigram -> number of distinct member lemmas holding it
-    max_len: int
-    frequencies: dict  # SenseId -> (f1, f2), from relative_frequencies
-
-
-def _synset_values(snapshot):
-    lemmas = snapshot.synset.lemmas()
-    trigrams, holders = _trigram_holders(lemmas)
-    return _SynsetValues(trigrams, holders, max(len(l) for l in lemmas),
-                         relative_frequencies(snapshot))
-
-
-def _member_vector(member, snapshot, values, clusters, births, window,
-                   syllable_exceptions, include_class):
-    unique, shared_fraction = _split_trigrams(values.trigrams[member.lemma],
-                                              values.holders)
-    key = member.corpus_key()
-    born = births.get(key)
-    if born is None:
-        raise DataError(f"no birth year for {key[0]}_{key[1]}")
-    f1, f2 = values.frequencies[member]
-    target = None
-    if include_class:
-        target = 1 if snapshot.future_leader == member else 0
-    return FeatureVector(
-        sense=member,
-        synset_id=snapshot.synset.id,
-        normalized_length=len(member.lemma) / values.max_len,
-        syllable_count=syllable_count(member.lemma, syllable_exceptions),
-        unique_ngrams=unique,
-        shared_ngrams=shared_fraction,
-        categorial_variations=categorial_variation_count(
-            key, window.present, clusters, births
-        ),
-        relative_growth=f2 - f1,
-        linear_extrapolation=2.0 * f2 - f1,
-        present_age=window.present - born,
-        target_class=target,
-    )
-
-
-def make_feature_vector(member, snapshot, clusters, births, window,
-                        syllable_exceptions=None, include_class=True):
-    """Assemble the full vector for one member of a snapshot.
-
-    births maps corpus keys, the (lemma, corpus POS tag) tuples that
-    SenseId.corpus_key() returns, to first-attestation years and must cover
-    every snapshot member (they all have nonzero present counts, so a
-    missing birth year signals a corpus/dataset mismatch).
-    """
-    return _member_vector(member, snapshot, _synset_values(snapshot), clusters,
-                          births, window, syllable_exceptions, include_class)
-
-
 def extract_features(dataset, clusters, births, syllable_exceptions=None,
                      include_class=True):
     """Feature vectors for every word of every snapshot in a dataset.
 
-    The synset-wide values (trigrams, relative frequencies, longest lemma)
-    are derived once per snapshot, so a k-member synset costs O(k).
+    births maps corpus keys, the (lemma, corpus POS tag) tuples that
+    SenseId.corpus_key() returns, to first-attestation years and must cover
+    every snapshot member (they all have nonzero present counts, so a
+    missing birth year signals a corpus/dataset mismatch).  The synset-wide
+    values (trigrams, relative frequencies, longest lemma) are derived once
+    per snapshot, so a k-member synset costs O(k).
     """
+    present = dataset.window.present
     vectors = []
     for snapshot in dataset.snapshots:
-        values = _synset_values(snapshot)
-        vectors.extend(
-            _member_vector(member, snapshot, values, clusters, births,
-                           dataset.window, syllable_exceptions, include_class)
-            for member in snapshot.counts
-        )
+        lemmas = snapshot.synset.lemmas()
+        trigrams, holders = _trigram_holders(lemmas)
+        max_len = max(len(lemma) for lemma in lemmas)
+        frequencies = relative_frequencies(snapshot)
+        for member in snapshot.counts:
+            unique, shared_fraction = _split_trigrams(trigrams[member.lemma], holders)
+            key = member.corpus_key()
+            born = births.get(key)
+            if born is None:
+                raise DataError(f"no birth year for {key[0]}_{key[1]}")
+            f1, f2 = frequencies[member]
+            vectors.append(FeatureVector(
+                sense=member,
+                synset_id=snapshot.synset.id,
+                normalized_length=len(member.lemma) / max_len,
+                syllable_count=syllable_count(member.lemma, syllable_exceptions),
+                unique_ngrams=unique,
+                shared_ngrams=shared_fraction,
+                categorial_variations=categorial_variation_count(
+                    key, present, clusters, births),
+                relative_growth=f2 - f1,
+                linear_extrapolation=2.0 * f2 - f1,
+                present_age=present - born,
+                target_class=(int(snapshot.future_leader == member)
+                              if include_class else None),
+            ))
     return vectors
 
 
-_FEATURE_TSV_HEADER = (
-    "synset_id\tsense_id\tnormalized_length\tsyllable_count\tshared_ngrams\t"
-    "categorial_variations\trelative_growth\tlinear_extrapolation\t"
-    "present_age\ttarget_class\tunique_ngrams"
-)
+# The feature file's columns: the scalars in SCALAR_FEATURES order between
+# the ids and the class, the unique trigrams last, comma-separated.
+FEATURE_COLUMNS = ("synset_id", "sense_id", *SCALAR_FEATURES, "target_class",
+                   "unique_ngrams")
 
 
 def write_feature_vectors(vectors, path):
     """Dump vectors as TSV; floats use repr so the file round-trips exactly."""
-    lines = [_FEATURE_TSV_HEADER]
-    for v in vectors:
-        target = "" if v.target_class is None else str(v.target_class)
-        lines.append("\t".join([
-            v.synset_id,
-            str(v.sense),
-            repr(v.normalized_length),
-            str(v.syllable_count),
-            repr(v.shared_ngrams),
-            str(v.categorial_variations),
-            repr(v.relative_growth),
-            repr(v.linear_extrapolation),
-            str(v.present_age),
-            target,
-            ",".join(v.unique_ngrams),
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_tsv(path, FEATURE_COLUMNS, ((
+        v.synset_id,
+        str(v.sense),
+        repr(v.normalized_length),
+        str(v.syllable_count),
+        repr(v.shared_ngrams),
+        str(v.categorial_variations),
+        repr(v.relative_growth),
+        repr(v.linear_extrapolation),
+        str(v.present_age),
+        "" if v.target_class is None else str(v.target_class),
+        ",".join(v.unique_ngrams),
+    ) for v in vectors))
 
 
 # Largest magnitude a feature file may hold.  The model squares the
@@ -301,9 +262,9 @@ def read_feature_vectors(path):
     """
     seen = set()
 
-    def parse(line):
+    def parse(fields):
         (synset_id, sense_text, norm_len, syll, shared, catvar,
-         growth, extrap, age, target, trigrams) = line.split("\t")
+         growth, extrap, age, target, trigrams) = fields
         if target not in ("", "0", "1"):
             raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
         sense = SenseId.parse(sense_text)
@@ -324,7 +285,4 @@ def read_feature_vectors(path):
             target_class=int(target) if target else None,
         )
 
-    with open(path, encoding="utf-8") as handle:
-        if handle.readline().rstrip("\n") != _FEATURE_TSV_HEADER:
-            raise DataError(f"{path}: unexpected feature file header")
-        return parse_lines(handle, parse, start=2)
+    return read_tsv(path, FEATURE_COLUMNS, parse)

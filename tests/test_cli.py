@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,8 +20,10 @@ from lexevo.cli import (
     _read_scores,
     main,
     read_config_file,
+    resolve_config,
 )
-from lexevo.errors import DataError, LexevoError
+from lexevo.dataset import summary_path
+from lexevo.errors import DataError, LexevoError, UsageError
 from lexevo.features import FEATURE_NAMES
 
 
@@ -38,12 +42,14 @@ class TestRunConfig:
         {"cycle_years": 0},
         {"half_width": -1},
     ])
-    def test_invalid_values(self, overrides):
-        config = RunConfig()
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        with pytest.raises(LexevoError):
-            config.validate()
+    def test_invalid_values(self, tmp_path, overrides):
+        # a key's converter checks its range, validate the order of the
+        # years; either way the resolved config is refused as a usage error
+        path = tmp_path / "run.conf"
+        path.write_text("".join(f"{key} = {value}\n"
+                                for key, value in overrides.items()))
+        with pytest.raises(UsageError):
+            resolve_config(argparse.Namespace(config=str(path)))
 
 
 class TestConfigFile:
@@ -100,6 +106,26 @@ class TestConfigFile:
                 assert str(exc).startswith(f"{path} line {index + 1}: ")
             else:
                 assert set(values) <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"cycle_years = x", "cycle_years must be an integer, got 'x'"),
+        (b"bogus = 1", "unknown key 'bogus'"),
+        (b"cycle_years = 0", "cycle_years must be at least 1, got 0"),
+        (b"half_width = -1", "half_width must be at least 0, got -1"),
+        (b"seed = \xff", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not_an_integer", "unknown_key", "cycle_below_1", "negative_half_width",
+            "not_utf8"])
+    def test_bad_line_is_usage_error(self, tmp_path, synthetic_paths, capsys, line,
+                                     reason):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"# run settings\nseed = 3\n" + line + b"\n")
+        code = main(["ingest", "--config", str(conf)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{conf} line 3: {reason}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_equals_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -295,34 +321,37 @@ class TestPinnedOutputs:
         } == self.PINNED_STAGES[bundle]
 
 
+def run_stages(paths, out):
+    """build-dataset through evaluate on the 50-year windows, each stage
+    reading the files the one before wrote; returns report.json."""
+    flags = common_flags(paths, out)
+    assert main(["build-dataset"] + flags) == EXIT_OK
+    train_tsv = str(out / "dataset_1850_1900_1950.tsv")
+    test_tsv = str(out / "dataset_1900_1950_2000.tsv")
+    assert main(["extract-features", "--dataset", train_tsv] + flags) == EXIT_OK
+    assert main(["extract-features", "--dataset", test_tsv] + flags) == EXIT_OK
+    train_features = str(out / "features_1850_1900_1950.tsv")
+    test_features = str(out / "features_1900_1950_2000.tsv")
+    model = str(out / "model.json")
+    assert main(["train", "--features", train_features,
+                 "--model", model] + flags) == EXIT_OK
+    assert main(["predict", "--features", test_features,
+                 "--model", model] + flags) == EXIT_OK
+    assert main(["evaluate", "--dataset", test_tsv,
+                 "--probabilities", str(out / "probabilities.tsv")]
+                + flags) == EXIT_OK
+    return json.loads((out / "report.json").read_text())
+
+
 class TestStagePipeline:
     """Run each stage through its file artifacts, end to end."""
-
-    def run_stages(self, paths, out):
-        flags = common_flags(paths, out)
-        assert main(["build-dataset"] + flags) == EXIT_OK
-        train_tsv = str(out / "dataset_1850_1900_1950.tsv")
-        test_tsv = str(out / "dataset_1900_1950_2000.tsv")
-        assert main(["extract-features", "--dataset", train_tsv] + flags) == EXIT_OK
-        assert main(["extract-features", "--dataset", test_tsv] + flags) == EXIT_OK
-        train_features = str(out / "features_1850_1900_1950.tsv")
-        test_features = str(out / "features_1900_1950_2000.tsv")
-        model = str(out / "model.json")
-        assert main(["train", "--features", train_features,
-                     "--model", model] + flags) == EXIT_OK
-        assert main(["predict", "--features", test_features,
-                     "--model", model] + flags) == EXIT_OK
-        assert main(["evaluate", "--dataset", test_tsv,
-                     "--probabilities", str(out / "probabilities.tsv")]
-                    + flags) == EXIT_OK
-        return json.loads((out / "report.json").read_text())
 
     def test_staged_run_matches_monolithic(self, tmp_path, synthetic_paths,
                                            synthetic_inputs):
         from lexevo.dataset import schedule_windows
         from lexevo.experiments import run_nbcp
 
-        report = self.run_stages(synthetic_paths, tmp_path / "out")
+        report = run_stages(synthetic_paths, tmp_path / "out")
         train_window, test_window = schedule_windows(50)[1]
         direct = run_nbcp(train_window, test_window, synthetic_inputs)
         assert report["counts"] == direct["report"]["counts"]
@@ -330,7 +359,7 @@ class TestStagePipeline:
 
     def test_probabilities_file_shape(self, tmp_path, synthetic_paths):
         out = tmp_path / "out"
-        self.run_stages(synthetic_paths, out)
+        run_stages(synthetic_paths, out)
         lines = (out / "probabilities.tsv").read_text().splitlines()
         assert lines[0] == "synset_id\tsense_id\twin_probability\tlog_odds"
         for line in lines[1:]:
@@ -340,7 +369,7 @@ class TestStagePipeline:
 
     def evaluate_edited(self, paths, out, edit, capsys):
         """Evaluate against an edited copy of the probabilities file."""
-        self.run_stages(paths, out)
+        run_stages(paths, out)
         capsys.readouterr()
         lines = (out / "probabilities.tsv").read_text().splitlines()
         edited = out / "edited.tsv"
@@ -381,8 +410,8 @@ class TestStagePipeline:
     def test_reruns_byte_identical(self, tmp_path, synthetic_paths):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        self.run_stages(synthetic_paths, out_a)
-        self.run_stages(synthetic_paths, out_b)
+        run_stages(synthetic_paths, out_a)
+        run_stages(synthetic_paths, out_b)
         for name in ("report.json", "outcomes.tsv", "model.json",
                      "probabilities.tsv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -414,9 +443,48 @@ class TestArtifactReaders:
     @pytest.fixture(scope="class")
     def stage_dir(self, synthetic_paths, tmp_path_factory):
         out = tmp_path_factory.mktemp("stages")
-        flags = common_flags(synthetic_paths, out)
-        assert main(["build-dataset"] + flags) == EXIT_OK
+        run_stages(synthetic_paths, out)
         return out
+
+    @pytest.mark.parametrize("reader, fault", [
+        (reader, fault) for reader in ("dataset", "features", "probabilities")
+        for fault in ("header", "short_row")])
+    def test_bad_table(self, tmp_path, synthetic_paths, stage_dir, capsys, reader,
+                       fault):
+        # per reader: the stage that reads the table, its file, its column
+        # count, and the file of the stage before given in its place
+        argv, name, width, stand_in = {
+            "dataset": (["extract-features", "--dataset"],
+                        "dataset_1850_1900_1950.tsv", 5, None),
+            "features": (["train", "--features"], "features_1850_1900_1950.tsv",
+                         11, "dataset_1850_1900_1950.tsv"),
+            "probabilities": (["evaluate", "--dataset",
+                               str(stage_dir / "dataset_1900_1950_2000.tsv"),
+                               "--probabilities"],
+                              "probabilities.tsv", 4, "features_1900_1950_2000.tsv"),
+        }[reader]
+        lines = (stage_dir / name).read_text().splitlines()
+        if fault == "short_row":
+            lines[1] = lines[1].rpartition("\t")[0]
+        elif stand_in:
+            lines = (stage_dir / stand_in).read_text().splitlines()
+        else:  # the right first column only
+            lines[0] = "synset_id\tfoo"
+        edited = tmp_path / name
+        edited.write_text("\n".join(lines) + "\n")
+        if reader == "dataset":
+            shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(edited)))
+        code = main(argv + [str(edited)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        if fault == "short_row":
+            assert (f"{edited} line 2: expected {width} tab-separated columns, "
+                    f"got {width - 1}") in err
+        else:
+            assert f"{edited}: header {lines[0]!r} is not " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sidecar_text, message", [
         ('{"synsets": 1}\n', "dataset summary has no key 'window'"),

@@ -34,7 +34,8 @@ def table_for(series_by_lemma, pos="NOUN"):
 class TestTimeWindow:
     def test_valid(self):
         w = TimeWindow(1850, 1900, 1950)
-        assert w.cycle == 50
+        assert (w.past, w.present, w.future) == (1850, 1900, 1950)
+        assert w.label() == "1850_1900_1950"
 
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lexevo._util import read_tsv, write_tsv
 from lexevo.dataset import MemberCounts, SynsetSnapshot
 from lexevo.evaluate import (
+    OUTCOME_COLUMNS,
     ContingencyCounts,
     classify_outcome,
     evaluate_predictions,
@@ -15,7 +17,6 @@ from lexevo.evaluate import (
     is_right,
     mcnemar_exact,
     metrics,
-    outcomes_to_tsv,
     predict_synset_winner,
     random_baseline,
     uniform_baseline_tail,
@@ -159,17 +160,22 @@ class TestEvaluatePredictions:
         assert (counts.tp, counts.fp, counts.fn, counts.tn) == (0, 1, 1, 0)
         assert m.f_score == 0.0
 
-    def test_outcome_tsv_shape(self):
+    def test_outcome_tsv_shape(self, tmp_path):
         snaps = self.make_snapshots()
         _, _, outcomes = evaluate_predictions(
             snaps, self.prob_map(snaps, {"alpha", "delta"})
         )
-        text = outcomes_to_tsv(outcomes)
-        lines = text.splitlines()
+        # written as evocli evaluate writes outcomes.tsv, then read back
+        path = tmp_path / "outcomes.tsv"
+        write_tsv(path, OUTCOME_COLUMNS,
+                  ([row[c] for c in OUTCOME_COLUMNS] for row in outcomes))
+        lines = path.read_text().splitlines()
         assert lines[0].split("\t") == [
             "synset_id", "present_leader", "future_leader", "predicted", "cell",
         ]
         assert len(lines) == 3
+        assert read_tsv(path, OUTCOME_COLUMNS,
+                        lambda fields: dict(zip(OUTCOME_COLUMNS, fields))) == outcomes
 
 
 class TestEvaluationReport:

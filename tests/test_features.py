@@ -5,7 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexevo.dataset import (MemberCounts, SynsetSnapshot, TimeWindow,
+from lexevo.dataset import (Dataset, MemberCounts, SynsetSnapshot, TimeWindow,
                             build_dataset, schedule_windows)
 from lexevo.errors import DataError
 from lexevo.experiments import load_pipeline_inputs
@@ -14,7 +14,6 @@ from lexevo.features import (
     boundary_trigrams,
     extract_features,
     load_syllable_exceptions,
-    make_feature_vector,
     partition_trigrams,
     read_feature_vectors,
     relative_frequencies,
@@ -160,15 +159,21 @@ NO_CLUSTERS = CatVarClusters([])
 
 
 class TestMakeFeatureVector:
+    """Vectors made by extract_features from a dataset of one snapshot."""
+
     def births_for(self, snap, year=1800):
         return {member.corpus_key(): year for member in snap.counts}
+
+    def vectors(self, snap, births, include_class=True):
+        """The snapshot's vectors by member."""
+        vectors = extract_features(Dataset(WINDOW, [snap]), NO_CLUSTERS, births,
+                                   include_class=include_class)
+        return {v.sense: v for v in vectors}
 
     def test_basic_values(self):
         snap = snapshot_for({"longword": (2, 6, 2), "tiny": (2, 2, 8)})
         births = self.births_for(snap)
-        v = make_feature_vector(
-            snap.synset.members[1], snap, NO_CLUSTERS, births, WINDOW
-        )
+        v = self.vectors(snap, births)[snap.synset.members[1]]
         assert v.normalized_length == pytest.approx(4 / 8)
         assert v.present_age == 100
         # f1 = 0.5, f2 = 0.25
@@ -179,35 +184,25 @@ class TestMakeFeatureVector:
     def test_extrapolation_unclamped(self):
         snap = snapshot_for({"one": (9, 1, 1), "two": (1, 9, 9)})
         births = self.births_for(snap)
-        v = make_feature_vector(
-            snap.synset.members[0], snap, NO_CLUSTERS, births, WINDOW
-        )
+        v = self.vectors(snap, births)[snap.synset.members[0]]
         # f1 = 0.9, f2 = 0.1 so 2 f2 - f1 goes negative
         assert v.linear_extrapolation == pytest.approx(-0.7)
 
     def test_missing_birth_fatal(self):
         snap = snapshot_for({"one": (1, 2, 3), "two": (3, 2, 1)})
         with pytest.raises(DataError):
-            make_feature_vector(
-                snap.synset.members[0], snap, NO_CLUSTERS, {}, WINDOW
-            )
+            self.vectors(snap, {})
 
     def test_include_class_false(self):
         snap = snapshot_for({"one": (1, 2, 3), "two": (3, 3, 1)})
-        v = make_feature_vector(
-            snap.synset.members[0], snap, NO_CLUSTERS, self.births_for(snap),
-            WINDOW, include_class=False,
-        )
-        assert v.target_class is None
+        vectors = self.vectors(snap, self.births_for(snap), include_class=False)
+        assert vectors[snap.synset.members[0]].target_class is None
 
     def test_exactly_one_positive_class_per_snapshot(self):
         snap = snapshot_for({"one": (1, 2, 9), "two": (3, 3, 1), "six": (2, 2, 2)})
-        births = self.births_for(snap)
-        vectors = [
-            make_feature_vector(m, snap, NO_CLUSTERS, births, WINDOW)
-            for m in snap.counts
-        ]
-        assert sum(v.target_class for v in vectors) == 1
+        vectors = self.vectors(snap, self.births_for(snap))
+        assert len(vectors) == 3
+        assert sum(v.target_class for v in vectors.values()) == 1
 
 
 def fixture_datasets(bundle):
@@ -222,23 +217,6 @@ def fixture_datasets(bundle):
 
 
 class TestExtractFeatures:
-    @pytest.mark.parametrize("bundle", ["synthetic", "rapture"])
-    @pytest.mark.parametrize("include_class", [True, False])
-    def test_matches_make_feature_vector(self, bundle, include_class):
-        inputs, datasets = fixture_datasets(bundle)
-        assert sum(ds.word_count for ds in datasets) > 0
-        for ds in datasets:
-            expected = [
-                make_feature_vector(member, snapshot, inputs.clusters,
-                                    inputs.births, ds.window,
-                                    inputs.syllable_exceptions, include_class)
-                for snapshot in ds.snapshots
-                for member in snapshot.counts
-            ]
-            assert extract_features(ds, inputs.clusters, inputs.births,
-                                    inputs.syllable_exceptions,
-                                    include_class) == expected
-
     def test_trigrams_once_per_member(self, monkeypatch):
         import lexevo.features as features_mod
 
@@ -303,7 +281,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda f: f[:2] + ["abc"] + f[3:], "could not convert string to float: 'abc'"),
-        (lambda f: f[:-1], "expected 11, got 10"),
+        (lambda f: f[:-1], "expected 11 tab-separated columns, got 10"),
         (lambda f: f[:2] + ["nan"] + f[3:], "non-finite value 'nan'"),
         (lambda f: f[:9] + ["2"] + f[10:], "target_class must be empty, 0 or 1"),
         (lambda f: f[:1] + ["rapt#q#1"] + f[2:], "bad sense id"),
