@@ -27,12 +27,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-SUBCOMMANDS = (
-    "ingest", "build-dataset", "extract-features", "train", "predict",
-    "evaluate", "ablate", "sweep", "interpret", "plot-data",
-)
-
-
 @dataclass
 class RunConfig:
     corpus: list = None  # list of unigram file paths
@@ -158,67 +152,6 @@ def _feature_selection(keep):
     return parse
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--corpus", action="append",
-                        help="unigram TSV (.tsv or .tsv.gz); repeatable")
-    parser.add_argument("--lexicon", help="synset lexicon TSV")
-    parser.add_argument("--catvar", help="categorial-variation cluster TSV")
-    parser.add_argument("--syllables", help="syllable exceptions TSV")
-    parser.add_argument("--out", help="output directory")
-    for flag, key in (("--cycle", "cycle_years"), ("--half-width", "half_width"),
-                      ("--anchor-year", "anchor_year"),
-                      ("--floor-year", "floor_year"), ("--seed", "seed")):
-        parser.add_argument(flag, type=_CONVERTERS[key], dest=key)
-
-
-def build_parser():
-    parser = _Parser(prog="evocli", description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "extract-features":
-            p.add_argument("--dataset", required=True,
-                           help="dataset TSV from build-dataset")
-            p.add_argument("--no-class", action="store_true",
-                           help="omit target classes (prediction-time vectors)")
-        elif name == "train":
-            p.add_argument("--features", required=True,
-                           help="feature TSV from extract-features")
-            p.add_argument("--model", help="output model JSON path")
-            subset = p.add_mutually_exclusive_group()
-            subset.add_argument("--only", dest="selection", metavar="NAMES",
-                                type=_feature_selection(True),
-                                help="comma-separated feature subset")
-            subset.add_argument("--drop", dest="selection", metavar="NAMES",
-                                type=_feature_selection(False),
-                                help="comma-separated features to exclude")
-            p.set_defaults(selection=features_mod.FEATURE_NAMES)
-        elif name == "predict":
-            p.add_argument("--features", required=True, help="feature TSV to score")
-            p.add_argument("--model", required=True, help="fitted model JSON")
-        elif name == "evaluate":
-            p.add_argument("--dataset", required=True,
-                           help="dataset TSV with future counts")
-            p.add_argument("--probabilities", required=True,
-                           help="probability TSV from predict")
-        elif name == "ablate":
-            p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
-                           default="drop_one")
-            p.add_argument("--feature",
-                           help="one feature name; default: all features in turn")
-        elif name == "sweep":
-            p.add_argument("--cycles", type=_cycle_list, default="30,40,50,60",
-                           help="comma-separated cycle lengths")
-        elif name == "plot-data":
-            p.add_argument("--synset", required=True, help="synset id to plot")
-            p.add_argument("--years", type=_year_range, default="1800:2000",
-                           help="inclusive year range, START:END")
-    return parser
-
-
 def resolve_config(args):
     config = RunConfig()
     if getattr(args, "config", None):
@@ -297,9 +230,7 @@ def cmd_extract_features(args, config):
     --corpus, --lexicon and --catvar are ignored."""
     ds = dataset_mod.read_dataset(args.dataset)
     vectors = features_mod.extract_features(
-        ds, ds.clusters, ds.births, experiments_mod.load_syllables(config.syllables),
-        include_class=not args.no_class,
-    )
+        ds, ds.clusters, ds.births, experiments_mod.load_syllables(config.syllables))
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
     return EXIT_OK
@@ -333,12 +264,15 @@ def _read_scores(path):
     """SenseId -> log-odds from a predict output file.
 
     evaluate ranks by log_odds, since the probabilities saturate; a row
-    without a parseable sense and finite log-odds, or one repeating a
-    sense, is a DataError naming the file and line.
+    without a parseable sense, a win probability from 0 to 1 and finite
+    log-odds, or one repeating a sense, is a DataError naming the file
+    and line.
     """
     scores = {}
 
     def parse(fields):
+        if not 0.0 <= float(fields[2]) <= 1.0:
+            raise ValueError(f"win probability {fields[2]!r} is not in [0, 1]")
         score = float(fields[3])
         if not math.isfinite(score):
             raise ValueError(f"non-finite score {fields[3]!r}")
@@ -440,32 +374,92 @@ def _rows_to_csv(rows):
     return out.getvalue()
 
 
-_HANDLERS = {
-    "ingest": cmd_ingest,
-    "build-dataset": cmd_build_dataset,
-    "extract-features": cmd_extract_features,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-    "sweep": cmd_sweep,
-    "interpret": cmd_interpret,
-    "plot-data": cmd_plot_data,
-}
+def _common_flags():
+    """Parent parser of the flags every command accepts."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--config", help="key=value config file")
+    parser.add_argument("--corpus", action="append",
+                        help="unigram TSV (.tsv or .tsv.gz); repeatable")
+    parser.add_argument("--lexicon", help="synset lexicon TSV")
+    parser.add_argument("--catvar", help="categorial-variation cluster TSV")
+    parser.add_argument("--syllables", help="syllable exceptions TSV")
+    parser.add_argument("--out", help="output directory")
+    for flag, key in (("--cycle", "cycle_years"), ("--half-width", "half_width"),
+                      ("--anchor-year", "anchor_year"),
+                      ("--floor-year", "floor_year"), ("--seed", "seed")):
+        parser.add_argument(flag, type=_CONVERTERS[key], dest=key)
+    return parser
+
+
+def build_parser():
+    """The evocli parser: each command, its own flags and its handler."""
+    parser = _Parser(prog="evocli", description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
+    common = [_common_flags()]
+
+    sub.add_parser("ingest", parents=common).set_defaults(handler=cmd_ingest)
+
+    sub.add_parser("build-dataset", parents=common).set_defaults(
+        handler=cmd_build_dataset)
+
+    p = sub.add_parser("extract-features", parents=common)
+    p.add_argument("--dataset", required=True, help="dataset TSV from build-dataset")
+    p.set_defaults(handler=cmd_extract_features)
+
+    p = sub.add_parser("train", parents=common)
+    p.add_argument("--features", required=True,
+                   help="feature TSV from extract-features")
+    p.add_argument("--model", help="output model JSON path")
+    subset = p.add_mutually_exclusive_group()
+    subset.add_argument("--only", dest="selection", metavar="NAMES",
+                        type=_feature_selection(True),
+                        help="comma-separated feature subset")
+    subset.add_argument("--drop", dest="selection", metavar="NAMES",
+                        type=_feature_selection(False),
+                        help="comma-separated features to exclude")
+    p.set_defaults(handler=cmd_train, selection=features_mod.FEATURE_NAMES)
+
+    p = sub.add_parser("predict", parents=common)
+    p.add_argument("--features", required=True, help="feature TSV to score")
+    p.add_argument("--model", required=True, help="fitted model JSON")
+    p.set_defaults(handler=cmd_predict)
+
+    p = sub.add_parser("evaluate", parents=common)
+    p.add_argument("--dataset", required=True, help="dataset TSV with future counts")
+    p.add_argument("--probabilities", required=True,
+                   help="probability TSV from predict")
+    p.set_defaults(handler=cmd_evaluate)
+
+    p = sub.add_parser("ablate", parents=common)
+    p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
+                   default="drop_one")
+    p.add_argument("--feature", choices=features_mod.FEATURE_NAMES, metavar="NAME",
+                   help="one feature name; default: all features in turn")
+    p.set_defaults(handler=cmd_ablate)
+
+    p = sub.add_parser("sweep", parents=common)
+    p.add_argument("--cycles", type=_cycle_list, default="30,40,50,60",
+                   help="comma-separated cycle lengths")
+    p.set_defaults(handler=cmd_sweep)
+
+    sub.add_parser("interpret", parents=common).set_defaults(handler=cmd_interpret)
+
+    p = sub.add_parser("plot-data", parents=common)
+    p.add_argument("--synset", required=True, help="synset id to plot")
+    p.add_argument("--years", type=_year_range, default="1800:2000",
+                   help="inclusive year range, START:END")
+    p.set_defaults(handler=cmd_plot_data)
+    return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         config = resolve_config(args)
-        return _HANDLERS[args.command](args, config)
+        return args.handler(args, config)
     except (LexevoError, OSError, ValueError) as exc:
         print(f"evocli: error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA

@@ -20,6 +20,9 @@ from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
 REMOVAL_DEAD_WORD = "dead_word"
 REMOVAL_TIE = "tie"
 
+# the cycle lengths, in years, that schedule_windows accepts
+MIN_CYCLE, MAX_CYCLE = 30, 60
+
 
 @dataclass(frozen=True, order=True)
 class TimeWindow:
@@ -49,14 +52,13 @@ def sampling_periods(cycle, anchor_year=2000, floor_year=1800):
     return sorted(periods)
 
 
-def schedule_windows(cycle, anchor_year=2000, floor_year=1800,
-                     min_cycle=30, max_cycle=60):
+def schedule_windows(cycle, anchor_year=2000, floor_year=1800):
     """Chronological (train, test) window pairs for a cycle length.
 
     Requires at least four sampling periods (one train/test pair).
     """
-    if not min_cycle <= cycle <= max_cycle:
-        raise DataError(f"cycle {cycle} outside [{min_cycle}, {max_cycle}]")
+    if not MIN_CYCLE <= cycle <= MAX_CYCLE:
+        raise DataError(f"cycle {cycle} outside [{MIN_CYCLE}, {MAX_CYCLE}]")
     periods = sampling_periods(cycle, anchor_year, floor_year)
     if len(periods) < 4:
         raise DataError(f"cycle {cycle} yields only {len(periods)} periods; need 4")

@@ -36,14 +36,18 @@ class Metrics:
     f_score: float
 
 
-def predict_synset_winner(probabilities):
-    """Sense with the highest win probability; ties take the smallest id."""
-    if len(probabilities) < 2:
+def predict_synset_winner(scores):
+    """Sense with the highest score; ties take the smallest id.
+
+    A score is anything that ranks senses by how likely each is to win,
+    such as the model's log-odds or the baseline's uniform draws.
+    """
+    if len(scores) < 2:
         raise ValueError("need at least two candidate senses")
-    best = max(probabilities.values())
-    tied = sorted((s for s, p in probabilities.items() if p == best), key=str)
+    best = max(scores.values())
+    tied = sorted((s for s, score in scores.items() if score == best), key=str)
     if len(tied) > 1:
-        log.info("probability tie among %s; picking %s", tied, tied[0])
+        log.info("score tie among %s; picking %s", tied, tied[0])
     return tied[0]
 
 
@@ -70,13 +74,13 @@ def metrics(counts):
     return Metrics(precision, recall, f_score)
 
 
-def wilson_interval(successes, n, confidence=0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, n):
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     if not 0 <= successes <= n:
         raise ValueError("successes outside [0, n]")
-    z = _stats.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _stats.NormalDist().inv_cdf(0.975)  # two-sided 95%
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -89,17 +93,17 @@ OUTCOME_COLUMNS = ("synset_id", "present_leader", "future_leader", "predicted",
                    "cell")
 
 
-def evaluate_predictions(snapshots, probabilities):
-    """Score per-word probabilities at the synset level.
+def evaluate_predictions(snapshots, scores):
+    """Evaluate per-word scores at the synset level.
 
-    probabilities maps SenseId -> win probability and must cover every
-    member of every snapshot.  Returns (ContingencyCounts, Metrics,
-    per-synset outcome rows).
+    scores maps SenseId -> score and must cover every member of every
+    snapshot; each synset predicts its highest-scored member.  Returns
+    (ContingencyCounts, Metrics, per-synset outcome rows).
     """
     tallies = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     outcomes = []
     for snapshot in snapshots:
-        per_sense = {s: probabilities[s] for s in snapshot.counts}
+        per_sense = {s: scores[s] for s in snapshot.counts}
         predicted = predict_synset_winner(per_sense)
         cell = classify_outcome(
             snapshot.present_leader, snapshot.future_leader, predicted
@@ -116,7 +120,7 @@ def evaluate_predictions(snapshots, probabilities):
     return counts, metrics(counts), outcomes
 
 
-def evaluation_report(counts, scores, confidence=0.95):
+def evaluation_report(counts, scores):
     """JSON-ready report: counts, percentage metrics, Wilson intervals.
 
     wilson_95 holds a band for precision and one for recall, each only
@@ -142,7 +146,7 @@ def evaluation_report(counts, scores, confidence=0.95):
     # precision is tp of tp+fp trials and recall tp of tp+fn; F is not a
     # binomial proportion and has no band, nor has a proportion of 0 trials
     report["wilson_95"] = {
-        name: list(wilson_interval(counts.tp, trials, confidence))
+        name: list(wilson_interval(counts.tp, trials))
         for name, trials in (("precision", counts.tp + counts.fp),
                              ("recall", counts.tp + counts.fn))
         if trials
@@ -161,16 +165,16 @@ def _uniform_draw(seed, synset_id, sense):
 
 
 def random_baseline(snapshots, seed):
-    """Uniform-score baseline: every word draws its probability i.i.d.
+    """Uniform-score baseline: every word draws its score i.i.d.
 
     No cross-word normalization is applied; as with the learned model,
     only winner-vs-loser for each word individually is simulated.
     """
-    probabilities = {}
+    draws = {}
     for snapshot in snapshots:
         for sense in snapshot.counts:
-            probabilities[sense] = _uniform_draw(seed, snapshot.synset.id, sense)
-    return evaluate_predictions(snapshots, probabilities)
+            draws[sense] = _uniform_draw(seed, snapshot.synset.id, sense)
+    return evaluate_predictions(snapshots, draws)
 
 
 def is_right(outcome):

@@ -135,7 +135,6 @@ def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
         "model": model,
         "train_vectors": train_vectors,
         "test_vectors": test_vectors,
-        "test_dataset": test_ds,
         "outcomes": outcomes,
     }
 
@@ -260,10 +259,10 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
     return {"rows": rows, "skipped": skipped}
 
 
-def welch_t_test(mean1, var1, n1, mean2, var2, n2, alpha=0.05):
+def welch_t_test(mean1, var1, n1, mean2, var2, n2):
     """Two-tailed unpaired t test with unequal variances.
 
-    Returns (t, degrees of freedom, p, significant at the given level).
+    Returns (t, degrees of freedom, p, significant at 5%).
     Both variances zero with equal means is reported as not significant.
     """
     if n1 < 2 or n2 < 2:
@@ -280,7 +279,7 @@ def welch_t_test(mean1, var1, n1, mean2, var2, n2, alpha=0.05):
         (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
     )
     p = student_t_two_tailed_p(t, df)
-    return t, df, p, p < alpha
+    return t, df, p, p < 0.05
 
 
 def fisher_exact(ones0, n0, ones1, n1):

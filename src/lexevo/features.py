@@ -171,8 +171,7 @@ class FeatureVector:
         return replace(self, target_class=None)
 
 
-def extract_features(dataset, clusters, births, syllable_exceptions=None,
-                     include_class=True):
+def extract_features(dataset, clusters, births, syllable_exceptions=None):
     """Feature vectors for every word of every snapshot in a dataset.
 
     births maps corpus keys, the (lemma, corpus POS tag) tuples that
@@ -208,8 +207,7 @@ def extract_features(dataset, clusters, births, syllable_exceptions=None,
                 relative_growth=f2 - f1,
                 linear_extrapolation=2.0 * f2 - f1,
                 present_age=present - born,
-                target_class=(int(snapshot.future_leader == member)
-                              if include_class else None),
+                target_class=int(snapshot.future_leader == member),
             ))
     return vectors
 

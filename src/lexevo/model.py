@@ -47,9 +47,8 @@ class GaussianParams:
 
 
 def gaussian_log_pdf(params, x):
-    """Log density of N(mean, variance) at x."""
-    if params.variance <= 0:
-        raise ValueError("variance must be positive")
+    """Log density of N(mean, variance) at x; math.log raises ValueError
+    for a variance that is not positive."""
     d = x - params.mean
     return -0.5 * (_LOG_2PI + math.log(params.variance)) - (d * d) / (
         2.0 * params.variance)

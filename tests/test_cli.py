@@ -209,9 +209,10 @@ class TestExitCodes:
         (["train", "--features", "f.tsv", "--only", ","], "--only"),
         (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
          "--drop"),
+        (["ablate", "--feature", "bogus"], "--feature"),
     ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed",
             "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
-            "only_nothing", "drop_everything"])
+            "only_nothing", "drop_everything", "ablate_unknown_feature"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
         # the flag is checked before any input is read: the corpus named
         # here does not exist, which would otherwise be a data error
@@ -645,6 +646,7 @@ class TestReadScores:
 
     @settings(max_examples=300, deadline=None)
     @example(0, 3, "nan")
+    @example(0, 2, "7")
     @given(st.integers(0, 1), st.integers(0, 3),
            st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
                    max_size=12))
@@ -666,6 +668,15 @@ class TestReadScores:
             else:
                 assert 1 <= len(scores) <= 2
                 assert all(math.isfinite(score) for score in scores.values())
+
+    @pytest.mark.parametrize("text", ["abc", "7", "-0.5", "nan"])
+    def test_bad_win_probability_names_its_line(self, tmp_path, text):
+        path = tmp_path / "probabilities.tsv"
+        rows = list(self.ROWS)
+        rows[1] = rows[1].replace("\t0.25\t", f"\t{text}\t")
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=f"{path} line 2: "):
+            _read_scores(str(path))
 
     def test_repeated_sense_names_its_line(self, tmp_path):
         path = tmp_path / "probabilities.tsv"

@@ -164,10 +164,9 @@ class TestMakeFeatureVector:
     def births_for(self, snap, year=1800):
         return {member.corpus_key(): year for member in snap.counts}
 
-    def vectors(self, snap, births, include_class=True):
+    def vectors(self, snap, births):
         """The snapshot's vectors by member."""
-        vectors = extract_features(Dataset(WINDOW, [snap]), NO_CLUSTERS, births,
-                                   include_class=include_class)
+        vectors = extract_features(Dataset(WINDOW, [snap]), NO_CLUSTERS, births)
         return {v.sense: v for v in vectors}
 
     def test_basic_values(self):
@@ -192,11 +191,6 @@ class TestMakeFeatureVector:
         snap = snapshot_for({"one": (1, 2, 3), "two": (3, 2, 1)})
         with pytest.raises(DataError):
             self.vectors(snap, {})
-
-    def test_include_class_false(self):
-        snap = snapshot_for({"one": (1, 2, 3), "two": (3, 3, 1)})
-        vectors = self.vectors(snap, self.births_for(snap), include_class=False)
-        assert vectors[snap.synset.members[0]].target_class is None
 
     def test_exactly_one_positive_class_per_snapshot(self):
         snap = snapshot_for({"one": (1, 2, 9), "two": (3, 3, 1), "six": (2, 2, 2)})

@@ -1,7 +1,27 @@
+import os
+
 import pytest
 
-from lexevo.fixtures import MAX_SYNTHETIC_SYNSETS, write_synthetic_fixture
+from lexevo.fixtures import (
+    MAX_SYNTHETIC_SYNSETS,
+    write_rapture_fixture,
+    write_synthetic_fixture,
+)
 from lexevo.lexicon import eligible_synsets, load_lexicon
+from tests.conftest import FIXTURES
+
+
+@pytest.mark.parametrize("bundle, write", [
+    ("rapture", write_rapture_fixture), ("synthetic", write_synthetic_fixture),
+])
+def test_bundle_regenerates_byte_identical(tmp_path, bundle, write):
+    # the README regenerates fixtures/ with these functions
+    write(str(tmp_path))
+    committed = os.path.join(FIXTURES, bundle)
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(committed))
+    for name in os.listdir(committed):
+        with open(os.path.join(committed, name), "rb") as handle:
+            assert (tmp_path / name).read_bytes() == handle.read(), name
 
 
 def test_largest_synthetic_bundle_is_fully_eligible(tmp_path):
