@@ -355,6 +355,12 @@ def cmd_plot_data(args, config):
     synset = next((s for s in lexicon.synsets if s.id == args.synset), None)
     if synset is None:
         raise LexevoError(f"synset {args.synset!r} not found in lexicon")
+    # the corpus holds only eligible members and their cluster-mates, so
+    # any other synset would plot zero shares
+    if synset not in inputs.synsets:
+        raise DataError(f"synset {args.synset!r} is not eligible: it needs two or "
+                        "more members, each a monosemous lowercase lemma of at "
+                        "least 3 letters")
     member_series = [inputs.corpus.series(m.corpus_key()) for m in synset.members]
     rows = corpus_mod.synset_annual_shares(member_series, args.years)
     atomic_write_text(
@@ -397,16 +403,21 @@ def build_parser():
     sub = parser.add_subparsers(metavar="COMMAND", required=True)
     common = [_common_flags()]
 
-    sub.add_parser("ingest", parents=common).set_defaults(handler=cmd_ingest)
+    p = sub.add_parser("ingest", parents=common,
+                       help="filter the corpus to the lexicon's words")
+    p.set_defaults(handler=cmd_ingest)
 
-    sub.add_parser("build-dataset", parents=common).set_defaults(
-        handler=cmd_build_dataset)
+    p = sub.add_parser("build-dataset", parents=common,
+                       help="write each window's synset counts")
+    p.set_defaults(handler=cmd_build_dataset)
 
-    p = sub.add_parser("extract-features", parents=common)
+    p = sub.add_parser("extract-features", parents=common,
+                       help="write the feature vectors of one dataset")
     p.add_argument("--dataset", required=True, help="dataset TSV from build-dataset")
     p.set_defaults(handler=cmd_extract_features)
 
-    p = sub.add_parser("train", parents=common)
+    p = sub.add_parser("train", parents=common,
+                       help="fit the naive Bayes model on one feature file")
     p.add_argument("--features", required=True,
                    help="feature TSV from extract-features")
     p.add_argument("--model", help="output model JSON path")
@@ -419,32 +430,39 @@ def build_parser():
                         help="comma-separated features to exclude")
     p.set_defaults(handler=cmd_train, selection=features_mod.FEATURE_NAMES)
 
-    p = sub.add_parser("predict", parents=common)
+    p = sub.add_parser("predict", parents=common,
+                       help="score a feature file with a fitted model")
     p.add_argument("--features", required=True, help="feature TSV to score")
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=common)
+    p = sub.add_parser("evaluate", parents=common,
+                       help="score predictions at the synset level")
     p.add_argument("--dataset", required=True, help="dataset TSV with future counts")
     p.add_argument("--probabilities", required=True,
                    help="probability TSV from predict")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("ablate", parents=common)
+    p = sub.add_parser("ablate", parents=common,
+                       help="compare feature subsets on the last window pair")
     p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
                    default="drop_one")
     p.add_argument("--feature", choices=features_mod.FEATURE_NAMES, metavar="NAME",
                    help="one feature name; default: all features in turn")
     p.set_defaults(handler=cmd_ablate)
 
-    p = sub.add_parser("sweep", parents=common)
+    p = sub.add_parser("sweep", parents=common,
+                       help="run every window pair of several cycle lengths")
     p.add_argument("--cycles", type=_cycle_list, default="30,40,50,60",
                    help="comma-separated cycle lengths")
     p.set_defaults(handler=cmd_sweep)
 
-    sub.add_parser("interpret", parents=common).set_defaults(handler=cmd_interpret)
+    p = sub.add_parser("interpret", parents=common,
+                       help="test each feature of the last training window")
+    p.set_defaults(handler=cmd_interpret)
 
-    p = sub.add_parser("plot-data", parents=common)
+    p = sub.add_parser("plot-data", parents=common,
+                       help="write one synset's annual member shares")
     p.add_argument("--synset", required=True, help="synset id to plot")
     p.add_argument("--years", type=_year_range, default="1800:2000",
                    help="inclusive year range, START:END")

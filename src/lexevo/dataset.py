@@ -40,18 +40,6 @@ class TimeWindow:
         return f"{self.past}_{self.present}_{self.future}"
 
 
-def sampling_periods(cycle, anchor_year=2000, floor_year=1800):
-    """Sampling years anchor, anchor-cycle, ... down to >= floor, ascending."""
-    if cycle < 1:
-        raise ValueError("cycle must be positive")
-    periods = []
-    year = anchor_year
-    while year >= floor_year:
-        periods.append(year)
-        year -= cycle
-    return sorted(periods)
-
-
 def schedule_windows(cycle, anchor_year=2000, floor_year=1800):
     """Chronological (train, test) window pairs for a cycle length.
 
@@ -59,7 +47,8 @@ def schedule_windows(cycle, anchor_year=2000, floor_year=1800):
     """
     if not MIN_CYCLE <= cycle <= MAX_CYCLE:
         raise DataError(f"cycle {cycle} outside [{MIN_CYCLE}, {MAX_CYCLE}]")
-    periods = sampling_periods(cycle, anchor_year, floor_year)
+    # sampling years anchor, anchor - cycle, ... down to the floor, ascending
+    periods = sorted(range(anchor_year, floor_year - 1, -cycle))
     if len(periods) < 4:
         raise DataError(f"cycle {cycle} yields only {len(periods)} periods; need 4")
     windows = [
@@ -96,10 +85,6 @@ class SynsetSnapshot:
     @cached_property
     def future_leader(self):
         return max(self.counts, key=lambda sense: self.counts[sense].future)
-
-    @property
-    def changed(self):
-        return self.present_leader != self.future_leader
 
 
 def _removal_reason(counts):
@@ -144,31 +129,18 @@ class Dataset:
     clusters: CatVarClusters = field(default_factory=CatVarClusters)
     births: dict = field(default_factory=dict)
 
-    @property
-    def synset_count(self):
-        return len(self.snapshots)
-
-    @property
-    def word_count(self):
-        return sum(len(s.counts) for s in self.snapshots)
-
-    @property
-    def words_per_synset(self):
-        return self.word_count / self.synset_count if self.snapshots else 0.0
-
-    @property
-    def change_fraction(self):
-        if not self.snapshots:
-            return 0.0
-        return sum(1 for s in self.snapshots if s.changed) / len(self.snapshots)
-
     def summary(self):
+        synsets = len(self.snapshots)
+        words = sum(len(s.counts) for s in self.snapshots)
+        changed = sum(s.present_leader != s.future_leader for s in self.snapshots)
+        per_synset = words / synsets if synsets else 0.0
+        changed_fraction = changed / synsets if synsets else 0.0
         return {
             "window": [self.window.past, self.window.present, self.window.future],
-            "synsets": self.synset_count,
-            "words": self.word_count,
-            "words_per_synset": round(self.words_per_synset, 4),
-            "change_percent": round(100.0 * self.change_fraction, 4),
+            "synsets": synsets,
+            "words": words,
+            "words_per_synset": round(per_synset, 4),
+            "change_percent": round(100.0 * changed_fraction, 4),
             "removals": dict(self.removal_log),
         }
 

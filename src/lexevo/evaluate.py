@@ -9,12 +9,9 @@ with right/wrong).
 """
 
 import hashlib
-import logging
 import math
 import statistics as _stats
 from dataclasses import dataclass
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -23,10 +20,6 @@ class ContingencyCounts:
     fp: int = 0
     fn: int = 0
     tn: int = 0
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
 
 
 @dataclass(frozen=True)
@@ -37,7 +30,8 @@ class Metrics:
 
 
 def predict_synset_winner(scores):
-    """Sense with the highest score; ties take the smallest id.
+    """Sense with the highest score; a tie takes the id that is smallest
+    as a string.
 
     A score is anything that ranks senses by how likely each is to win,
     such as the model's log-odds or the baseline's uniform draws.
@@ -45,10 +39,7 @@ def predict_synset_winner(scores):
     if len(scores) < 2:
         raise ValueError("need at least two candidate senses")
     best = max(scores.values())
-    tied = sorted((s for s, score in scores.items() if score == best), key=str)
-    if len(tied) > 1:
-        log.info("score tie among %s; picking %s", tied, tied[0])
-    return tied[0]
+    return min((s for s, score in scores.items() if score == best), key=str)
 
 
 def classify_outcome(present_leader, future_leader, predicted):
@@ -126,11 +117,10 @@ def evaluation_report(counts, scores):
     wilson_95 holds a band for precision and one for recall, each only
     when it has at least one trial.
     """
-    n = counts.total
     report = {
         "counts": {
             "tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn,
-            "synsets": n,
+            "synsets": counts.tp + counts.fp + counts.fn + counts.tn,
         },
         "metrics_percent": {
             "precision": round(100.0 * scores.precision, 1),

@@ -119,11 +119,6 @@ def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
     report["train"] = train_ds.summary()
     report["test"] = test_ds.summary()
     report["features"] = list(features)
-    report["random_percent"] = {
-        "precision": round(100.0 * random_scores.precision, 1),
-        "recall": round(100.0 * random_scores.recall, 1),
-        "f_score": round(100.0 * random_scores.f_score, 1),
-    }
     report["random"] = {
         "precision": random_scores.precision,
         "recall": random_scores.recall,
@@ -252,7 +247,7 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
                 "future": test_window.future,
                 "window": test_window.label(),
                 "f_nbcp": report["metrics_percent"]["f_score"],
-                "f_random": report["random_percent"]["f_score"],
+                "f_random": round(100.0 * report["random"]["f_score"], 1),
                 "percent_changed": report["test"]["change_percent"],
                 "synsets": report["counts"]["synsets"],
             })

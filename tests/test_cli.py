@@ -197,6 +197,11 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
+        listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.strip()}
+        assert listed >= {"ingest", "build-dataset", "extract-features", "train",
+                          "predict", "evaluate", "ablate", "sweep", "interpret",
+                          "plot-data"}
 
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--cycles", "x"], "--cycles"),
@@ -875,3 +880,22 @@ class TestPlotData:
     def test_unknown_synset_is_data_error(self, tmp_path, rapture_paths, capsys):
         flags = common_flags(rapture_paths, tmp_path)
         assert main(["plot-data", "--synset", "zzz"] + flags) == EXIT_DATA
+
+    def test_ineligible_synset_is_data_error(self, tmp_path, rapture_paths, capsys):
+        # qq is under 3 letters, so no member of z00001 is read from the
+        # corpus and its shares would all be 0
+        corpus, lexicon = tmp_path / "corpus.tsv", tmp_path / "lexicon.tsv"
+        shutil.copy(rapture_paths["corpus"], corpus)
+        shutil.copy(rapture_paths["lexicon"], lexicon)
+        with open(corpus, "a", encoding="utf-8") as handle:
+            handle.write("alpha_ADJ\t1900\t10\t1\nalphaz_ADJ\t1900\t30\t1\n")
+        with open(lexicon, "a", encoding="utf-8") as handle:
+            handle.write("z00001\ta\talpha,alphaz,qq\n")
+        flags = common_flags({"corpus": str(corpus), "lexicon": str(lexicon)},
+                             tmp_path / "out")
+        code = main(["plot-data", "--synset", "z00001", "--years", "1899:1901"]
+                    + flags)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "synset 'z00001' is not eligible" in err
+        assert not (tmp_path / "out" / "shares_z00001.csv").exists()

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexevo.corpus import CorpusTable
 from lexevo.dataset import (
+    MAX_CYCLE,
+    MIN_CYCLE,
     SynsetSnapshot,
     TimeWindow,
     build_dataset,
@@ -78,6 +80,24 @@ class TestScheduleWindows:
         with pytest.raises(DataError):
             schedule_windows(60, anchor_year=2000, floor_year=1900)
 
+    @settings(deadline=None)
+    @given(anchor=st.integers(1500, 2100), span=st.integers(0, 400))
+    def test_windows_match_stepping_loop(self, anchor, span):
+        floor = anchor - span
+        for cycle in range(MIN_CYCLE, MAX_CYCLE + 1):
+            periods, year = [], anchor
+            while year >= floor:
+                periods.append(year)
+                year -= cycle
+            periods.reverse()
+            if len(periods) < 4:
+                with pytest.raises(DataError):
+                    schedule_windows(cycle, anchor, floor)
+                continue
+            windows = [TimeWindow(*periods[i:i + 3]) for i in range(len(periods) - 2)]
+            assert schedule_windows(cycle, anchor, floor) == list(
+                zip(windows, windows[1:]))
+
 
 WINDOW = TimeWindow(1850, 1900, 1950)
 
@@ -92,7 +112,7 @@ class TestBuildSnapshot:
         assert reason is None
         assert snapshot.present_leader.lemma == "alpha"
         assert snapshot.future_leader.lemma == "alpha"
-        assert snapshot.changed is False
+        assert snapshot.present_leader == snapshot.future_leader
 
     def test_dead_word_removal(self):
         table = table_for({"alpha": {1900: 5, 1950: 5}, "beta": {1950: 9}})
@@ -155,9 +175,9 @@ class TestBuildDataset:
             "five": {1900: 7, 1950: 7}, "six": {1900: 7, 1950: 2},  # present tie
         })
         ds = build_dataset(self.three_synsets(), table, WINDOW)
-        assert ds.synset_count == 1
+        assert len(ds.snapshots) == 1
         assert ds.removal_log == {"dead_word": 1, "tie": 1}
-        assert ds.synset_count + sum(ds.removal_log.values()) == 3
+        assert len(ds.snapshots) + sum(ds.removal_log.values()) == 3
 
     def test_change_statistic(self):
         table = table_for({
@@ -166,14 +186,14 @@ class TestBuildDataset:
             "five": {1900: 7, 1950: 8}, "six": {1900: 6, 1950: 2},
         })
         ds = build_dataset(self.three_synsets(), table, WINDOW)
-        assert ds.synset_count == 3
-        assert ds.change_fraction == pytest.approx(1 / 3)
+        assert len(ds.snapshots) == 3
+        assert ds.summary()["change_percent"] == 33.3333
 
     def test_empty_input(self):
         ds = build_dataset([], table_for({}), WINDOW)
-        assert ds.synset_count == 0
-        assert ds.word_count == 0
-        assert ds.change_fraction == 0.0
+        summary = ds.summary()
+        assert (summary["synsets"], summary["words"]) == (0, 0)
+        assert summary["words_per_synset"] == summary["change_percent"] == 0.0
 
 
 class TestDatasetSerialization:
@@ -189,7 +209,7 @@ class TestDatasetSerialization:
         assert (tmp_path / "dataset.json").exists()
         loaded = read_dataset(str(tsv))
         assert loaded.window == ds.window
-        assert loaded.synset_count == ds.synset_count
+        assert loaded.summary() == ds.summary()
         original = {str(s): c for s, c in ds.snapshots[0].counts.items()}
         restored = {str(s): c for s, c in loaded.snapshots[0].counts.items()}
         assert restored == original
@@ -312,6 +332,6 @@ class TestDatasetSerialization:
                         or message.startswith(f"{sidecar}: key 'births' has no ")
                         ), message
             else:
-                assert dataset.word_count == 2
+                assert dataset.summary()["words"] == 2
                 assert all(min(c.past, c.present, c.future) >= 0
                            for s in dataset.snapshots for c in s.counts.values())

@@ -41,6 +41,9 @@ class TestPredictSynsetWinner:
     def test_tie_takes_smallest_id(self):
         a, b = SenseId("aye", "n", 1), SenseId("bee", "n", 1)
         assert predict_synset_winner({b: 0.5, a: 0.5}) == a
+        # the smallest id as a string, not by sense number
+        ten, two = SenseId("ab", "n", 10), SenseId("ab", "n", 2)
+        assert predict_synset_winner({two: 0.5, ten: 0.5}) == ten
 
     def test_single_candidate_rejected(self):
         with pytest.raises(ValueError):

@@ -324,7 +324,7 @@ class TestPrepareWindow:
         train = prepare_window(train_window, synthetic_inputs)
         test = prepare_window(test_window, synthetic_inputs)
         assert train[0].window == train_window
-        assert len(train[1]) == train[0].word_count
+        assert len(train[1]) == train[0].summary()["words"]
         staged = fit_and_score(train, test)
         assert staged["report"] == direct["report"]
         assert staged["test_vectors"] == direct["test_vectors"]
