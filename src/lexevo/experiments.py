@@ -23,7 +23,7 @@ from .evaluate import (
 from .features import (FEATURE_NAMES, SCALAR_FEATURES, extract_features,
                        load_syllable_exceptions)
 from .lexicon import CatVarClusters, eligible_synsets, load_catvar, load_lexicon
-from .model import fit, win_log_odds
+from .model import feature_terms, fit, subset_log_odds, win_log_odds
 
 ABLATION_MODES = ("drop_one", "single_only")
 
@@ -146,11 +146,11 @@ def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
 
 
 def _paired_counts(variant, baseline):
-    """(b, c): synsets only the baseline run gets right, only the variant run."""
-    baseline_right = {row["synset_id"]: is_right(row)
-                      for row in baseline["outcomes"]}
+    """(b, c): synsets only the baseline outcomes get right, only the
+    variant outcomes."""
+    baseline_right = {row["synset_id"]: is_right(row) for row in baseline}
     b = c = 0
-    for row in variant["outcomes"]:
+    for row in variant:
         right, was_right = is_right(row), baseline_right[row["synset_id"]]
         b += was_right and not right
         c += right and not was_right
@@ -160,31 +160,42 @@ def _paired_counts(variant, baseline):
 def run_ablations(specs, train_window, test_window, inputs, seed=0):
     """run_ablation rows for several specs on one window pair.
 
-    Both windows are prepared once, and every drop_one spec is compared
-    with one shared full-feature baseline fit.
+    Both windows are prepared once and one model is fitted on all
+    features.  A naive Bayes log odds is a sum of per-feature terms, and a
+    dimension's Gaussians and the priors do not depend on the other
+    features, so each variant's log odds is the exact subset sum of one
+    feature_terms table per test vector: what fitting the variant's
+    features alone gives, bit for bit.
     """
-    train = prepare_window(train_window, inputs)
-    test = prepare_window(test_window, inputs)
-    baseline = None
+    _, train_vectors = prepare_window(train_window, inputs)
+    test_ds, test_vectors = prepare_window(test_window, inputs)
+    model = fit(train_vectors)
+    terms = {v.sense: feature_terms(model, v) for v in test_vectors}
+
+    def evaluate(features):
+        """(F, outcome rows) of the model restricted to features."""
+        log_odds = {sense: subset_log_odds(model, t, features)
+                    for sense, t in terms.items()}
+        _, scores, outcomes = evaluate_predictions(test_ds.snapshots, log_odds)
+        return scores.f_score, outcomes
+
+    f_full, full_outcomes = evaluate(FEATURE_NAMES)
+    _, random_scores, _ = random_baseline(test_ds.snapshots, seed)
+    sizes = [len(s.counts) for s in test_ds.snapshots]
     rows = []
     for spec in specs:
         if spec.mode == "drop_one":
-            features = tuple(f for f in FEATURE_NAMES if f != spec.feature)
-            variant = fit_and_score(train, test, features, seed)
-            if baseline is None:
-                baseline = fit_and_score(train, test, FEATURE_NAMES, seed)
-            f_baseline = baseline["report"]["metrics"]["f_score"]
-            _, significant = mcnemar_exact(*_paired_counts(variant, baseline))
+            f_variant, outcomes = evaluate(
+                tuple(f for f in FEATURE_NAMES if f != spec.feature))
+            f_baseline = f_full
+            _, significant = mcnemar_exact(*_paired_counts(outcomes, full_outcomes))
             rule = "exact McNemar test of per-synset right/wrong, two-sided p < 0.05"
         else:
-            variant = fit_and_score(train, test, (spec.feature,), seed)
-            f_baseline = variant["report"]["random"]["f_score"]
-            right = sum(map(is_right, variant["outcomes"]))
-            sizes = [len(s.counts) for s in test[0].snapshots]
-            _, significant = uniform_baseline_tail(sizes, right)
+            f_variant, outcomes = evaluate((spec.feature,))
+            f_baseline = random_scores.f_score
+            _, significant = uniform_baseline_tail(sizes, sum(map(is_right, outcomes)))
             rule = ("exact Poisson-binomial tail of synsets right under uniform "
                     "random, one-sided p < 0.05")
-        f_variant = variant["report"]["metrics"]["f_score"]
         delta = f_variant - f_baseline
         rows.append({
             "mode": spec.mode,

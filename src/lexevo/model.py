@@ -16,20 +16,32 @@ Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
 Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): the
 classes' log densities with every trigram absent are summed once per
 model, and a word only corrects them for its own trained trigrams, adding
-log N(1) - log N(0) for each.  The log odds is one ``math.fsum``
-(Shewchuk 1997) over the class-1 terms and the negated class-0 terms: the
-log priors, the scalar terms, the exact parts of that absent sum and the
-corrections.  It is therefore the correctly rounded difference of the
-dense per-dimension class scores.  That matters: floored variances make
-single terms reach about 5e8, where one ulp is about 6e-8, while the two
-classes often differ by less than one.  The win probability is the
-logistic of the log odds.
+log N(1) - log N(0) for each.  The model precomputes what scoring reads:
+the log priors, each scalar Gaussian's mean, log normaliser and twice its
+variance (the operands ``gaussian_log_pdf`` uses, so every term is the
+same float), and each trained trigram's four correction terms.
+
+A naive Bayes log odds is a sum of independent per-feature terms.
+``feature_terms`` returns them for one vector, keyed by feature: the
+class-1 terms and the negated class-0 terms of each scalar, and for
+``unique_ngrams`` the exact parts of the absent sum plus the word's
+corrections.  ``subset_log_odds`` is one ``math.fsum`` (Shewchuk 1997)
+over the prior terms and the terms of any feature subset; ``win_log_odds``
+is that fsum over all of the model's features.  A dimension's Gaussians
+depend only on that dimension and the class split, and the priors on no
+feature, so the subset log odds equals what a model fitted on the subset
+alone gives, bit for bit: fsum is exact in any order.  It is the
+correctly rounded difference of the dense per-dimension class scores.
+That matters: floored variances make single terms reach about 5e8, where
+one ulp is about 6e-8, while the two classes often differ by less than
+one.  The win probability is the logistic of the log odds.
 """
 
 import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from ._util import atomic_write_json
 from .errors import DataError, UnfittableModelError
@@ -46,12 +58,18 @@ class GaussianParams:
     variance: float
 
 
+def _density_constants(params):
+    """(mean, log normaliser, 2 * variance) of N(mean, variance); math.log
+    raises ValueError for a variance that is not positive."""
+    return (params.mean, -0.5 * (_LOG_2PI + math.log(params.variance)),
+            2.0 * params.variance)
+
+
 def gaussian_log_pdf(params, x):
-    """Log density of N(mean, variance) at x; math.log raises ValueError
-    for a variance that is not positive."""
-    d = x - params.mean
-    return -0.5 * (_LOG_2PI + math.log(params.variance)) - (d * d) / (
-        2.0 * params.variance)
+    """Log density of N(mean, variance) at x."""
+    mean, log_normaliser, twice_variance = _density_constants(params)
+    d = x - mean
+    return log_normaliser - (d * d) / twice_variance
 
 
 def _fit_gaussian(values):
@@ -81,10 +99,12 @@ def _fit_binary_gaussian(ones, n):
 @dataclass
 class NaiveBayesModel:
     """A fitted model's stored facts.  __post_init__ derives priors,
-    trigram_dims (sorted), trigram_params (trigram -> class-0 and class-1
-    GaussianParams) and _absent_parts, floats summing exactly to the class-1
-    minus class-0 log density of "every trigram absent"; these are not
-    saved, shown or compared."""
+    trigram_dims (sorted) and trigram_params (trigram -> class-0 and class-1
+    GaussianParams), and the private constants feature_terms reads: the two
+    log-prior terms, each scalar's _density_constants per class, each
+    trained trigram's four correction terms and _absent_parts, floats
+    summing exactly to the class-1 minus class-0 log density of "every
+    trigram absent".  The private ones are not saved, shown or compared."""
 
     features: tuple  # subset of FEATURE_NAMES used by this model
     class_sizes: tuple  # (class-0 vectors, class-1 vectors), each at least 1
@@ -100,11 +120,21 @@ class NaiveBayesModel:
                        for ones, n in zip(self.trigram_ones[tri], self.class_sizes))
             for tri in self.trigram_dims
         }
-        self._absent_parts = _exact_parts(
-            term
-            for p0, p1 in self.trigram_params.values()
-            for term in (gaussian_log_pdf(p1, 0.0), -gaussian_log_pdf(p0, 0.0))
-        )
+        self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
+        self._scalar_constants = {
+            name: tuple(_density_constants(p) for p in pair)
+            for name, pair in self.scalar_params.items()
+        }
+        # a word with a trained trigram replaces its log N(0) by log N(1)
+        # in each class; a word without any adds only the absent sum
+        self._trigram_corrections = {}
+        absent = []
+        for tri, (p0, p1) in self.trigram_params.items():
+            zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
+            self._trigram_corrections[tri] = (
+                gaussian_log_pdf(p1, 1.0), -zero1, -gaussian_log_pdf(p0, 1.0), zero0)
+            absent += [zero1, -zero0]
+        self._absent_parts = _exact_parts(absent)
 
 
 def fit(vectors, features=FEATURE_NAMES):
@@ -161,34 +191,48 @@ def _exact_parts(terms):
         terms.append(-part)
 
 
+def feature_terms(model, vector):
+    """{feature: class-1 minus class-0 log density terms} for one vector,
+    for every feature of the model.
+
+    A scalar's terms are its class-1 log density and its negated class-0
+    one.  unique_ngrams' terms are the exact parts of the "every trigram
+    absent" sum plus four corrections per trained trigram of the word;
+    trigrams unseen in training are ignored.  The cost is O(scalar dims +
+    the word's own trigrams).
+    """
+    terms = {}
+    for name, constants in model._scalar_constants.items():
+        x = vector.scalar(name)
+        (mean0, log_normaliser0, twice_variance0), (
+            mean1, log_normaliser1, twice_variance1) = constants
+        d0, d1 = x - mean0, x - mean1
+        terms[name] = (log_normaliser1 - (d1 * d1) / twice_variance1,
+                       -(log_normaliser0 - (d0 * d0) / twice_variance0))
+    if "unique_ngrams" in model.features:
+        corrections = model._trigram_corrections
+        terms["unique_ngrams"] = model._absent_parts + tuple(chain.from_iterable(
+            corrections[tri] for tri in corrections.keys() & vector.unique_ngrams))
+    return terms
+
+
+def subset_log_odds(model, terms, features):
+    """log P(class 1) - log P(class 0), correctly rounded, under the model
+    restricted to `features`, from one vector's feature_terms.
+
+    One fsum over the log-prior terms and the subset's terms: it equals
+    win_log_odds of a model fitted on that subset alone, bit for bit.
+    """
+    return math.fsum(chain(model._prior_terms, *(terms[f] for f in features)))
+
+
 def win_log_odds(model, vector):
     """log P(class 1) - log P(class 0) for one vector, correctly rounded.
 
-    One fsum over the class-1 terms and the negated class-0 terms: the log
-    priors, one term per dimension, trigrams absent from the word included.
-    The cost is O(scalar dims + the word's own trigrams): the model holds
-    the absent sum.  Trigrams unseen in training are ignored.  Use this
-    for ranking words: it never saturates the way win_probability does
-    near 0 and 1.
+    Use this for ranking words: it never saturates the way win_probability
+    does near 0 and 1.
     """
-    terms = [math.log(model.priors[1]), -math.log(model.priors[0])]
-    for name in SCALAR_FEATURES:
-        params = model.scalar_params.get(name)
-        if params is None:
-            continue
-        x = vector.scalar(name)
-        terms += [gaussian_log_pdf(params[1], x),
-                  -gaussian_log_pdf(params[0], x)]
-    terms.extend(model._absent_parts)
-    for tri in set(vector.unique_ngrams):
-        params = model.trigram_params.get(tri)
-        if params is None:
-            continue
-        terms += [gaussian_log_pdf(params[1], 1.0),
-                  -gaussian_log_pdf(params[1], 0.0),
-                  -gaussian_log_pdf(params[0], 1.0),
-                  gaussian_log_pdf(params[0], 0.0)]
-    return math.fsum(terms)
+    return subset_log_odds(model, feature_terms(model, vector), model.features)
 
 
 def logistic(odds):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -9,15 +10,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lexevo.errors import DataError, UnfittableModelError
-from lexevo.features import SCALAR_FEATURES, FeatureVector
+from lexevo.features import FEATURE_NAMES, SCALAR_FEATURES, FeatureVector
 from lexevo.lexicon import SenseId
 from lexevo.model import (
     VARIANCE_FLOOR,
     GaussianParams,
+    feature_terms,
     fit,
     gaussian_log_pdf,
     load_model,
     save_model,
+    subset_log_odds,
     win_log_odds,
     win_probability,
 )
@@ -401,21 +404,76 @@ class TestModelFileFuzz:
                 assert "key '" in message or "keys '" in message or " line " in message
 
 
+def floored_variance_case():
+    """(training vectors, query) where the query's trigram terms are about
+    -5e8.
+
+    "|aa" occurs in every winner and no loser, "|bb" the reverse, so all
+    four of their variances sit on the floor and a word with both gets a
+    term of about -5e8 in each class; the classes then differ by well
+    under one, where left-to-right summation is off by 1e-8.
+    """
+    train = [
+        make_vector(i, [0.3 + 0.1 * i, 1 + i % 3, 0.2 + 0.05 * i, i % 4,
+                        0.1 * i - 0.2, 0.5 + 0.1 * i, 100 + 10 * i],
+                    ["|aa" if i % 2 else "|bb"] + (["abc"] if i % 3 == 0 else []),
+                    i % 2)
+        for i in range(6)
+    ]
+    query = make_vector(99, [0.555, 2, 0.35, 1, 0.05, 0.75, 125],
+                        ["|aa", "|bb", "abc"], None)
+    return train, query
+
+
+class TestFeatureSubsets:
+    """A subset's log odds from the full model's feature terms is the log
+    odds of the model fitted on that subset alone, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, unique=True))
+    def test_subset_of_full_fit_is_subset_fit(self, seed, subset):
+        rng = random.Random(seed)
+        vectors = random_vectors(rng, rng.randint(4, 12))
+        full, alone = fit(vectors), fit(vectors, features=tuple(subset))
+        for query in vectors[:3] + random_vectors(rng, 3):
+            assert (subset_log_odds(full, feature_terms(full, query), subset)
+                    == win_log_odds(alone, query))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_terms_are_the_dense_terms(self, seed):
+        # the precomputed constants give gaussian_log_pdf's floats, and the
+        # trigram terms sum exactly to the dense per-dimension terms
+        rng = random.Random(seed)
+        vectors = random_vectors(rng, rng.randint(4, 12))
+        model = fit(vectors)
+        for query in vectors[:3] + random_vectors(rng, 3):
+            terms = feature_terms(model, query)
+            for name, (p0, p1) in model.scalar_params.items():
+                x = query.scalar(name)
+                assert terms[name] == (gaussian_log_pdf(p1, x),
+                                       -gaussian_log_pdf(p0, x))
+            dense = []
+            for tri, (p0, p1) in model.trigram_params.items():
+                x = 1.0 if tri in query.unique_ngrams else 0.0
+                dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
+            assert math.fsum(terms["unique_ngrams"]) == math.fsum(dense)
+
+    def test_every_subset_of_floored_variance_case(self):
+        train, query = floored_variance_case()
+        full = fit(train)
+        terms = feature_terms(full, query)
+        assert min(terms["unique_ngrams"]) < -4e8
+        for size in range(1, len(FEATURE_NAMES) + 1):
+            for subset in itertools.combinations(FEATURE_NAMES, size):
+                assert (subset_log_odds(full, terms, subset)
+                        == win_log_odds(fit(train, features=subset), query))
+
+
 class TestSparseScoring:
     def test_pinned_floored_variance_case(self):
-        # "|aa" occurs in every winner and no loser, "|bb" the reverse, so
-        # all four of their variances sit on the floor and a word with both
-        # gets a term of about -5e8 in each class; the classes then differ
-        # by well under one, where left-to-right summation is off by 1e-8
-        train = [
-            make_vector(i, [0.3 + 0.1 * i, 1 + i % 3, 0.2 + 0.05 * i, i % 4,
-                            0.1 * i - 0.2, 0.5 + 0.1 * i, 100 + 10 * i],
-                        ["|aa" if i % 2 else "|bb"] + (["abc"] if i % 3 == 0 else []),
-                        i % 2)
-            for i in range(6)
-        ]
-        query = make_vector(99, [0.555, 2, 0.35, 1, 0.05, 0.75, 125],
-                            ["|aa", "|bb", "abc"], None)
+        train, query = floored_variance_case()
         model = fit(train)
         for tri, c in (("|aa", 0), ("|bb", 1)):
             assert model.trigram_params[tri][c].variance == VARIANCE_FLOOR
@@ -450,7 +508,6 @@ class TestSparseScoring:
         assert len(model.trigram_dims) == dims
         query = make_vector(99, [0.5, 2, 0.5, 1, 0.0, 0.5, 100],
                             ["0001", "0003", "unseen"], None)
-        win_log_odds(model, query)  # the first score builds the absent sums
 
         calls = []
         original = model_mod.gaussian_log_pdf
@@ -459,10 +516,17 @@ class TestSparseScoring:
             calls.append(x)
             return original(params, x)
 
+        # the model derived every constant scoring reads when it was built
         monkeypatch.setattr(model_mod, "gaussian_log_pdf", counted)
         win_log_odds(model, query)
-        # two per scalar dimension, four per trained trigram of the word
-        assert len(calls) == 2 * len(model.scalar_params) + 4 * 2
+        terms = feature_terms(model, query)
+        assert calls == []
+        # two per scalar dimension, the few exact parts of the absent sum
+        # and four per trained trigram of the word, whatever the dims
+        absent = feature_terms(model, dataclasses.replace(query, unique_ngrams=()))
+        assert len(absent["unique_ngrams"]) <= 2
+        assert (sum(map(len, terms.values()))
+                == 2 * len(model.scalar_params) + len(absent["unique_ngrams"]) + 4 * 2)
 
     def test_absent_sum_cache_is_private(self, tmp_path):
         rng = random.Random(13)
