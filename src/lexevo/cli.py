@@ -38,7 +38,6 @@ class RunConfig:
     half_width: int = 5
     anchor_year: int = 2000
     floor_year: int = 1800
-    seed: int = 0
 
     def validate(self):
         """The check across keys; each key's own range is its converter's."""
@@ -69,7 +68,6 @@ _CONVERTERS = {
     "half_width": _integer(0),
     "anchor_year": _integer(),
     "floor_year": _integer(),
-    "seed": _integer(),
 }
 
 
@@ -311,12 +309,9 @@ def _report_dir(config, experiment, window):
 def cmd_ablate(args, config):
     inputs, _, _ = _load_inputs(config)
     train_window, test_window = _window_pairs(config)[-1]
-    feature_list = ([args.feature] if args.feature
-                    else list(features_mod.FEATURE_NAMES))
     specs = [experiments_mod.AblationSpec(args.mode, feature)
-             for feature in feature_list]
-    rows = experiments_mod.run_ablations(specs, train_window, test_window,
-                                         inputs, seed=config.seed)
+             for feature in features_mod.FEATURE_NAMES]
+    rows = experiments_mod.run_ablations(specs, train_window, test_window, inputs)
     directory = _report_dir(config, f"ablation_{args.mode}", test_window)
     atomic_write_json(os.path.join(directory, "report.json"), {"rows": rows})
     atomic_write_text(os.path.join(directory, "ablation.csv"),
@@ -327,8 +322,7 @@ def cmd_ablate(args, config):
 def cmd_sweep(args, config):
     inputs, _, _ = _load_inputs(config)
     result = experiments_mod.run_cycle_sweep(
-        args.cycles, inputs, config.anchor_year, config.floor_year, seed=config.seed,
-    )
+        args.cycles, inputs, config.anchor_year, config.floor_year)
     directory = os.path.join(config.out, "reports", "sweep")
     atomic_write_json(os.path.join(directory, "report.json"), result)
     atomic_write_text(os.path.join(directory, "sweep.csv"),
@@ -391,8 +385,7 @@ def _common_flags():
     parser.add_argument("--syllables", help="syllable exceptions TSV")
     parser.add_argument("--out", help="output directory")
     for flag, key in (("--cycle", "cycle_years"), ("--half-width", "half_width"),
-                      ("--anchor-year", "anchor_year"),
-                      ("--floor-year", "floor_year"), ("--seed", "seed")):
+                      ("--anchor-year", "anchor_year"), ("--floor-year", "floor_year")):
         parser.add_argument(flag, type=_CONVERTERS[key], dest=key)
     return parser
 
@@ -447,8 +440,6 @@ def build_parser():
                        help="compare feature subsets on the last window pair")
     p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
                    default="drop_one")
-    p.add_argument("--feature", choices=features_mod.FEATURE_NAMES, metavar="NAME",
-                   help="one feature name; default: all features in turn")
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("sweep", parents=common,

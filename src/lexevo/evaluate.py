@@ -1,6 +1,6 @@
 """Synset-level evaluation: winner selection, contingency cells, metrics,
-Wilson intervals, the seeded uniform-random baseline, and exact tests of
-per-synset right/wrong outcomes.
+Wilson intervals, the expected metrics of the uniform-random baseline, and
+exact tests of per-synset right/wrong outcomes.
 
 A prediction counts as true positive only when the synset changed leader
 and the predicted word is the actual future leader; a stable synset
@@ -8,7 +8,6 @@ predicted wrongly is a false positive, and so on (changed/stable crossed
 with right/wrong).
 """
 
-import hashlib
 import math
 import statistics as _stats
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ def predict_synset_winner(scores):
     as a string.
 
     A score is anything that ranks senses by how likely each is to win,
-    such as the model's log-odds or the baseline's uniform draws.
+    such as the model's log-odds.
     """
     if len(scores) < 2:
         raise ValueError("need at least two candidate senses")
@@ -144,27 +143,45 @@ def evaluation_report(counts, scores):
     return report
 
 
-def _uniform_draw(seed, synset_id, sense):
-    """Deterministic uniform(0,1) from (seed, synset, sense) hashing.
+def _poisson_binomial(trials):
+    """(offset, pmf): P(offset + i successes) = pmf[i] over independent
+    (p, 1 - p) trials.  Entries below 2**-64 of the largest are trimmed
+    from both ends after each trial, so the list stays a few sd wide."""
+    offset, pmf = 0, [1.0]
+    for p, q in trials:
+        pmf = [q * a + p * b for a, b in zip(pmf + [0.0], [0.0] + pmf)]
+        floor = max(pmf) * 2.0 ** -64
+        start = next(i for i, x in enumerate(pmf) if x >= floor)
+        end = len(pmf) - next(i for i, x in enumerate(reversed(pmf)) if x >= floor)
+        offset, pmf = offset + start, pmf[start:end]
+    return offset, pmf
 
-    Hash-derived draws make the baseline independent of evaluation order
-    and worker count.
+
+def random_baseline(snapshots):
+    """Expected Metrics when each synset predicts one of its k members
+    uniformly at random.
+
+    tp (changed synsets right, each with p = 1/k) and fp (stable synsets
+    wrong, each with p = (k - 1)/k) are independent Poisson-binomial counts,
+    and fn = C - tp for C changed synsets.  So recall is exactly sum(1/k)/C,
+    and E[precision] and E[F] sum P(tp=i) P(fp=j) i/(i+j) and 2i/(i+j+C),
+    i = 0 counting 0 as in metrics.  Sorted sizes make it order-independent.
     """
-    digest = hashlib.sha256(f"{seed}:{synset_id}:{sense}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+    sizes = sorted((s.present_leader != s.future_leader, len(s.counts))
+                   for s in snapshots)
+    changed = [k for moved, k in sizes if moved]
+    stable = [k for moved, k in sizes if not moved]
+    c = len(changed)
+    tp_offset, tp = _poisson_binomial((1 / k, (k - 1) / k) for k in changed)
+    fp_offset, fp = _poisson_binomial(((k - 1) / k, 1 / k) for k in stable)
 
+    def expect(value):
+        return math.fsum(a * b * value(i, j) for i, a in enumerate(tp, tp_offset)
+                         for j, b in enumerate(fp, fp_offset) if i)
 
-def random_baseline(snapshots, seed):
-    """Uniform-score baseline: every word draws its score i.i.d.
-
-    No cross-word normalization is applied; as with the learned model,
-    only winner-vs-loser for each word individually is simulated.
-    """
-    draws = {}
-    for snapshot in snapshots:
-        for sense in snapshot.counts:
-            draws[sense] = _uniform_draw(seed, snapshot.synset.id, sense)
-    return evaluate_predictions(snapshots, draws)
+    return Metrics(expect(lambda i, j: i / (i + j)),
+                   math.fsum(1 / k for k in changed) / c if c else 0.0,
+                   expect(lambda i, j: 2 * i / (i + j + c)))
 
 
 def is_right(outcome):

@@ -1,12 +1,12 @@
 """Experiment suites: full pipeline runs, feature ablations, cycle sweeps,
 and interpretation of fitted models.
 
-Every run is deterministic given (inputs, configuration, seed); reports
+Every run is deterministic given its inputs and configuration; reports
 carry no timestamps, so repeated runs are byte-identical.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ._util import open_maybe_gzip
 from .corpus import birth_years, load_corpus
@@ -102,7 +102,7 @@ def prepare_window(window, inputs):
     return dataset, vectors
 
 
-def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
+def fit_and_score(train, test, features=FEATURE_NAMES):
     """Fit on one prepared window, score another, evaluate at synset level.
 
     train and test are prepare_window results.  Returns the run_nbcp dict.
@@ -114,17 +114,11 @@ def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
     # float saturation at 0/1
     log_odds = {v.sense: win_log_odds(model, v) for v in test_vectors}
     counts, scores, outcomes = evaluate_predictions(test_ds.snapshots, log_odds)
-    _, random_scores, _ = random_baseline(test_ds.snapshots, seed)
     report = evaluation_report(counts, scores)
     report["train"] = train_ds.summary()
     report["test"] = test_ds.summary()
     report["features"] = list(features)
-    report["random"] = {
-        "precision": random_scores.precision,
-        "recall": random_scores.recall,
-        "f_score": random_scores.f_score,
-        "seed": seed,
-    }
+    report["random"] = asdict(random_baseline(test_ds.snapshots))
     return {
         "report": report,
         "model": model,
@@ -134,15 +128,14 @@ def fit_and_score(train, test, features=FEATURE_NAMES, seed=0):
     }
 
 
-def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES,
-             seed=0):
+def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES):
     """Train on one window, score the next, and evaluate at synset level.
 
     The future period of the training window (the present of the test
     window) is the only future data the model ever sees.
     """
     return fit_and_score(prepare_window(train_window, inputs),
-                         prepare_window(test_window, inputs), features, seed)
+                         prepare_window(test_window, inputs), features)
 
 
 def _paired_counts(variant, baseline):
@@ -157,7 +150,7 @@ def _paired_counts(variant, baseline):
     return b, c
 
 
-def run_ablations(specs, train_window, test_window, inputs, seed=0):
+def run_ablations(specs, train_window, test_window, inputs):
     """run_ablation rows for several specs on one window pair.
 
     Both windows are prepared once and one model is fitted on all
@@ -180,7 +173,7 @@ def run_ablations(specs, train_window, test_window, inputs, seed=0):
         return scores.f_score, outcomes
 
     f_full, full_outcomes = evaluate(FEATURE_NAMES)
-    _, random_scores, _ = random_baseline(test_ds.snapshots, seed)
+    f_random = random_baseline(test_ds.snapshots).f_score
     sizes = [len(s.counts) for s in test_ds.snapshots]
     rows = []
     for spec in specs:
@@ -192,7 +185,7 @@ def run_ablations(specs, train_window, test_window, inputs, seed=0):
             rule = "exact McNemar test of per-synset right/wrong, two-sided p < 0.05"
         else:
             f_variant, outcomes = evaluate((spec.feature,))
-            f_baseline = random_scores.f_score
+            f_baseline = f_random
             _, significant = uniform_baseline_tail(sizes, sum(map(is_right, outcomes)))
             rule = ("exact Poisson-binomial tail of synsets right under uniform "
                     "random, one-sided p < 0.05")
@@ -210,21 +203,20 @@ def run_ablations(specs, train_window, test_window, inputs, seed=0):
     return rows
 
 
-def run_ablation(spec, train_window, test_window, inputs, seed=0):
+def run_ablation(spec, train_window, test_window, inputs):
     """F-score delta for one ablation variant, with an exact test.
 
     drop_one: F(all features minus one) - F(all features); significant_95
     is an exact McNemar test on the synsets exactly one of the two runs
     gets right.
-    single_only: F(one feature alone) - F(random baseline); significant_95
-    is the exact upper tail of the number of synsets right when a synset
-    of k members is right with probability 1/k.
+    single_only: F(one feature alone) - E[F] of random_baseline;
+    significant_95 is the exact upper tail of the number of synsets right
+    when a synset of k members is right with probability 1/k.
     """
-    return run_ablations([spec], train_window, test_window, inputs, seed)[0]
+    return run_ablations([spec], train_window, test_window, inputs)[0]
 
 
-def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
-                    seed=0):
+def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800):
     """Per-cycle, per-test-window summary rows, keyed by the future period.
 
     A cycle that cannot be scheduled, or a window pair whose training
@@ -247,7 +239,7 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800,
                     prepared[window] = prepare_window(window, inputs)
             try:
                 run = fit_and_score(prepared.pop(train_window),
-                                    prepared[test_window], seed=seed)
+                                    prepared[test_window])
             except UnfittableModelError as exc:
                 skipped.append({"cycle": cycle, "window": test_window.label(),
                                 "reason": str(exc)})

@@ -202,8 +202,12 @@ def test_08_random_baseline_expectation():
                 second: MemberCounts(4, 5, 9 if changed else 2),
             }
             snapshots.append(SynsetSnapshot(synset, counts))
-        _, scores, _ = random_baseline(snapshots, seed=0)
-        assert abs(scores.recall - 0.5) < 0.02
+        # the time bound rules out a DP over the whole count range, which
+        # is quadratic in the synsets
+        started = time.perf_counter()
+        scores = random_baseline(snapshots)
+        assert time.perf_counter() - started < 5.0
+        assert scores.recall == 0.5
 
 
 def test_09_interpretation_oracle(synthetic_inputs):

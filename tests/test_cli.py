@@ -60,13 +60,13 @@ class TestConfigFile:
             "corpus = a.tsv, b.tsv\n"
             "lexicon = lex.tsv  # trailing comment\n"
             "cycle_years = 30\n"
-            "seed=4\n"
+            "half_width=4\n"
         )
         values = read_config_file(str(path))
         assert values["corpus"] == ["a.tsv", "b.tsv"]
         assert values["lexicon"] == "lex.tsv"
         assert values["cycle_years"] == 30
-        assert values["seed"] == 4
+        assert values["half_width"] == 4
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -76,16 +76,17 @@ class TestConfigFile:
 
     def test_non_integer_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("# comment\nseed = x\n")
-        with pytest.raises(LexevoError, match=r"run\.conf line 2: seed must be an integer"):
+        path.write_text("# comment\nhalf_width = x\n")
+        with pytest.raises(LexevoError,
+                           match=r"run\.conf line 2: half_width must be an integer"):
             read_config_file(str(path))
 
     CONFIG = ["# run settings", "corpus = a.tsv, b.tsv", "lexicon = lex.tsv",
-              "cycle_years = 30", "half_width = 5", "seed = 4"]
+              "cycle_years = 30", "half_width = 5", "floor_year = 1800"]
 
     @settings(max_examples=300, deadline=None)
     @example(3, True, "3#0")
-    @example(5, False, "seed")
+    @example(5, False, "half_width")
     @example(2, False, "workers = 2")
     @given(st.integers(0, 5), st.booleans(),
            st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
@@ -112,13 +113,14 @@ class TestConfigFile:
         (b"bogus = 1", "unknown key 'bogus'"),
         (b"cycle_years = 0", "cycle_years must be at least 1, got 0"),
         (b"half_width = -1", "half_width must be at least 0, got -1"),
-        (b"seed = \xff", "'utf-8' codec can't decode byte 0xff"),
+        (b"half_width = \xff", "'utf-8' codec can't decode byte 0xff"),
+        (b"seed = 1", "unknown key 'seed'"),
     ], ids=["not_an_integer", "unknown_key", "cycle_below_1", "negative_half_width",
-            "not_utf8"])
+            "not_utf8", "removed_seed_key"])
     def test_bad_line_is_usage_error(self, tmp_path, synthetic_paths, capsys, line,
                                      reason):
         conf = tmp_path / "run.conf"
-        conf.write_bytes(b"# run settings\nseed = 3\n" + line + b"\n")
+        conf.write_bytes(b"# run settings\nhalf_width = 3\n" + line + b"\n")
         code = main(["ingest", "--config", str(conf)]
                     + common_flags(synthetic_paths, tmp_path / "out"))
         err = capsys.readouterr().err
@@ -214,10 +216,9 @@ class TestExitCodes:
         (["train", "--features", "f.tsv", "--only", ","], "--only"),
         (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
          "--drop"),
-        (["ablate", "--feature", "bogus"], "--feature"),
     ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed",
             "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
-            "only_nothing", "drop_everything", "ablate_unknown_feature"])
+            "only_nothing", "drop_everything"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
         # the flag is checked before any input is read: the corpus named
         # here does not exist, which would otherwise be a data error
@@ -227,6 +228,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"argument {flag}: " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [command, "--seed", "1"] for command in (
+            "ingest", "build-dataset", "ablate", "sweep", "interpret")
+    ] + [
+        ["extract-features", "--dataset", "d.tsv", "--seed", "1"],
+        ["train", "--features", "f.tsv", "--seed", "1"],
+        ["predict", "--features", "f.tsv", "--model", "m.json", "--seed", "1"],
+        ["evaluate", "--dataset", "d.tsv", "--probabilities", "p.tsv",
+         "--seed", "1"],
+        ["plot-data", "--synset", "a00001", "--seed", "1"],
+        ["ablate", "--feature", "present_age"],
+        ["ablate", "--feature", "bogus"],
+    ], ids=lambda argv: "_".join(a.strip("-") for a in argv[:1] + argv[-2:]))
+    def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
+        # the random baseline is exact, so it takes no seed, and ablate
+        # always runs every feature into one report
+        code = main(argv + ["--corpus", str(tmp_path / "nope.tsv"),
+                            "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                            "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -331,15 +356,15 @@ class TestPinnedOutputs:
         ("rapture", "ablate --mode drop_one"):
             "f652f54a6929579ad2fde03e6badf1dbd94477cedadbb499406c1dfc53c0ac8d",
         ("rapture", "ablate --mode single_only"):
-            "d22d008f91b204f51dba12fd08d8fe93fbf4318f282719bd560d3a1bb3f256bb",
+            "55b4cc635d3698eb4889771b74523dd83317400ad2f55ed9ab54f4fa9e613652",
         ("rapture", "sweep"):
-            "51cf5a2da5d53b11d2a6ebcc2bdc63e0010f5dd9f9313c16e63a785d4f06d3be",
+            "dbb21b45750d9df9c654817db3eafd0e8f78e89b313819df4fe76f2b0666f7ed",
         ("synthetic", "ablate --mode drop_one"):
             "a35124fff1f9fb42c54f382e929425e73b3f3dfa25331a0441288a905dbff2d5",
         ("synthetic", "ablate --mode single_only"):
-            "8dde0102e166c2db16a0745bd635aae124f49d44e3273b7fdc55aa57c754d8f0",
+            "bcf5921c60b4cb4de2a0c6281b7bdb3509a63d430ec380cf193a5b5cecc20e5e",
         ("synthetic", "sweep"):
-            "eba7f0f87479266b770c93eec15ff313909a3254a5e8646711850ae2c2f3640a",
+            "4c5c8c39e9a5cc8c3ca7077c4af3e180b14043d396ff31008b01cdf9fe205164",
     }
 
     @pytest.mark.parametrize("bundle, command", sorted(PINNED_REPORTS))
@@ -837,18 +862,6 @@ class TestSweep:
 
 
 class TestAblate:
-    def test_single_feature_ablation(self, tmp_path, synthetic_paths):
-        out = tmp_path / "out"
-        flags = common_flags(synthetic_paths, out)
-        assert main(["ablate", "--mode", "drop_one",
-                     "--feature", "syllable_count"] + flags) == EXIT_OK
-        path = (out / "reports" / "ablation_drop_one" / "50"
-                / "1900_1950_2000" / "report.json")
-        report = json.loads(path.read_text())
-        assert len(report["rows"]) == 1
-        assert report["rows"][0]["feature"] == "syllable_count"
-
-
     def test_drop_one_fits_one_baseline(self, tmp_path, synthetic_paths, monkeypatch):
         import lexevo.experiments as experiments_mod
         from lexevo.features import FEATURE_NAMES

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexevo._util import read_tsv, write_tsv
-from lexevo.dataset import MemberCounts, SynsetSnapshot
+from lexevo.dataset import (MemberCounts, SynsetSnapshot, build_dataset,
+                            schedule_windows)
 from lexevo.evaluate import (
     OUTCOME_COLUMNS,
     ContingencyCounts,
+    Metrics,
     classify_outcome,
     evaluate_predictions,
     evaluation_report,
-    is_right,
     mcnemar_exact,
     metrics,
     predict_synset_winner,
@@ -209,45 +210,91 @@ class TestEvaluationReport:
         assert set(evaluation_report(counts, metrics(counts))["wilson_95"]) == names
 
 
+def baseline_snapshots(cases):
+    """One synset per (k, changed) case: k members, the first leading the
+    present and, when changed, the second leading the future."""
+    snaps = []
+    for index, (k, changed) in enumerate(cases):
+        code = chr(ord("a") + index % 26) + chr(ord("a") + index // 26)
+        future_leader = 1 if changed else 0
+        snaps.append(snapshot_for(index, {
+            f"{code}w{chr(ord('a') + m)}": (1, 3 if m == 0 else 2,
+                                            3 if m == future_leader else 2)
+            for m in range(k)
+        }))
+    return snaps
+
+
+def poisson_binomial_fractions(probabilities):
+    """Exact P(count = j) of independent trials, as a list of Fractions."""
+    pmf = [Fraction(1)]
+    for p in probabilities:
+        pmf = [a * (1 - p) + b * p for a, b in zip(pmf + [0], [0] + pmf)]
+    return pmf
+
+
+cases_strategy = st.tuples(st.integers(2, 6), st.booleans())
+
+
 class TestRandomBaseline:
-    def make_snapshots(self, n):
-        snaps = []
-        for i in range(n):
-            # distinct lemmas per synset so the probability map has no
-            # key collisions, matching the monosemous real pipeline
-            code = chr(ord("a") + i % 26) + chr(ord("a") + (i // 26) % 26)
-            future = (2, 9) if i % 2 else (9, 2)
-            snaps.append(snapshot_for(i, {
-                f"{code}alpha": (5, 9, future[0]),
-                f"{code}beta": (4, 5, future[1]),
-            }))
-        return snaps
+    @given(st.lists(cases_strategy, max_size=5))
+    def test_is_mean_over_every_prediction(self, cases):
+        # every combination of one predicted member per synset is equally
+        # likely, so the baseline is the plain mean of their metrics
+        sizes = [k for k, _ in cases]
+        outcomes = [metrics(ContingencyCounts(**{
+            cell: sum(
+                classify_outcome(0, 1 if changed else 0, choice) == cell
+                for (_, changed), choice in zip(cases, choices))
+            for cell in ("tp", "fp", "fn", "tn")}))
+            for choices in itertools.product(*map(range, sizes))]
+        got = random_baseline(baseline_snapshots(cases))
+        for name in ("precision", "recall", "f_score"):
+            mean = math.fsum(getattr(m, name) for m in outcomes) / len(outcomes)
+            assert math.isclose(getattr(got, name), mean, rel_tol=1e-12)
 
-    def test_deterministic_per_seed(self):
-        snaps = self.make_snapshots(20)
-        first = random_baseline(snaps, seed=7)
-        second = random_baseline(snaps, seed=7)
-        assert first[0] == second[0]
-
-    def test_different_seeds_differ(self):
-        snaps = self.make_snapshots(40)
-        a = random_baseline(snaps, seed=1)[0]
-        b = random_baseline(snaps, seed=2)[0]
-        assert a != b
+    @given(st.lists(cases_strategy, max_size=60))
+    def test_matches_fraction_oracle(self, cases):
+        # tp and fp are independent, so their joint distribution is the
+        # product of the two exact marginals
+        changed = [k for k, moved in cases if moved]
+        c = len(changed)
+        tp = poisson_binomial_fractions([Fraction(1, k) for k in changed])
+        fp = poisson_binomial_fractions(
+            [Fraction(k - 1, k) for k, moved in cases if not moved])
+        joint = [(i, j, a * b) for i, a in enumerate(tp) if i
+                 for j, b in enumerate(fp)]
+        oracle = (sum(w * Fraction(i, i + j) for i, j, w in joint),
+                  sum(Fraction(1, k) for k in changed) / c if c else 0,
+                  sum(w * Fraction(2 * i, i + j + c) for i, j, w in joint))
+        got = random_baseline(baseline_snapshots(cases))
+        for value, exact in zip((got.precision, got.recall, got.f_score), oracle):
+            assert math.isclose(value, exact, rel_tol=1e-12)
 
     def test_order_invariant(self):
-        snaps = self.make_snapshots(20)
-        forward = random_baseline(snaps, seed=3)[0]
-        backward = random_baseline(list(reversed(snaps)), seed=3)[0]
-        assert forward == backward
+        snaps = baseline_snapshots([(2 + i % 5, i % 3 == 0) for i in range(40)])
+        assert random_baseline(snaps) == random_baseline(list(reversed(snaps)))
 
-    def test_right_count_is_uniform_baseline_mean(self):
-        # over many seeds the mean number of synsets right approaches
-        # sum(1/k), the mean of the count uniform_baseline_tail models
-        snaps = self.make_snapshots(20)
-        rights = [sum(map(is_right, random_baseline(snaps, seed)[2]))
-                  for seed in range(400)]
-        assert sum(rights) / len(rights) == pytest.approx(10.0, abs=0.5)
+    def test_recall_is_exact(self):
+        # E[tp] is the sum of 1/k over the changed synsets, the mean of
+        # the count uniform_baseline_tail models there
+        cases = [(2 + i % 5, i % 3 == 0) for i in range(40)]
+        changed = [k for k, moved in cases if moved]
+        recall = random_baseline(baseline_snapshots(cases)).recall
+        assert recall == math.fsum(1 / k for k in changed) / len(changed)
+
+    def test_pinned_on_fixtures(self, synthetic_inputs, rapture_inputs):
+        _, test_window = schedule_windows(50)[-1]
+
+        def baseline(inputs):
+            """random_baseline of the last cycle-50 test window."""
+            return random_baseline(build_dataset(inputs.synsets, inputs.corpus,
+                                                 test_window).snapshots)
+
+        assert baseline(synthetic_inputs).f_score == pytest.approx(
+            0.24013501798465856, rel=0, abs=1e-12)
+        # rapture's one synset changed and has 5 members: P = R = F = 1/5
+        assert baseline(rapture_inputs) == Metrics(0.2, 0.2, 0.2)
 
 
 class TestMcNemarExact:
