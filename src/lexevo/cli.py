@@ -35,47 +35,33 @@ class RunConfig:
     syllables: str = None
     out: str = "out"
     cycle_years: int = 50
-    half_width: int = 5
-    anchor_year: int = 2000
-    floor_year: int = 1800
-
-    def validate(self):
-        """The check across keys; each key's own range is its converter's."""
-        if self.floor_year >= self.anchor_year:
-            raise UsageError("floor_year must be before anchor_year")
 
 
-def _integer(minimum=None):
-    """Converter of an integer key, at least minimum when one is given."""
-    def convert(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"must be an integer, got {text!r}") from None
-        if minimum is not None and value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}")
-        return value
-    return convert
+def _positive_integer(text):
+    """Converter of cycle_years, and so the type of --cycle."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-# The converter of each config key that is not a string; an integer key's
-# is also its flag's argparse type, so a flag and a file reject the same values.
+# The converter of each config key that is not a string; cycle_years's is
+# also the type of --cycle, so a flag and a file reject the same values.
 _CONVERTERS = {
     "corpus": lambda text: [p.strip() for p in text.split(",") if p.strip()],
-    "cycle_years": _integer(1),
-    "half_width": _integer(0),
-    "anchor_year": _integer(),
-    "floor_year": _integer(),
+    "cycle_years": _positive_integer,
 }
 
 
 def read_config_file(path):
     """Parse a UTF-8 key=value config file; '#' starts a comment.
 
-    A line that is not UTF-8, has no '=', names an unknown key or holds a
-    value its key's converter rejects is the UsageError
+    A line that is not UTF-8, has no '=', names an unknown or repeated
+    key or holds a value its key's converter rejects is the UsageError
     "<file> line N: <reason>".
     """
     values = {}
@@ -91,6 +77,8 @@ def read_config_file(path):
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key not in known:
                     raise ValueError(f"unknown key {key!r}")
+                if key in values:
+                    raise ValueError(f"repeated key {key!r}")
                 values[key] = _CONVERTERS.get(key, str)(value)
             except ValueError as exc:  # UnicodeDecodeError too
                 raise UsageError(f"{path} line {line_number}: {exc}") from None
@@ -159,7 +147,6 @@ def resolve_config(args):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(config, f.name, value)
-    config.validate()
     return config
 
 
@@ -175,15 +162,7 @@ def _load_inputs(config):
     """Load corpus + lexicon (+ clusters) into PipelineInputs."""
     _require(config, "corpus", "lexicon")
     return experiments_mod.load_pipeline_inputs(
-        config.corpus, config.lexicon, config.catvar, config.syllables,
-        half_width=config.half_width,
-    )
-
-
-def _window_pairs(config):
-    return dataset_mod.schedule_windows(
-        config.cycle_years, config.anchor_year, config.floor_year
-    )
+        config.corpus, config.lexicon, config.catvar, config.syllables)
 
 
 def cmd_ingest(args, config):
@@ -209,10 +188,9 @@ def cmd_ingest(args, config):
 
 def cmd_build_dataset(args, config):
     inputs, _, _ = _load_inputs(config)
-    windows = sorted({w for pair in _window_pairs(config) for w in pair})
-    for window in windows:
-        ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window,
-                                       config.half_width)
+    pairs = dataset_mod.schedule_windows(config.cycle_years)
+    for window in sorted({w for pair in pairs for w in pair}):
+        ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window)
         members = {m.corpus_key() for s in ds.snapshots for m in s.counts}
         ds.clusters = CatVarClusters([cluster for cluster in inputs.clusters.clusters
                                       if cluster & members])
@@ -308,7 +286,7 @@ def _report_dir(config, experiment, window):
 
 def cmd_ablate(args, config):
     inputs, _, _ = _load_inputs(config)
-    train_window, test_window = _window_pairs(config)[-1]
+    train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
     specs = [experiments_mod.AblationSpec(args.mode, feature)
              for feature in features_mod.FEATURE_NAMES]
     rows = experiments_mod.run_ablations(specs, train_window, test_window, inputs)
@@ -321,8 +299,7 @@ def cmd_ablate(args, config):
 
 def cmd_sweep(args, config):
     inputs, _, _ = _load_inputs(config)
-    result = experiments_mod.run_cycle_sweep(
-        args.cycles, inputs, config.anchor_year, config.floor_year)
+    result = experiments_mod.run_cycle_sweep(args.cycles, inputs)
     directory = os.path.join(config.out, "reports", "sweep")
     atomic_write_json(os.path.join(directory, "report.json"), result)
     atomic_write_text(os.path.join(directory, "sweep.csv"),
@@ -332,7 +309,7 @@ def cmd_sweep(args, config):
 
 def cmd_interpret(args, config):
     inputs, _, _ = _load_inputs(config)
-    train_window, test_window = _window_pairs(config)[-1]
+    train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
     _, vectors = experiments_mod.prepare_window(train_window, inputs)
     tables = experiments_mod.interpretation_tables(model_mod.fit(vectors))
     directory = _report_dir(config, "interpretation", test_window)
@@ -384,9 +361,8 @@ def _common_flags():
     parser.add_argument("--catvar", help="categorial-variation cluster TSV")
     parser.add_argument("--syllables", help="syllable exceptions TSV")
     parser.add_argument("--out", help="output directory")
-    for flag, key in (("--cycle", "cycle_years"), ("--half-width", "half_width"),
-                      ("--anchor-year", "anchor_year"), ("--floor-year", "floor_year")):
-        parser.add_argument(flag, type=_CONVERTERS[key], dest=key)
+    parser.add_argument("--cycle", type=_positive_integer, dest="cycle_years",
+                        help="cycle length in years")
     return parser
 
 

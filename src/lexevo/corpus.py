@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ._util import open_maybe_gzip
-from .errors import DataError, NoBirthError
+from .errors import DataError
 
 MIN_YEAR = 1500
 MAX_YEAR = 2008
 
-DEFAULT_HALF_WIDTH = 5
+# a period count is the 11-year sum centered on the period year
+HALF_WIDTH = 5
 
 
 def split_token(token):
@@ -140,28 +141,15 @@ def load_corpus(paths, filter_keys):
     return CorpusTable(series), report
 
 
-def period_count(sums, center, half_width=DEFAULT_HALF_WIDTH):
-    """Sum of counts over [center - half_width, center + half_width].
+def period_count(sums, center):
+    """Sum of counts over [center - HALF_WIDTH, center + HALF_WIDTH].
 
     sums is a CorpusTable.sums result; missing years contribute 0 and an
     absent key yields 0.
     """
     years, cum = sums
-    return (cum[bisect_right(years, center + half_width)]
-            - cum[bisect_left(years, center - half_width)])
-
-
-def birth_year(sums):
-    """First attested year with a nonzero count; NoBirthError if none exists.
-
-    sums is a CorpusTable.sums result.
-    """
-    years, cum = sums
-    # cum[i] > 0 first at i = index of the first nonzero count + 1
-    first = bisect_right(cum, 0)
-    if first == len(cum):
-        raise NoBirthError("series has no nonzero count")
-    return years[first - 1]
+    return (cum[bisect_right(years, center + HALF_WIDTH)]
+            - cum[bisect_left(years, center - HALF_WIDTH)])
 
 
 @dataclass(frozen=True)
@@ -201,11 +189,13 @@ def shares_to_csv(rows, member_names):
 
 
 def birth_years(table):
-    """Birth year for every key in the table that has a nonzero count."""
+    """Key -> first attested year with a nonzero count, for every key in
+    the table that has one."""
     births = {}
     for key in table.keys():
-        try:
-            births[key] = birth_year(table.sums(key))
-        except NoBirthError:
-            continue
+        years, cum = table.sums(key)
+        # cum[i] > 0 first at i = index of the first nonzero count + 1
+        first = bisect_right(cum, 0)
+        if first < len(cum):
+            births[key] = years[first - 1]
     return births

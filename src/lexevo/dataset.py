@@ -1,7 +1,7 @@
 """Train/test dataset assembly over scheduled time windows.
 
-Windows are anchored at the most recent sampling year (2000 by default)
-and stepped backwards by the cycle length until the floor year (1800).
+Windows are anchored at the most recent sampling year (2000) and stepped
+backwards by the cycle length until the floor year (1800).
 Consecutive period triples form past/present/future windows; each train
 window is the test window shifted back by one cycle.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._util import atomic_write_json, read_tsv, write_tsv
-from .corpus import DEFAULT_HALF_WIDTH, period_count, split_token
+from .corpus import period_count, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
 
@@ -22,6 +22,8 @@ REMOVAL_TIE = "tie"
 
 # the cycle lengths, in years, that schedule_windows accepts
 MIN_CYCLE, MAX_CYCLE = 30, 60
+# the first and last sampling years, counted back from the anchor
+ANCHOR_YEAR, FLOOR_YEAR = 2000, 1800
 
 
 @dataclass(frozen=True, order=True)
@@ -40,17 +42,16 @@ class TimeWindow:
         return f"{self.past}_{self.present}_{self.future}"
 
 
-def schedule_windows(cycle, anchor_year=2000, floor_year=1800):
+def schedule_windows(cycle):
     """Chronological (train, test) window pairs for a cycle length.
 
-    Requires at least four sampling periods (one train/test pair).
+    Every accepted cycle yields at least four sampling periods, so at
+    least one pair: the longest, 60, samples 1820, 1880, 1940 and 2000.
     """
     if not MIN_CYCLE <= cycle <= MAX_CYCLE:
         raise DataError(f"cycle {cycle} outside [{MIN_CYCLE}, {MAX_CYCLE}]")
     # sampling years anchor, anchor - cycle, ... down to the floor, ascending
-    periods = sorted(range(anchor_year, floor_year - 1, -cycle))
-    if len(periods) < 4:
-        raise DataError(f"cycle {cycle} yields only {len(periods)} periods; need 4")
+    periods = sorted(range(ANCHOR_YEAR, FLOOR_YEAR - 1, -cycle))
     windows = [
         TimeWindow(periods[i], periods[i + 1], periods[i + 2])
         for i in range(len(periods) - 2)
@@ -102,15 +103,15 @@ def _removal_reason(counts):
     return None
 
 
-def build_snapshot(synset, corpus, window, half_width=DEFAULT_HALF_WIDTH):
+def build_snapshot(synset, corpus, window):
     """Return (snapshot, None) or (None, removal reason)."""
     counts = {}
     for member in synset.members:
         sums = corpus.sums(member.corpus_key())
         counts[member] = MemberCounts(
-            period_count(sums, window.past, half_width),
-            period_count(sums, window.present, half_width),
-            period_count(sums, window.future, half_width),
+            period_count(sums, window.past),
+            period_count(sums, window.present),
+            period_count(sums, window.future),
         )
     reason = _removal_reason(counts.values())
     if reason is not None:
@@ -145,12 +146,12 @@ class Dataset:
         }
 
 
-def build_dataset(synsets, corpus, window, half_width=DEFAULT_HALF_WIDTH):
+def build_dataset(synsets, corpus, window):
     """Apply the removal rules to every synset; order-independent result."""
     snapshots = []
     removal_log = Counter()
     for synset in synsets:
-        snapshot, reason = build_snapshot(synset, corpus, window, half_width)
+        snapshot, reason = build_snapshot(synset, corpus, window)
         if snapshot is not None:
             snapshots.append(snapshot)
         else:
@@ -187,8 +188,9 @@ def read_dataset(tsv_path):
     A header other than DATASET_COLUMNS is a DataError naming the file; a
     malformed row, a negative count or a repeated sense is one naming the
     line.
-    Every synset must pass the removal rules that build_dataset applies;
-    one that breaks them is a DataError naming the synset and the rule.
+    Every synset must have two or more members and pass the removal rules
+    that build_dataset applies; one that does not is a DataError naming
+    the synset and the member count or the rule.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
     births or clusters is a DataError naming the file (and the key); so
     are clusters that share a member, and births that lack a member.
@@ -212,6 +214,9 @@ def read_dataset(tsv_path):
     read_tsv(tsv_path, DATASET_COLUMNS, parse)
     snapshots = []
     for synset_id, members in groups.items():
+        if len(members) < 2:
+            raise DataError(f"{tsv_path}: synset {synset_id} has {len(members)} "
+                            "member; need at least 2")
         reason = _removal_reason([c for _, c in members])
         if reason is not None:
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")

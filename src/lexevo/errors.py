@@ -13,10 +13,6 @@ class DataError(LexevoError):
     """Input data violates a contract (bad file, missing word, etc.)."""
 
 
-class NoBirthError(DataError):
-    """A series with no nonzero count has no birth year."""
-
-
 class UnfittableModelError(DataError):
     """Training data has a class with zero vectors."""
 

@@ -37,11 +37,10 @@ class PipelineInputs:
     clusters: object  # CatVarClusters
     births: dict  # corpus key -> birth year, for every key with a nonzero count
     syllable_exceptions: dict = field(default_factory=dict)
-    half_width: int = 5
 
 
 def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
-                         syllables_path=None, half_width=5):
+                         syllables_path=None):
     """Load all raw inputs into a PipelineInputs bundle.
 
     The corpus vocabulary filter covers the eligible synset members plus
@@ -61,7 +60,6 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
         clusters=clusters,
         births=birth_years(table),
         syllable_exceptions=exceptions,
-        half_width=half_width,
     )
     return inputs, lexicon, report
 
@@ -95,8 +93,7 @@ def prepare_window(window, inputs):
     This is the costly half of a run.  Ablations and sweeps prepare each
     window once and fit every model they need on the result.
     """
-    dataset = build_dataset(inputs.synsets, inputs.corpus, window,
-                            inputs.half_width)
+    dataset = build_dataset(inputs.synsets, inputs.corpus, window)
     vectors = extract_features(dataset, inputs.clusters, inputs.births,
                                inputs.syllable_exceptions)
     return dataset, vectors
@@ -173,8 +170,10 @@ def run_ablations(specs, train_window, test_window, inputs):
         return scores.f_score, outcomes
 
     f_full, full_outcomes = evaluate(FEATURE_NAMES)
-    f_random = random_baseline(test_ds.snapshots).f_score
-    sizes = [len(s.counts) for s in test_ds.snapshots]
+    # only single_only rows compare against the random baseline
+    if any(spec.mode == "single_only" for spec in specs):
+        f_random = random_baseline(test_ds.snapshots).f_score
+        sizes = [len(s.counts) for s in test_ds.snapshots]
     rows = []
     for spec in specs:
         if spec.mode == "drop_one":
@@ -216,7 +215,7 @@ def run_ablation(spec, train_window, test_window, inputs):
     return run_ablations([spec], train_window, test_window, inputs)[0]
 
 
-def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800):
+def run_cycle_sweep(cycles, inputs):
     """Per-cycle, per-test-window summary rows, keyed by the future period.
 
     A cycle that cannot be scheduled, or a window pair whose training
@@ -228,7 +227,7 @@ def run_cycle_sweep(cycles, inputs, anchor_year=2000, floor_year=1800):
     skipped = []
     for cycle in cycles:
         try:
-            pairs = schedule_windows(cycle, anchor_year, floor_year)
+            pairs = schedule_windows(cycle)
         except DataError as exc:
             skipped.append({"cycle": cycle, "reason": str(exc)})
             continue

@@ -35,7 +35,8 @@ def common_flags(paths, out):
 
 class TestRunConfig:
     def test_defaults_validate(self):
-        RunConfig().validate()
+        # with no flag and no config file the defaults resolve unchanged
+        assert resolve_config(argparse.Namespace()) == RunConfig()
 
     @pytest.mark.parametrize("overrides", [
         {"floor_year": 2100},
@@ -43,8 +44,8 @@ class TestRunConfig:
         {"half_width": -1},
     ])
     def test_invalid_values(self, tmp_path, overrides):
-        # a key's converter checks its range, validate the order of the
-        # years; either way the resolved config is refused as a usage error
+        # cycle_years's converter checks its range, and the period constants
+        # are not keys; either way the config is refused as a usage error
         path = tmp_path / "run.conf"
         path.write_text("".join(f"{key} = {value}\n"
                                 for key, value in overrides.items()))
@@ -59,14 +60,11 @@ class TestConfigFile:
             "# comment\n"
             "corpus = a.tsv, b.tsv\n"
             "lexicon = lex.tsv  # trailing comment\n"
-            "cycle_years = 30\n"
-            "half_width=4\n"
+            "cycle_years=30\n"
         )
         values = read_config_file(str(path))
-        assert values["corpus"] == ["a.tsv", "b.tsv"]
-        assert values["lexicon"] == "lex.tsv"
-        assert values["cycle_years"] == 30
-        assert values["half_width"] == 4
+        assert values == {"corpus": ["a.tsv", "b.tsv"], "lexicon": "lex.tsv",
+                          "cycle_years": 30}
 
     def test_unknown_key_fatal(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -76,18 +74,29 @@ class TestConfigFile:
 
     def test_non_integer_value_names_file_and_line(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("# comment\nhalf_width = x\n")
+        path.write_text("# comment\ncycle_years = x\n")
         with pytest.raises(LexevoError,
-                           match=r"run\.conf line 2: half_width must be an integer"):
+                           match=r"run\.conf line 2: cycle_years must be an integer"):
             read_config_file(str(path))
 
+    def test_repeated_key_names_its_line(self, tmp_path, synthetic_paths, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("cycle_years = 30\ncycle_years = 50\n")
+        code = main(["ingest", "--config", str(conf)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{conf} line 2: repeated key 'cycle_years'" in err
+        assert not (tmp_path / "out").exists()
+
     CONFIG = ["# run settings", "corpus = a.tsv, b.tsv", "lexicon = lex.tsv",
-              "cycle_years = 30", "half_width = 5", "floor_year = 1800"]
+              "cycle_years = 30", "catvar = catvar.tsv", "syllables = syl.tsv"]
 
     @settings(max_examples=300, deadline=None)
     @example(3, True, "3#0")
-    @example(5, False, "half_width")
+    @example(5, False, "cycle_years")
     @example(2, False, "workers = 2")
+    @example(0, False, "lexicon = x")
     @given(st.integers(0, 5), st.booleans(),
            st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
                    max_size=12))
@@ -104,7 +113,14 @@ class TestConfigFile:
             try:
                 values = read_config_file(path)
             except LexevoError as exc:
-                assert str(exc).startswith(f"{path} line {index + 1}: ")
+                # a fuzzed line that sets a later line's key makes that
+                # later line the repeat
+                number = index + 1
+                for later in range(index + 1, len(lines)):
+                    key = lines[later].partition(" = ")[0]
+                    if str(exc).endswith(f"repeated key {key!r}"):
+                        number = later + 1
+                assert str(exc).startswith(f"{path} line {number}: ")
             else:
                 assert set(values) <= {f.name for f in fields(RunConfig)}
 
@@ -112,15 +128,15 @@ class TestConfigFile:
         (b"cycle_years = x", "cycle_years must be an integer, got 'x'"),
         (b"bogus = 1", "unknown key 'bogus'"),
         (b"cycle_years = 0", "cycle_years must be at least 1, got 0"),
-        (b"half_width = -1", "half_width must be at least 0, got -1"),
-        (b"half_width = \xff", "'utf-8' codec can't decode byte 0xff"),
+        (b"half_width = -1", "unknown key 'half_width'"),
+        (b"cycle_years = \xff", "'utf-8' codec can't decode byte 0xff"),
         (b"seed = 1", "unknown key 'seed'"),
     ], ids=["not_an_integer", "unknown_key", "cycle_below_1", "negative_half_width",
             "not_utf8", "removed_seed_key"])
     def test_bad_line_is_usage_error(self, tmp_path, synthetic_paths, capsys, line,
                                      reason):
         conf = tmp_path / "run.conf"
-        conf.write_bytes(b"# run settings\nhalf_width = 3\n" + line + b"\n")
+        conf.write_bytes(b"# run settings\ncatvar = catvar.tsv\n" + line + b"\n")
         code = main(["ingest", "--config", str(conf)]
                     + common_flags(synthetic_paths, tmp_path / "out"))
         err = capsys.readouterr().err
@@ -190,6 +206,8 @@ class TestExitCodes:
         ("--floor-year", "2100"), ("--cycle", "0"), ("--half-width", "-1"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        # --floor-year and --half-width are no longer options, so argparse
+        # refuses them as it refuses --cycle 0
         code = main(["ingest", flag, value, "--corpus", str(tmp_path / "nope.tsv"),
                      "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
                      "--out", str(tmp_path / "out")])
@@ -252,6 +270,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("half_width", "5"), ("anchor_year", "2000"), ("floor_year", "1800")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_period_constant_is_not_an_option(self, tmp_path, capsys, source, key,
+                                              value):
+        # the paper fixes how periods are sampled, so not even the constant's
+        # own value may be given; the corpus named here does not exist, so
+        # reading any input would be a data error
+        if source == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv, message = [flag, value], f"unrecognized arguments: {flag} {value}"
+        else:
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"{key} = {value}\n")
+            argv, message = ["--config", str(conf)], f"line 1: unknown key {key!r}"
+        code = main(["sweep"] + argv + ["--corpus", str(tmp_path / "nope.tsv"),
+                                        "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                                        "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert message in err
         assert not (tmp_path / "out").exists()
 
 
@@ -570,6 +611,24 @@ class TestArtifactReaders:
         assert code == EXIT_DATA
         assert f"{sidecar}: {message}" in err
         assert "Traceback" not in err
+
+    def test_one_member_synset(self, tmp_path, synthetic_paths, stage_dir, capsys):
+        # s00000 keeps one of its three members: no sense can compete
+        name = "dataset_1900_1950_2000.tsv"
+        lines = (stage_dir / name).read_text().splitlines()
+        rows = [i for i, line in enumerate(lines) if line.startswith("s00000\t")]
+        assert len(rows) == 3
+        dataset = tmp_path / name
+        dataset.write_text("\n".join(line for i, line in enumerate(lines)
+                                     if i not in rows[1:]) + "\n")
+        shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(dataset)))
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{dataset}: synset s00000 has 1 member; need at least 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("column, value", [
         (2, "1e200"),  # normalized_length

@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexevo.corpus import (
+    HALF_WIDTH,
     CorpusTable,
     LoadReport,
-    birth_year,
     birth_years,
     load_corpus,
     period_count,
     shares_to_csv,
     synset_annual_shares,
 )
-from lexevo.errors import DataError, NoBirthError
+from lexevo.errors import DataError
 
 RAPT = ("rapt", "ADJ")
 
@@ -179,21 +179,16 @@ class TestPeriodCount:
         assert period_count(CorpusTable({}).sums(RAPT), 1900) == 0
 
     def test_absent_years_contribute_zero(self):
-        assert period_count(sums_of({1850: 4}), 1850, half_width=0) == 4
+        # 1846 to 1854 hold 1848 and 1853 only; the other years are gaps
+        series = {1844: 100, 1848: 4, 1853: 6, 1856: 100}
+        assert period_count(sums_of(series), 1850) == 10
 
-    @given(SERIES, st.integers(1505, 2000), st.integers(0, 10))
-    def test_matches_bruteforce_loop(self, series, center, half_width):
+    @given(SERIES, st.integers(1505, 2000))
+    def test_matches_bruteforce_loop(self, series, center):
         expected = 0
-        for year in range(center - half_width, center + half_width + 1):
+        for year in range(center - HALF_WIDTH, center + HALF_WIDTH + 1):
             expected += series.get(year, 0)
-        assert period_count(sums_of(series), center, half_width) == expected
-
-    @given(SERIES, st.integers(1505, 2000), st.integers(0, 9))
-    def test_monotone_in_half_width(self, series, center, half_width):
-        sums = sums_of(series)
-        assert period_count(sums, center, half_width) <= period_count(
-            sums, center, half_width + 1
-        )
+        assert period_count(sums_of(series), center) == expected
 
     @given(SERIES)
     def test_series_round_trips(self, series):
@@ -212,26 +207,25 @@ class TestPeriodCount:
         assert list(table.keys()) == [RAPT, ("zebra", "NOUN")]
 
 
+def births_of(series):
+    """birth_years of a one-key table holding one year -> count dict."""
+    return birth_years(CorpusTable({RAPT: dict(series)}))
+
+
 class TestBirthYear:
     def test_skips_zero_entries(self):
-        assert birth_year(sums_of({1800: 0, 1801: 7})) == 1801
+        assert births_of({1800: 0, 1801: 7}) == {RAPT: 1801}
 
-    def test_empty_series_raises(self):
-        with pytest.raises(NoBirthError):
-            birth_year(sums_of({}))
+    def test_empty_series_is_absent(self):
+        assert births_of({}) == {}
 
-    def test_all_zero_raises(self):
-        with pytest.raises(NoBirthError):
-            birth_year(sums_of({1900: 0}))
+    def test_all_zero_is_absent(self):
+        assert births_of({1900: 0}) == {}
 
     @given(SERIES)
     def test_matches_bruteforce_loop(self, series):
         born = [year for year in sorted(series) if series[year] > 0]
-        if born:
-            assert birth_year(sums_of(series)) == born[0]
-        else:
-            with pytest.raises(NoBirthError):
-                birth_year(sums_of(series))
+        assert births_of(series) == ({RAPT: born[0]} if born else {})
 
     def test_birth_years_skips_unborn_keys(self):
         table = CorpusTable({RAPT: {1900: 0, 1950: 3}, ("zebra", "NOUN"): {1900: 0}})

@@ -432,6 +432,24 @@ class TestRunAblation:
             assert row == run_ablation(spec, train_window, test_window,
                                        synthetic_inputs)
 
+    @pytest.mark.parametrize("modes, calls", [
+        (["drop_one"], 0), (["single_only"], 1), (["drop_one", "single_only"], 1),
+    ], ids=["drop_one", "single_only", "both"])
+    def test_random_baseline_only_for_single_only(self, synthetic_inputs,
+                                                  monkeypatch, modes, calls):
+        train_window, test_window = schedule_windows(50)[1]
+        specs = [AblationSpec(mode, f) for mode in modes for f in FEATURE_NAMES]
+        baselines = []
+        original = experiments_mod.random_baseline
+
+        def counted(snapshots):
+            baselines.append(1)
+            return original(snapshots)
+
+        monkeypatch.setattr(experiments_mod, "random_baseline", counted)
+        run_ablations(specs, train_window, test_window, synthetic_inputs)
+        assert len(baselines) == calls
+
 
 class TestRunCycleSweep:
     def test_rows_keyed_by_future_period(self, synthetic_inputs):
