@@ -9,11 +9,11 @@ import tempfile
 from .errors import DataError
 
 
-def open_maybe_gzip(path):
-    """Open a UTF-8 text file, decompressing it when its name ends in .gz."""
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, encoding="utf-8")
+def open_maybe_gzip(path, binary=False):
+    """Open a UTF-8 text file, or its bytes when binary is set,
+    decompressing it when its name ends in .gz."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    return opener(path, "rb") if binary else opener(path, "rt", encoding="utf-8")
 
 
 def parse_lines(lines, parse, start=1, comments=False):

@@ -37,23 +37,27 @@ class RunConfig:
     cycle_years: int = 50
 
 
-def _positive_integer(text):
-    """Converter of cycle_years, and so the type of --cycle."""
+def _cycle_length(text):
+    """Converter of cycle_years, and so the type of --cycle and of each
+    --cycles item: an integer from MIN_CYCLE to MAX_CYCLE."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not dataset_mod.MIN_CYCLE <= value <= dataset_mod.MAX_CYCLE:
+        raise argparse.ArgumentTypeError(
+            f"must be in [{dataset_mod.MIN_CYCLE}, {dataset_mod.MAX_CYCLE}], "
+            f"got {value}")
     return value
 
 
 # The converter of each config key that is not a string; cycle_years's is
-# also the type of --cycle, so a flag and a file reject the same values.
+# also the type of --cycle and of each --cycles item, so a flag and a file
+# reject the same values.
 _CONVERTERS = {
     "corpus": lambda text: [p.strip() for p in text.split(",") if p.strip()],
-    "cycle_years": _positive_integer,
+    "cycle_years": _cycle_length,
 }
 
 
@@ -98,11 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cycle_list(text):
     """--cycles value: comma-separated cycle lengths, at least one."""
-    try:
-        cycles = [int(c) for c in text.split(",") if c]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}") from None
+    cycles = [_cycle_length(c) for c in text.split(",") if c]
     if not cycles:
         raise argparse.ArgumentTypeError("no cycle lengths given")
     return cycles
@@ -361,7 +361,7 @@ def _common_flags():
     parser.add_argument("--catvar", help="categorial-variation cluster TSV")
     parser.add_argument("--syllables", help="syllable exceptions TSV")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--cycle", type=_positive_integer, dest="cycle_years",
+    parser.add_argument("--cycle", type=_cycle_length, dest="cycle_years",
                         help="cycle length in years")
     return parser
 

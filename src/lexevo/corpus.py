@@ -8,9 +8,15 @@ Years run from 1500 to 2008.  A word absent from the corpus behaves as an
 all-zero series.  Each word's series is stored as cumulative sums over its
 attested years, so a period sum is two bisections and a subtraction
 (prefix sums; Blelloch 1990).
+
+Rows grouped by token, as the published files and evocli ingest's
+corpus.tsv list each word's years one after another, are the fast path:
+a token is split and looked up once per run of rows.  Rows in any other
+order load to the same table and counts, at one lookup per row.
 """
 
 import io
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -23,6 +29,10 @@ MAX_YEAR = 2008
 
 # a period count is the 11-year sum centered on the period year
 HALF_WIDTH = 5
+
+# characters read from a corpus stream at a time; a 1 MiB block raised the
+# peak memory by about 3 MiB
+BLOCK_SIZE = 1 << 16
 
 
 def split_token(token):
@@ -93,32 +103,51 @@ def _read_rows(source, filter_keys, series, report):
     non-blank row is skipped and counted, whatever its token, and a valid
     row outside filter_keys is counted as filtered.  Duplicate (key, year)
     rows are summed.
+
+    The stream is read in blocks of BLOCK_SIZE characters.  A valid row's
+    token is split and looked up only when it differs from the last valid
+    row's, so a run of rows of one token costs one lookup.
     """
     if not filter_keys:
         raise DataError("empty vocabulary filter")
     kept = filtered = skipped = 0
-    for line in source:
-        try:
-            token, year_s, match_s, volume_s = line.split("\t")
-            key = split_token(token)
-            year = int(year_s)
-            match_count = int(match_s)
-            if (int(volume_s) < 0 or match_count < 0
-                    or not MIN_YEAR <= year <= MAX_YEAR):
-                raise ValueError
-        except ValueError:
-            # a blank line fails the column or token check and is not a row
-            if line.strip():
-                skipped += 1
-            continue
-        if key not in filter_keys:
-            filtered += 1
-            continue
-        acc = series.get(key)
-        if acc is None:
-            acc = series[key] = {}
-        acc[year] = acc.get(year, 0) + match_count
-        kept += 1
+    # the last valid row's token and its key's year -> count dict, None
+    # while that key is filtered
+    last = acc = None
+    tail = ""
+    while True:
+        block = source.read(BLOCK_SIZE)
+        # a block's last piece may be part of a line: it is carried into
+        # the next block, and is a line of its own at the end of the stream
+        lines = (tail + block).split("\n")
+        tail = lines.pop() if block else ""
+        for line in lines:
+            try:
+                token, year_s, match_s, volume_s = line.split("\t")
+                year = int(year_s)
+                match_count = int(match_s)
+                if (int(volume_s) < 0 or match_count < 0
+                        or not MIN_YEAR <= year <= MAX_YEAR):
+                    raise ValueError
+                if token != last:
+                    key = split_token(token)
+                    last, acc = token, None
+                    if key in filter_keys:
+                        acc = series.get(key)
+                        if acc is None:
+                            acc = series[key] = {}
+            except ValueError:
+                # a blank line fails the column or token check and is not a row
+                if line.strip():
+                    skipped += 1
+                continue
+            if acc is None:
+                filtered += 1
+                continue
+            acc[year] = acc.get(year, 0) + match_count
+            kept += 1
+        if not block:
+            break
     report.rows_kept += kept
     report.rows_filtered += filtered
     report.rows_skipped += skipped
@@ -128,7 +157,9 @@ def load_corpus(paths, filter_keys):
     """Load and merge one or more unigram files (.tsv or .tsv.gz).
 
     Every file's rows are summed into one series map and a single table
-    is built from it, so the result is independent of file order.
+    is built from it, so the result is independent of file order.  A file
+    that cannot be opened, decompressed or decoded as UTF-8 is a
+    DataError naming it.
     """
     series = {}
     report = LoadReport()
@@ -136,9 +167,31 @@ def load_corpus(paths, filter_keys):
         try:
             with open_maybe_gzip(path) as handle:
                 _read_rows(handle, filter_keys, series, report)
-        except OSError as exc:
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read corpus file {path}: line "
+                            f"{_undecodable_line(path)} is not UTF-8 "
+                            f"({exc.reason})") from exc
+        except (OSError, EOFError, zlib.error) as exc:
             raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     return CorpusTable(series), report
+
+
+def _undecodable_line(path):
+    """The number of the first line of a corpus file that is not UTF-8.
+
+    The file is read again as bytes.  No UTF-8 character holds the byte
+    of a line break, so each line decodes alone as it does in the file.
+    """
+    number = 0
+    try:
+        with open_maybe_gzip(path, binary=True) as handle:
+            for number, line in enumerate(handle, start=1):
+                line.decode("utf-8")
+    except UnicodeDecodeError:
+        return number
+    except (OSError, EOFError, zlib.error):
+        pass  # a truncated file: the bad bytes are in its unfinished last line
+    return number + 1
 
 
 def period_count(sums, center):

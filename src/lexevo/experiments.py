@@ -293,6 +293,7 @@ def fisher_exact(ones0, n0, ones1, n1):
     return tail / total, 20 * tail < total
 
 
+_NORMAL_FROM_DF = 1e4
 _CF_MAX_TERMS = 1000  # 3,000 random cases, df up to 1e15, needed at most 83
 _CF_TOLERANCE = 1e-15
 _CF_TINY = 1e-300
@@ -302,13 +303,25 @@ def student_t_two_tailed_p(t, df):
     """P(|T| >= |t|) for Student's t with df > 0 degrees of freedom.
 
     This is the regularized incomplete beta function I_x(df/2, 1/2) at
-    x = df / (df + t^2) (Press et al., Numerical Recipes, 6.4).
+    x = df / (df + t^2) (Press et al., Numerical Recipes, 6.4).  From
+    _NORMAL_FROM_DF degrees of freedom on, the log-gamma terms of the
+    fraction's front factor and its first terms cancel (a 2e-5 relative
+    error at df 1e10), so there the tail is the normal tail at Hill's
+    transformed deviate (Hill 1970, ACM Algorithm 395): within 3e-13 of
+    50-digit values for df from 1e4 to 1e14 and tails down to 1e-300.
     """
     r = t * t / df  # x = 1 / (1 + r) and 1 - x = r / (1 + r)
     if r == 0:
         return 1.0
     if r == math.inf:
         return 0.0
+    if df >= _NORMAL_FROM_DF:
+        a = df - 0.5
+        b = 48.0 * a * a
+        y = a * math.log1p(r)
+        w = (((-0.4 * y - 3.3) * y - 24.0) * y - 85.5) / (0.8 * y * y + 100.0 + b)
+        z = ((w + y + 3.0) / b + 1.0) * math.sqrt(y)
+        return math.erfc(z / math.sqrt(2.0))
     log_x = -math.log1p(r)
     log_y = math.log(r) + log_x
     a, b = df / 2.0, 0.5

@@ -1,4 +1,5 @@
 import argparse
+import gzip
 import hashlib
 import json
 import math
@@ -127,12 +128,14 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, reason", [
         (b"cycle_years = x", "cycle_years must be an integer, got 'x'"),
         (b"bogus = 1", "unknown key 'bogus'"),
-        (b"cycle_years = 0", "cycle_years must be at least 1, got 0"),
+        (b"cycle_years = 0", "cycle_years must be in [30, 60], got 0"),
         (b"half_width = -1", "unknown key 'half_width'"),
         (b"cycle_years = \xff", "'utf-8' codec can't decode byte 0xff"),
         (b"seed = 1", "unknown key 'seed'"),
+        (b"cycle_years = 29", "cycle_years must be in [30, 60], got 29"),
+        (b"cycle_years = 61", "cycle_years must be in [30, 60], got 61"),
     ], ids=["not_an_integer", "unknown_key", "cycle_below_1", "negative_half_width",
-            "not_utf8", "removed_seed_key"])
+            "not_utf8", "removed_seed_key", "cycle_below_30", "cycle_above_60"])
     def test_bad_line_is_usage_error(self, tmp_path, synthetic_paths, capsys, line,
                                      reason):
         conf = tmp_path / "run.conf"
@@ -202,6 +205,41 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("damage, reason", [
+        ("truncated_gzip", "Compressed file ended before the end-of-stream marker"),
+        ("corrupt_gzip", ""),
+        ("not_utf8", "line 3 is not UTF-8 (invalid start byte)"),
+        ("not_utf8_gzip", "line 3 is not UTF-8 (invalid start byte)"),
+    ], ids=["truncated_gzip", "corrupt_gzip", "not_utf8", "not_utf8_gzip"])
+    def test_unreadable_corpus_is_data_error(self, tmp_path, synthetic_paths,
+                                             capsys, damage, reason):
+        # a corpus file that cannot be decompressed or decoded names the
+        # file (and the line, when it is not UTF-8), with no traceback; how
+        # zlib words a corrupt stream depends on its version
+        with open(synthetic_paths["corpus"], "rb") as handle:
+            text = handle.read()
+        if damage.startswith("not_utf8"):
+            lines = text.split(b"\n")
+            lines[2] = lines[2].replace(b"\t", b"\xff\t", 1)
+            text = b"\n".join(lines)
+        if damage.endswith("gzip"):
+            text = gzip.compress(text, mtime=0)
+        if damage == "truncated_gzip":
+            text = text[:len(text) // 2]
+        elif damage == "corrupt_gzip":
+            text = text[:200] + bytes(b ^ 0x5A for b in text[200:260]) + text[260:]
+        corpus = tmp_path / ("corpus.tsv.gz" if damage.endswith("gzip")
+                             else "corpus.tsv")
+        corpus.write_bytes(text)
+        code = main(["ingest", "--corpus", str(corpus),
+                     "--lexicon", synthetic_paths["lexicon"],
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"cannot read corpus file {corpus}: {reason}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--floor-year", "2100"), ("--cycle", "0"), ("--half-width", "-1"),
     ])
@@ -225,6 +263,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--cycles", "x"], "--cycles"),
+        (["sweep", "--cycles", "50,10"], "--cycles"),
+        (["build-dataset", "--cycle", "10"], "--cycle"),
+        (["ingest", "--cycle", "61"], "--cycle"),
         (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
         (["plot-data", "--synset", "a00001", "--years", "2000:1800"], "--years"),
         (["train", "--features", "f.tsv", "--only", "bogus"], "--only"),
@@ -234,7 +275,8 @@ class TestExitCodes:
         (["train", "--features", "f.tsv", "--only", ","], "--only"),
         (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
          "--drop"),
-    ], ids=["cycles_not_integers", "years_not_a_range", "years_reversed",
+    ], ids=["cycles_not_integers", "cycles_below_30", "cycle_below_30",
+            "cycle_above_60", "years_not_a_range", "years_reversed",
             "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
             "only_nothing", "drop_everything"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):

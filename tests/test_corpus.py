@@ -1,10 +1,14 @@
 import gzip
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lexevo.corpus import (
+    BLOCK_SIZE,
     HALF_WIDTH,
+    MAX_YEAR,
+    MIN_YEAR,
     CorpusTable,
     LoadReport,
     birth_years,
@@ -128,6 +132,22 @@ class TestLoadUnigramSeries:
             handle.write("rapt_ADJ\t1900\t7\t1\n")
         table, _ = load_corpus([str(path)], {RAPT})
         assert table.series(RAPT) == {1900: 7}
+
+    @pytest.mark.parametrize("form", ["plain", "gzip", "gzip_without_trailer"])
+    def test_undecodable_line_is_named(self, tmp_path, form):
+        # the fourth line is not UTF-8; without its gzip trailer the file
+        # also ends inside that line, which is still the one named
+        data = b"rapt_ADJ\t1900\t1\t1\n" * 3 + b"rapt_ADJ\t19\xff0\t1\t1"
+        path = tmp_path / ("part.tsv" if form == "plain" else "part.tsv.gz")
+        if form != "plain":
+            data = gzip.compress(data)
+        if form == "gzip_without_trailer":
+            data = data[:-8]
+        path.write_bytes(data)
+        with pytest.raises(DataError) as raised:
+            load_corpus([str(path)], {RAPT})
+        assert str(raised.value) == (f"cannot read corpus file {path}: "
+                                     "line 4 is not UTF-8 (invalid start byte)")
 
     def test_sharded_load_is_order_independent(self, tmp_path):
         paths = []
@@ -283,43 +303,102 @@ def integer_fields(draw):
 
 
 @st.composite
-def corpus_lines(draw):
-    kind = draw(st.sampled_from(["row", "row", "row", "columns", "blank"]))
+def corpus_lines(draw, token):
+    """One line of token: a row of plain in-range integers, a row of any
+    fields, a row with the wrong column count, or a blank line."""
+    kind = draw(st.sampled_from(["clean", "clean", "row", "row", "columns", "blank"]))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t", " \t \t", "\x0c", "\t\t\t"]))
-    fields = [draw(TOKENS)] + [draw(integer_fields()) for _ in range(3)]
+    if kind == "clean":
+        return "\t".join([token, str(draw(st.integers(MIN_YEAR, MAX_YEAR))),
+                          str(draw(st.integers(0, 99))), str(draw(st.integers(0, 9)))])
+    fields = [token] + [draw(integer_fields()) for _ in range(3)]
     if kind == "columns":
         fields = fields[:draw(st.integers(1, 3))] if draw(st.booleans()) else fields + ["1"]
     return "\t".join(fields)
 
 
+@st.composite
+def token_runs(draw):
+    """Lines in runs of one token, 1 to 5 lines a run, as the unigram files
+    group them; inside a run kept or filtered rows, malformed rows and
+    blank lines mix, and a bad token repeats on every row of its run."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        token = draw(TOKENS)
+        lines.extend(draw(corpus_lines(token)) for _ in range(draw(st.integers(1, 5))))
+    return lines
+
+
+def assert_loads_as(table, report, lines, filter_keys):
+    """The table and report of load_corpus are those classify_row gives
+    for lines."""
+    expected = LoadReport()
+    series = {}
+    for line in lines:
+        verdict, row = classify_row(line, filter_keys)
+        if verdict == "kept":
+            key, year, match_count = row
+            points = series.setdefault(key, {})
+            points[year] = points.get(year, 0) + match_count
+        if verdict != "blank":
+            setattr(expected, f"rows_{verdict}",
+                    getattr(expected, f"rows_{verdict}") + 1)
+    assert report == expected
+    assert set(table.keys()) == set(series)
+    for key in filter_keys:
+        assert table.series(key) == dict(sorted(series.get(key, {}).items()))
+
+
 class TestRowContract:
-    @given(st.lists(st.tuples(corpus_lines(), st.sampled_from(["\n", "\r\n"])),
-                    max_size=25),
-           st.booleans())
-    def test_load_matches_bruteforce_classifier(self, tmp_path_factory, lines, last_break):
-        text = "".join(line + end for line, end in lines)
-        if lines and not last_break:
-            text = text[:-len(lines[-1][1])]
+    @given(token_runs(), st.data())
+    def test_load_matches_bruteforce_classifier(self, tmp_path_factory, lines, data):
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not data.draw(st.booleans(), label="last_break"):
+            text = text[:-len(ends[-1])]
         path = tmp_path_factory.mktemp("rows") / "part.tsv"
         path.write_bytes(text.encode("utf-8"))
         table, report = load_corpus([str(path)], VOCAB)
+        assert_loads_as(table, report, lines, VOCAB)
 
-        expected = LoadReport()
-        series = {}
-        for line, _ in lines:
-            verdict, row = classify_row(line, VOCAB)
-            if verdict == "kept":
-                key, year, match_count = row
-                points = series.setdefault(key, {})
-                points[year] = points.get(year, 0) + match_count
-            if verdict != "blank":
-                setattr(expected, f"rows_{verdict}",
-                        getattr(expected, f"rows_{verdict}") + 1)
-        assert report == expected
-        assert set(table.keys()) == set(series)
-        for key in VOCAB:
-            assert table.series(key) == dict(sorted(series.get(key, {}).items()))
+
+class TestBlockReads:
+    """Files longer than one read block, so that rows straddle blocks."""
+
+    def test_large_file_loads_as_the_classifier_says(self, tmp_path):
+        rng = random.Random(7)
+        vocab = {RAPT, ("café", "NOUN"), ("a_b", "NOUN")}
+        tokens = ["rapt_ADJ", "café_NOUN", "a_b_NOUN", "zebra_NOUN", "naïve_ADJ",
+                  "rapt", "_ADJ"]
+        lines = []
+        for token in tokens:
+            for _ in range(2_000):
+                year = rng.randint(1490, 2015)
+                counts = [str(rng.randint(-2, 5_000)) for _ in range(2)]
+                line = "\t".join([token, str(year)] + counts)
+                roll = rng.random()
+                if roll < 0.02:
+                    line = ""
+                elif roll < 0.04:
+                    line = line.rsplit("\t", 1)[0]
+                lines.append(line)
+        shuffled = rng.sample(lines, len(lines))
+        ends = [rng.choice(["\n", "\r\n"]) for _ in lines]
+        for order, rows in (("grouped", lines), ("shuffled", shuffled)):
+            text = "".join(line + end for line, end in zip(rows, ends))
+            # the file spans several blocks, and a block ends inside a row
+            read = text.replace("\r\n", "\n")
+            assert len(read) > 3 * BLOCK_SIZE
+            assert read[BLOCK_SIZE - 1] != "\n"
+            plain = tmp_path / f"{order}.tsv"
+            plain.write_bytes(text.encode("utf-8"))
+            packed = tmp_path / f"{order}.tsv.gz"
+            packed.write_bytes(gzip.compress(text.encode("utf-8")))
+            for path in (plain, packed):
+                table, report = load_corpus([str(path)], vocab)
+                assert_loads_as(table, report, rows, vocab)
 
 
 class TestAnnualShares:

@@ -103,6 +103,28 @@ class TestStudentTTail:
             # relative; the tail is asserted to 1e-8 above
             assert p2 <= p1 * (1 + 1e-8)
 
+    @pytest.mark.parametrize("df", [1e10, 1e12])
+    @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
+    def test_large_df_matches_normal_limit(self, t, df):
+        # the normal tail plus its 1/df term: 2 phi(t) (t^3 + t) / (4 df)
+        # of the t distribution's expansion about the normal; the next term
+        # is O(1/df^2), below 1e-15 relative here
+        density = math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+        expected = math.erfc(t / math.sqrt(2)) + density * (t ** 3 + t) / (2 * df)
+        assert student_t_two_tailed_p(t, df) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("df, t, expected", [
+        # mpmath.betainc(df/2, 1/2, 0, df/(df + t^2)) at 50 digits
+        (9999.0, 2.0, 0.045527263361510105),
+        (9999.0, 4.0, 6.379871456258758e-05),
+        (1e4, 2.0, 0.04552726066143544),
+        (1e4, 4.0, 6.379866882313963e-05),
+    ])
+    def test_both_sides_of_the_normal_switch(self, df, t, expected):
+        # the continued fraction below 1e4 degrees of freedom and Hill's
+        # normal deviate from there on both hold the tail to 1e-10
+        assert student_t_two_tailed_p(t, df) == pytest.approx(expected, rel=1e-10)
+
     def test_unconverged_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(experiments_mod, "_CF_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError, match="did not converge"):
