@@ -205,8 +205,9 @@ def cmd_extract_features(args, config):
     """Features from the dataset and its sidecar's clusters and births;
     --corpus, --lexicon and --catvar are ignored."""
     ds = dataset_mod.read_dataset(args.dataset)
-    vectors = features_mod.extract_features(
-        ds, ds.clusters, ds.births, experiments_mod.load_syllables(config.syllables))
+    shapes = features_mod.word_shapes([s.synset for s in ds.snapshots],
+                                      experiments_mod.load_syllables(config.syllables))
+    vectors = features_mod.extract_features(ds, shapes, ds.clusters, ds.births)
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
     return EXIT_OK

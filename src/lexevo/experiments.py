@@ -7,6 +7,7 @@ carry no timestamps, so repeated runs are byte-identical.
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from ._util import open_maybe_gzip
 from .corpus import birth_years, load_corpus
@@ -21,7 +22,7 @@ from .evaluate import (
     uniform_baseline_tail,
 )
 from .features import (FEATURE_NAMES, SCALAR_FEATURES, extract_features,
-                       load_syllable_exceptions)
+                       load_syllable_exceptions, word_shapes)
 from .lexicon import CatVarClusters, eligible_synsets, load_catvar, load_lexicon
 from .model import feature_terms, fit, subset_log_odds, win_log_odds
 
@@ -37,6 +38,12 @@ class PipelineInputs:
     clusters: object  # CatVarClusters
     births: dict  # corpus key -> birth year, for every key with a nonzero count
     syllable_exceptions: dict = field(default_factory=dict)
+
+    @cached_property
+    def word_shapes(self):
+        """features.word_shapes of the synsets, computed on first use and
+        kept by this object: every window prepared from it shares one table."""
+        return word_shapes(self.synsets, self.syllable_exceptions)
 
 
 def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
@@ -91,11 +98,12 @@ def prepare_window(window, inputs):
     """(dataset, labelled feature vectors) of one time window.
 
     This is the costly half of a run.  Ablations and sweeps prepare each
-    window once and fit every model they need on the result.
+    window once and fit every model they need on the result.  The lexical
+    features come from inputs.word_shapes, computed once per inputs.
     """
     dataset = build_dataset(inputs.synsets, inputs.corpus, window)
-    vectors = extract_features(dataset, inputs.clusters, inputs.births,
-                               inputs.syllable_exceptions)
+    vectors = extract_features(dataset, inputs.word_shapes, inputs.clusters,
+                               inputs.births)
     return dataset, vectors
 
 
@@ -272,9 +280,16 @@ def welch_t_test(mean1, var1, n1, mean2, var2, n2):
             return 0.0, float(n1 + n2 - 2), 1.0, False
         return math.inf, float(n1 + n2 - 2), 0.0, True
     t = (mean1 - mean2) / math.sqrt(se2)
-    df = se2 ** 2 / (
-        (var1 / n1) ** 2 / (n1 - 1) + (var2 / n2) ** 2 / (n2 - 1)
-    )
+    # Welch-Satterthwaite df from the var/n terms scaled by one power of two
+    # so that the larger is in [0.5, 1): their squares cannot underflow or
+    # overflow, and every intermediate is an exact multiple of the unscaled
+    # one, so df is the unscaled formula's wherever that one stays in range.
+    # ldexp scales each term directly: below 2**-1024 the factor itself
+    # would overflow.
+    a, b = var1 / n1, var2 / n2
+    exponent = math.frexp(max(a, b))[1]
+    a, b = math.ldexp(a, -exponent), math.ldexp(b, -exponent)
+    df = (a + b) ** 2 / (a ** 2 / (n1 - 1) + b ** 2 / (n2 - 1))
     p = student_t_two_tailed_p(t, df)
     return t, df, p, p < 0.05
 
@@ -309,7 +324,10 @@ def student_t_two_tailed_p(t, df):
     error at df 1e10), so there the tail is the normal tail at Hill's
     transformed deviate (Hill 1970, ACM Algorithm 395): within 3e-13 of
     50-digit values for df from 1e4 to 1e14 and tails down to 1e-300.
+    At df = inf, Student's t is the standard normal.
     """
+    if df == math.inf:
+        return math.erfc(abs(t) / math.sqrt(2.0))
     r = t * t / df  # x = 1 / (1 + r) and 1 - x = r / (1 + r)
     if r == 0:
         return 1.0

@@ -171,25 +171,44 @@ class FeatureVector:
         return replace(self, target_class=None)
 
 
-def extract_features(dataset, clusters, births, syllable_exceptions=None):
+def word_shapes(synsets, syllable_exceptions=None):
+    """The features of every synset member that depend on its synset alone.
+
+    Returns {SenseId: (normalized_length, syllable_count, unique_ngrams,
+    shared_ngrams)}.  load_lexicon numbers senses uniquely and read_dataset
+    refuses a repeated sense, so one table serves every window of the
+    synsets it was built from.  Each synset's trigrams and longest lemma
+    are derived once, so a k-member synset costs O(k).
+    """
+    shapes = {}
+    for synset in synsets:
+        lemmas = synset.lemmas()
+        trigrams, holders = _trigram_holders(lemmas)
+        max_len = max(len(lemma) for lemma in lemmas)
+        for member in synset.members:
+            unique, shared_fraction = _split_trigrams(trigrams[member.lemma], holders)
+            shapes[member] = (len(member.lemma) / max_len,
+                              syllable_count(member.lemma, syllable_exceptions),
+                              unique, shared_fraction)
+    return shapes
+
+
+def extract_features(dataset, shapes, clusters, births):
     """Feature vectors for every word of every snapshot in a dataset.
 
-    births maps corpus keys, the (lemma, corpus POS tag) tuples that
-    SenseId.corpus_key() returns, to first-attestation years and must cover
-    every snapshot member (they all have nonzero present counts, so a
-    missing birth year signals a corpus/dataset mismatch).  The synset-wide
-    values (trigrams, relative frequencies, longest lemma) are derived once
-    per snapshot, so a k-member synset costs O(k).
+    shapes is the word_shapes table of (at least) the dataset's synsets;
+    this adds the features that depend on the window.  births maps corpus
+    keys, the (lemma, corpus POS tag) tuples that SenseId.corpus_key()
+    returns, to first-attestation years and must cover every snapshot
+    member (they all have nonzero present counts, so a missing birth year
+    signals a corpus/dataset mismatch).
     """
     present = dataset.window.present
     vectors = []
     for snapshot in dataset.snapshots:
-        lemmas = snapshot.synset.lemmas()
-        trigrams, holders = _trigram_holders(lemmas)
-        max_len = max(len(lemma) for lemma in lemmas)
         frequencies = relative_frequencies(snapshot)
         for member in snapshot.counts:
-            unique, shared_fraction = _split_trigrams(trigrams[member.lemma], holders)
+            normalized_length, syllables, unique, shared_fraction = shapes[member]
             key = member.corpus_key()
             born = births.get(key)
             if born is None:
@@ -198,8 +217,8 @@ def extract_features(dataset, clusters, births, syllable_exceptions=None):
             vectors.append(FeatureVector(
                 sense=member,
                 synset_id=snapshot.synset.id,
-                normalized_length=len(member.lemma) / max_len,
-                syllable_count=syllable_count(member.lemma, syllable_exceptions),
+                normalized_length=normalized_length,
+                syllable_count=syllables,
                 unique_ngrams=unique,
                 shared_ngrams=shared_fraction,
                 categorial_variations=categorial_variation_count(

@@ -43,8 +43,7 @@ def criterion(number, name):
 
 def rapture_vectors(inputs):
     ds = build_dataset(inputs.synsets, inputs.corpus, TEST1_WINDOW)
-    vectors = extract_features(ds, inputs.clusters, inputs.births,
-                               inputs.syllable_exceptions)
+    vectors = extract_features(ds, inputs.word_shapes, inputs.clusters, inputs.births)
     return {v.sense.lemma: v for v in vectors}
 
 

@@ -730,9 +730,9 @@ class TestExtractFeaturesFromDataset:
 
     @pytest.mark.parametrize("bundle", ["rapture", "synthetic"])
     def test_matches_in_process_features(self, tmp_path, request, bundle):
-        from lexevo.dataset import build_dataset, schedule_windows
-        from lexevo.experiments import load_pipeline_inputs
-        from lexevo.features import extract_features, write_feature_vectors
+        from lexevo.dataset import schedule_windows
+        from lexevo.experiments import load_pipeline_inputs, prepare_window
+        from lexevo.features import write_feature_vectors
 
         paths = request.getfixturevalue(f"{bundle}_paths")
         out = tmp_path / "out"
@@ -747,11 +747,7 @@ class TestExtractFeaturesFromDataset:
                          "--syllables", paths["syllables"],
                          "--out", str(out)]) == EXIT_OK
             expected = tmp_path / f"expected_{label}.tsv"
-            write_feature_vectors(
-                extract_features(build_dataset(inputs.synsets, inputs.corpus, window),
-                                 inputs.clusters, inputs.births,
-                                 inputs.syllable_exceptions),
-                str(expected))
+            write_feature_vectors(prepare_window(window, inputs)[1], str(expected))
             assert (out / f"features_{label}.tsv").read_bytes() == expected.read_bytes()
 
     def test_reads_no_corpus(self, tmp_path, rapture_paths, monkeypatch):

@@ -125,6 +125,17 @@ class TestStudentTTail:
         # normal deviate from there on both hold the tail to 1e-10
         assert student_t_two_tailed_p(t, df) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0, 10.0])
+    def test_infinite_df_is_normal_tail(self, t):
+        expected = math.erfc(t / math.sqrt(2))
+        assert student_t_two_tailed_p(t, math.inf) == expected
+        assert student_t_two_tailed_p(-t, math.inf) == expected
+
+    def test_infinite_df_at_zero_and_infinite_t(self):
+        assert student_t_two_tailed_p(3.0, math.inf) == pytest.approx(0.0027, abs=1e-4)
+        assert student_t_two_tailed_p(0.0, math.inf) == 1.0
+        assert student_t_two_tailed_p(math.inf, math.inf) == 0.0
+
     def test_unconverged_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(experiments_mod, "_CF_MAX_TERMS", 3)
         with pytest.raises(ConvergenceError, match="did not converge"):
@@ -169,6 +180,22 @@ class TestWelchTTest:
         t, _, p, significant = welch_t_test(2.0, 0.0, 5, 1.0, 0.0, 5)
         assert t == math.inf
         assert (p, significant) == (0.0, True)
+
+    @pytest.mark.parametrize("variance", [2.5e-323, 1e-310, 1e-170, 1e300])
+    def test_extreme_variances_keep_df(self, variance):
+        # the squares of var/n under- or overflow, but their ratio is 8;
+        # at 2.5e-323, var/n is the smallest subnormal
+        t, df, p, significant = welch_t_test(1.0, variance, 5, 2.0, variance, 5)
+        assert df == 8.0
+        assert p == student_t_two_tailed_p(t, 8.0)
+        assert significant is (variance < 1)
+
+    @given(st.floats(1e-100, 1e100), st.integers(2, 10 ** 6),
+           st.floats(1e-100, 1e100), st.integers(2, 10 ** 6))
+    def test_df_is_the_unscaled_formula_in_range(self, var1, n1, var2, n2):
+        se1, se2 = var1 / n1, var2 / n2
+        expected = (se1 + se2) ** 2 / (se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1))
+        assert welch_t_test(0.0, var1, n1, 1.0, var2, n2)[1] == expected
 
     def test_small_groups_rejected(self):
         with pytest.raises(DataError):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexevo.dataset import (Dataset, MemberCounts, SynsetSnapshot, TimeWindow,
-                            build_dataset, schedule_windows)
+                            schedule_windows)
 from lexevo.errors import DataError
-from lexevo.experiments import load_pipeline_inputs
+from lexevo.experiments import (AblationSpec, load_pipeline_inputs, prepare_window,
+                                run_ablations, run_cycle_sweep)
 from lexevo.features import (
+    FEATURE_NAMES,
     FeatureVector,
     boundary_trigrams,
     extract_features,
@@ -18,6 +20,7 @@ from lexevo.features import (
     read_feature_vectors,
     relative_frequencies,
     syllable_count,
+    word_shapes,
     write_feature_vectors,
 )
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
@@ -166,7 +169,8 @@ class TestMakeFeatureVector:
 
     def vectors(self, snap, births):
         """The snapshot's vectors by member."""
-        vectors = extract_features(Dataset(WINDOW, [snap]), NO_CLUSTERS, births)
+        vectors = extract_features(Dataset(WINDOW, [snap]), word_shapes([snap.synset]),
+                                   NO_CLUSTERS, births)
         return {v.sense: v for v in vectors}
 
     def test_basic_values(self):
@@ -199,35 +203,72 @@ class TestMakeFeatureVector:
         assert sum(v.target_class for v in vectors.values()) == 1
 
 
-def fixture_datasets(bundle):
-    """(inputs, datasets of every window scheduled for cycles 30-60)."""
-    paths = bundle_paths(bundle)
+class TestWordShapes:
+    def test_values(self):
+        synset = snapshot_for({"longword": (2, 6, 2), "tiny": (2, 2, 8)}).synset
+        shapes = word_shapes([synset], {"tiny": 5})
+        longword, tiny = synset.members
+        assert shapes[tiny] == (4 / 8, 5, *partition_trigrams("tiny", ["longword"]))
+        assert shapes[longword] == (1.0, syllable_count("longword"),
+                                    *partition_trigrams("longword", ["tiny"]))
+
+    def test_keyed_by_sense(self):
+        # the two senses of 'rapt' get their own synset's shapes
+        lexicon = load_lexicon(io.StringIO("x1\ta\trapt,enrapt\nx2\ta\trapt,ok\n"))
+        shapes = word_shapes(lexicon.synsets)
+        first, second = (synset.members[0] for synset in lexicon.synsets)
+        assert (first, second) == (SenseId("rapt", "a", 1), SenseId("rapt", "a", 2))
+        assert shapes[first] == (4 / 6, 1, ("|ra",), 3 / 4)
+        assert shapes[second] == (1.0, 1, boundary_trigrams("rapt"), 0.0)
+
+
+def load_synthetic_inputs():
+    paths = bundle_paths("synthetic")
     inputs, _, _ = load_pipeline_inputs([paths["corpus"]], paths["lexicon"],
                                         paths["catvar"], paths["syllables"])
-    windows = sorted({w for cycle in (30, 40, 50, 60)
-                      for pair in schedule_windows(cycle) for w in pair})
-    return inputs, [build_dataset(inputs.synsets, inputs.corpus, w)
-                    for w in windows]
+    return inputs
+
+
+def count_trigram_calls(monkeypatch):
+    """Patch features.boundary_trigrams to record every lemma it splits."""
+    import lexevo.features as features_mod
+
+    calls = []
+    original = features_mod.boundary_trigrams
+
+    def counted(lemma):
+        calls.append(lemma)
+        return original(lemma)
+
+    monkeypatch.setattr(features_mod, "boundary_trigrams", counted)
+    return calls
 
 
 class TestExtractFeatures:
     def test_trigrams_once_per_member(self, monkeypatch):
-        import lexevo.features as features_mod
+        # 14 windows in the sweep and 2 in the ablations share one table
+        calls = count_trigram_calls(monkeypatch)
+        inputs = load_synthetic_inputs()
+        train_window, test_window = schedule_windows(50)[1]
+        run_cycle_sweep([30, 40, 50, 60], inputs)
+        run_ablations([AblationSpec("drop_one", f) for f in FEATURE_NAMES],
+                      train_window, test_window, inputs)
+        assert sorted(calls) == sorted(m.lemma for s in inputs.synsets
+                                       for m in s.members)
 
-        inputs, datasets = fixture_datasets("rapture")
-        calls = []
-        original = features_mod.boundary_trigrams
-
-        def counted(lemma):
-            calls.append(lemma)
-            return original(lemma)
-
-        monkeypatch.setattr(features_mod, "boundary_trigrams", counted)
-        for ds in datasets:
-            calls.clear()
-            extract_features(ds, inputs.clusters, inputs.births)
-            assert sorted(calls) == sorted(m.lemma for s in ds.snapshots
-                                           for m in s.counts)
+    def test_each_load_starts_cold(self, monkeypatch):
+        calls = count_trigram_calls(monkeypatch)
+        window = schedule_windows(50)[1][0]
+        first = load_synthetic_inputs()
+        prepare_window(window, first)
+        members = len(calls)
+        assert members == sum(len(s.members) for s in first.synsets)
+        second = load_synthetic_inputs()
+        assert "word_shapes" not in vars(second)
+        prepare_window(window, second)
+        prepare_window(window, first)
+        assert len(calls) == 2 * members
+        assert second.word_shapes == first.word_shapes
 
 
 class TestSerialization:
