@@ -5,6 +5,7 @@ import gzip
 import json
 import os
 import tempfile
+import zlib
 
 from .errors import DataError
 
@@ -16,23 +17,52 @@ def open_maybe_gzip(path, binary=False):
     return opener(path, "rb") if binary else opener(path, "rt", encoding="utf-8")
 
 
+def undecodable_line(path):
+    """The number of the first line of a (gzipped) file that is not UTF-8.
+
+    The file is read again as bytes.  No UTF-8 character holds the byte
+    of a line break, so each line decodes alone as it does in the file.
+    """
+    number = 0
+    try:
+        with open_maybe_gzip(path, binary=True) as handle:
+            for number, line in enumerate(handle, start=1):
+                line.decode("utf-8")
+    except UnicodeDecodeError:
+        return number
+    except (OSError, EOFError, zlib.error):
+        pass  # a truncated file: the bad bytes are in its unfinished last line
+    return number + 1
+
+
+def _not_utf8(path, exc):
+    """The DataError of a UnicodeDecodeError met reading path."""
+    return DataError(f"{path} line {undecodable_line(path)} is not UTF-8 "
+                     f"({exc.reason})")
+
+
 def parse_lines(lines, parse, start=1, comments=False):
     """[parse(line) for each line that is not blank], newlines stripped.
 
     Lines are numbered from start; with comments set, lines starting with
     '#' are skipped too.  A ValueError from parse becomes the DataError
-    "<file> line N: <reason>", the file named by the handle's name.
+    "<file> line N: <reason>", the file named by the handle's name, and
+    a line that is not UTF-8 the DataError "<file> line N is not UTF-8
+    (<reason>)".
     """
     name = getattr(lines, "name", "<input>")
     rows = []
-    for line_number, line in enumerate(lines, start=start):
-        line = line.rstrip("\n")
-        if not line.strip() or (comments and line.startswith("#")):
-            continue
-        try:
-            rows.append(parse(line))
-        except ValueError as exc:
-            raise DataError(f"{name} line {line_number}: {exc}") from None
+    try:
+        for line_number, line in enumerate(lines, start=start):
+            line = line.rstrip("\n")
+            if not line.strip() or (comments and line.startswith("#")):
+                continue
+            try:
+                rows.append(parse(line))
+            except ValueError as exc:
+                raise DataError(f"{name} line {line_number}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(name, exc) from None
     return rows
 
 
@@ -41,7 +71,8 @@ def read_tsv(path, columns, parse):
 
     A first line other than the tab-joined columns is a DataError naming
     the file; a row with another number of fields is
-    "<file> line N: expected K tab-separated columns, got M".
+    "<file> line N: expected K tab-separated columns, got M", and a line
+    that is not UTF-8 "<file> line N is not UTF-8 (<reason>)".
     """
     header, width = "\t".join(columns), len(columns)
 
@@ -53,7 +84,10 @@ def read_tsv(path, columns, parse):
         return parse(fields)
 
     with open(path, encoding="utf-8") as handle:
-        first = handle.readline().rstrip("\n")
+        try:
+            first = handle.readline().rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         if first != header:
             raise DataError(f"{path}: header {first!r} is not {header!r}")
         return parse_lines(handle, row, start=2)

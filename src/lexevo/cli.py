@@ -337,19 +337,27 @@ def cmd_plot_data(args, config):
     rows = corpus_mod.synset_annual_shares(member_series, args.years)
     atomic_write_text(
         os.path.join(config.out, f"shares_{synset.id}.csv"),
-        corpus_mod.shares_to_csv(rows, synset.lemmas()),
+        _table_csv(["year", *synset.lemmas()],
+                   ([year, *(f"{share:.6f}" for share in shares)]
+                    for year, shares in rows)),
     )
     return EXIT_OK
 
 
-def _rows_to_csv(rows):
-    if not rows:
-        return "\n"
+def _table_csv(header, rows):
+    """CSV text of a header and rows of values, one line each."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def _rows_to_csv(rows):
+    """CSV text of dict rows, the header taken from the first row's keys;
+    no rows give an empty line."""
+    return _table_csv(list(rows[0]) if rows else [],
+                      (row.values() for row in rows))
 
 
 def _common_flags():

@@ -15,13 +15,12 @@ a token is split and looked up once per run of rows.  Rows in any other
 order load to the same table and counts, at one lookup per row.
 """
 
-import io
 import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ._util import open_maybe_gzip
+from ._util import open_maybe_gzip, undecodable_line
 from .errors import DataError
 
 MIN_YEAR = 1500
@@ -169,29 +168,11 @@ def load_corpus(paths, filter_keys):
                 _read_rows(handle, filter_keys, series, report)
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read corpus file {path}: line "
-                            f"{_undecodable_line(path)} is not UTF-8 "
+                            f"{undecodable_line(path)} is not UTF-8 "
                             f"({exc.reason})") from exc
         except (OSError, EOFError, zlib.error) as exc:
             raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     return CorpusTable(series), report
-
-
-def _undecodable_line(path):
-    """The number of the first line of a corpus file that is not UTF-8.
-
-    The file is read again as bytes.  No UTF-8 character holds the byte
-    of a line break, so each line decodes alone as it does in the file.
-    """
-    number = 0
-    try:
-        with open_maybe_gzip(path, binary=True) as handle:
-            for number, line in enumerate(handle, start=1):
-                line.decode("utf-8")
-    except UnicodeDecodeError:
-        return number
-    except (OSError, EOFError, zlib.error):
-        pass  # a truncated file: the bad bytes are in its unfinished last line
-    return number + 1
 
 
 def period_count(sums, center):
@@ -205,19 +186,12 @@ def period_count(sums, center):
             - cum[bisect_left(years, center - HALF_WIDTH)])
 
 
-@dataclass(frozen=True)
-class ShareRow:
-    year: int
-    shares: tuple
-    flagged: bool = False  # true when the synset total for the year is zero
-
-
 def synset_annual_shares(member_series, years):
     """Per-year relative frequencies of synset members (unsmoothed).
 
     member_series is an ordered list of year->count series (>= 2 members).
-    For each year, share_i = count_i / total; a zero-total year emits all
-    zeros and is flagged.
+    Returns a (year, shares) pair per year, share_i = count_i / total; a
+    zero-total year has all-zero shares.
     """
     if len(member_series) < 2:
         raise DataError("need at least two members for annual shares")
@@ -225,20 +199,8 @@ def synset_annual_shares(member_series, years):
     for year in years:
         counts = [series.get(year, 0) for series in member_series]
         total = sum(counts)
-        if total == 0:
-            rows.append(ShareRow(year, tuple(0.0 for _ in counts), flagged=True))
-        else:
-            rows.append(ShareRow(year, tuple(c / total for c in counts)))
+        rows.append((year, tuple(c / total if total else 0.0 for c in counts)))
     return rows
-
-
-def shares_to_csv(rows, member_names):
-    """Render share rows as CSV with a header and 6-decimal shares."""
-    out = io.StringIO()
-    out.write("year," + ",".join(member_names) + "\n")
-    for row in rows:
-        out.write(f"{row.year}," + ",".join(f"{s:.6f}" for s in row.shares) + "\n")
-    return out.getvalue()
 
 
 def birth_years(table):

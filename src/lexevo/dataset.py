@@ -188,9 +188,10 @@ def read_dataset(tsv_path):
     A header other than DATASET_COLUMNS is a DataError naming the file; a
     malformed row, a negative count or a repeated sense is one naming the
     line.
-    Every synset must have two or more members and pass the removal rules
-    that build_dataset applies; one that does not is a DataError naming
-    the synset and the member count or the rule.
+    Every synset must have two or more members of one part of speech and
+    pass the removal rules that build_dataset applies; one that does not
+    is a DataError naming the synset and the member count, the parts of
+    speech or the rule.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
     births or clusters is a DataError naming the file (and the key); so
     are clusters that share a member, and births that lack a member.
@@ -217,10 +218,14 @@ def read_dataset(tsv_path):
         if len(members) < 2:
             raise DataError(f"{tsv_path}: synset {synset_id} has {len(members)} "
                             "member; need at least 2")
+        pos = sorted({sense.pos for sense, _ in members})
+        if len(pos) > 1:
+            raise DataError(f"{tsv_path}: synset {synset_id} mixes parts of speech "
+                            f"{', '.join(pos)}")
         reason = _removal_reason([c for _, c in members])
         if reason is not None:
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
-        synset = Synset(synset_id, members[0][0].pos, tuple(s for s, _ in members))
+        synset = Synset(synset_id, pos[0], tuple(s for s, _ in members))
         snapshots.append(SynsetSnapshot(synset, dict(members)))
     members = {m.corpus_key() for s in snapshots for m in s.counts}
     missing = members.union(clusters.members()) - births.keys()

@@ -11,6 +11,7 @@ with right/wrong).
 import math
 import statistics as _stats
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -202,14 +203,17 @@ def mcnemar_exact(b, c):
     return min(1.0, 2 * tail / 2 ** n), 40 * tail < 2 ** n
 
 
-def uniform_baseline_tail(sizes, right):
-    """Exact P(at least `right` synsets right) under the uniform baseline.
+def uniform_baseline_tails(sizes):
+    """Exact upper tails of the number of synsets right under the uniform
+    baseline, as integers.
 
     A synset of k members is right with probability 1/k, independently, so
     the count is Poisson-binomial.  Its distribution is the coefficient
     list of the product over synsets of (k - 1 + z), divided by the product
-    of the k.  Returns (p, significant at 5%); the decision is made in
-    exact integers.
+    of the k.  Returns its suffix sums: tails[j] member choices get at
+    least j of the len(sizes) synsets right, so tails[0] is the product of
+    the k, P(at least j right) is tails[j] / tails[0], and it is below 5%
+    exactly when 20 * tails[j] < tails[0].
     """
     ways = [1]  # ways[j]: member choices with exactly j synsets right
     for k in sizes:
@@ -217,5 +221,4 @@ def uniform_baseline_tail(sizes, right):
         for j, w in enumerate(ways):
             product[j + 1] += w
         ways = product
-    tail, total = sum(ways[right:]), sum(ways)
-    return tail / total, 20 * tail < total
+    return list(accumulate(reversed(ways)))[::-1]

@@ -19,7 +19,7 @@ from .evaluate import (
     is_right,
     mcnemar_exact,
     random_baseline,
-    uniform_baseline_tail,
+    uniform_baseline_tails,
 )
 from .features import (FEATURE_NAMES, SCALAR_FEATURES, extract_features,
                        load_syllable_exceptions, word_shapes)
@@ -178,10 +178,11 @@ def run_ablations(specs, train_window, test_window, inputs):
         return scores.f_score, outcomes
 
     f_full, full_outcomes = evaluate(FEATURE_NAMES)
-    # only single_only rows compare against the random baseline
+    # only single_only rows compare against the random baseline, whose
+    # tails depend on the test window alone
     if any(spec.mode == "single_only" for spec in specs):
         f_random = random_baseline(test_ds.snapshots).f_score
-        sizes = [len(s.counts) for s in test_ds.snapshots]
+        tails = uniform_baseline_tails(len(s.counts) for s in test_ds.snapshots)
     rows = []
     for spec in specs:
         if spec.mode == "drop_one":
@@ -193,7 +194,7 @@ def run_ablations(specs, train_window, test_window, inputs):
         else:
             f_variant, outcomes = evaluate((spec.feature,))
             f_baseline = f_random
-            _, significant = uniform_baseline_tail(sizes, sum(map(is_right, outcomes)))
+            significant = 20 * tails[sum(map(is_right, outcomes))] < tails[0]
             rule = ("exact Poisson-binomial tail of synsets right under uniform "
                     "random, one-sided p < 0.05")
         delta = f_variant - f_baseline
@@ -377,59 +378,46 @@ def _incomplete_beta(a, b, log_x, log_y):
                            f"did not converge in {_CF_MAX_TERMS} terms")
 
 
-@dataclass(frozen=True)
-class InterpretationRow:
-    dimension: str
-    loser_mean: float
-    winner_mean: float
-    significant: bool
-
-    @property
-    def difference(self):
-        return self.winner_mean - self.loser_mean
+# trigram rows in an interpretation report
+TOP_TRIGRAMS = 12
 
 
-def interpret_model(model, top_k=12):
+def interpretation_tables(model):
     """Loser/winner Gaussian means per dimension, with significance.
 
-    Returns (scalar feature rows, top-k trigram rows ordered by decreasing
-    absolute mean gap).  Scalar rows use Welch's t test, which needs two
-    vectors per class, and trigram rows Fisher's exact test on their counts
-    of ones.  The trigram block is analyzed dimension by dimension rather
-    than as one feature.
+    Returns the JSON-ready {"scalar_features": rows, "top_trigrams":
+    rows}: one row per fitted scalar feature, and the TOP_TRIGRAMS trigram
+    rows of largest absolute mean gap (ties by trigram), each also naming
+    the class the trigram suggests.  Scalar rows use Welch's t test, which
+    needs two vectors per class, and trigram rows Fisher's exact test on
+    their counts of ones.  The trigram block is analyzed dimension by
+    dimension rather than as one feature.
     """
     n0, n1 = model.class_sizes
-    scalar_rows, trigram_rows = [], []
+
+    def row(dimension, p0, p1, significant):
+        return {
+            "dimension": dimension,
+            "loser_mean": p0.mean,
+            "winner_mean": p1.mean,
+            "difference": p1.mean - p0.mean,
+            "significant_95": significant,
+        }
+
+    scalar_rows = []
     for name in SCALAR_FEATURES:
         if name not in model.scalar_params:
             continue
         p0, p1 = model.scalar_params[name]
         significant = n0 >= 2 and n1 >= 2 and welch_t_test(
             p1.mean, p1.variance, n1, p0.mean, p0.variance, n0)[3]
-        scalar_rows.append(InterpretationRow(name, p0.mean, p1.mean, significant))
-    for tri, (p0, p1) in model.trigram_params.items():
+        scalar_rows.append(row(name, p0, p1, significant))
+    # only the rows kept are tested
+    ranked = sorted(model.trigram_params.items(), key=lambda item: (
+        -abs(item[1][1].mean - item[1][0].mean), item[0]))
+    trigram_rows = []
+    for tri, (p0, p1) in ranked[:TOP_TRIGRAMS]:
         ones0, ones1 = model.trigram_ones[tri]
-        _, significant = fisher_exact(ones0, n0, ones1, n1)
-        trigram_rows.append(InterpretationRow(tri, p0.mean, p1.mean, significant))
-    trigram_rows.sort(key=lambda r: (-abs(r.difference), r.dimension))
-    return scalar_rows, trigram_rows[:top_k]
-
-
-def interpretation_tables(model, top_k=12):
-    """JSON-ready rendition of interpret_model output."""
-    scalar_rows, trigram_rows = interpret_model(model, top_k)
-    def render(row, suggest=False):
-        out = {
-            "dimension": row.dimension,
-            "loser_mean": row.loser_mean,
-            "winner_mean": row.winner_mean,
-            "difference": row.difference,
-            "significant_95": row.significant,
-        }
-        if suggest:
-            out["suggests"] = "winner" if row.difference > 0 else "loser"
-        return out
-    return {
-        "scalar_features": [render(r) for r in scalar_rows],
-        "top_trigrams": [render(r, suggest=True) for r in trigram_rows],
-    }
+        trigram_rows.append(row(tri, p0, p1, fisher_exact(ones0, n0, ones1, n1)[1])
+                            | {"suggests": "winner" if p1.mean > p0.mean else "loser"})
+    return {"scalar_features": scalar_rows, "top_trigrams": trigram_rows}

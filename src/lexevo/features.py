@@ -45,29 +45,6 @@ def boundary_trigrams(lemma):
     return tuple(seen)
 
 
-def _trigram_holders(lemmas):
-    """Trigrams by distinct lemma, and how many distinct lemmas hold each trigram."""
-    trigrams = {lemma: boundary_trigrams(lemma) for lemma in lemmas}
-    holders = Counter(tri for own in trigrams.values() for tri in own)
-    return trigrams, holders
-
-
-def _split_trigrams(own, holders):
-    """(unique trigrams in order, shared fraction) of one lemma's trigrams."""
-    unique = tuple(tri for tri in own if holders[tri] == 1)
-    return unique, (len(own) - len(unique)) / len(own)
-
-
-def partition_trigrams(lemma, synset_lemmas):
-    """Split a member's trigrams into unique and shared.
-
-    Returns (unique trigrams in order, shared fraction).  Shared means
-    present in at least one other member of the synset.
-    """
-    trigrams, holders = _trigram_holders([lemma, *synset_lemmas])
-    return _split_trigrams(trigrams[lemma], holders)
-
-
 def _is_vowel_at(lemma, i):
     ch = lemma[i]
     if ch in VOWELS:
@@ -179,17 +156,23 @@ def word_shapes(synsets, syllable_exceptions=None):
     refuses a repeated sense, so one table serves every window of the
     synsets it was built from.  Each synset's trigrams and longest lemma
     are derived once, so a k-member synset costs O(k).
+
+    A member's trigram is unique when no other member holds it, and
+    shared_ngrams is the fraction of its trigrams that are shared.
     """
     shapes = {}
     for synset in synsets:
         lemmas = synset.lemmas()
-        trigrams, holders = _trigram_holders(lemmas)
+        trigrams = {lemma: boundary_trigrams(lemma) for lemma in lemmas}
+        # how many distinct lemmas hold each trigram
+        holders = Counter(tri for own in trigrams.values() for tri in own)
         max_len = max(len(lemma) for lemma in lemmas)
         for member in synset.members:
-            unique, shared_fraction = _split_trigrams(trigrams[member.lemma], holders)
+            own = trigrams[member.lemma]
+            unique = tuple(tri for tri in own if holders[tri] == 1)
             shapes[member] = (len(member.lemma) / max_len,
                               syllable_count(member.lemma, syllable_exceptions),
-                              unique, shared_fraction)
+                              unique, (len(own) - len(unique)) / len(own))
     return shapes
 
 

@@ -38,10 +38,16 @@ TABLE2_CATVAR = [
 ]
 
 
-def _write(path, lines):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_bundle(directory, **files):
+    """Write each name's lines to directory/<name>.tsv, one per line, and
+    return the name -> path map."""
+    os.makedirs(directory or ".", exist_ok=True)
+    paths = {}
+    for name, lines in files.items():
+        paths[name] = os.path.join(directory, f"{name}.tsv")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    return paths
 
 
 def write_rapture_fixture(directory):
@@ -62,18 +68,13 @@ def write_rapture_fixture(directory):
             corpus_rows.append(f"{lemma}_ADJ\t{year}\t{count}\t1")
     for token, born in TABLE2_CLUSTER_EXTRAS:
         corpus_rows.append(f"{token}\t{born}\t5\t1")
-    paths = {
-        "corpus": os.path.join(directory, "corpus.tsv"),
-        "lexicon": os.path.join(directory, "lexicon.tsv"),
-        "catvar": os.path.join(directory, "catvar.tsv"),
-        "syllables": os.path.join(directory, "syllables.tsv"),
-    }
-    _write(paths["corpus"], corpus_rows)
-    _write(paths["lexicon"],
-           ["a00001\ta\tecstatic,enraptured,rapt,rapturous,rhapsodic"])
-    _write(paths["catvar"], TABLE2_CATVAR)
-    _write(paths["syllables"], ["# lemma<TAB>syllables overrides (none needed)"])
-    return paths
+    return _write_bundle(
+        directory,
+        corpus=corpus_rows,
+        lexicon=["a00001\ta\tecstatic,enraptured,rapt,rapturous,rhapsodic"],
+        catvar=TABLE2_CATVAR,
+        syllables=["# lemma<TAB>syllables overrides (none needed)"],
+    )
 
 # synthetic dynamics per synset type: counts at 1850/1900/1950/2000
 SYNTHETIC_PERIODS = (1850, 1900, 1950, 2000)
@@ -141,14 +142,10 @@ def write_synthetic_fixture(directory, n_synsets=50):
         lexicon_rows.append(
             f"s{i:05d}\tn\t" + ",".join(m[0] for m in members)
         )
-    paths = {
-        "corpus": os.path.join(directory, "corpus.tsv"),
-        "lexicon": os.path.join(directory, "lexicon.tsv"),
-        "catvar": os.path.join(directory, "catvar.tsv"),
-        "syllables": os.path.join(directory, "syllables.tsv"),
-    }
-    _write(paths["corpus"], corpus_rows)
-    _write(paths["lexicon"], lexicon_rows)
-    _write(paths["catvar"], ["# no clusters in the synthetic bundle"])
-    _write(paths["syllables"], ["# no overrides"])
-    return paths
+    return _write_bundle(
+        directory,
+        corpus=corpus_rows,
+        lexicon=lexicon_rows,
+        catvar=["# no clusters in the synthetic bundle"],
+        syllables=["# no overrides"],
+    )

@@ -21,7 +21,7 @@ from lexevo.dataset import (
     schedule_windows,
 )
 from lexevo.evaluate import ContingencyCounts, metrics, random_baseline, wilson_interval
-from lexevo.experiments import interpret_model, run_nbcp
+from lexevo.experiments import interpretation_tables, run_nbcp
 from lexevo.features import extract_features
 from lexevo.lexicon import SenseId, Synset
 from lexevo.model import fit, win_probability
@@ -215,34 +215,36 @@ def test_09_interpretation_oracle(synthetic_inputs):
         run = run_nbcp(train_window, test_window, synthetic_inputs)
         vectors = run["train_vectors"]
         model = run["model"]
-        scalar_rows, trigram_rows = interpret_model(model)
+        tables = interpretation_tables(model)
+        scalar_rows, trigram_rows = tables["scalar_features"], tables["top_trigrams"]
 
         losers = [v for v in vectors if v.target_class == 0]
         winners = [v for v in vectors if v.target_class == 1]
         for row in scalar_rows:
-            loser_mean = sum(v.scalar(row.dimension) for v in losers) / len(losers)
-            winner_mean = sum(v.scalar(row.dimension) for v in winners) / len(winners)
-            assert row.difference == pytest.approx(
+            loser_mean = sum(v.scalar(row["dimension"]) for v in losers) / len(losers)
+            winner_mean = sum(v.scalar(row["dimension"]) for v in winners) / len(winners)
+            assert row["difference"] == pytest.approx(
                 winner_mean - loser_mean, abs=1e-12
             )
         for row in trigram_rows:
             loser_mean = sum(
-                1 for v in losers if row.dimension in v.unique_ngrams
+                1 for v in losers if row["dimension"] in v.unique_ngrams
             ) / len(losers)
             winner_mean = sum(
-                1 for v in winners if row.dimension in v.unique_ngrams
+                1 for v in winners if row["dimension"] in v.unique_ngrams
             ) / len(winners)
-            assert row.difference == pytest.approx(
+            assert row["difference"] == pytest.approx(
                 winner_mean - loser_mean, abs=1e-12
             )
 
         # the marker planted in every winner lemma ranks first; quz, uzz
         # and zzz all come from the marker block and tie on separation
-        assert trigram_rows[0].dimension in ("quz", "uzz", "zzz")
-        zzz_row = next(r for r in trigram_rows if r.dimension == "zzz")
-        assert trigram_rows[0].difference == zzz_row.difference
-        assert zzz_row.difference > 0
-        assert zzz_row.significant
+        assert trigram_rows[0]["dimension"] in ("quz", "uzz", "zzz")
+        zzz_row = next(r for r in trigram_rows if r["dimension"] == "zzz")
+        assert trigram_rows[0]["difference"] == zzz_row["difference"]
+        assert zzz_row["difference"] > 0
+        assert zzz_row["significant_95"]
+        assert zzz_row["suggests"] == "winner"
 
 
 def test_10_annual_share_normalization(rapture_inputs):
@@ -252,7 +254,6 @@ def test_10_annual_share_normalization(rapture_inputs):
             rapture_inputs.corpus.series(m.corpus_key()) for m in synset.members
         ]
         rows = synset_annual_shares(member_series, range(1800, 2001))
-        assert len(rows) == 201
-        for row in rows:
-            assert not row.flagged
-            assert math.fsum(row.shares) == pytest.approx(1.0, abs=1e-12)
+        assert [year for year, _ in rows] == list(range(1800, 2001))
+        for _, shares in rows:
+            assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)

@@ -370,6 +370,11 @@ class TestPinnedOutputs:
             "0461b26a90d774d8ddd4436e0a3098cf36b201496f2d04170a68681bd2cf5074",
         ("synthetic", "build-dataset"):
             "be94e7dbe242a30651fea80b752a732ff9662d813236b5d29ab4a20e03ad1aa5",
+        # 1790 to 1799 are zero-total years: every share is 0
+        ("rapture", "plot-data --synset a00001 --years 1790:1810"):
+            "7b6137c7f552386e982465c732031a9ec553bbfeefe948789bd3493b85268737",
+        ("synthetic", "plot-data --synset s00000"):
+            "32a2a0ff4d137dc4314ebd152a86a3adb565bf21ac645089a0b323b6ea9a3acc",
     }
 
     @pytest.mark.parametrize("bundle, command", sorted(PINNED))
@@ -378,7 +383,7 @@ class TestPinnedOutputs:
         flags = [flag for key in ("corpus", "lexicon", "catvar", "syllables")
                  for flag in (f"--{key}", paths[key])]
         out = tmp_path / "out"
-        assert main([command] + flags + ["--out", str(out)]) == EXIT_OK
+        assert main(command.split() + flags + ["--out", str(out)]) == EXIT_OK
         assert tree_sha256(out) == self.PINNED[bundle, command]
 
     # what the stages after build-dataset write, each hashed on its own so
@@ -625,6 +630,46 @@ class TestArtifactReaders:
             assert f"{edited}: header {lines[0]!r} is not " in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader, late", [
+        (reader, late)
+        for reader in ("lexicon", "catvar", "syllables", "dataset", "features",
+                       "probabilities")
+        for late in (False, True)])
+    def test_not_utf8_line_is_named(self, tmp_path, synthetic_paths, stage_dir,
+                                    capsys, reader, late):
+        # the last line of the file gets a byte that is not UTF-8; the late
+        # variant puts 10,000 blank lines before it, past the first block
+        # the text reader decodes
+        argv, source = {
+            "lexicon": (["ingest", "--lexicon"], synthetic_paths["lexicon"]),
+            "catvar": (["ingest", "--catvar"], synthetic_paths["catvar"]),
+            "syllables": (["ingest", "--syllables"], synthetic_paths["syllables"]),
+            "dataset": (["extract-features", "--dataset"],
+                        stage_dir / "dataset_1850_1900_1950.tsv"),
+            "features": (["train", "--features"],
+                         stage_dir / "features_1850_1900_1950.tsv"),
+            "probabilities": (["evaluate", "--dataset",
+                               str(stage_dir / "dataset_1900_1950_2000.tsv"),
+                               "--probabilities"], stage_dir / "probabilities.tsv"),
+        }[reader]
+        with open(source, "rb") as handle:
+            lines = handle.read().rstrip(b"\n").split(b"\n")
+        lines[-1] = b"\xff" + lines[-1]
+        if late:
+            lines[-1:-1] = [b""] * 10_000
+        edited = tmp_path / os.path.basename(source)
+        edited.write_bytes(b"\n".join(lines) + b"\n")
+        if reader == "dataset":
+            shutil.copy(summary_path(str(source)), summary_path(str(edited)))
+        # the flag given last wins over the one common_flags gives
+        code = main(argv[:1] + common_flags(synthetic_paths, tmp_path / "out")
+                    + argv[1:] + [str(edited)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{edited} line {len(lines)} is not UTF-8 (invalid start byte)"
+                in err)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("sidecar_text, message", [
         ('{"synsets": 1}\n', "dataset summary has no key 'window'"),
@@ -1013,6 +1058,19 @@ class TestPlotData:
         for line in lines[1:]:
             shares = [float(x) for x in line.split(",")[1:]]
             assert sum(shares) == pytest.approx(1.0, abs=1e-6)
+
+    def test_csv_has_six_decimals(self, tmp_path):
+        # one member is named like the first column, which a CSV writer of
+        # dict rows would take for the same key
+        corpus, lexicon = tmp_path / "corpus.tsv", tmp_path / "lexicon.tsv"
+        corpus.write_text("year_NOUN\t1900\t1\t1\nyearly_NOUN\t1900\t2\t1\n")
+        lexicon.write_text("n00001\tn\tyear,yearly\n")
+        flags = common_flags({"corpus": str(corpus), "lexicon": str(lexicon)},
+                             tmp_path / "out")
+        assert main(["plot-data", "--synset", "n00001", "--years", "1900:1901"]
+                    + flags) == EXIT_OK
+        assert (tmp_path / "out" / "shares_n00001.csv").read_text() == (
+            "year,year,yearly\n1900,0.333333,0.666667\n1901,0.000000,0.000000\n")
 
     def test_unknown_synset_is_data_error(self, tmp_path, rapture_paths, capsys):
         flags = common_flags(rapture_paths, tmp_path)

@@ -14,7 +14,6 @@ from lexevo.corpus import (
     birth_years,
     load_corpus,
     period_count,
-    shares_to_csv,
     synset_annual_shares,
 )
 from lexevo.errors import DataError
@@ -404,23 +403,15 @@ class TestBlockReads:
 class TestAnnualShares:
     def test_normalization(self):
         rows = synset_annual_shares([{1900: 3}, {1900: 1}], [1900])
-        assert rows[0].shares == (0.75, 0.25)
-        assert not rows[0].flagged
+        assert rows == [(1900, (0.75, 0.25))]
 
-    def test_zero_total_year_is_flagged(self):
-        rows = synset_annual_shares([{1900: 1}, {1900: 1}], [1901])
-        assert rows[0].flagged
-        assert rows[0].shares == (0.0, 0.0)
+    def test_zero_total_year_has_zero_shares(self):
+        rows = synset_annual_shares([{1900: 1}, {1900: 1}], [1900, 1901])
+        assert rows == [(1900, (0.5, 0.5)), (1901, (0.0, 0.0))]
 
     def test_requires_two_members(self):
         with pytest.raises(DataError):
             synset_annual_shares([{1900: 1}], [1900])
-
-    def test_csv_has_six_decimals(self):
-        rows = synset_annual_shares([{1900: 1}, {1900: 2}], [1900])
-        csv = shares_to_csv(rows, ["one", "two"])
-        assert csv.splitlines()[0] == "year,one,two"
-        assert csv.splitlines()[1] == "1900,0.333333,0.666667"
 
 
 def test_corpus_table_merge_sums_duplicates(tmp_path):

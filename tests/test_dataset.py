@@ -280,6 +280,14 @@ class TestDatasetSerialization:
         with pytest.raises(DataError, match=f"synset x1 breaks the {reason} rule"):
             read_dataset(self.write_rows(tmp_path, rows))
 
+    def test_read_rejects_mixed_pos(self, tmp_path):
+        # a synset's members share one part of speech
+        with pytest.raises(DataError) as info:
+            read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                                    "x1\ttwo#v#1\t4\t3\t1"]))
+        assert str(info.value) == (f"{tmp_path / 'dataset.tsv'}: synset x1 mixes "
+                                   "parts of speech n, v")
+
     def test_read_reports_bad_row_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
             read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))

@@ -20,7 +20,7 @@ from lexevo.evaluate import (
     metrics,
     predict_synset_winner,
     random_baseline,
-    uniform_baseline_tail,
+    uniform_baseline_tails,
     wilson_interval,
 )
 from lexevo.lexicon import SenseId, load_lexicon
@@ -277,7 +277,7 @@ class TestRandomBaseline:
 
     def test_recall_is_exact(self):
         # E[tp] is the sum of 1/k over the changed synsets, the mean of
-        # the count uniform_baseline_tail models there
+        # the count uniform_baseline_tails models there
         cases = [(2 + i % 5, i % 3 == 0) for i in range(40)]
         changed = [k for k, moved in cases if moved]
         recall = random_baseline(baseline_snapshots(cases)).recall
@@ -323,26 +323,27 @@ class TestMcNemarExact:
 
 
 class TestUniformBaselineTail:
-    @given(st.lists(st.integers(2, 4), max_size=6), st.integers(0, 7))
-    def test_matches_enumeration(self, sizes, right):
+    @given(st.lists(st.integers(2, 4), max_size=6))
+    def test_matches_enumeration(self, sizes):
         # enumerate every choice of one member per synset; member 0 is right
         choices = list(itertools.product(*(range(k) for k in sizes)))
-        hits = sum(1 for choice in choices if choice.count(0) >= right)
-        exact = Fraction(hits, len(choices))
-        p, significant = uniform_baseline_tail(sizes, right)
-        assert p == float(exact)
-        assert significant == (exact < Fraction(1, 20))
+        tails = uniform_baseline_tails(sizes)
+        assert tails == [sum(1 for choice in choices if choice.count(0) >= right)
+                         for right in range(len(sizes) + 1)]
+        assert tails[0] == len(choices)
 
     def test_pairs_are_a_fair_binomial(self):
         # 20 two-member synsets: P(at least 15 right) = 21700 / 2**20
-        tail = sum(math.comb(20, j) for j in range(15, 21))
-        assert tail == 21700
-        assert uniform_baseline_tail([2] * 20, 15) == (tail / 2 ** 20, True)
-        assert uniform_baseline_tail([2] * 20, 14)[1] is False
+        tails = uniform_baseline_tails([2] * 20)
+        assert tails[15] == sum(math.comb(20, j) for j in range(15, 21)) == 21700
+        assert tails[0] == 2 ** 20
+        # so 15 right is significant at 5%, and 14 right is not
+        assert 20 * tails[15] < tails[0] <= 20 * tails[14]
 
     def test_none_right_is_certain(self):
-        assert uniform_baseline_tail([3, 5, 2], 0) == (1.0, False)
-        assert uniform_baseline_tail([], 0) == (1.0, False)
+        assert uniform_baseline_tails([3, 5, 2])[0] == 3 * 5 * 2
+        assert uniform_baseline_tails([]) == [1]
 
     def test_more_right_than_synsets_is_impossible(self):
-        assert uniform_baseline_tail([2, 2], 3) == (0.0, True)
+        # the tails end at every synset right
+        assert uniform_baseline_tails([2, 2]) == [4, 3, 1]

@@ -10,12 +10,11 @@ from hypothesis import given, strategies as st
 import lexevo.experiments as experiments_mod
 from lexevo.dataset import schedule_windows
 from lexevo.errors import ConvergenceError, DataError, LexevoError
-from lexevo.evaluate import is_right, mcnemar_exact, uniform_baseline_tail
+from lexevo.evaluate import is_right, mcnemar_exact, uniform_baseline_tails
 from lexevo.experiments import (
     AblationSpec,
     fisher_exact,
     fit_and_score,
-    interpret_model,
     interpretation_tables,
     load_pipeline_inputs,
     prepare_window,
@@ -242,39 +241,48 @@ class TestInterpretModel:
         rng = random.Random(22)
         vectors = random_vectors(rng, 30)
         model = fit(vectors)
-        scalar_rows, trigram_rows = interpret_model(model)
+        tables = interpretation_tables(model)
         losers = [v for v in vectors if v.target_class == 0]
         winners = [v for v in vectors if v.target_class == 1]
-        for row in scalar_rows:
-            loser_mean = sum(v.scalar(row.dimension) for v in losers) / len(losers)
-            winner_mean = sum(v.scalar(row.dimension) for v in winners) / len(winners)
-            assert row.loser_mean == pytest.approx(loser_mean, abs=1e-12)
-            assert row.winner_mean == pytest.approx(winner_mean, abs=1e-12)
-            assert row.difference == pytest.approx(
+        for row in tables["scalar_features"]:
+            loser_mean = sum(v.scalar(row["dimension"]) for v in losers) / len(losers)
+            winner_mean = sum(v.scalar(row["dimension"]) for v in winners) / len(winners)
+            assert row["loser_mean"] == pytest.approx(loser_mean, abs=1e-12)
+            assert row["winner_mean"] == pytest.approx(winner_mean, abs=1e-12)
+            assert row["difference"] == pytest.approx(
                 winner_mean - loser_mean, abs=1e-12
             )
-        for row in trigram_rows:
-            ones0 = sum(1 for v in losers if row.dimension in v.unique_ngrams)
-            ones1 = sum(1 for v in winners if row.dimension in v.unique_ngrams)
-            assert row.loser_mean == pytest.approx(ones0 / len(losers), abs=1e-12)
-            assert row.significant == fisher_exact(ones0, len(losers),
-                                                   ones1, len(winners))[1]
+        for row in tables["top_trigrams"]:
+            ones0 = sum(1 for v in losers if row["dimension"] in v.unique_ngrams)
+            ones1 = sum(1 for v in winners if row["dimension"] in v.unique_ngrams)
+            assert row["loser_mean"] == pytest.approx(ones0 / len(losers), abs=1e-12)
+            assert row["significant_95"] == fisher_exact(ones0, len(losers),
+                                                         ones1, len(winners))[1]
 
     def test_scalar_rows_cover_model_features(self):
         _, model = self.fitted_model()
-        scalar_rows, _ = interpret_model(model)
-        assert [r.dimension for r in scalar_rows] == list(SCALAR_FEATURES)
+        scalar_rows = interpretation_tables(model)["scalar_features"]
+        assert [r["dimension"] for r in scalar_rows] == list(SCALAR_FEATURES)
 
     def test_trigram_rows_sorted_by_gap(self):
         _, model = self.fitted_model()
-        _, trigram_rows = interpret_model(model, top_k=100)
-        gaps = [abs(r.difference) for r in trigram_rows]
+        # fewer trigrams than TOP_TRIGRAMS: every one gets a row
+        trigram_rows = interpretation_tables(model)["top_trigrams"]
+        assert (len(trigram_rows) == len(model.trigram_params)
+                < experiments_mod.TOP_TRIGRAMS)
+        gaps = [abs(r["difference"]) for r in trigram_rows]
         assert gaps == sorted(gaps, reverse=True)
 
-    def test_top_k_truncates(self):
-        _, model = self.fitted_model()
-        _, trigram_rows = interpret_model(model, top_k=2)
-        assert len(trigram_rows) <= 2
+    def test_top_k_truncates(self, synthetic_inputs):
+        # the table keeps the TOP_TRIGRAMS largest gaps, ties by trigram
+        train_window, _ = schedule_windows(50)[1]
+        model = fit(prepare_window(train_window, synthetic_inputs)[1])
+        trigram_rows = interpretation_tables(model)["top_trigrams"]
+        ranked = sorted((-abs(p1.mean - p0.mean), tri)
+                        for tri, (p0, p1) in model.trigram_params.items())
+        assert len(ranked) > experiments_mod.TOP_TRIGRAMS == 12
+        assert ([r["dimension"] for r in trigram_rows]
+                == [tri for _, tri in ranked[:experiments_mod.TOP_TRIGRAMS]])
 
     def test_planted_marker_ranks_first(self):
         # the marker trigram appears in every winner and no loser
@@ -292,15 +300,21 @@ class TestInterpretModel:
                 trigrams, target,
             ))
         model = fit(vectors)
-        _, trigram_rows = interpret_model(model)
-        assert trigram_rows[0].dimension in ("zzz", "|ab")
-        assert abs(trigram_rows[0].difference) == pytest.approx(1.0)
-        assert trigram_rows[0].significant
+        trigram_rows = interpretation_tables(model)["top_trigrams"]
+        assert trigram_rows[0]["dimension"] in ("zzz", "|ab")
+        assert abs(trigram_rows[0]["difference"]) == pytest.approx(1.0)
+        assert trigram_rows[0]["significant_95"]
 
     def test_tables_shape(self):
         _, model = self.fitted_model()
-        tables = interpretation_tables(model, top_k=3)
+        tables = interpretation_tables(model)
         assert set(tables) == {"scalar_features", "top_trigrams"}
+        # the CSV header is the first row's keys, in this order
+        assert list(tables["scalar_features"][0]) == [
+            "dimension", "loser_mean", "winner_mean", "difference", "significant_95"]
+        assert list(tables["top_trigrams"][0]) == [
+            "dimension", "loser_mean", "winner_mean", "difference", "significant_95",
+            "suggests"]
         for row in tables["top_trigrams"]:
             assert row["suggests"] in ("winner", "loser")
             expected = "winner" if row["difference"] > 0 else "loser"
@@ -439,7 +453,8 @@ class TestRunAblation:
                 expected = mcnemar_exact(b, c)[1]
                 assert "McNemar" in row["significance_rule"]
             else:
-                expected = uniform_baseline_tail(sizes, sum(right))[1]
+                tails = uniform_baseline_tails(sizes)
+                expected = 20 * tails[sum(right)] < tails[0]
                 assert "Poisson-binomial" in row["significance_rule"]
             assert row["significant_95"] is expected
 
@@ -498,6 +513,30 @@ class TestRunAblation:
         monkeypatch.setattr(experiments_mod, "random_baseline", counted)
         run_ablations(specs, train_window, test_window, synthetic_inputs)
         assert len(baselines) == calls
+
+    @pytest.mark.parametrize("modes, calls", [
+        (["drop_one"], 0), (["single_only"], 1), (["drop_one", "single_only"], 1),
+    ], ids=["drop_one", "single_only", "both"])
+    def test_one_tail_table_per_test_window(self, synthetic_inputs, monkeypatch,
+                                            modes, calls):
+        # the tails depend on the test window's synset sizes alone, so
+        # every single_only spec reads one table
+        train_window, test_window = schedule_windows(50)[1]
+        specs = [AblationSpec(mode, f) for mode in modes for f in FEATURE_NAMES]
+        builds = []
+        original = experiments_mod.uniform_baseline_tails
+
+        def counted(sizes):
+            builds.append(1)
+            return original(sizes)
+
+        monkeypatch.setattr(experiments_mod, "uniform_baseline_tails", counted)
+        rows = run_ablations(specs, train_window, test_window, synthetic_inputs)
+        assert len(builds) == calls
+        monkeypatch.undo()
+        for spec, row in zip(specs, rows):
+            assert row == run_ablation(spec, train_window, test_window,
+                                       synthetic_inputs)
 
 
 class TestRunCycleSweep:

@@ -16,14 +16,13 @@ from lexevo.features import (
     boundary_trigrams,
     extract_features,
     load_syllable_exceptions,
-    partition_trigrams,
     read_feature_vectors,
     relative_frequencies,
     syllable_count,
     word_shapes,
     write_feature_vectors,
 )
-from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
+from lexevo.lexicon import CatVarClusters, SenseId, Synset, load_lexicon
 from tests.conftest import bundle_paths
 
 LEMMA = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=12)
@@ -60,20 +59,27 @@ class TestBoundaryTrigrams:
         assert all(len(t) == 3 for t in tris)
 
 
+def trigram_split(lemma, synset_lemmas):
+    """(unique trigrams, shared fraction) of lemma in a synset of
+    synset_lemmas, as word_shapes splits them."""
+    synset = Synset("x1", "a", tuple(SenseId(m, "a", 1) for m in synset_lemmas))
+    return word_shapes([synset])[SenseId(lemma, "a", 1)][2:]
+
+
 class TestPartitionTrigrams:
     def test_disjoint_words_share_nothing(self):
-        unique, shared = partition_trigrams("abc", ["abc", "xyz"])
+        unique, shared = trigram_split("abc", ["abc", "xyz"])
         assert unique == boundary_trigrams("abc")
         assert shared == 0.0
 
     def test_identical_twin_shares_everything(self):
-        unique, shared = partition_trigrams("abcd", ["abcd", "abcde"])
+        unique, shared = trigram_split("abcd", ["abcd", "abcde"])
         assert shared > 0.0
         assert "|ab" not in unique
 
     def test_shared_fraction_accounting(self):
         # ecstatic shares only ic| (with rhapsodic): 1 of 8 trigrams
-        unique, shared = partition_trigrams(
+        unique, shared = trigram_split(
             "ecstatic", ["rapturous", "ecstatic", "rapt", "enraptured", "rhapsodic"]
         )
         assert shared == pytest.approx(0.125, abs=1e-9)
@@ -82,7 +88,7 @@ class TestPartitionTrigrams:
 
     @given(LEMMA, st.lists(LEMMA, min_size=1, max_size=4))
     def test_fraction_consistent_with_partition(self, lemma, others):
-        unique, shared = partition_trigrams(lemma, [lemma] + others)
+        unique, shared = trigram_split(lemma, [lemma] + others)
         own = boundary_trigrams(lemma)
         assert shared == pytest.approx((len(own) - len(unique)) / len(own))
         assert set(unique) <= set(own)
@@ -208,9 +214,10 @@ class TestWordShapes:
         synset = snapshot_for({"longword": (2, 6, 2), "tiny": (2, 2, 8)}).synset
         shapes = word_shapes([synset], {"tiny": 5})
         longword, tiny = synset.members
-        assert shapes[tiny] == (4 / 8, 5, *partition_trigrams("tiny", ["longword"]))
+        # the two lemmas share no trigram
+        assert shapes[tiny] == (4 / 8, 5, boundary_trigrams("tiny"), 0.0)
         assert shapes[longword] == (1.0, syllable_count("longword"),
-                                    *partition_trigrams("longword", ["tiny"]))
+                                    boundary_trigrams("longword"), 0.0)
 
     def test_keyed_by_sense(self):
         # the two senses of 'rapt' get their own synset's shapes
