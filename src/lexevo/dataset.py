@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ._util import atomic_write_json, read_tsv, write_tsv
+from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
 from .corpus import period_count, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
@@ -240,7 +240,9 @@ def _read_summary(json_path):
     try:
         with open(json_path, encoding="utf-8") as handle:
             summary = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(json_path, exc) from None
+    except ValueError as exc:  # JSONDecodeError
         raise DataError(f"{json_path}: not a JSON dataset summary: {exc}") from None
     if not isinstance(summary, dict) or "window" not in summary:
         raise DataError(f"{json_path}: dataset summary has no key 'window'")

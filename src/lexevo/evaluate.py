@@ -196,10 +196,15 @@ def mcnemar_exact(b, c):
     b and c count the items only one of two paired classifiers gets right
     (Dietterich 1998).  Under the null each discordant pair is a fair coin,
     so p = 2 * P(Binomial(b + c, 1/2) <= min(b, c)), capped at 1.  Returns
-    (p, significant at 5%); the decision is made in exact integers.
+    (p, significant at 5%); the decision is made in exact integers.  The
+    tail sums comb(n, i), each from the last as comb(n, i) * (n - i) /
+    (i + 1), a division without remainder.
     """
     n = b + c
-    tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+    term = tail = 1  # comb(n, 0)
+    for i in range(min(b, c)):
+        term = term * (n - i) // (i + 1)
+        tail += term
     return min(1.0, 2 * tail / 2 ** n), 40 * tail < 2 ** n
 
 

@@ -38,6 +38,9 @@ class PipelineInputs:
     clusters: object  # CatVarClusters
     births: dict  # corpus key -> birth year, for every key with a nonzero count
     syllable_exceptions: dict = field(default_factory=dict)
+    # window -> prepare_window result, the PREPARED_WINDOWS prepared last
+    _prepared: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @cached_property
     def word_shapes(self):
@@ -94,17 +97,29 @@ class AblationSpec:
             raise DataError(f"unknown feature {self.feature!r}")
 
 
-def prepare_window(window, inputs):
-    """(dataset, labelled feature vectors) of one time window.
+# a window pair: what run_nbcp, an ablation and one sweep step each use
+PREPARED_WINDOWS = 2
 
-    This is the costly half of a run.  Ablations and sweeps prepare each
-    window once and fit every model they need on the result.  The lexical
-    features come from inputs.word_shapes, computed once per inputs.
+
+def prepare_window(window, inputs):
+    """(dataset, tuple of labelled feature vectors) of one time window.
+
+    This is the costly half of a run, so inputs keeps the results of the
+    PREPARED_WINDOWS windows prepared last and returns a kept one again:
+    repeated runs on one window pair, and a sweep's next pair, whose
+    training window is this pair's test window, prepare nothing twice.
+    The results are shared and must not be changed.  The lexical features
+    come from inputs.word_shapes, computed once per inputs.
     """
-    dataset = build_dataset(inputs.synsets, inputs.corpus, window)
-    vectors = extract_features(dataset, inputs.word_shapes, inputs.clusters,
-                               inputs.births)
-    return dataset, vectors
+    prepared = inputs._prepared
+    if window not in prepared:
+        dataset = build_dataset(inputs.synsets, inputs.corpus, window)
+        vectors = tuple(extract_features(dataset, inputs.word_shapes,
+                                         inputs.clusters, inputs.births))
+        if len(prepared) == PREPARED_WINDOWS:
+            del prepared[next(iter(prepared))]  # the oldest
+        prepared[window] = dataset, vectors
+    return prepared[window]
 
 
 def fit_and_score(train, test, features=FEATURE_NAMES):
@@ -158,11 +173,12 @@ def _paired_counts(variant, baseline):
 def run_ablations(specs, train_window, test_window, inputs):
     """run_ablation rows for several specs on one window pair.
 
-    Both windows are prepared once and one model is fitted on all
-    features.  A naive Bayes log odds is a sum of per-feature terms, and a
-    dimension's Gaussians and the priors do not depend on the other
-    features, so each variant's log odds is the exact subset sum of one
-    feature_terms table per test vector: what fitting the variant's
+    prepare_window gives both windows, prepared once per inputs, so
+    further calls on this pair prepare nothing again.  One model is fitted
+    on all features.  A naive Bayes log odds is a sum of per-feature
+    terms, and a dimension's Gaussians and the priors do not depend on the
+    other features, so each variant's log odds is the exact subset sum of
+    one feature_terms table per test vector: what fitting the variant's
     features alone gives, bit for bit.
     """
     _, train_vectors = prepare_window(train_window, inputs)
@@ -229,8 +245,8 @@ def run_cycle_sweep(cycles, inputs):
 
     A cycle that cannot be scheduled, or a window pair whose training
     window leaves a class without vectors, is listed in ``skipped``.
-    Each window is prepared once: a pair's test window is the next pair's
-    training window.
+    Each window is prepared once: a pair's training window is the previous
+    pair's test window, which prepare_window keeps.
     """
     rows = []
     skipped = []
@@ -240,14 +256,10 @@ def run_cycle_sweep(cycles, inputs):
         except DataError as exc:
             skipped.append({"cycle": cycle, "reason": str(exc)})
             continue
-        prepared = {}  # window -> prepare_window result, until its last pair
         for train_window, test_window in pairs:
-            for window in (train_window, test_window):
-                if window not in prepared:
-                    prepared[window] = prepare_window(window, inputs)
             try:
-                run = fit_and_score(prepared.pop(train_window),
-                                    prepared[test_window])
+                run = fit_and_score(prepare_window(train_window, inputs),
+                                    prepare_window(test_window, inputs))
             except UnfittableModelError as exc:
                 skipped.append({"cycle": cycle, "window": test_window.label(),
                                 "reason": str(exc)})
@@ -300,12 +312,22 @@ def fisher_exact(ones0, n0, ones1, n1):
     vectors of class c hold a trigram (Agresti, Categorical Data Analysis,
     2002).  p sums the hypergeometric weights comb(n0, x) * comb(n1, k - x)
     no larger than the observed one, over comb(n0 + n1, k) with k = ones0 +
-    ones1.  Returns (p, significant at 5%), decided in exact integers."""
+    ones1.  Returns (p, significant at 5%), decided in exact integers.
+
+    The weights are nonzero for x from max(0, k - n1) to min(k, n0); each
+    is the last times (n0 - x)(k - x) / ((x + 1)(n1 - k + x + 1)), a
+    division without remainder, and they sum to comb(n0 + n1, k).
+    """
     k = ones0 + ones1
-    weights = [math.comb(n0, x) * math.comb(n1, k - x) for x in range(k + 1)]
-    observed = weights[ones0]
+    low = max(0, k - n1)
+    weight = math.comb(n0, low) * math.comb(n1, k - low)
+    weights = [weight]
+    for x in range(low, min(k, n0)):
+        weight = weight * (n0 - x) * (k - x) // ((x + 1) * (n1 - k + x + 1))
+        weights.append(weight)
+    observed = weights[ones0 - low]
     tail = sum(w for w in weights if w <= observed)
-    total = math.comb(n0 + n1, k)
+    total = sum(weights)
     return tail / total, 20 * tail < total
 
 

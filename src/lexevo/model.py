@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import chain
 
-from ._util import atomic_write_json
+from ._util import _not_utf8, atomic_write_json
 from .errors import DataError, UnfittableModelError
 from .features import FEATURE_NAMES, MAX_FEATURE_MAGNITUDE, SCALAR_FEATURES
 
@@ -280,7 +280,8 @@ def save_model(model, path):
 def load_model(path):
     """Read a model written by save_model.
 
-    A file that is not JSON is a DataError naming the file and the line;
+    A file that is not JSON or not UTF-8 is a DataError naming the file
+    and the line;
     a missing key or a malformed value is one naming the file and the key.
     So are counts that are not integers with 1 <= class size <= 2**53
     (an exact float) and 0 <= ones <= class size, a feature list that names
@@ -290,7 +291,9 @@ def load_model(path):
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except ValueError as exc:  # JSONDecodeError
         raise DataError(f"{path}: not a JSON model file: {exc}") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: model file is not a JSON object")

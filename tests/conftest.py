@@ -36,9 +36,18 @@ def rapture_inputs(rapture_paths):
     return inputs
 
 
+def _load_synthetic(paths):
+    inputs, _, _ = load_pipeline_inputs([paths["corpus"]], paths["lexicon"])
+    return inputs
+
+
 @pytest.fixture(scope="session")
 def synthetic_inputs(synthetic_paths):
-    inputs, _, _ = load_pipeline_inputs(
-        [synthetic_paths["corpus"]], synthetic_paths["lexicon"],
-    )
-    return inputs
+    return _load_synthetic(synthetic_paths)
+
+
+@pytest.fixture
+def fresh_synthetic_inputs(synthetic_paths):
+    """synthetic_inputs loaded for one test, so that no window is prepared
+    yet: tests that count window builds start from it."""
+    return _load_synthetic(synthetic_paths)

@@ -671,6 +671,33 @@ class TestArtifactReaders:
                 in err)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("reader", ["model", "sidecar"])
+    def test_json_not_utf8_line_is_named(self, tmp_path, synthetic_paths, stage_dir,
+                                         capsys, reader):
+        # line 3 of a JSON file ends in a byte that is not UTF-8; the error
+        # names that line, where the codec names an offset in its block
+        name, argv = {
+            "model": ("model.json",
+                      ["predict", "--features",
+                       str(stage_dir / "features_1900_1950_2000.tsv"), "--model"]),
+            "sidecar": ("dataset_1850_1900_1950.json",
+                        ["extract-features", "--dataset"]),
+        }[reader]
+        lines = (stage_dir / name).read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        edited = tmp_path / name
+        edited.write_bytes(b"\n".join(lines))
+        if reader == "sidecar":
+            argument = shutil.copy(stage_dir / "dataset_1850_1900_1950.tsv", tmp_path)
+        else:
+            argument = edited
+        code = main(argv + [str(argument)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{edited} line 3 is not UTF-8 (invalid start byte)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sidecar_text, message", [
         ('{"synsets": 1}\n', "dataset summary has no key 'window'"),
         ('{"window": [1900, 1950]}\n', "bad key 'window' [1900, 1950]"),

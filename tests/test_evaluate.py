@@ -321,6 +321,13 @@ class TestMcNemarExact:
         assert significant == (exact < Fraction(1, 20))
         assert mcnemar_exact(c, b) == (p, significant)
 
+    @given(st.integers(0, 1000), st.integers(0, 1000))
+    def test_matches_binomial_formula(self, b, c):
+        # the term recurrence gives the tail that fresh binomials give
+        n = b + c
+        tail = sum(math.comb(n, i) for i in range(min(b, c) + 1))
+        assert mcnemar_exact(b, c) == (min(1.0, 2 * tail / 2 ** n), 40 * tail < 2 ** n)
+
 
 class TestUniformBaselineTail:
     @given(st.lists(st.integers(2, 4), max_size=6))

@@ -231,6 +231,17 @@ class TestFisherExact:
                 assert significant == (exact < Fraction(1, 20))
                 assert fisher_exact(ones1, n1, ones0, n0) == (p, significant)
 
+    @given(st.integers(1, 400), st.integers(1, 400), st.data())
+    def test_matches_binomial_formula(self, n0, n1, data):
+        # the weight recurrence gives the integers that fresh binomials give
+        ones0 = data.draw(st.integers(0, n0))
+        ones1 = data.draw(st.integers(0, n1))
+        k = ones0 + ones1
+        weights = [math.comb(n0, x) * math.comb(n1, k - x) for x in range(k + 1)]
+        tail = sum(w for w in weights if w <= weights[ones0])
+        total = math.comb(n0 + n1, k)
+        assert fisher_exact(ones0, n0, ones1, n1) == (tail / total, 20 * tail < total)
+
 
 class TestInterpretModel:
     def fitted_model(self, seed=21, n=30):
@@ -469,11 +480,23 @@ class TestRunAblation:
         assert [row["f_variant"] for row in rows] == [1.0, 0.0]
         assert [row["significant_95"] for row in rows] == [True, False]
 
-    def test_drop_one_prepares_two_windows(self, synthetic_inputs, monkeypatch):
+    def test_drop_one_prepares_two_windows(self, fresh_synthetic_inputs,
+                                           monkeypatch):
         train_window, test_window = schedule_windows(50)[1]
         builds, extracts = count_window_calls(monkeypatch)
         run_ablation(AblationSpec("drop_one", "syllable_count"),
-                     train_window, test_window, synthetic_inputs)
+                     train_window, test_window, fresh_synthetic_inputs)
+        assert sorted(builds) == sorted(extracts) == [train_window, test_window]
+
+    def test_repeated_ablations_prepare_two_windows(self, fresh_synthetic_inputs,
+                                                    monkeypatch):
+        # one run_ablation call per feature on one inputs: the window pair
+        # is prepared by the first call and kept for the other seven
+        train_window, test_window = schedule_windows(50)[1]
+        builds, extracts = count_window_calls(monkeypatch)
+        for feature in FEATURE_NAMES:
+            run_ablation(AblationSpec("drop_one", feature),
+                         train_window, test_window, fresh_synthetic_inputs)
         assert sorted(builds) == sorted(extracts) == [train_window, test_window]
 
     def test_many_specs_share_one_baseline(self, synthetic_inputs, monkeypatch):
@@ -556,10 +579,31 @@ class TestRunCycleSweep:
         assert sweep["skipped"][0]["cycle"] == 10
         assert [row["cycle"] for row in sweep["rows"]] == [50, 50]
 
-    def test_each_window_prepared_once(self, synthetic_inputs, monkeypatch):
+    def test_each_window_prepared_once(self, fresh_synthetic_inputs, monkeypatch):
         cycles = [30, 40, 50, 60]
         builds, extracts = count_window_calls(monkeypatch)
-        run_cycle_sweep(cycles, synthetic_inputs)
+        run_cycle_sweep(cycles, fresh_synthetic_inputs)
         windows = sorted({w for cycle in cycles
                           for pair in schedule_windows(cycle) for w in pair})
         assert sorted(builds) == sorted(extracts) == windows
+
+    def test_sweep_keeps_one_window_pair(self, fresh_synthetic_inputs, monkeypatch):
+        # at every fit the inputs hold the pair being fitted and no other
+        # window; the 14 distinct windows are each built once
+        inputs = fresh_synthetic_inputs
+        cycles = [30, 40, 50, 60]
+        builds, _ = count_window_calls(monkeypatch)
+        held = []
+        original = experiments_mod.fit_and_score
+
+        def counted(train, test, *args, **kwargs):
+            held.append(len(inputs._prepared))
+            return original(train, test, *args, **kwargs)
+
+        monkeypatch.setattr(experiments_mod, "fit_and_score", counted)
+        run_cycle_sweep(cycles, inputs)
+        pairs = [pair for cycle in cycles for pair in schedule_windows(cycle)]
+        assert held == [2] * len(pairs)
+        assert list(inputs._prepared) == list(pairs[-1])
+        assert len(builds) == len(set(builds)) == 14
+        assert set(builds) == {w for pair in pairs for w in pair}

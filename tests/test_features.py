@@ -267,13 +267,19 @@ class TestExtractFeatures:
         calls = count_trigram_calls(monkeypatch)
         window = schedule_windows(50)[1][0]
         first = load_synthetic_inputs()
-        prepare_window(window, first)
+        kept = prepare_window(window, first)
         members = len(calls)
         assert members == sum(len(s.members) for s in first.synsets)
         second = load_synthetic_inputs()
         assert "word_shapes" not in vars(second)
-        prepare_window(window, second)
-        prepare_window(window, first)
+        assert not second._prepared
+        fresh = prepare_window(window, second)
+        # first keeps its window: the same dataset and the same read-only
+        # vectors, while second prepared its own
+        again = prepare_window(window, first)
+        assert again is kept
+        assert isinstance(kept[1], tuple)
+        assert fresh[0] is not kept[0] and fresh[1] == kept[1]
         assert len(calls) == 2 * members
         assert second.word_shapes == first.word_shapes
 
