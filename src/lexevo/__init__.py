@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .dataset import TimeWindow, schedule_windows
 from .errors import DataError, LexevoError
-from .model import NaiveBayesModel, fit, win_probability
+from .model import NaiveBayesModel, fit
 
 __all__ = [
     "DataError",
@@ -18,6 +18,5 @@ __all__ = [
     "TimeWindow",
     "fit",
     "schedule_windows",
-    "win_probability",
     "__version__",
 ]

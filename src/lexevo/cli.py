@@ -101,10 +101,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cycle_list(text):
-    """--cycles value: comma-separated cycle lengths, at least one."""
+    """--cycles value: comma-separated distinct cycle lengths, at least one."""
     cycles = [_cycle_length(c) for c in text.split(",") if c]
     if not cycles:
         raise argparse.ArgumentTypeError("no cycle lengths given")
+    for i, cycle in enumerate(cycles):
+        if cycle in cycles[:i]:
+            raise argparse.ArgumentTypeError(f"repeated cycle length {cycle}")
     return cycles
 
 

@@ -122,14 +122,15 @@ def prepare_window(window, inputs):
     return prepared[window]
 
 
-def fit_and_score(train, test, features=FEATURE_NAMES):
-    """Fit on one prepared window, score another, evaluate at synset level.
+def run_nbcp(train_window, test_window, inputs):
+    """Train on one window, score the next, and evaluate at synset level.
 
-    train and test are prepare_window results.  Returns the run_nbcp dict.
+    The future period of the training window (the present of the test
+    window) is the only future data the model ever sees.
     """
-    train_ds, train_vectors = train
-    test_ds, test_vectors = test
-    model = fit(train_vectors, features=features)
+    train_ds, train_vectors = prepare_window(train_window, inputs)
+    test_ds, test_vectors = prepare_window(test_window, inputs)
+    model = fit(train_vectors)
     # rank by log-odds: same argmax as the probability, but immune to
     # float saturation at 0/1
     log_odds = {v.sense: win_log_odds(model, v) for v in test_vectors}
@@ -137,7 +138,7 @@ def fit_and_score(train, test, features=FEATURE_NAMES):
     report = evaluation_report(counts, scores)
     report["train"] = train_ds.summary()
     report["test"] = test_ds.summary()
-    report["features"] = list(features)
+    report["features"] = list(FEATURE_NAMES)
     report["random"] = asdict(random_baseline(test_ds.snapshots))
     return {
         "report": report,
@@ -148,30 +149,16 @@ def fit_and_score(train, test, features=FEATURE_NAMES):
     }
 
 
-def run_nbcp(train_window, test_window, inputs, features=FEATURE_NAMES):
-    """Train on one window, score the next, and evaluate at synset level.
-
-    The future period of the training window (the present of the test
-    window) is the only future data the model ever sees.
-    """
-    return fit_and_score(prepare_window(train_window, inputs),
-                         prepare_window(test_window, inputs), features)
-
-
-def _paired_counts(variant, baseline):
-    """(b, c): synsets only the baseline outcomes get right, only the
-    variant outcomes."""
-    baseline_right = {row["synset_id"]: is_right(row) for row in baseline}
-    b = c = 0
-    for row in variant:
-        right, was_right = is_right(row), baseline_right[row["synset_id"]]
-        b += was_right and not right
-        c += right and not was_right
-    return b, c
-
-
 def run_ablations(specs, train_window, test_window, inputs):
-    """run_ablation rows for several specs on one window pair.
+    """F-score delta rows, one per AblationSpec, on one window pair, each
+    with an exact test.
+
+    drop_one: F(all features minus one) - F(all features); significant_95
+    is an exact McNemar test on the synsets exactly one of the two runs
+    gets right.
+    single_only: F(one feature alone) - E[F] of random_baseline;
+    significant_95 is the exact upper tail of the number of synsets right
+    when a synset of k members is right with probability 1/k.
 
     prepare_window gives both windows, prepared once per inputs, so
     further calls on this pair prepare nothing again.  One model is fitted
@@ -194,6 +181,7 @@ def run_ablations(specs, train_window, test_window, inputs):
         return scores.f_score, outcomes
 
     f_full, full_outcomes = evaluate(FEATURE_NAMES)
+    full_right = [is_right(row) for row in full_outcomes]
     # only single_only rows compare against the random baseline, whose
     # tails depend on the test window alone
     if any(spec.mode == "single_only" for spec in specs):
@@ -205,7 +193,11 @@ def run_ablations(specs, train_window, test_window, inputs):
             f_variant, outcomes = evaluate(
                 tuple(f for f in FEATURE_NAMES if f != spec.feature))
             f_baseline = f_full
-            _, significant = mcnemar_exact(*_paired_counts(outcomes, full_outcomes))
+            # both outcome lists follow test_ds.snapshots, so they pair up
+            # by position; b counts the synsets only the full run gets right
+            pairs = [(was, is_right(row)) for was, row in zip(full_right, outcomes)]
+            b, c = pairs.count((True, False)), pairs.count((False, True))
+            _, significant = mcnemar_exact(b, c)
             rule = "exact McNemar test of per-synset right/wrong, two-sided p < 0.05"
         else:
             f_variant, outcomes = evaluate((spec.feature,))
@@ -228,15 +220,7 @@ def run_ablations(specs, train_window, test_window, inputs):
 
 
 def run_ablation(spec, train_window, test_window, inputs):
-    """F-score delta for one ablation variant, with an exact test.
-
-    drop_one: F(all features minus one) - F(all features); significant_95
-    is an exact McNemar test on the synsets exactly one of the two runs
-    gets right.
-    single_only: F(one feature alone) - E[F] of random_baseline;
-    significant_95 is the exact upper tail of the number of synsets right
-    when a synset of k members is right with probability 1/k.
-    """
+    """run_ablations([spec], train_window, test_window, inputs)[0]."""
     return run_ablations([spec], train_window, test_window, inputs)[0]
 
 
@@ -258,8 +242,7 @@ def run_cycle_sweep(cycles, inputs):
             continue
         for train_window, test_window in pairs:
             try:
-                run = fit_and_score(prepare_window(train_window, inputs),
-                                    prepare_window(test_window, inputs))
+                run = run_nbcp(train_window, test_window, inputs)
             except UnfittableModelError as exc:
                 skipped.append({"cycle": cycle, "window": test_window.label(),
                                 "reason": str(exc)})

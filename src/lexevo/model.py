@@ -142,8 +142,11 @@ def fit(vectors, features=FEATURE_NAMES):
 
     The trigram dimension space is the union of unique trigrams seen in
     the training vectors (when the trigram block is enabled).  Raises
+    DataError when features is empty or names an unknown feature, and
     UnfittableModelError when either class is empty.
     """
+    if not features:
+        raise DataError("no features to fit")
     unknown = set(features) - set(FEATURE_NAMES)
     if unknown:
         raise DataError(f"unknown features: {sorted(unknown)}")
@@ -284,9 +287,9 @@ def load_model(path):
     and the line;
     a missing key or a malformed value is one naming the file and the key.
     So are counts that are not integers with 1 <= class size <= 2**53
-    (an exact float) and 0 <= ones <= class size, a feature list that names
-    an unknown feature, scalar parameters for other scalars than it names,
-    or trigram counts without 'unique_ngrams' in it.
+    (an exact float) and 0 <= ones <= class size, a feature list that is
+    empty or names an unknown feature, scalar parameters for other scalars
+    than it names, or trigram counts without 'unique_ngrams' in it.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -330,9 +333,10 @@ _VALUE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def _names_from_json(obj):
-    if not (isinstance(obj, list) and all(isinstance(n, str) for n in obj)
+    if not (isinstance(obj, list) and obj
+            and all(isinstance(n, str) for n in obj)
             and len(set(obj)) == len(obj)):
-        raise ValueError("need a list of distinct strings")
+        raise ValueError("need a nonempty list of distinct strings")
     return tuple(obj)
 
 

@@ -264,6 +264,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--cycles", "x"], "--cycles"),
         (["sweep", "--cycles", "50,10"], "--cycles"),
+        (["sweep", "--cycles", "50,50"], "--cycles"),
         (["build-dataset", "--cycle", "10"], "--cycle"),
         (["ingest", "--cycle", "61"], "--cycle"),
         (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
@@ -275,8 +276,8 @@ class TestExitCodes:
         (["train", "--features", "f.tsv", "--only", ","], "--only"),
         (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
          "--drop"),
-    ], ids=["cycles_not_integers", "cycles_below_30", "cycle_below_30",
-            "cycle_above_60", "years_not_a_range", "years_reversed",
+    ], ids=["cycles_not_integers", "cycles_below_30", "cycles_repeated",
+            "cycle_below_30", "cycle_above_60", "years_not_a_range", "years_reversed",
             "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
             "only_nothing", "drop_everything"])
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
@@ -968,9 +969,13 @@ class TestPredict:
         (model_text(trigram_ones={"abc": [3, 2]}), "bad key 'trigram_ones'"),
         (model_text(class_sizes=[True, 2]), "bad key 'class_sizes'"),
         (model_text(trigram_ones={"abc": [1.0, 2]}), "bad key 'trigram_ones'"),
+        # a model of no features ranks every member of a synset alike
+        (model_text(features=[], scalar_features={}, trigram_ones={}),
+         "bad key 'features'"),
     ], ids=["missing_key", "not_json", "parent_format", "infinite_mean",
             "variance_below_floor", "unknown_feature", "scalar_feature_missing",
-            "zero_class_size", "ones_above_class_size", "bool_count", "float_count"])
+            "zero_class_size", "ones_above_class_size", "bool_count", "float_count",
+            "no_features"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 import lexevo.experiments as experiments_mod
 from lexevo.dataset import schedule_windows
 from lexevo.errors import ConvergenceError, DataError, LexevoError
-from lexevo.evaluate import is_right, mcnemar_exact, uniform_baseline_tails
+from lexevo.evaluate import (evaluate_predictions, is_right, mcnemar_exact,
+                             random_baseline, uniform_baseline_tails)
 from lexevo.experiments import (
     AblationSpec,
     fisher_exact,
-    fit_and_score,
     interpretation_tables,
     load_pipeline_inputs,
     prepare_window,
@@ -26,7 +26,7 @@ from lexevo.experiments import (
     welch_t_test,
 )
 from lexevo.features import FEATURE_NAMES, SCALAR_FEATURES
-from lexevo.model import fit
+from lexevo.model import fit, win_log_odds
 from tests.test_model import make_vector, random_vectors
 
 
@@ -362,13 +362,6 @@ class TestRunNbcp:
         ]
         assert set(report["random"]) == {"precision", "recall", "f_score"}
 
-    def test_feature_subset_runs(self, synthetic_inputs):
-        train_window, test_window = schedule_windows(50)[1]
-        run = run_nbcp(train_window, test_window, synthetic_inputs,
-                       features=("relative_growth",))
-        assert run["report"]["features"] == ["relative_growth"]
-        assert run["model"].trigram_dims == ()
-
 
 def count_window_calls(monkeypatch):
     """Patch experiments' build_dataset and extract_features to record
@@ -392,16 +385,16 @@ def count_window_calls(monkeypatch):
 
 
 class TestPrepareWindow:
-    def test_run_nbcp_is_fit_and_score_of_prepared_windows(self, synthetic_inputs):
+    def test_run_nbcp_scores_the_prepared_windows(self, synthetic_inputs):
         train_window, test_window = schedule_windows(50)[1]
-        direct = run_nbcp(train_window, test_window, synthetic_inputs)
+        run = run_nbcp(train_window, test_window, synthetic_inputs)
         train = prepare_window(train_window, synthetic_inputs)
         test = prepare_window(test_window, synthetic_inputs)
         assert train[0].window == train_window
         assert len(train[1]) == train[0].summary()["words"]
-        staged = fit_and_score(train, test)
-        assert staged["report"] == direct["report"]
-        assert staged["test_vectors"] == direct["test_vectors"]
+        assert run["test_vectors"] is test[1]
+        assert run["report"]["train"] == train[0].summary()
+        assert run["report"]["test"] == test[0].summary()
 
 
 class TestRunAblation:
@@ -430,18 +423,24 @@ class TestRunAblation:
             AblationSpec("single_only", "relative_growth"),
             train_window, test_window, synthetic_inputs,
         )
-        variant = run_nbcp(train_window, test_window, synthetic_inputs,
-                           features=("relative_growth",))
-        assert result["f_baseline"] == variant["report"]["random"]["f_score"]
+        test_ds, _ = prepare_window(test_window, synthetic_inputs)
+        assert result["f_baseline"] == random_baseline(test_ds.snapshots).f_score
 
     @pytest.mark.parametrize("bundle", ["synthetic", "rapture"])
     def test_significance_is_exact_paired_test(self, request, bundle):
         inputs = request.getfixturevalue(f"{bundle}_inputs")
         train_window, test_window = schedule_windows(50)[1]
-        train = prepare_window(train_window, inputs)
-        test = prepare_window(test_window, inputs)
-        baseline = fit_and_score(train, test)
-        sizes = [len(s.counts) for s in test[0].snapshots]
+        _, train_vectors = prepare_window(train_window, inputs)
+        test_ds, test_vectors = prepare_window(test_window, inputs)
+
+        def fit_and_evaluate(features):
+            """(Metrics, outcome rows) of a model fitted on features alone."""
+            model = fit(train_vectors, features)
+            log_odds = {v.sense: win_log_odds(model, v) for v in test_vectors}
+            return evaluate_predictions(test_ds.snapshots, log_odds)[1:]
+
+        _, baseline = fit_and_evaluate(FEATURE_NAMES)
+        sizes = [len(s.counts) for s in test_ds.snapshots]
         specs = [AblationSpec(mode, f) for mode in ("drop_one", "single_only")
                  for f in FEATURE_NAMES]
         rows = run_ablations(specs, train_window, test_window, inputs)
@@ -450,15 +449,15 @@ class TestRunAblation:
                 features = [f for f in FEATURE_NAMES if f != spec.feature]
             else:
                 features = [spec.feature]
-            variant = fit_and_score(train, test, features)
+            scores, outcomes = fit_and_evaluate(features)
             # the variant fitted on its features alone scores the same
-            assert row["f_variant"] == variant["report"]["metrics"]["f_score"]
-            right = [is_right(r) for r in variant["outcomes"]]
+            assert row["f_variant"] == scores.f_score
+            right = [is_right(r) for r in outcomes]
             if spec.mode == "drop_one":
                 # both runs list the test window's synsets in one order
-                assert ([r["synset_id"] for r in variant["outcomes"]]
-                        == [r["synset_id"] for r in baseline["outcomes"]])
-                was_right = [is_right(r) for r in baseline["outcomes"]]
+                assert ([r["synset_id"] for r in outcomes]
+                        == [r["synset_id"] for r in baseline])
+                was_right = [is_right(r) for r in baseline]
                 b = sum(w and not r for r, w in zip(right, was_right))
                 c = sum(r and not w for r, w in zip(right, was_right))
                 expected = mcnemar_exact(b, c)[1]
@@ -587,6 +586,19 @@ class TestRunCycleSweep:
                           for pair in schedule_windows(cycle) for w in pair})
         assert sorted(builds) == sorted(extracts) == windows
 
+    def test_one_run_nbcp_per_scheduled_pair(self, synthetic_inputs, monkeypatch):
+        cycles = [30, 40, 50, 60]
+        calls = []
+        original = experiments_mod.run_nbcp
+
+        def counted(train_window, test_window, inputs):
+            calls.append((train_window, test_window))
+            return original(train_window, test_window, inputs)
+
+        monkeypatch.setattr(experiments_mod, "run_nbcp", counted)
+        run_cycle_sweep(cycles, synthetic_inputs)
+        assert calls == [pair for cycle in cycles for pair in schedule_windows(cycle)]
+
     def test_sweep_keeps_one_window_pair(self, fresh_synthetic_inputs, monkeypatch):
         # at every fit the inputs hold the pair being fitted and no other
         # window; the 14 distinct windows are each built once
@@ -594,13 +606,15 @@ class TestRunCycleSweep:
         cycles = [30, 40, 50, 60]
         builds, _ = count_window_calls(monkeypatch)
         held = []
-        original = experiments_mod.fit_and_score
+        original = experiments_mod.run_nbcp
 
-        def counted(train, test, *args, **kwargs):
-            held.append(len(inputs._prepared))
-            return original(train, test, *args, **kwargs)
+        def counted(train_window, test_window, inputs):
+            try:
+                return original(train_window, test_window, inputs)
+            finally:  # also when the pair's training window is unfittable
+                held.append(len(inputs._prepared))
 
-        monkeypatch.setattr(experiments_mod, "fit_and_score", counted)
+        monkeypatch.setattr(experiments_mod, "run_nbcp", counted)
         run_cycle_sweep(cycles, inputs)
         pairs = [pair for cycle in cycles for pair in schedule_windows(cycle)]
         assert held == [2] * len(pairs)

@@ -153,6 +153,8 @@ class TestFit:
         rng = random.Random(2)
         with pytest.raises(DataError):
             fit(random_vectors(rng, 6), features=("normalized_length", "bogus"))
+        with pytest.raises(DataError):
+            fit(random_vectors(rng, 6), features=())
 
     def test_unlabeled_vector_rejected(self):
         rng = random.Random(3)
