@@ -4,7 +4,6 @@ atomic writes."""
 import gzip
 import json
 import os
-import tempfile
 import zlib
 
 from .errors import DataError
@@ -101,13 +100,18 @@ def write_tsv(path, columns, rows):
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename in the same directory."""
+    """Write text to path via a temp file + rename in the same directory.
+
+    The temp file is created as open() creates a file, its mode 0666 less
+    the umask, which the rename keeps (tempfile.mkstemp would make it 0600).
+    """
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    handle = open(tmp, "x", encoding="utf-8")  # "x": never an existing file
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -21,7 +21,7 @@ from . import features as features_mod
 from . import model as model_mod
 from ._util import atomic_write_json, atomic_write_text, read_tsv, write_tsv
 from .errors import DataError, LexevoError, UsageError
-from .lexicon import CatVarClusters, SenseId
+from .lexicon import SenseId
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,9 +171,10 @@ def _load_inputs(config):
 def cmd_ingest(args, config):
     inputs, _, report = _load_inputs(config)
     lines = []
-    for lemma, pos in sorted(inputs.corpus.keys()):
-        for year, count in inputs.corpus.series((lemma, pos)).items():
-            lines.append(f"{lemma}_{pos}\t{year}\t{count}\t0")
+    for key in sorted(inputs.corpus.keys()):
+        token = corpus_mod.join_token(key)
+        for year, count in inputs.corpus.series(key).items():
+            lines.append(f"{token}\t{year}\t{count}\t0")
     atomic_write_text(os.path.join(config.out, "corpus.tsv"),
                       "\n".join(lines) + "\n")
     atomic_write_json(os.path.join(config.out, "ingest_report.json"), {
@@ -194,23 +195,19 @@ def cmd_build_dataset(args, config):
     pairs = dataset_mod.schedule_windows(config.cycle_years)
     for window in sorted({w for pair in pairs for w in pair}):
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window)
-        members = {m.corpus_key() for s in ds.snapshots for m in s.counts}
-        ds.clusters = CatVarClusters([cluster for cluster in inputs.clusters.clusters
-                                      if cluster & members])
-        ds.births = {key: inputs.births.get(key)
-                     for key in members.union(ds.clusters.members())}
         dataset_mod.write_dataset(
-            ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"))
+            ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"),
+            inputs.clusters, inputs.births)
     return EXIT_OK
 
 
 def cmd_extract_features(args, config):
     """Features from the dataset and its sidecar's clusters and births;
     --corpus, --lexicon and --catvar are ignored."""
-    ds = dataset_mod.read_dataset(args.dataset)
+    ds, clusters, births = dataset_mod.read_dataset(args.dataset)
     shapes = features_mod.word_shapes([s.synset for s in ds.snapshots],
                                       experiments_mod.load_syllables(config.syllables))
-    vectors = features_mod.extract_features(ds, shapes, ds.clusters, ds.births)
+    vectors = features_mod.extract_features(ds, shapes, clusters, births)
     out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
     return EXIT_OK
@@ -218,7 +215,10 @@ def cmd_extract_features(args, config):
 
 def cmd_train(args, config):
     vectors = features_mod.read_feature_vectors(args.features)
-    fitted = model_mod.fit(vectors, features=args.selection)
+    try:
+        fitted = model_mod.fit(vectors, features=args.selection)
+    except DataError as exc:  # an unlabelled row or an empty class
+        raise DataError(f"{args.features}: {exc}") from None
     out = args.model or os.path.join(config.out, "model.json")
     model_mod.save_model(fitted, out)
     return EXIT_OK
@@ -266,7 +266,7 @@ def _read_scores(path):
 
 
 def cmd_evaluate(args, config):
-    ds = dataset_mod.read_dataset(args.dataset)
+    ds, _, _ = dataset_mod.read_dataset(args.dataset)
     scores_by_sense = _read_scores(args.probabilities)
     for snapshot in ds.snapshots:
         for sense in snapshot.counts:
@@ -288,26 +288,29 @@ def _report_dir(config, experiment, window):
                         str(config.cycle_years), window.label())
 
 
+def _write_report(directory, report, **tables):
+    """Write report.json, and <name>.csv of each table of dict rows."""
+    atomic_write_json(os.path.join(directory, "report.json"), report)
+    for name, rows in tables.items():
+        atomic_write_text(os.path.join(directory, f"{name}.csv"), _rows_to_csv(rows))
+
+
 def cmd_ablate(args, config):
     inputs, _, _ = _load_inputs(config)
     train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
     specs = [experiments_mod.AblationSpec(args.mode, feature)
              for feature in features_mod.FEATURE_NAMES]
     rows = experiments_mod.run_ablations(specs, train_window, test_window, inputs)
-    directory = _report_dir(config, f"ablation_{args.mode}", test_window)
-    atomic_write_json(os.path.join(directory, "report.json"), {"rows": rows})
-    atomic_write_text(os.path.join(directory, "ablation.csv"),
-                      _rows_to_csv(rows))
+    _write_report(_report_dir(config, f"ablation_{args.mode}", test_window),
+                  {"rows": rows}, ablation=rows)
     return EXIT_OK
 
 
 def cmd_sweep(args, config):
     inputs, _, _ = _load_inputs(config)
     result = experiments_mod.run_cycle_sweep(args.cycles, inputs)
-    directory = os.path.join(config.out, "reports", "sweep")
-    atomic_write_json(os.path.join(directory, "report.json"), result)
-    atomic_write_text(os.path.join(directory, "sweep.csv"),
-                      _rows_to_csv(result["rows"]))
+    _write_report(os.path.join(config.out, "reports", "sweep"), result,
+                  sweep=result["rows"])
     return EXIT_OK
 
 
@@ -316,12 +319,8 @@ def cmd_interpret(args, config):
     train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
     _, vectors = experiments_mod.prepare_window(train_window, inputs)
     tables = experiments_mod.interpretation_tables(model_mod.fit(vectors))
-    directory = _report_dir(config, "interpretation", test_window)
-    atomic_write_json(os.path.join(directory, "report.json"), tables)
-    atomic_write_text(os.path.join(directory, "scalar_features.csv"),
-                      _rows_to_csv(tables["scalar_features"]))
-    atomic_write_text(os.path.join(directory, "top_trigrams.csv"),
-                      _rows_to_csv(tables["top_trigrams"]))
+    _write_report(_report_dir(config, "interpretation", test_window), tables,
+                  **tables)
     return EXIT_OK
 
 

@@ -46,6 +46,11 @@ def split_token(token):
     return lemma, pos
 
 
+def join_token(key):
+    """The lemma_POS token of a (lemma, corpus POS tag) key: split_token's inverse."""
+    return "_".join(key)
+
+
 @dataclass
 class LoadReport:
     rows_kept: int = 0

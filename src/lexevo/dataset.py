@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
-from .corpus import period_count, split_token
+from .corpus import join_token, period_count, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
 
@@ -124,11 +124,6 @@ class Dataset:
     window: TimeWindow
     snapshots: list
     removal_log: Counter = field(default_factory=Counter)
-    # the clusters holding a snapshot member, and corpus key -> birth year or
-    # None for every member of either; build-dataset fills both so that
-    # extract-features needs no corpus and no cluster file
-    clusters: CatVarClusters = field(default_factory=CatVarClusters)
-    births: dict = field(default_factory=dict)
 
     def summary(self):
         synsets = len(self.snapshots)
@@ -167,23 +162,26 @@ def summary_path(tsv_path):
 DATASET_COLUMNS = ("synset_id", "sense_id", "past", "present", "future")
 
 
-def write_dataset(dataset, tsv_path):
+def write_dataset(dataset, tsv_path, clusters, births):
     """Serialize a dataset: member-count TSV plus a JSON sidecar holding its
-    summary, its births keyed by lemma_POS tokens, and its clusters as
-    sorted lists of those tokens."""
+    summary and its context from the loaded clusters and births (corpus
+    key -> year): the clusters that hold a member, as sorted lists of
+    lemma_POS tokens, and the birth year of each member and cluster-mate
+    by token, null where births has none."""
     write_tsv(tsv_path, DATASET_COLUMNS, (
         (snapshot.synset.id, str(sense), str(c.past), str(c.present), str(c.future))
         for snapshot in dataset.snapshots for sense, c in snapshot.counts.items()))
-    births = {f"{lemma}_{pos}": year
-              for (lemma, pos), year in dataset.births.items()}
-    clusters = sorted(sorted(f"{lemma}_{pos}" for lemma, pos in cluster)
-                      for cluster in dataset.clusters.clusters)
-    atomic_write_json(summary_path(tsv_path), {**dataset.summary(), "births": births,
-                                               "clusters": clusters})
+    members = {m.corpus_key() for s in dataset.snapshots for m in s.counts}
+    kept = [cluster for cluster in clusters.clusters if cluster & members]
+    atomic_write_json(summary_path(tsv_path), {
+        **dataset.summary(),
+        "births": {join_token(key): births.get(key) for key in members.union(*kept)},
+        "clusters": sorted(sorted(map(join_token, cluster)) for cluster in kept)})
 
 
 def read_dataset(tsv_path):
-    """Reload a serialized dataset (synsets reconstructed from sense ids).
+    """Reload a serialized dataset (synsets reconstructed from sense ids)
+    as (dataset, clusters, births), the context its sidecar carries.
 
     A header other than DATASET_COLUMNS is a DataError naming the file; a
     malformed row, a negative count or a repeated sense is one naming the
@@ -194,7 +192,9 @@ def read_dataset(tsv_path):
     speech or the rule.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
     births or clusters is a DataError naming the file (and the key); so
-    are clusters that share a member, and births that lack a member.
+    are clusters that share a member, births that lack a member or a
+    cluster-mate, and a member whose birth is null: every member has a
+    nonzero present count, so a birth year.
     """
     json_path = summary_path(tsv_path)
     window, removals, births, clusters = _read_summary(json_path)
@@ -230,9 +230,12 @@ def read_dataset(tsv_path):
     members = {m.corpus_key() for s in snapshots for m in s.counts}
     missing = members.union(clusters.members()) - births.keys()
     if missing:
-        lemma, pos = min(missing)
-        raise DataError(f"{json_path}: key 'births' has no {lemma}_{pos}")
-    return Dataset(window, snapshots, removals, clusters, births)
+        raise DataError(f"{json_path}: key 'births' has no {join_token(min(missing))}")
+    unborn = [key for key in members if births[key] is None]
+    if unborn:
+        raise DataError(f"{json_path}: key 'births' maps dataset member "
+                        f"{join_token(min(unborn))} to null; a member needs a year")
+    return Dataset(window, snapshots, removals), clusters, births
 
 
 def _read_summary(json_path):

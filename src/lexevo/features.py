@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ._util import parse_lines, read_tsv, write_tsv
+from .corpus import join_token
 from .errors import DataError
 from .lexicon import SenseId, categorial_variation_count
 
@@ -195,7 +196,7 @@ def extract_features(dataset, shapes, clusters, births):
             key = member.corpus_key()
             born = births.get(key)
             if born is None:
-                raise DataError(f"no birth year for {key[0]}_{key[1]}")
+                raise DataError(f"no birth year for {join_token(key)}")
             f1, f2 = frequencies[member]
             vectors.append(FeatureVector(
                 sense=member,
@@ -223,15 +224,8 @@ FEATURE_COLUMNS = ("synset_id", "sense_id", *SCALAR_FEATURES, "target_class",
 def write_feature_vectors(vectors, path):
     """Dump vectors as TSV; floats use repr so the file round-trips exactly."""
     write_tsv(path, FEATURE_COLUMNS, ((
-        v.synset_id,
-        str(v.sense),
-        repr(v.normalized_length),
-        str(v.syllable_count),
-        repr(v.shared_ngrams),
-        str(v.categorial_variations),
-        repr(v.relative_growth),
-        repr(v.linear_extrapolation),
-        str(v.present_age),
+        v.synset_id, str(v.sense),
+        *(repr(getattr(v, name)) for name in SCALAR_FEATURES),
         "" if v.target_class is None else str(v.target_class),
         ",".join(v.unique_ngrams),
     ) for v in vectors))
@@ -244,7 +238,7 @@ def write_feature_vectors(vectors, path):
 MAX_FEATURE_MAGNITUDE = 1e100
 
 
-def _feature_value(text, parse=float):
+def _feature_value(text, parse):
     value = parse(text)
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
@@ -263,8 +257,7 @@ def read_feature_vectors(path):
     seen = set()
 
     def parse(fields):
-        (synset_id, sense_text, norm_len, syll, shared, catvar,
-         growth, extrap, age, target, trigrams) = fields
+        synset_id, sense_text, *scalars, target, trigrams = fields
         if target not in ("", "0", "1"):
             raise ValueError(f"target_class must be empty, 0 or 1, got {target!r}")
         sense = SenseId.parse(sense_text)
@@ -274,15 +267,11 @@ def read_feature_vectors(path):
         return FeatureVector(
             sense=sense,
             synset_id=synset_id,
-            normalized_length=_feature_value(norm_len),
-            syllable_count=_feature_value(syll, int),
             unique_ngrams=tuple(t for t in trigrams.split(",") if t),
-            shared_ngrams=_feature_value(shared),
-            categorial_variations=_feature_value(catvar, int),
-            relative_growth=_feature_value(growth),
-            linear_extrapolation=_feature_value(extrap),
-            present_age=_feature_value(age, int),
             target_class=int(target) if target else None,
+            # each scalar parsed as the type FeatureVector declares for it
+            **{name: _feature_value(text, FeatureVector.__annotations__[name])
+               for name, text in zip(SCALAR_FEATURES, scalars)},
         )
 
     return read_tsv(path, FEATURE_COLUMNS, parse)

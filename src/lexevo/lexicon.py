@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from ._util import parse_lines
-from .corpus import split_token
+from .corpus import join_token, split_token
 
 # lexicon pos letter -> corpus tag
 POS_TO_CORPUS = {"n": "NOUN", "v": "VERB", "a": "ADJ", "r": "ADV"}
@@ -144,8 +144,8 @@ def disjoint_cluster(tokens, seen):
     cluster = frozenset(split_token(token.strip()) for token in tokens)
     repeated = cluster & seen
     if repeated:
-        lemma, pos = min(repeated)
-        raise ValueError(f"{lemma}_{pos} appears in more than one cluster")
+        raise ValueError(f"{join_token(min(repeated))} appears in more than one "
+                         "cluster")
     seen.update(cluster)
     return cluster
 

@@ -562,6 +562,18 @@ class TestStagePipeline:
                      "probabilities.tsv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_artifacts_follow_the_umask(self, tmp_path, synthetic_paths):
+        # every file a stage writes is created as open() creates one
+        previous = os.umask(0o022)
+        try:
+            run_stages(synthetic_paths, tmp_path / "out")
+        finally:
+            os.umask(previous)
+        modes = {path.name: oct(path.stat().st_mode & 0o777)
+                 for path in (tmp_path / "out").iterdir()}
+        assert "model.json" in modes and "dataset_1850_1900_1950.json" in modes
+        assert set(modes.values()) == {"0o644"}, modes
+
     def test_train_feature_subset_flags(self, tmp_path, synthetic_paths):
         from lexevo.model import load_model
 
@@ -725,6 +737,48 @@ class TestArtifactReaders:
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"{sidecar}: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target, message", [
+        ("0", "need vectors in both classes, got "),
+        ("", "has no target class"),
+    ], ids=["one_class", "unlabelled_row"])
+    def test_unfittable_features(self, tmp_path, synthetic_paths, stage_dir, capsys,
+                                 target, message):
+        # the first row, or every row, gets the target; the error names the file
+        name = "features_1850_1900_1950.tsv"
+        lines = (stage_dir / name).read_text().splitlines()
+        edit = lines[1:] if target == "0" else lines[1:2]
+        column = lines[0].split("\t").index("target_class")
+        for i, line in enumerate(edit, start=1):
+            fields = line.split("\t")
+            fields[column] = target
+            lines[i] = "\t".join(fields)
+        features = tmp_path / name
+        features.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--features", str(features)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"evocli: error: {features}: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_member_birth(self, tmp_path, synthetic_paths, stage_dir, capsys):
+        # a sidecar that gives a dataset member no birth year names the
+        # sidecar and the member
+        name = "dataset_1850_1900_1950"
+        dataset = shutil.copy(stage_dir / f"{name}.tsv", tmp_path)
+        sidecar = json.loads((stage_dir / f"{name}.json").read_text())
+        member = min(sidecar["births"])
+        sidecar["births"][member] = None
+        (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{tmp_path / name}.json: key 'births' maps dataset member {member} "
+                "to null") in err
         assert "Traceback" not in err
 
     def test_one_member_synset(self, tmp_path, synthetic_paths, stage_dir, capsys):

@@ -12,8 +12,10 @@ from lexevo.corpus import (
     CorpusTable,
     LoadReport,
     birth_years,
+    join_token,
     load_corpus,
     period_count,
+    split_token,
     synset_annual_shares,
 )
 from lexevo.errors import DataError
@@ -26,6 +28,16 @@ def load_text(tmp_path, text, filter_keys):
     path = tmp_path / "part.tsv"
     path.write_text(text)
     return load_corpus([str(path)], filter_keys)
+
+
+class TestTokens:
+    def test_join_token(self):
+        assert join_token(("un_der", "VERB")) == "un_der_VERB"
+
+    @given(st.text(min_size=1), st.text(min_size=1).filter(lambda pos: "_" not in pos))
+    def test_split_inverts_join(self, lemma, pos):
+        # the lemma may hold underscores: the split is on the last one
+        assert split_token(join_token((lemma, pos))) == (lemma, pos)
 
 
 class TestParseNgramRow:

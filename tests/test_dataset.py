@@ -195,36 +195,61 @@ class TestDatasetSerialization:
             "two": {1850: 4, 1900: 3, 1950: 1},
         })
         ds = build_dataset([synset("one", "two")], table, WINDOW)
-        ds.births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1850}
+        births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1850}
         tsv = tmp_path / "dataset.tsv"
-        write_dataset(ds, str(tsv))
+        write_dataset(ds, str(tsv), CatVarClusters(), births)
         assert (tmp_path / "dataset.json").exists()
-        loaded = read_dataset(str(tsv))
+        loaded, clusters, loaded_births = read_dataset(str(tsv))
         assert loaded.window == ds.window
         assert loaded.summary() == ds.summary()
         original = {str(s): c for s, c in ds.snapshots[0].counts.items()}
         restored = {str(s): c for s, c in loaded.snapshots[0].counts.items()}
         assert restored == original
+        assert (clusters.clusters, loaded_births) == ([], births)
 
     def test_births_roundtrip(self, tmp_path):
+        # the sidecar keeps only the clusters that hold a member, and the
+        # births of the members and their cluster-mates, null when unborn
         table = table_for({
             "one": {1850: 2, 1900: 5, 1950: 9},
             "two": {1850: 4, 1900: 3, 1950: 1},
         })
         ds = build_dataset([synset("one", "two")], table, WINDOW)
-        ds.births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1700,
-                     ("un_der", "VERB"): None}
-        ds.clusters = CatVarClusters([frozenset({("un_der", "VERB"), ("one", "NOUN")})])
+        births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1700,
+                  ("other", "NOUN"): 1600, ("other", "VERB"): 1650}
+        held = frozenset({("un_der", "VERB"), ("one", "NOUN")})
+        clusters = CatVarClusters([frozenset({("other", "NOUN"), ("other", "VERB")}),
+                                   held])
         tsv = tmp_path / "dataset.tsv"
-        write_dataset(ds, str(tsv))
+        write_dataset(ds, str(tsv), clusters, births)
         sidecar = json.loads((tmp_path / "dataset.json").read_text())
         assert sidecar.pop("births") == {"one_NOUN": 1850, "two_NOUN": 1700,
                                          "un_der_VERB": None}
         assert sidecar.pop("clusters") == [["one_NOUN", "un_der_VERB"]]
         assert sidecar == ds.summary()
-        loaded = read_dataset(str(tsv))
-        assert loaded.births == ds.births
-        assert loaded.clusters.clusters == ds.clusters.clusters
+        _, loaded_clusters, loaded_births = read_dataset(str(tsv))
+        assert loaded_births == {("one", "NOUN"): 1850, ("two", "NOUN"): 1700,
+                                 ("un_der", "VERB"): None}
+        assert loaded_clusters.clusters == [held]
+
+    def test_null_member_birth(self, tmp_path):
+        # a member has a nonzero present count, so a birth year; a
+        # cluster-mate may have none
+        tsv = self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                         "x1\ttwo#n#1\t4\t3\t1"])
+        sidecar = tmp_path / "dataset.json"
+        sidecar.write_text(json.dumps({
+            "window": [1850, 1900, 1950], "clusters": [["two_NOUN", "twin_VERB"]],
+            "births": {"one_NOUN": 1850, "two_NOUN": None, "twin_VERB": None}}))
+        with pytest.raises(DataError) as info:
+            read_dataset(tsv)
+        assert str(info.value) == (f"{sidecar}: key 'births' maps dataset member "
+                                   "two_NOUN to null; a member needs a year")
+        sidecar.write_text(json.dumps({
+            "window": [1850, 1900, 1950], "clusters": [["two_NOUN", "twin_VERB"]],
+            "births": {"one_NOUN": 1850, "two_NOUN": 1850, "twin_VERB": None}}))
+        _, _, births = read_dataset(tsv)
+        assert births[("twin", "VERB")] is None
 
     @pytest.mark.parametrize("births, message", [
         ([], "key 'births' must map lemma_POS tokens to years, got list"),
@@ -323,7 +348,7 @@ class TestDatasetSerialization:
             with open(sidecar, "w", encoding="utf-8") as handle:
                 handle.write(self.SIDECAR)
             try:
-                dataset = read_dataset(tsv)
+                dataset, _, _ = read_dataset(tsv)
             except DataError as exc:
                 # a sense fuzzed into another valid one has no birth year
                 message = str(exc)

@@ -321,6 +321,35 @@ class TestSerialization:
         write_feature_vectors(vectors, path)
         assert read_feature_vectors(path) == vectors
 
+    # a distinct value per scalar, as the file writes it
+    SCALARS = {"normalized_length": "0.5", "syllable_count": "2",
+               "shared_ngrams": "0.25", "categorial_variations": "3",
+               "relative_growth": "0.125", "linear_extrapolation": "-0.75",
+               "present_age": "4"}
+
+    @pytest.mark.parametrize("order", ["declared", "reversed"])
+    def test_each_scalar_under_its_own_column(self, tmp_path, monkeypatch, order):
+        # the rows follow SCALAR_FEATURES, whatever its order, and so does
+        # the header derived from it
+        from lexevo import features
+
+        if order == "reversed":
+            scalars = features.SCALAR_FEATURES[::-1]
+            monkeypatch.setattr(features, "SCALAR_FEATURES", scalars)
+            monkeypatch.setattr(features, "FEATURE_COLUMNS", (
+                "synset_id", "sense_id", *scalars, "target_class", "unique_ngrams"))
+        assert set(self.SCALARS) == set(features.SCALAR_FEATURES)
+        vector = FeatureVector(
+            sense=SenseId("rapt", "a", 1), synset_id="a00001", unique_ngrams=("pt|",),
+            target_class=1, **{name: (int if text.isdigit() else float)(text)
+                               for name, text in self.SCALARS.items()})
+        path = tmp_path / "features.tsv"
+        write_feature_vectors([vector], str(path))
+        header, row = (line.split("\t") for line in path.read_text().splitlines())
+        assert header == list(features.FEATURE_COLUMNS)
+        assert {name: row[header.index(name)] for name in self.SCALARS} == self.SCALARS
+        assert read_feature_vectors(str(path)) == [vector]
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("wrong\theader\n")
