@@ -162,8 +162,18 @@ def _require(config, *names):
 
 
 def _load_inputs(config):
-    """Load corpus + lexicon (+ clusters) into PipelineInputs."""
+    """Load corpus + lexicon (+ clusters) into PipelineInputs.
+
+    Two corpus entries naming one file would count its rows twice, so they
+    are a usage error, found before any input is read.
+    """
     _require(config, "corpus", "lexicon")
+    real = [os.path.realpath(path) for path in config.corpus]
+    for i, path in enumerate(config.corpus):
+        if real[i] in real[:i]:
+            first = config.corpus[real.index(real[i])]
+            same = "" if first == path else f" (the same file as {first})"
+            raise UsageError(f"repeated corpus file {path}{same}")
     return experiments_mod.load_pipeline_inputs(
         config.corpus, config.lexicon, config.catvar, config.syllables)
 
@@ -173,7 +183,7 @@ def cmd_ingest(args, config):
     lines = []
     for key in sorted(inputs.corpus.keys()):
         token = corpus_mod.join_token(key)
-        for year, count in inputs.corpus.series(key).items():
+        for year, count in inputs.corpus.counts(key):
             lines.append(f"{token}\t{year}\t{count}\t0")
     atomic_write_text(os.path.join(config.out, "corpus.tsv"),
                       "\n".join(lines) + "\n")

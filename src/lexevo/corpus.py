@@ -13,12 +13,23 @@ Rows grouped by token, as the published files and evocli ingest's
 corpus.tsv list each word's years one after another, are the fast path:
 a token is split and looked up once per run of rows.  Rows in any other
 order load to the same table and counts, at one lookup per row.
+
+Memory per kept row.  While a key's years strictly increase, as they do
+in the published files and in corpus.tsv, each row is appended to two
+typed arrays: 2 B of year (array('H')) and 8 B of running sum
+(array('q')).  Any other row goes to a year -> count dict of the key,
+about 100 B a row, merged with the arrays when the table is built.  The
+table keeps 16 B a row: a tuple of shared year ints (8 B of pointer) and
+the array('q') of sums.  Counts are signed 64-bit: a count or a key's
+total above 2**63 - 1 is a DataError naming the file and the token.
 """
 
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from ._util import open_maybe_gzip, undecodable_line
 from .errors import DataError
@@ -32,6 +43,14 @@ HALF_WIDTH = 5
 # characters read from a corpus stream at a time; a 1 MiB block raised the
 # peak memory by about 3 MiB
 BLOCK_SIZE = 1 << 16
+
+# the largest count, and key total, that the table's array('q') sums hold
+MAX_TOTAL = (1 << 63) - 1
+
+# one int object per year, indexed by year: every table's year tuples share
+# them, so a year costs a key 8 B of pointer, not a 28 B int of its own.
+# array('H') years would cost 2 B, but bisect boxes every probe of an array.
+_YEARS = tuple(range(MAX_YEAR + 1))
 
 
 def split_token(token):
@@ -62,34 +81,90 @@ class LoadReport:
 _NO_SUMS = ((), (0,))
 
 
+class _Rows:
+    """One key's rows while they load.
+
+    years (array('H')) and cum (array('q'), cum[0] = 0) hold the rows that
+    arrived in strictly increasing year order: each is appended with the
+    running sum of the counts so far.  Any other row is added to extra, a
+    year -> count dict (None until such a row arrives).
+    """
+
+    __slots__ = ("years", "cum", "extra")
+
+    def __init__(self, extra=None):
+        self.years = array("H")
+        self.cum = array("q", (0,))
+        self.extra = extra
+
+    def sums(self):
+        """(years, cum) as CorpusTable stores them: years a tuple of the
+        shared _YEARS ints, cum the cumulative sums as an array('q').
+
+        The in-order rows are used as they are; extra rows are summed per
+        year with them, in place, so this is called once, when the table is
+        built.  OverflowError when the total is above MAX_TOTAL.
+        """
+        extra = self.extra
+        if not extra:
+            return tuple([_YEARS[year] for year in self.years]), self.cum
+        for year, count in zip(self.years, map(sub, self.cum[1:], self.cum)):
+            extra[year] = extra.get(year, 0) + count
+        years = sorted(extra)
+        # array('q') takes a list faster than an iterator
+        return (tuple([_YEARS[year] for year in years]),
+                array("q", list(accumulate(map(extra.__getitem__, years), initial=0))))
+
+
 class CorpusTable:
     """Immutable map from (lemma, POS) keys to period-sum lookups.
 
     Each key is stored once, as (years, cum): the sorted tuple of its
-    attested years and the cumulative sums of their counts, cum[i] being
-    the sum of the first i counts.  Any period sum is then two bisections
-    and a subtraction (period_count).  The constructor takes key ->
-    {year: non-negative count} dicts whose duplicate rows are already
-    summed, so the table is identical however the input rows were sharded
-    or ordered.  It keeps no reference to those dicts.
+    attested years and the array('q') of cumulative sums of their counts,
+    cum[i] being the sum of the first i counts.  Any period sum is then two
+    bisections and a subtraction (period_count).  A year is one of the
+    module's shared int objects, so a row costs the table 16 B: 8 B of
+    pointer in years and 8 B of sum.
+
+    The constructor takes key -> {year: non-negative count} dicts, years
+    in [MIN_YEAR, MAX_YEAR] (ValueError otherwise), and
+    load_corpus passes the rows it streamed instead; both are merged the
+    same way (duplicate years summed, years sorted), so the table is
+    identical however the input rows were sharded or ordered.  It keeps no
+    reference to the dicts.  A key whose total is above 2**63 - 1 is a
+    DataError naming it.
     """
 
     def __init__(self, series):
         self._sums = {}
-        for key, points in series.items():
-            years = tuple(sorted(points))
-            self._sums[key] = (years, tuple(accumulate(
-                (points[year] for year in years), initial=0)))
+        for key, rows in series.items():
+            if not isinstance(rows, _Rows):
+                # _YEARS[year] would wrap a negative year round silently
+                if any(not MIN_YEAR <= year <= MAX_YEAR for year in rows):
+                    raise ValueError(f"{join_token(key)} has a year outside "
+                                     f"[{MIN_YEAR}, {MAX_YEAR}]")
+                rows = _Rows(dict(rows))
+            try:
+                self._sums[key] = rows.sums()
+            except OverflowError:
+                raise DataError(f"the counts of {join_token(key)} total more "
+                                f"than {MAX_TOTAL}") from None
 
     def sums(self, key):
-        """(years, cumulative sums) of key, as period_count takes them."""
+        """(years, cumulative sums) of key, as period_count takes them;
+        the caller must not modify them."""
         return self._sums.get(key, _NO_SUMS)
+
+    def counts(self, key):
+        """(year, count) pairs of key in year order, attested zero counts
+        included; none when absent."""
+        years, cum = self.sums(key)
+        return zip(years, map(sub, cum[1:], cum))
 
     def series(self, key):
         """Year -> count mapping for key, attested zero counts included;
         empty dict when absent."""
-        years, cum = self.sums(key)
-        return {year: cum[i + 1] - cum[i] for i, year in enumerate(years)}
+        return dict(self.counts(key))
 
     def keys(self):
         return self._sums.keys()
@@ -99,14 +174,15 @@ class CorpusTable:
 
 
 def _read_rows(source, filter_keys, series, report):
-    """Sum one stream's kept rows into series and count them in report.
+    """Add one stream's kept rows to series and count them in report.
 
-    series maps each key to a year -> count dict.  A row is kept only if
-    it has four tab-separated columns, a lemma_POS token, integer fields,
-    a year in [MIN_YEAR, MAX_YEAR] and non-negative counts; any other
-    non-blank row is skipped and counted, whatever its token, and a valid
-    row outside filter_keys is counted as filtered.  Duplicate (key, year)
-    rows are summed.
+    series maps each key to its _Rows.  A row is kept only if it has four
+    tab-separated columns, a lemma_POS token, integer fields, a year in
+    [MIN_YEAR, MAX_YEAR] and non-negative counts; any other non-blank row
+    is skipped and counted, whatever its token, and a valid row outside
+    filter_keys is counted as filtered.  Rows of one (key, year) are
+    summed, by the time the table is built.  OverflowError naming the
+    token when a key's total gets above MAX_TOTAL.
 
     The stream is read in blocks of BLOCK_SIZE characters.  A valid row's
     token is split and looked up only when it differs from the last valid
@@ -115,9 +191,12 @@ def _read_rows(source, filter_keys, series, report):
     if not filter_keys:
         raise DataError("empty vocabulary filter")
     kept = filtered = skipped = 0
-    # the last valid row's token and its key's year -> count dict, None
-    # while that key is filtered
-    last = acc = None
+    # the last valid row's token and its key's _Rows, None while that key
+    # is filtered; for that key, the appenders of its in-order arrays, its
+    # last in-order year, its in-order total and its extra rows
+    last = rows = extra = None
+    add_year = add_sum = None
+    top = total = 0
     tail = ""
     while True:
         block = source.read(BLOCK_SIZE)
@@ -135,23 +214,43 @@ def _read_rows(source, filter_keys, series, report):
                     raise ValueError
                 if token != last:
                     key = split_token(token)
-                    last, acc = token, None
+                    last, rows = token, None
                     if key in filter_keys:
-                        acc = series.get(key)
-                        if acc is None:
-                            acc = series[key] = {}
+                        rows = series.get(key)
+                        if rows is None:
+                            rows = series[key] = _Rows()
+                        add_year, add_sum = rows.years.append, rows.cum.append
+                        top = rows.years[-1] if rows.years else 0
+                        total = rows.cum[-1]
+                        extra = rows.extra
             except ValueError:
                 # a blank line fails the column or token check and is not a row
                 if line.strip():
                     skipped += 1
                 continue
-            if acc is None:
+            if rows is None:
                 filtered += 1
                 continue
-            acc[year] = acc.get(year, 0) + match_count
+            if year > top:
+                total += match_count
+                try:
+                    add_sum(total)
+                except OverflowError:
+                    raise OverflowError(token) from None
+                add_year(year)
+                top = year
+            else:
+                if extra is None:
+                    extra = rows.extra = {}
+                extra[year] = extra.get(year, 0) + match_count
             kept += 1
         if not block:
             break
+    # the in-order sums are bounded as they grow; a key with extra rows is
+    # checked once per stream, so the stream that overflows it is named
+    for key, rows in series.items():
+        if rows.extra and rows.cum[-1] + sum(rows.extra.values()) > MAX_TOTAL:
+            raise OverflowError(join_token(key))
     report.rows_kept += kept
     report.rows_filtered += filtered
     report.rows_skipped += skipped
@@ -160,10 +259,11 @@ def _read_rows(source, filter_keys, series, report):
 def load_corpus(paths, filter_keys):
     """Load and merge one or more unigram files (.tsv or .tsv.gz).
 
-    Every file's rows are summed into one series map and a single table
-    is built from it, so the result is independent of file order.  A file
-    that cannot be opened, decompressed or decoded as UTF-8 is a
-    DataError naming it.
+    Every file's rows are added to one set of per-key rows and a single
+    table is built from them, so the result is independent of file order.
+    A file that cannot be opened, decompressed or decoded as UTF-8 is a
+    DataError naming it, and so is a file whose rows take a key's total
+    above 2**63 - 1, naming the token too.
     """
     series = {}
     report = LoadReport()
@@ -177,6 +277,9 @@ def load_corpus(paths, filter_keys):
                             f"({exc.reason})") from exc
         except (OSError, EOFError, zlib.error) as exc:
             raise DataError(f"cannot read corpus file {path}: {exc}") from exc
+        except OverflowError as exc:
+            raise DataError(f"corpus file {path}: the counts of {exc} total "
+                            f"more than {MAX_TOTAL}") from None
     return CorpusTable(series), report
 
 

@@ -281,11 +281,12 @@ def welch_t_test(mean1, var1, n1, mean2, var2, n2):
     # overflow, and every intermediate is an exact multiple of the unscaled
     # one, so df is the unscaled formula's wherever that one stays in range.
     # ldexp scales each term directly: below 2**-1024 the factor itself
-    # would overflow.
+    # would overflow.  Squares are products: x ** 2 goes through C pow,
+    # which is not correctly rounded, so its scaling would not be exact.
     a, b = var1 / n1, var2 / n2
     exponent = math.frexp(max(a, b))[1]
     a, b = math.ldexp(a, -exponent), math.ldexp(b, -exponent)
-    df = (a + b) ** 2 / (a ** 2 / (n1 - 1) + b ** 2 / (n2 - 1))
+    df = (a + b) * (a + b) / (a * a / (n1 - 1) + b * b / (n2 - 1))
     p = student_t_two_tailed_p(t, df)
     return t, df, p, p < 0.05
 

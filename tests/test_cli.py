@@ -291,6 +291,29 @@ class TestExitCodes:
         assert f"argument {flag}: " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flags", "other_spelling", "config"])
+    def test_repeated_corpus_is_usage_error(self, tmp_path, synthetic_paths, capsys,
+                                            source):
+        # one file given twice would double every count; it is refused
+        # before any input is read, as the missing lexicon here shows
+        corpus = synthetic_paths["corpus"]
+        folder, name = os.path.split(corpus)
+        again = corpus if source != "other_spelling" else os.path.join(
+            folder, "..", os.path.basename(folder), name)
+        if source == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text(f"corpus = {corpus}, {again}\n")
+            argv = ["--config", str(conf)]
+        else:
+            argv = ["--corpus", corpus, "--corpus", again]
+        code = main(["ingest"] + argv + ["--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"repeated corpus file {again}" in err
+        assert (f"(the same file as {corpus})" in err) is (again != corpus)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         [command, "--seed", "1"] for command in (
             "ingest", "build-dataset", "ablate", "sweep", "interpret")

@@ -1,5 +1,8 @@
 import gzip
 import random
+import tracemalloc
+from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 from lexevo.corpus import (
     BLOCK_SIZE,
     HALF_WIDTH,
+    MAX_TOTAL,
     MAX_YEAR,
     MIN_YEAR,
     CorpusTable,
@@ -433,3 +437,124 @@ def test_corpus_table_merge_sums_duplicates(tmp_path):
     b.write_text("rapt_ADJ\t1900\t2\t1\nrapt_ADJ\t1901\t3\t1\n")
     table, _ = load_corpus([str(a), str(b)], {RAPT})
     assert table.series(RAPT) == {1900: 3, 1901: 3}
+
+
+ZEBRA = ("zebra", "NOUN")
+
+
+class TestCompactTable:
+    """The table's layout: (years, cum) per key, years shared ints and cum
+    an array('q'), however the rows arrived."""
+
+    def test_sums_are_shared_years_and_a_q_array(self, tmp_path):
+        # rapt's rows arrive in year order, zebra's do not
+        text = ("rapt_ADJ\t1900\t1\t1\nrapt_ADJ\t1901\t2\t1\n"
+                "zebra_NOUN\t1901\t3\t1\nzebra_NOUN\t1900\t4\t1\n")
+        table, _ = load_text(tmp_path, text, {RAPT, ZEBRA})
+        built = CorpusTable({RAPT: {int("1900"): 5, int("1901"): 6}})
+        sums = [table.sums(RAPT), table.sums(ZEBRA), built.sums(RAPT)]
+        for years, cum in sums:
+            assert type(years) is tuple and years == (1900, 1901)
+            assert type(cum) is array and cum.typecode == "q"
+        assert [cum.tolist() for _, cum in sums] == [[0, 1, 3], [0, 4, 7], [0, 5, 11]]
+        for i in range(2):
+            first = sums[0][0][i]
+            assert all(years[i] is first for years, _ in sums)
+
+    @pytest.mark.parametrize("year", [-5, MIN_YEAR - 1, MAX_YEAR + 1])
+    def test_series_year_out_of_range_rejected(self, year):
+        with pytest.raises(ValueError, match="rapt_ADJ has a year outside"):
+            CorpusTable({RAPT: {1900: 1, year: 1}})
+
+    @given(st.lists(st.tuples(st.sampled_from([RAPT, ZEBRA, ("a_b", "NOUN")]),
+                              st.integers(1898, 1906), st.integers(0, 10 ** 12)),
+                    max_size=40),
+           st.data())
+    def test_any_order_sharding_and_repetition_sum_alike(self, tmp_path_factory,
+                                                         rows, data):
+        # runs of years in order, years that go back and years that repeat,
+        # dealt to one to three files in any order, against a dict sum
+        shards = data.draw(st.integers(1, 3), label="shards")
+        dealt = data.draw(st.lists(st.integers(0, shards - 1), min_size=len(rows),
+                                   max_size=len(rows)), label="dealt")
+        expected = {}
+        texts = [""] * shards
+        for (key, year, count), shard in zip(rows, dealt):
+            points = expected.setdefault(key, {})
+            points[year] = points.get(year, 0) + count
+            texts[shard] += f"{join_token(key)}\t{year}\t{count}\t1\n"
+        folder = tmp_path_factory.mktemp("shards")
+        paths = []
+        for i, text in enumerate(texts):
+            path = folder / f"part{i}.tsv"
+            path.write_text(text)
+            paths.append(str(path))
+        table, report = load_corpus(paths, {RAPT, ZEBRA, ("a_b", "NOUN")})
+        assert report == LoadReport(rows_kept=len(rows))
+        assert set(table.keys()) == set(expected)
+        built = CorpusTable(expected)
+        for key, points in expected.items():
+            years = sorted(points)
+            cum = list(accumulate((points[y] for y in years), initial=0))
+            for got in (table.sums(key), built.sums(key)):
+                assert got[0] == tuple(years) and got[1].tolist() == cum
+
+
+class TestCountLimits:
+    """Counts are summed in signed 64 bits."""
+
+    @pytest.mark.parametrize("shards", [
+        ["rapt_ADJ\t1900\t9223372036854775808\t1\n"],
+        ["rapt_ADJ\t1901\t1\t1\nrapt_ADJ\t1900\t9223372036854775808\t1\n"],
+        ["rapt_ADJ\t1900\t4611686018427387904\t1\n"
+         "rapt_ADJ\t1901\t4611686018427387904\t1\n"],
+        ["rapt_ADJ\t1900\t4611686018427387904\t1\n",
+         "rapt_ADJ\t1901\t4611686018427387904\t1\n"],
+        ["rapt_ADJ\t1901\t4611686018427387904\t1\n",
+         "rapt_ADJ\t1900\t1\t1\nrapt_ADJ\t1900\t4611686018427387903\t1\n"],
+    ], ids=["count", "count_out_of_order", "total", "total_across_files",
+            "total_out_of_order_across_files"])
+    def test_oversize_is_named(self, tmp_path, shards):
+        # the error names the file whose rows take the total past 2**63 - 1
+        paths = []
+        for i, text in enumerate(shards):
+            path = tmp_path / f"part{i}.tsv"
+            path.write_text("zebra_NOUN\t1900\t1\t1\n" + text)
+            paths.append(str(path))
+        with pytest.raises(DataError) as raised:
+            load_corpus(paths, {RAPT, ZEBRA})
+        assert str(raised.value) == (f"corpus file {paths[-1]}: the counts of "
+                                     f"rapt_ADJ total more than {MAX_TOTAL}")
+
+    def test_largest_total_loads(self, tmp_path):
+        text = ("rapt_ADJ\t1901\t4611686018427387904\t1\n"
+                "rapt_ADJ\t1900\t4611686018427387903\t1\n")
+        table, _ = load_text(tmp_path, text, {RAPT})
+        assert table.sums(RAPT)[1][-1] == MAX_TOTAL == 2 ** 63 - 1
+
+    def test_oversize_series_is_named(self):
+        with pytest.raises(DataError, match=f"the counts of rapt_ADJ total more "
+                                            f"than {MAX_TOTAL}"):
+            CorpusTable({RAPT: {1900: 2 ** 62, 1901: 2 ** 62}})
+
+
+def test_in_order_rows_load_in_few_bytes(tmp_path):
+    # 20,000 rows of 100 keys in year order: the table keeps 16 B a row
+    # (years as pointers to shared ints, sums as array('q')), and the load
+    # holds 10 B a row of typed arrays beside the block being read; one
+    # year -> count dict per key would take about 150 B a row
+    rng = random.Random(3)
+    keys = {(f"w{i}", "NOUN") for i in range(100)}
+    path = tmp_path / "part.tsv"
+    path.write_text("".join(f"w{i}_NOUN\t{year}\t{rng.randint(0, 10 ** 6)}\t1\n"
+                            for i in range(100) for year in range(1800, 2000)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table, report = load_corpus([str(path)], keys)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.rows_kept == 20_000 and len(table) == 100
+    assert (retained - before) / 20_000 <= 24
+    assert (peak - before) / 20_000 <= 64
