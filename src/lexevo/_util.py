@@ -2,6 +2,7 @@
 atomic writes."""
 
 import gzip
+import itertools
 import json
 import os
 import zlib
@@ -93,17 +94,21 @@ def read_tsv(path, columns, parse):
 
 
 def write_tsv(path, columns, rows):
-    """Atomically write a TSV table: the columns, then each row of strings."""
-    lines = ["\t".join(columns)]
-    lines.extend(map("\t".join, rows))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Atomically write a TSV table: the columns, then each row of strings,
+    each line written as rows yields it."""
+    atomic_write_lines(path, ("\t".join(fields) + "\n"
+                              for fields in itertools.chain([columns], rows)))
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename in the same directory.
+def atomic_write_lines(path, lines):
+    """Write each string of lines to path via a temp file + rename in the
+    same directory; the strings carry their own newlines.
 
-    The temp file is created as open() creates a file, its mode 0666 less
-    the umask, which the rename keeps (tempfile.mkstemp would make it 0600).
+    lines is consumed while the temp file is open, so a table is never
+    held whole.  Whatever is raised, by lines too, unlinks the temp file
+    and leaves path as it was.  The temp file is created as open() creates
+    a file, its mode 0666 less the umask, which the rename keeps
+    (tempfile.mkstemp would make it 0600).
     """
     path = str(path)
     directory = os.path.dirname(path) or "."
@@ -112,7 +117,7 @@ def atomic_write_text(path, text):
     handle = open(tmp, "x", encoding="utf-8")  # "x": never an existing file
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,4 +126,4 @@ def atomic_write_text(path, text):
 
 
 def atomic_write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])

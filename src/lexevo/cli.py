@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 
 import argparse
 import csv
-import io
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from . import corpus as corpus_mod
 from . import dataset as dataset_mod
@@ -19,7 +20,7 @@ from . import evaluate as evaluate_mod
 from . import experiments as experiments_mod
 from . import features as features_mod
 from . import model as model_mod
-from ._util import atomic_write_json, atomic_write_text, read_tsv, write_tsv
+from ._util import atomic_write_json, atomic_write_lines, read_tsv, write_tsv
 from .errors import DataError, LexevoError, UsageError
 from .lexicon import SenseId
 
@@ -180,13 +181,15 @@ def _load_inputs(config):
 
 def cmd_ingest(args, config):
     inputs, _, report = _load_inputs(config)
-    lines = []
-    for key in sorted(inputs.corpus.keys()):
-        token = corpus_mod.join_token(key)
-        for year, count in inputs.corpus.counts(key):
-            lines.append(f"{token}\t{year}\t{count}\t0")
-    atomic_write_text(os.path.join(config.out, "corpus.tsv"),
-                      "\n".join(lines) + "\n")
+    table = inputs.corpus
+
+    def lines():  # one string of rows per key: the table is never copied whole
+        for key in sorted(table.keys()):
+            token = corpus_mod.join_token(key)
+            yield "".join(f"{token}\t{year}\t{count}\t0\n"
+                          for year, count in table.counts(key))
+
+    atomic_write_lines(os.path.join(config.out, "corpus.tsv"), lines())
     atomic_write_json(os.path.join(config.out, "ingest_report.json"), {
         "rows_kept": report.rows_kept,
         "rows_filtered": report.rows_filtered,
@@ -240,13 +243,15 @@ PROBABILITY_COLUMNS = ("synset_id", "sense_id", "win_probability", "log_odds")
 def cmd_predict(args, config):
     vectors = features_mod.read_feature_vectors(args.features)
     fitted = model_mod.load_model(args.model)
-    rows = []
-    for v in vectors:
-        odds = model_mod.win_log_odds(fitted, v)
-        rows.append((v.synset_id, str(v.sense), repr(model_mod.logistic(odds)),
-                     repr(odds)))
+
+    def rows():
+        for v in vectors:
+            odds = model_mod.win_log_odds(fitted, v)
+            yield (v.synset_id, str(v.sense), repr(model_mod.logistic(odds)),
+                   repr(odds))
+
     write_tsv(os.path.join(config.out, "probabilities.tsv"), PROBABILITY_COLUMNS,
-              rows)
+              rows())
     return EXIT_OK
 
 
@@ -299,10 +304,12 @@ def _report_dir(config, experiment, window):
 
 
 def _write_report(directory, report, **tables):
-    """Write report.json, and <name>.csv of each table of dict rows."""
+    """Write report.json, and <name>.csv of each table of dict rows, its
+    header the first row's keys."""
     atomic_write_json(os.path.join(directory, "report.json"), report)
     for name, rows in tables.items():
-        atomic_write_text(os.path.join(directory, f"{name}.csv"), _rows_to_csv(rows))
+        atomic_write_lines(os.path.join(directory, f"{name}.csv"), _csv_lines(
+            list(rows[0]) if rows else [], (row.values() for row in rows)))
 
 
 def cmd_ablate(args, config):
@@ -347,29 +354,21 @@ def cmd_plot_data(args, config):
                         "least 3 letters")
     member_series = [inputs.corpus.series(m.corpus_key()) for m in synset.members]
     rows = corpus_mod.synset_annual_shares(member_series, args.years)
-    atomic_write_text(
+    atomic_write_lines(
         os.path.join(config.out, f"shares_{synset.id}.csv"),
-        _table_csv(["year", *synset.lemmas()],
+        _csv_lines(["year", *synset.lemmas()],
                    ([year, *(f"{share:.6f}" for share in shares)]
                     for year, shares in rows)),
     )
     return EXIT_OK
 
 
-def _table_csv(header, rows):
-    """CSV text of a header and rows of values, one line each."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def _rows_to_csv(rows):
-    """CSV text of dict rows, the header taken from the first row's keys;
-    no rows give an empty line."""
-    return _table_csv(list(rows[0]) if rows else [],
-                      (row.values() for row in rows))
+def _csv_lines(header, rows):
+    """The CSV lines of a header and rows of values, each formatted as it
+    is read: writerow returns what the file's write returns, here (str) the
+    line itself.  An empty header gives an empty line."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return map(writer.writerow, itertools.chain([header], rows))
 
 
 def _common_flags():

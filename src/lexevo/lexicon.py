@@ -34,10 +34,18 @@ class SenseId:
 
     @classmethod
     def parse(cls, text):
+        """The sense whose canonical text, str(sense), is text: a non-empty
+        lemma, a lexicon pos and k >= 1 in plain decimal digits, so that
+        rapt#a#01, rapt#a#0 and #a#1 are refused, each a ValueError."""
         parts = text.split("#")
-        if len(parts) != 3 or parts[1] not in POS_TO_CORPUS:
+        try:
+            sense = cls(parts[0], parts[1], int(parts[2]))
+        except (IndexError, ValueError):
+            sense = None
+        if (sense is None or not sense.lemma or sense.pos not in POS_TO_CORPUS
+                or sense.sense_number < 1 or str(sense) != text):
             raise ValueError(f"bad sense id {text!r}")
-        return cls(parts[0], parts[1], int(parts[2]))
+        return sense
 
     def corpus_key(self):
         """The (lemma, corpus POS tag) key of this sense, e.g. ('rapt', 'ADJ')."""

@@ -1,6 +1,7 @@
 import argparse
 import gzip
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -371,6 +373,54 @@ class TestIngest:
         assert report["rows_kept"] > 0
         assert (out / "corpus.tsv").exists()
 
+    def test_no_kept_row_writes_an_empty_corpus(self, tmp_path, synthetic_paths):
+        # a corpus of no lexicon word: corpus.tsv has no byte, not a blank
+        # line, and build-dataset on it removes every synset as dead_word
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("zzzzz_NOUN\t1900\t5\t1\n")
+        out = tmp_path / "out"
+        flags = ["--lexicon", synthetic_paths["lexicon"], "--out", str(out)]
+        assert main(["ingest", "--corpus", str(corpus)] + flags) == EXIT_OK
+        assert (out / "corpus.tsv").read_bytes() == b""
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert (report["rows_kept"], report["keys"]) == (0, 0)
+        assert report["eligible_synsets"] == 50
+        assert main(["build-dataset", "--corpus", str(out / "corpus.tsv")]
+                    + flags) == EXIT_OK
+        sidecars = sorted(out.glob("dataset_*.json"))
+        assert len(sidecars) == 3  # the windows of cycle 50
+        for sidecar in sidecars:
+            summary = json.loads(sidecar.read_text())
+            assert summary["synsets"] == 0
+            assert summary["removals"] == {"dead_word": 50}
+
+    def test_ingest_holds_few_bytes_beyond_the_load(self, tmp_path):
+        # 20,000 in-order rows of 100 words: the load alone peaks at about
+        # 48 B a row (test_corpus bounds it by 64), and corpus.tsv streams
+        # one key at a time, so the whole command stays in the load's
+        # bound; building every line first took about 150 B a row
+        lemmas = ["w" + "".join(letters) for letters in
+                  itertools.product("abcdefghij", repeat=2)]
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("".join(f"s{i:05d}\tn\t{lemmas[2 * i]},{lemmas[2 * i + 1]}\n"
+                                   for i in range(50)))
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("".join(f"{lemma}_NOUN\t{year}\t{year * 7 % 1000}\t1\n"
+                                  for lemma in lemmas for year in range(1800, 2000)))
+        out = tmp_path / "out"
+        argv = ["ingest", "--corpus", str(corpus), "--lexicon", str(lexicon),
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert json.loads((out / "ingest_report.json").read_text())["rows_kept"] == 20_000
+        assert (peak - before) / 20_000 <= 64
+
 
 def tree_sha256(directory, names=None):
     """sha256 over the sorted file names and contents of a directory, or of
@@ -627,22 +677,31 @@ class TestArtifactReaders:
         run_stages(synthetic_paths, out)
         return out
 
+    @staticmethod
+    def table_reader(stage_dir, reader):
+        """The argv of the stage that reads a table, up to the table's path,
+        and the name of the table in stage_dir."""
+        return {
+            "dataset": (["extract-features", "--dataset"],
+                        "dataset_1850_1900_1950.tsv"),
+            "features": (["train", "--features"], "features_1850_1900_1950.tsv"),
+            "probabilities": (["evaluate", "--dataset",
+                               str(stage_dir / "dataset_1900_1950_2000.tsv"),
+                               "--probabilities"], "probabilities.tsv"),
+        }[reader]
+
     @pytest.mark.parametrize("reader, fault", [
         (reader, fault) for reader in ("dataset", "features", "probabilities")
         for fault in ("header", "short_row")])
     def test_bad_table(self, tmp_path, synthetic_paths, stage_dir, capsys, reader,
                        fault):
-        # per reader: the stage that reads the table, its file, its column
-        # count, and the file of the stage before given in its place
-        argv, name, width, stand_in = {
-            "dataset": (["extract-features", "--dataset"],
-                        "dataset_1850_1900_1950.tsv", 5, None),
-            "features": (["train", "--features"], "features_1850_1900_1950.tsv",
-                         11, "dataset_1850_1900_1950.tsv"),
-            "probabilities": (["evaluate", "--dataset",
-                               str(stage_dir / "dataset_1900_1950_2000.tsv"),
-                               "--probabilities"],
-                              "probabilities.tsv", 4, "features_1900_1950_2000.tsv"),
+        # per reader: its column count, and the file of the stage before
+        # given in its place
+        argv, name = self.table_reader(stage_dir, reader)
+        width, stand_in = {
+            "dataset": (5, None),
+            "features": (11, "dataset_1850_1900_1950.tsv"),
+            "probabilities": (4, "features_1900_1950_2000.tsv"),
         }[reader]
         lines = (stage_dir / name).read_text().splitlines()
         if fault == "short_row":
@@ -664,6 +723,29 @@ class TestArtifactReaders:
                     f"got {width - 1}") in err
         else:
             assert f"{edited}: header {lines[0]!r} is not " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader", ["dataset", "features", "probabilities"])
+    def test_non_canonical_sense_id_names_its_line(self, tmp_path, synthetic_paths,
+                                                   stage_dir, capsys, reader):
+        # line 2's sense written with k as 01 once read as that same sense;
+        # only the text str(sense) writes is read
+        argv, name = self.table_reader(stage_dir, reader)
+        lines = (stage_dir / name).read_text().splitlines()
+        fields = lines[1].split("\t")
+        assert fields[1].endswith("#1")
+        fields[1] = fields[1][:-1] + "01"
+        lines[1] = "\t".join(fields)
+        edited = tmp_path / name
+        edited.write_text("\n".join(lines) + "\n")
+        if reader == "dataset":
+            shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(edited)))
+        code = main(argv + [str(edited)]
+                    + common_flags(synthetic_paths, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{edited} line 2: bad sense id {fields[1]!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -2,6 +2,7 @@ import io
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lexevo.errors import DataError
 from lexevo.lexicon import (
@@ -147,3 +148,25 @@ def test_sense_id_rendering_roundtrip():
     assert str(sense) == "rapt#a#1"
     assert SenseId.parse("rapt#a#1") == sense
     assert sense.corpus_key() == ("rapt", "ADJ")
+
+
+# padded, signed, non-ASCII or underscored digits once read as another
+# spelling of a sense; k of 0 or below and an empty lemma name none
+@example("rapt#a#01")
+@example("rapt#a# 1")
+@example("rapt#a#\u0661")
+@example("rapt#a#1_0")
+@example("rapt#a#0")
+@example("rapt#a#-1")
+@example("#a#1")
+@given(st.tuples(st.text(st.sampled_from("ab#"), max_size=2),
+                 st.sampled_from(["a", "n", "x"]),
+                 st.text(st.sampled_from("01 _-+#\u0661"), max_size=3))
+       .map("#".join))
+def test_sense_id_parse_reads_only_what_str_writes(text):
+    try:
+        sense = SenseId.parse(text)
+    except ValueError as exc:
+        assert str(exc) == f"bad sense id {text!r}"
+        return
+    assert str(sense) == text and sense.lemma and sense.sense_number >= 1
