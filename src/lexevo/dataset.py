@@ -11,6 +11,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
 from .corpus import join_token, period_count, split_token
@@ -59,8 +60,7 @@ def schedule_windows(cycle):
     return [(windows[i], windows[i + 1]) for i in range(len(windows) - 1)]
 
 
-@dataclass(frozen=True)
-class MemberCounts:
+class MemberCounts(NamedTuple):
     past: int
     present: int
     future: int
@@ -88,35 +88,38 @@ class SynsetSnapshot:
         return max(self.counts, key=lambda sense: self.counts[sense].future)
 
 
-def _removal_reason(counts):
-    """The removal rule that a synset's member counts break, or None.
+def _removal_reason(presents, futures):
+    """The removal rule that a synset breaks, or None, from its members'
+    present and future counts, in one member order.
 
     A synset is removed as dead_word when any member has a zero present
     count, and as tie when the maximum present or future count is shared.
+    futures is not read when a present count is zero.
     """
-    if any(c.present == 0 for c in counts):
+    if 0 in presents:
         return REMOVAL_DEAD_WORD
-    presents = [c.present for c in counts]
-    futures = [c.future for c in counts]
     if presents.count(max(presents)) > 1 or futures.count(max(futures)) > 1:
         return REMOVAL_TIE
     return None
 
 
 def build_snapshot(synset, corpus, window):
-    """Return (snapshot, None) or (None, removal reason)."""
-    counts = {}
-    for member in synset.members:
-        sums = corpus.sums(member.corpus_key())
-        counts[member] = MemberCounts(
-            period_count(sums, window.past),
-            period_count(sums, window.present),
-            period_count(sums, window.future),
-        )
-    reason = _removal_reason(counts.values())
+    """Return (snapshot, None) or (None, removal reason).
+
+    Each period is summed only when the outcome needs it: the present
+    counts of every synset, the future counts of one with no dead member
+    (the rule does not read them otherwise) and the past counts of a kept
+    one.
+    """
+    sums = [corpus.sums(key) for key in synset.corpus_keys]
+    presents = [period_count(s, window.present) for s in sums]
+    futures = [] if 0 in presents else [period_count(s, window.future) for s in sums]
+    reason = _removal_reason(presents, futures)
     if reason is not None:
         return None, reason
-    return SynsetSnapshot(synset, counts), None
+    pasts = [period_count(s, window.past) for s in sums]
+    return SynsetSnapshot(synset, dict(zip(
+        synset.members, map(MemberCounts, pasts, presents, futures)))), None
 
 
 @dataclass
@@ -204,7 +207,7 @@ def read_dataset(tsv_path):
     def parse(fields):
         synset_id, sense_text, past, present, future = fields
         counts = MemberCounts(int(past), int(present), int(future))
-        if min(counts.past, counts.present, counts.future) < 0:
+        if min(counts) < 0:
             raise ValueError(f"negative count in {counts}")
         sense = SenseId.parse(sense_text)
         if sense in seen:
@@ -222,7 +225,8 @@ def read_dataset(tsv_path):
         if len(pos) > 1:
             raise DataError(f"{tsv_path}: synset {synset_id} mixes parts of speech "
                             f"{', '.join(pos)}")
-        reason = _removal_reason([c for _, c in members])
+        reason = _removal_reason([c.present for _, c in members],
+                                 [c.future for _, c in members])
         if reason is not None:
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         synset = Synset(synset_id, pos[0], tuple(s for s, _ in members))

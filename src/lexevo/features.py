@@ -8,8 +8,7 @@ that no other synset member shares.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._util import parse_lines, read_tsv, write_tsv
 from .corpus import join_token
@@ -128,8 +127,7 @@ def relative_frequencies(snapshot):
     return out
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     sense: SenseId
     synset_id: str
     normalized_length: float
@@ -146,7 +144,7 @@ class FeatureVector:
         return float(getattr(self, name))
 
     def without_class(self):
-        return replace(self, target_class=None)
+        return self._replace(target_class=None)
 
 
 def word_shapes(synsets, syllable_exceptions=None):

@@ -11,6 +11,8 @@ Lines starting with '#' are ignored in both formats.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from ._util import parse_lines
 from .corpus import join_token, split_token
@@ -21,9 +23,12 @@ POS_TO_CORPUS = {"n": "NOUN", "v": "VERB", "a": "ADJ", "r": "ADV"}
 _ELIGIBLE_RE = re.compile(r"[a-z]{3,}")
 
 
-@dataclass(frozen=True, order=True)
-class SenseId:
-    """A sense rendered as lemma#pos#k, e.g. rapt#a#1."""
+class SenseId(NamedTuple):
+    """A sense rendered as lemma#pos#k, e.g. rapt#a#1.
+
+    A named tuple: immutable, compared, hashed and sorted as the tuple of
+    its fields, so a dict lookup keyed by sense costs a tuple hash.
+    """
 
     lemma: str
     pos: str
@@ -60,6 +65,13 @@ class Synset:
 
     def lemmas(self):
         return [m.lemma for m in self.members]
+
+    # computed on first access and kept in the instance __dict__, which a
+    # frozen dataclass allows; fields, == and repr are unaffected
+    @cached_property
+    def corpus_keys(self):
+        """The members' corpus keys, in member order."""
+        return tuple(m.corpus_key() for m in self.members)
 
 
 @dataclass

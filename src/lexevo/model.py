@@ -40,8 +40,9 @@ one.  The win probability is the logistic of the log odds.
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from ._util import _not_utf8, atomic_write_json
 from .errors import DataError, UnfittableModelError
@@ -52,8 +53,7 @@ VARIANCE_FLOOR = 1e-9
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class GaussianParams:
+class GaussianParams(NamedTuple):
     mean: float
     variance: float
 
@@ -272,7 +272,7 @@ def save_model(model, path):
         "features": list(model.features),
         "class_sizes": list(model.class_sizes),
         "scalar_features": {
-            name: {"class0": asdict(p[0]), "class1": asdict(p[1])}
+            name: {"class0": p[0]._asdict(), "class1": p[1]._asdict()}
             for name, p in model.scalar_params.items()
         },
         "trigram_ones": {tri: list(ones) for tri, ones in model.trigram_ones.items()},

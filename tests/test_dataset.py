@@ -6,10 +6,12 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lexevo.corpus import CorpusTable
+from lexevo import dataset as dataset_mod
+from lexevo.corpus import HALF_WIDTH, CorpusTable, period_count
 from lexevo.dataset import (
     MAX_CYCLE,
     MIN_CYCLE,
+    MemberCounts,
     SynsetSnapshot,
     TimeWindow,
     build_dataset,
@@ -19,7 +21,7 @@ from lexevo.dataset import (
     write_dataset,
 )
 from lexevo.errors import DataError
-from lexevo.lexicon import CatVarClusters, load_lexicon
+from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
 
 
 def synset(*lemmas, pos="n"):
@@ -128,6 +130,90 @@ class TestBuildSnapshot:
         })
         _, reason = build_snapshot(synset("alpha", "beta"), table, WINDOW)
         assert reason == "tie"
+
+    @pytest.mark.parametrize("series", [
+        # the present maximum is shared
+        {"alpha": {1900: 10, 1950: 1}, "beta": {1900: 10, 1950: 2}, "gamma": {1950: 3}},
+        # the future maximum is shared
+        {"alpha": {1900: 10, 1950: 5}, "beta": {1900: 4, 1950: 5}, "gamma": {1950: 3}},
+    ])
+    def test_dead_word_takes_precedence_over_tie(self, series):
+        snapshot, reason = build_snapshot(
+            synset("alpha", "beta", "gamma"), table_for(series), WINDOW)
+        assert (snapshot, reason) == (None, "dead_word")
+
+    @pytest.mark.parametrize("series, reason, calls_per_member", [
+        ({"alpha": {1900: 5, 1950: 5}, "beta": {1900: 2}, "gamma": {1950: 9}},
+         "dead_word", 1),
+        ({"alpha": {1900: 5, 1950: 5}, "beta": {1900: 2, 1950: 5}, "gamma": {1900: 1}},
+         "tie", 2),
+        ({"alpha": {1900: 5, 1950: 6}, "beta": {1900: 2, 1950: 5}, "gamma": {1900: 1}},
+         None, 3),
+    ])
+    def test_sums_only_the_periods_the_outcome_needs(self, monkeypatch, series, reason,
+                                                     calls_per_member):
+        # the present of every synset, the future of one with no dead member
+        # and the past of a kept one, each through period_count
+        calls = []
+
+        def counted(sums, center):
+            calls.append(center)
+            return period_count(sums, center)
+
+        monkeypatch.setattr(dataset_mod, "period_count", counted)
+        snapshot, got = build_snapshot(
+            synset("alpha", "beta", "gamma"), table_for(series), WINDOW)
+        assert got == reason and (snapshot is None) == (reason is not None)
+        years = (WINDOW.present, WINDOW.future, WINDOW.past)[:calls_per_member]
+        assert sorted(calls) == sorted(years * 3)
+
+    def test_corpus_keys_resolved_once_per_synset(self, monkeypatch):
+        members = synset("alpha", "beta")
+        table = table_for({"alpha": {1900: 5, 1950: 6}, "beta": {1900: 2, 1950: 5}})
+        calls = []
+        corpus_key = SenseId.corpus_key
+        monkeypatch.setattr(SenseId, "corpus_key",
+                            lambda sense: calls.append(sense) or corpus_key(sense))
+        for window in (WINDOW, TimeWindow(1800, 1850, 1900)):
+            build_snapshot(members, table, window)
+        assert calls == list(members.members)
+        assert members.corpus_keys == (("alpha", "NOUN"), ("beta", "NOUN"))
+
+    # a year in or just outside one of the window's 11-year periods
+    NEAR_PERIOD = st.builds(lambda center, offset: center + offset,
+                            st.sampled_from((WINDOW.past, WINDOW.present, WINDOW.future)),
+                            st.integers(-HALF_WIDTH - 1, HALF_WIDTH + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.dictionaries(NEAR_PERIOD, st.integers(0, 5), min_size=5,
+                                    max_size=10), min_size=2, max_size=4))
+    def test_matches_brute_force(self, member_series):
+        # small counts near the periods, so that dead, tied and kept synsets
+        # are each common
+        lemmas = ["alpha", "beta", "gamma", "delta"][:len(member_series)]
+        members = synset(*lemmas)
+        table = table_for(dict(zip(lemmas, member_series)))
+
+        def period(series, center):
+            return sum(c for year, c in series.items()
+                       if abs(year - center) <= HALF_WIDTH)
+
+        counts = {sense: MemberCounts(*(period(series, year) for year in (
+                      WINDOW.past, WINDOW.present, WINDOW.future)))
+                  for sense, series in zip(members.members, member_series)}
+        presents = [c.present for c in counts.values()]
+        futures = [c.future for c in counts.values()]
+        if 0 in presents:
+            expected = (None, "dead_word")
+        elif (presents.count(max(presents)) > 1
+              or futures.count(max(futures)) > 1):
+            expected = (None, "tie")
+        else:
+            expected = (SynsetSnapshot(members, counts), None)
+        got = build_snapshot(members, table, WINDOW)
+        assert got == expected
+        if got[0] is not None:
+            assert list(got[0].counts) == list(members.members)
 
     def test_leaders_match_bruteforce(self):
         table = table_for({

@@ -12,6 +12,7 @@ from lexevo.experiments import (AblationSpec, load_pipeline_inputs, prepare_wind
                                 run_ablations, run_cycle_sweep)
 from lexevo.features import (
     FEATURE_NAMES,
+    SCALAR_FEATURES,
     FeatureVector,
     boundary_trigrams,
     extract_features,
@@ -23,6 +24,7 @@ from lexevo.features import (
     write_feature_vectors,
 )
 from lexevo.lexicon import CatVarClusters, SenseId, Synset, load_lexicon
+from lexevo.model import GaussianParams
 from tests.conftest import bundle_paths
 
 LEMMA = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=12)
@@ -282,6 +284,72 @@ class TestExtractFeatures:
         assert fresh[0] is not kept[0] and fresh[1] == kept[1]
         assert len(calls) == 2 * members
         assert second.word_shapes == first.word_shapes
+
+
+RAPT = SenseId("rapt", "a", 1)
+
+# one fixed example of each record, with its field values and the repr
+# that the frozen dataclasses it replaced gave (error messages show it)
+RECORDS = [
+    (RAPT, ("rapt", "a", 1), "SenseId(lemma='rapt', pos='a', sense_number=1)"),
+    (MemberCounts(5, 9, 2), (5, 9, 2), "MemberCounts(past=5, present=9, future=2)"),
+    (FeatureVector(RAPT, "a00001", 0.8, 1, ("|ra", "rap"), 0.25, 2, -0.125, 0.375,
+                   300, 1),
+     (RAPT, "a00001", 0.8, 1, ("|ra", "rap"), 0.25, 2, -0.125, 0.375, 300, 1),
+     "FeatureVector(sense=SenseId(lemma='rapt', pos='a', sense_number=1), "
+     "synset_id='a00001', normalized_length=0.8, syllable_count=1, "
+     "unique_ngrams=('|ra', 'rap'), shared_ngrams=0.25, categorial_variations=2, "
+     "relative_growth=-0.125, linear_extrapolation=0.375, present_age=300, "
+     "target_class=1)"),
+    (GaussianParams(0.5, 1e-9), (0.5, 1e-9), "GaussianParams(mean=0.5, variance=1e-09)"),
+]
+
+
+class TestRecords:
+    """The named-tuple records keep the contract of the frozen dataclasses
+    they replaced: fields in order, immutable, and ==, hash, sort order and
+    repr over the fields."""
+
+    @pytest.mark.parametrize("record, values, text", RECORDS,
+                             ids=lambda x: type(x).__name__)
+    def test_contract(self, record, values, text):
+        cls = type(record)
+        assert tuple(getattr(record, name) for name in cls._fields) == values
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, values[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(*values)
+        # a frozen dataclass hashed the tuple of its fields, too
+        assert hash(record) == hash(cls(*values)) == hash(values)
+        assert record != cls(*values[:-1], "other")
+        assert repr(record) == text
+
+    def test_sense_sort_order(self):
+        senses = [SenseId("rapt", "a", 2), SenseId("rapt", "a", 10),
+                  SenseId("rap", "n", 3), SenseId("rapt", "n", 1),
+                  SenseId("apt", "v", 1)]
+        assert [str(s) for s in sorted(senses)] == [
+            "apt#v#1", "rap#n#3", "rapt#a#2", "rapt#a#10", "rapt#n#1"]
+
+    def test_without_class_replaces_only_the_class(self):
+        vector = RECORDS[2][0]
+        assert vector.without_class() == vector[:-1] + (None,)
+        assert vector.target_class == 1
+
+    def test_scalars_read_as_their_annotated_types(self, tmp_path):
+        assert {name: FeatureVector.__annotations__[name] for name in SCALAR_FEATURES} == {
+            "normalized_length": float, "syllable_count": int, "shared_ngrams": float,
+            "categorial_variations": int, "relative_growth": float,
+            "linear_extrapolation": float, "present_age": int}
+        path = str(tmp_path / "features.tsv")
+        vector = RECORDS[2][0]
+        write_feature_vectors([vector], path)
+        [again] = read_feature_vectors(path)
+        assert again == vector
+        for name in SCALAR_FEATURES:
+            assert type(getattr(again, name)) is FeatureVector.__annotations__[name]
 
 
 class TestSerialization:

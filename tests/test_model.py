@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -503,7 +502,7 @@ class TestSparseScoring:
 
         pool = [f"{i:04d}" for i in range(dims)]
         vectors = [
-            dataclasses.replace(v, unique_ngrams=tuple(pool[i::10]))
+            v._replace(unique_ngrams=tuple(pool[i::10]))
             for i, v in enumerate(random_vectors(random.Random(dims), 10))
         ]
         model = fit(vectors)
@@ -525,7 +524,7 @@ class TestSparseScoring:
         assert calls == []
         # two per scalar dimension, the few exact parts of the absent sum
         # and four per trained trigram of the word, whatever the dims
-        absent = feature_terms(model, dataclasses.replace(query, unique_ngrams=()))
+        absent = feature_terms(model, query._replace(unique_ngrams=()))
         assert len(absent["unique_ngrams"]) <= 2
         assert (sum(map(len, terms.values()))
                 == 2 * len(model.scalar_params) + len(absent["unique_ngrams"]) + 4 * 2)
