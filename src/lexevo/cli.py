@@ -11,7 +11,6 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 from . import corpus as corpus_mod
@@ -28,19 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-@dataclass
-class RunConfig:
-    corpus: list = None  # list of unigram file paths
-    lexicon: str = None
-    catvar: str = None
-    syllables: str = None
-    out: str = "out"
-    cycle_years: int = 50
-
 
 def _cycle_length(text):
-    """Converter of cycle_years, and so the type of --cycle and of each
-    --cycles item: an integer from MIN_CYCLE to MAX_CYCLE."""
+    """The type of --cycle and of each --cycles item: an integer from
+    MIN_CYCLE to MAX_CYCLE."""
     try:
         value = int(text)
     except ValueError:
@@ -53,47 +43,13 @@ def _cycle_length(text):
     return value
 
 
-# The converter of each config key that is not a string; cycle_years's is
-# also the type of --cycle and of each --cycles item, so a flag and a file
-# reject the same values.
-_CONVERTERS = {
-    "corpus": lambda text: [p.strip() for p in text.split(",") if p.strip()],
-    "cycle_years": _cycle_length,
-}
-
-
-def read_config_file(path):
-    """Parse a UTF-8 key=value config file; '#' starts a comment.
-
-    A line that is not UTF-8, has no '=', names an unknown or repeated
-    key or holds a value its key's converter rejects is the UsageError
-    "<file> line N: <reason>".
-    """
-    values = {}
-    known = {f.name for f in fields(RunConfig)}
-    with open(path, "rb") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            try:
-                line = line.decode("utf-8").split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError("expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in known:
-                    raise ValueError(f"unknown key {key!r}")
-                if key in values:
-                    raise ValueError(f"repeated key {key!r}")
-                values[key] = _CONVERTERS.get(key, str)(value)
-            except ValueError as exc:  # UnicodeDecodeError too
-                raise UsageError(f"{path} line {line_number}: {exc}") from None
-            except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"{path} line {line_number}: {key} {exc}") from None
-    return values
-
-
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits 1 (not 2) on usage errors."""
+    """ArgumentParser that exits 1 (not 2) on usage errors and takes no
+    abbreviated flag, so that sweep refuses --cycle, not reads it as
+    --cycles."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -142,45 +98,24 @@ def _feature_selection(keep):
     return parse
 
 
-def resolve_config(args):
-    config = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(config, key, value)
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
-    return config
-
-
-def _require(config, *names):
-    """--corpus and --lexicon may come from --config, so argparse cannot
-    require them."""
-    for name in names:
-        if not getattr(config, name):
-            raise UsageError(f"missing required input: --{name}")
-
-
-def _load_inputs(config):
+def _load_inputs(args):
     """Load corpus + lexicon (+ clusters) into PipelineInputs.
 
-    Two corpus entries naming one file would count its rows twice, so they
+    Two --corpus flags naming one file would count its rows twice, so they
     are a usage error, found before any input is read.
     """
-    _require(config, "corpus", "lexicon")
-    real = [os.path.realpath(path) for path in config.corpus]
-    for i, path in enumerate(config.corpus):
+    real = [os.path.realpath(path) for path in args.corpus]
+    for i, path in enumerate(args.corpus):
         if real[i] in real[:i]:
-            first = config.corpus[real.index(real[i])]
+            first = args.corpus[real.index(real[i])]
             same = "" if first == path else f" (the same file as {first})"
             raise UsageError(f"repeated corpus file {path}{same}")
     return experiments_mod.load_pipeline_inputs(
-        config.corpus, config.lexicon, config.catvar, config.syllables)
+        args.corpus, args.lexicon, args.catvar, args.syllables)
 
 
-def cmd_ingest(args, config):
-    inputs, _, report = _load_inputs(config)
+def cmd_ingest(args):
+    inputs, _, report = _load_inputs(args)
     table = inputs.corpus
 
     def lines():  # one string of rows per key: the table is never copied whole
@@ -189,8 +124,8 @@ def cmd_ingest(args, config):
             yield "".join(f"{token}\t{year}\t{count}\t0\n"
                           for year, count in table.counts(key))
 
-    atomic_write_lines(os.path.join(config.out, "corpus.tsv"), lines())
-    atomic_write_json(os.path.join(config.out, "ingest_report.json"), {
+    atomic_write_lines(os.path.join(args.out, "corpus.tsv"), lines())
+    atomic_write_json(os.path.join(args.out, "ingest_report.json"), {
         "rows_kept": report.rows_kept,
         "rows_filtered": report.rows_filtered,
         "rows_skipped": report.rows_skipped,
@@ -203,36 +138,35 @@ def cmd_ingest(args, config):
     return EXIT_OK
 
 
-def cmd_build_dataset(args, config):
-    inputs, _, _ = _load_inputs(config)
-    pairs = dataset_mod.schedule_windows(config.cycle_years)
+def cmd_build_dataset(args):
+    inputs, _, _ = _load_inputs(args)
+    pairs = dataset_mod.schedule_windows(args.cycle_years)
     for window in sorted({w for pair in pairs for w in pair}):
         ds = dataset_mod.build_dataset(inputs.synsets, inputs.corpus, window)
         dataset_mod.write_dataset(
-            ds, os.path.join(config.out, f"dataset_{window.label()}.tsv"),
+            ds, os.path.join(args.out, f"dataset_{window.label()}.tsv"),
             inputs.clusters, inputs.births)
     return EXIT_OK
 
 
-def cmd_extract_features(args, config):
-    """Features from the dataset and its sidecar's clusters and births;
-    --corpus, --lexicon and --catvar are ignored."""
+def cmd_extract_features(args):
+    """Features from the dataset and its sidecar's clusters and births."""
     ds, clusters, births = dataset_mod.read_dataset(args.dataset)
     shapes = features_mod.word_shapes([s.synset for s in ds.snapshots],
-                                      experiments_mod.load_syllables(config.syllables))
+                                      experiments_mod.load_syllables(args.syllables))
     vectors = features_mod.extract_features(ds, shapes, clusters, births)
-    out = os.path.join(config.out, f"features_{ds.window.label()}.tsv")
+    out = os.path.join(args.out, f"features_{ds.window.label()}.tsv")
     features_mod.write_feature_vectors(vectors, out)
     return EXIT_OK
 
 
-def cmd_train(args, config):
+def cmd_train(args):
     vectors = features_mod.read_feature_vectors(args.features)
     try:
         fitted = model_mod.fit(vectors, features=args.selection)
     except DataError as exc:  # an unlabelled row or an empty class
         raise DataError(f"{args.features}: {exc}") from None
-    out = args.model or os.path.join(config.out, "model.json")
+    out = args.model or os.path.join(args.out, "model.json")
     model_mod.save_model(fitted, out)
     return EXIT_OK
 
@@ -240,7 +174,7 @@ def cmd_train(args, config):
 PROBABILITY_COLUMNS = ("synset_id", "sense_id", "win_probability", "log_odds")
 
 
-def cmd_predict(args, config):
+def cmd_predict(args):
     vectors = features_mod.read_feature_vectors(args.features)
     fitted = model_mod.load_model(args.model)
 
@@ -250,7 +184,7 @@ def cmd_predict(args, config):
             yield (v.synset_id, str(v.sense), repr(model_mod.logistic(odds)),
                    repr(odds))
 
-    write_tsv(os.path.join(config.out, "probabilities.tsv"), PROBABILITY_COLUMNS,
+    write_tsv(os.path.join(args.out, "probabilities.tsv"), PROBABILITY_COLUMNS,
               rows())
     return EXIT_OK
 
@@ -280,7 +214,7 @@ def _read_scores(path):
     return scores
 
 
-def cmd_evaluate(args, config):
+def cmd_evaluate(args):
     ds, _, _ = dataset_mod.read_dataset(args.dataset)
     scores_by_sense = _read_scores(args.probabilities)
     for snapshot in ds.snapshots:
@@ -292,15 +226,15 @@ def cmd_evaluate(args, config):
     )
     report = evaluate_mod.evaluation_report(counts, scores)
     report["dataset"] = ds.summary()
-    atomic_write_json(os.path.join(config.out, "report.json"), report)
-    write_tsv(os.path.join(config.out, "outcomes.tsv"), evaluate_mod.OUTCOME_COLUMNS,
+    atomic_write_json(os.path.join(args.out, "report.json"), report)
+    write_tsv(os.path.join(args.out, "outcomes.tsv"), evaluate_mod.OUTCOME_COLUMNS,
               ([row[c] for c in evaluate_mod.OUTCOME_COLUMNS] for row in outcomes))
     return EXIT_OK
 
 
-def _report_dir(config, experiment, window):
-    return os.path.join(config.out, "reports", experiment,
-                        str(config.cycle_years), window.label())
+def _report_dir(args, experiment, window):
+    return os.path.join(args.out, "reports", experiment,
+                        str(args.cycle_years), window.label())
 
 
 def _write_report(directory, report, **tables):
@@ -312,37 +246,37 @@ def _write_report(directory, report, **tables):
             list(rows[0]) if rows else [], (row.values() for row in rows)))
 
 
-def cmd_ablate(args, config):
-    inputs, _, _ = _load_inputs(config)
-    train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
+def cmd_ablate(args):
+    inputs, _, _ = _load_inputs(args)
+    train_window, test_window = dataset_mod.schedule_windows(args.cycle_years)[-1]
     specs = [experiments_mod.AblationSpec(args.mode, feature)
              for feature in features_mod.FEATURE_NAMES]
     rows = experiments_mod.run_ablations(specs, train_window, test_window, inputs)
-    _write_report(_report_dir(config, f"ablation_{args.mode}", test_window),
+    _write_report(_report_dir(args, f"ablation_{args.mode}", test_window),
                   {"rows": rows}, ablation=rows)
     return EXIT_OK
 
 
-def cmd_sweep(args, config):
-    inputs, _, _ = _load_inputs(config)
+def cmd_sweep(args):
+    inputs, _, _ = _load_inputs(args)
     result = experiments_mod.run_cycle_sweep(args.cycles, inputs)
-    _write_report(os.path.join(config.out, "reports", "sweep"), result,
+    _write_report(os.path.join(args.out, "reports", "sweep"), result,
                   sweep=result["rows"])
     return EXIT_OK
 
 
-def cmd_interpret(args, config):
-    inputs, _, _ = _load_inputs(config)
-    train_window, test_window = dataset_mod.schedule_windows(config.cycle_years)[-1]
+def cmd_interpret(args):
+    inputs, _, _ = _load_inputs(args)
+    train_window, test_window = dataset_mod.schedule_windows(args.cycle_years)[-1]
     _, vectors = experiments_mod.prepare_window(train_window, inputs)
     tables = experiments_mod.interpretation_tables(model_mod.fit(vectors))
-    _write_report(_report_dir(config, "interpretation", test_window), tables,
+    _write_report(_report_dir(args, "interpretation", test_window), tables,
                   **tables)
     return EXIT_OK
 
 
-def cmd_plot_data(args, config):
-    inputs, lexicon, _ = _load_inputs(config)
+def cmd_plot_data(args):
+    inputs, lexicon, _ = _load_inputs(args)
     synset = next((s for s in lexicon.synsets if s.id == args.synset), None)
     if synset is None:
         raise LexevoError(f"synset {args.synset!r} not found in lexicon")
@@ -355,7 +289,7 @@ def cmd_plot_data(args, config):
     member_series = [inputs.corpus.series(m.corpus_key()) for m in synset.members]
     rows = corpus_mod.synset_annual_shares(member_series, args.years)
     atomic_write_lines(
-        os.path.join(config.out, f"shares_{synset.id}.csv"),
+        os.path.join(args.out, f"shares_{synset.id}.csv"),
         _csv_lines(["year", *synset.lemmas()],
                    ([year, *(f"{share:.6f}" for share in shares)]
                     for year, shares in rows)),
@@ -371,41 +305,42 @@ def _csv_lines(header, rows):
     return map(writer.writerow, itertools.chain([header], rows))
 
 
-def _common_flags():
-    """Parent parser of the flags every command accepts."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--corpus", action="append",
-                        help="unigram TSV (.tsv or .tsv.gz); repeatable")
-    parser.add_argument("--lexicon", help="synset lexicon TSV")
-    parser.add_argument("--catvar", help="categorial-variation cluster TSV")
-    parser.add_argument("--syllables", help="syllable exceptions TSV")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--cycle", type=_cycle_length, dest="cycle_years",
-                        help="cycle length in years")
-    return parser
-
-
 def build_parser():
-    """The evocli parser: each command, its own flags and its handler."""
+    """The evocli parser: each command, the flags its handler reads and the
+    handler."""
     parser = _Parser(prog="evocli", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(metavar="COMMAND", required=True)
-    common = [_common_flags()]
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--corpus", action="append", required=True,
+                        help="unigram TSV (.tsv or .tsv.gz); repeatable")
+    inputs.add_argument("--lexicon", required=True, help="synset lexicon TSV")
+    inputs.add_argument("--catvar", help="categorial-variation cluster TSV")
+    syllables = argparse.ArgumentParser(add_help=False)
+    syllables.add_argument("--syllables", help="syllable exceptions TSV")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", help="output directory")
+    cycle = argparse.ArgumentParser(add_help=False)
+    cycle.add_argument("--cycle", type=_cycle_length, default=50,
+                       dest="cycle_years", help="cycle length in years")
+    loads = [inputs, syllables, out]
 
-    p = sub.add_parser("ingest", parents=common,
+    p = sub.add_parser("ingest", parents=loads,
                        help="filter the corpus to the lexicon's words")
     p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("build-dataset", parents=common,
+    p = sub.add_parser("build-dataset", parents=loads + [cycle],
                        help="write each window's synset counts")
     p.set_defaults(handler=cmd_build_dataset)
 
-    p = sub.add_parser("extract-features", parents=common,
+    p = sub.add_parser("extract-features", parents=[syllables, out],
                        help="write the feature vectors of one dataset")
     p.add_argument("--dataset", required=True, help="dataset TSV from build-dataset")
+    # accepted, hidden and ignored: perfbench's staged chain still passes them
+    for flag in ("--corpus", "--lexicon", "--catvar"):
+        p.add_argument(flag, help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_extract_features)
 
-    p = sub.add_parser("train", parents=common,
+    p = sub.add_parser("train", parents=[out],
                        help="fit the naive Bayes model on one feature file")
     p.add_argument("--features", required=True,
                    help="feature TSV from extract-features")
@@ -419,36 +354,36 @@ def build_parser():
                         help="comma-separated features to exclude")
     p.set_defaults(handler=cmd_train, selection=features_mod.FEATURE_NAMES)
 
-    p = sub.add_parser("predict", parents=common,
+    p = sub.add_parser("predict", parents=[out],
                        help="score a feature file with a fitted model")
     p.add_argument("--features", required=True, help="feature TSV to score")
     p.add_argument("--model", required=True, help="fitted model JSON")
     p.set_defaults(handler=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=common,
+    p = sub.add_parser("evaluate", parents=[out],
                        help="score predictions at the synset level")
     p.add_argument("--dataset", required=True, help="dataset TSV with future counts")
     p.add_argument("--probabilities", required=True,
                    help="probability TSV from predict")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("ablate", parents=common,
+    p = sub.add_parser("ablate", parents=loads + [cycle],
                        help="compare feature subsets on the last window pair")
     p.add_argument("--mode", choices=experiments_mod.ABLATION_MODES,
                    default="drop_one")
     p.set_defaults(handler=cmd_ablate)
 
-    p = sub.add_parser("sweep", parents=common,
+    p = sub.add_parser("sweep", parents=loads,
                        help="run every window pair of several cycle lengths")
     p.add_argument("--cycles", type=_cycle_list, default="30,40,50,60",
                    help="comma-separated cycle lengths")
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("interpret", parents=common,
+    p = sub.add_parser("interpret", parents=loads + [cycle],
                        help="test each feature of the last training window")
     p.set_defaults(handler=cmd_interpret)
 
-    p = sub.add_parser("plot-data", parents=common,
+    p = sub.add_parser("plot-data", parents=loads,
                        help="write one synset's annual member shares")
     p.add_argument("--synset", required=True, help="synset id to plot")
     p.add_argument("--years", type=_year_range, default="1800:2000",
@@ -463,8 +398,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        config = resolve_config(args)
-        return args.handler(args, config)
+        return args.handler(args)
     except (LexevoError, OSError, ValueError) as exc:
         print(f"evocli: error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA

@@ -6,7 +6,7 @@ class LexevoError(Exception):
 
 
 class UsageError(LexevoError):
-    """The command line or config file is wrong: an input left out or a bad value."""
+    """The command line is wrong: an input left out or a bad value."""
 
 
 class DataError(LexevoError):

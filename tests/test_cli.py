@@ -1,4 +1,3 @@
-import argparse
 import gzip
 import hashlib
 import itertools
@@ -10,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,155 +17,37 @@ from lexevo.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     _read_scores,
     main,
-    read_config_file,
-    resolve_config,
 )
 from lexevo.dataset import summary_path
-from lexevo.errors import DataError, LexevoError, UsageError
+from lexevo.errors import DataError
 from lexevo.features import FEATURE_NAMES
 
 
 def common_flags(paths, out):
-    flags = ["--corpus", paths["corpus"], "--lexicon", paths["lexicon"],
-             "--out", str(out)]
-    return flags
+    """The flags of a command that loads the corpus and lexicon."""
+    return ["--corpus", paths["corpus"], "--lexicon", paths["lexicon"],
+            "--out", str(out)]
 
 
-class TestRunConfig:
-    def test_defaults_validate(self):
-        # with no flag and no config file the defaults resolve unchanged
-        assert resolve_config(argparse.Namespace()) == RunConfig()
-
-    @pytest.mark.parametrize("overrides", [
-        {"floor_year": 2100},
-        {"cycle_years": 0},
-        {"half_width": -1},
-    ])
-    def test_invalid_values(self, tmp_path, overrides):
-        # cycle_years's converter checks its range, and the period constants
-        # are not keys; either way the config is refused as a usage error
-        path = tmp_path / "run.conf"
-        path.write_text("".join(f"{key} = {value}\n"
-                                for key, value in overrides.items()))
-        with pytest.raises(UsageError):
-            resolve_config(argparse.Namespace(config=str(path)))
+def out_flag(out):
+    """--out, the one flag every command takes."""
+    return ["--out", str(out)]
 
 
-class TestConfigFile:
-    def test_parse(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text(
-            "# comment\n"
-            "corpus = a.tsv, b.tsv\n"
-            "lexicon = lex.tsv  # trailing comment\n"
-            "cycle_years=30\n"
-        )
-        values = read_config_file(str(path))
-        assert values == {"corpus": ["a.tsv", "b.tsv"], "lexicon": "lex.tsv",
-                          "cycle_years": 30}
+# the commands that load the corpus and lexicon, and so take their flags
+LOADS_INPUTS = ("ingest", "build-dataset", "ablate", "sweep", "interpret",
+                "plot-data")
 
-    def test_unknown_key_fatal(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("bogus = 1\n")
-        with pytest.raises(LexevoError):
-            read_config_file(str(path))
 
-    def test_non_integer_value_names_file_and_line(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("# comment\ncycle_years = x\n")
-        with pytest.raises(LexevoError,
-                           match=r"run\.conf line 2: cycle_years must be an integer"):
-            read_config_file(str(path))
-
-    def test_repeated_key_names_its_line(self, tmp_path, synthetic_paths, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("cycle_years = 30\ncycle_years = 50\n")
-        code = main(["ingest", "--config", str(conf)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert f"{conf} line 2: repeated key 'cycle_years'" in err
-        assert not (tmp_path / "out").exists()
-
-    CONFIG = ["# run settings", "corpus = a.tsv, b.tsv", "lexicon = lex.tsv",
-              "cycle_years = 30", "catvar = catvar.tsv", "syllables = syl.tsv"]
-
-    @settings(max_examples=300, deadline=None)
-    @example(3, True, "3#0")
-    @example(5, False, "cycle_years")
-    @example(2, False, "workers = 2")
-    @example(0, False, "lexicon = x")
-    @given(st.integers(0, 5), st.booleans(),
-           st.text(st.characters(codec="utf-8", exclude_characters="\r\n"),
-                   max_size=12))
-    def test_fuzzed_line_parses_or_names_its_line(self, index, value_only, text):
-        # one line, or the value on it, replaced by arbitrary text: the
-        # file either parses or is a LexevoError naming that line
-        lines = list(self.CONFIG)
-        key, equals, _ = lines[index].partition(" = ")
-        lines[index] = f"{key} = {text}" if value_only and equals else text
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "run.conf")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
-            try:
-                values = read_config_file(path)
-            except LexevoError as exc:
-                # a fuzzed line that sets a later line's key makes that
-                # later line the repeat
-                number = index + 1
-                for later in range(index + 1, len(lines)):
-                    key = lines[later].partition(" = ")[0]
-                    if str(exc).endswith(f"repeated key {key!r}"):
-                        number = later + 1
-                assert str(exc).startswith(f"{path} line {number}: ")
-            else:
-                assert set(values) <= {f.name for f in fields(RunConfig)}
-
-    @pytest.mark.parametrize("line, reason", [
-        (b"cycle_years = x", "cycle_years must be an integer, got 'x'"),
-        (b"bogus = 1", "unknown key 'bogus'"),
-        (b"cycle_years = 0", "cycle_years must be in [30, 60], got 0"),
-        (b"half_width = -1", "unknown key 'half_width'"),
-        (b"cycle_years = \xff", "'utf-8' codec can't decode byte 0xff"),
-        (b"seed = 1", "unknown key 'seed'"),
-        (b"cycle_years = 29", "cycle_years must be in [30, 60], got 29"),
-        (b"cycle_years = 61", "cycle_years must be in [30, 60], got 61"),
-    ], ids=["not_an_integer", "unknown_key", "cycle_below_1", "negative_half_width",
-            "not_utf8", "removed_seed_key", "cycle_below_30", "cycle_above_60"])
-    def test_bad_line_is_usage_error(self, tmp_path, synthetic_paths, capsys, line,
-                                     reason):
-        conf = tmp_path / "run.conf"
-        conf.write_bytes(b"# run settings\ncatvar = catvar.tsv\n" + line + b"\n")
-        code = main(["ingest", "--config", str(conf)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert f"{conf} line 3: {reason}" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    def test_missing_equals_fatal(self, tmp_path):
-        path = tmp_path / "run.conf"
-        path.write_text("just a line\n")
-        with pytest.raises(LexevoError):
-            read_config_file(str(path))
-
-    def test_flags_override_config(self, tmp_path, synthetic_paths, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text(
-            f"corpus = {synthetic_paths['corpus']}\n"
-            f"lexicon = {synthetic_paths['lexicon']}\n"
-            f"out = {tmp_path / 'from_config'}\n"
-        )
-        code = main(["ingest", "--config", str(conf),
-                     "--out", str(tmp_path / "from_flag")])
-        assert code == EXIT_OK
-        assert (tmp_path / "from_flag" / "corpus.tsv").exists()
-        assert not (tmp_path / "from_config").exists()
+def missing_inputs(command, tmp_path):
+    """Input flags naming files that do not exist, for a command that takes
+    them: reading either would be a data error."""
+    if command not in LOADS_INPUTS:
+        return []
+    return ["--corpus", str(tmp_path / "nope.tsv"),
+            "--lexicon", str(tmp_path / "nope_lexicon.tsv")]
 
 
 class TestExitCodes:
@@ -181,10 +61,9 @@ class TestExitCodes:
         assert main(["ingest", "--bogus-flag"]) == EXIT_USAGE
 
     def test_missing_inputs_is_usage_error(self, tmp_path, capsys):
-        # --corpus and --lexicon may come from --config, so they are checked
-        # after it is read, yet their absence is still a usage error
         assert main(["ingest", "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "missing required input: --corpus" in capsys.readouterr().err
+        assert ("the following arguments are required: --corpus, --lexicon"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, flag", [
         (["train", "--out", "x"], "--features"),
@@ -248,9 +127,9 @@ class TestExitCodes:
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, flag, value):
         # --floor-year and --half-width are no longer options, so argparse
         # refuses them as it refuses --cycle 0
-        code = main(["ingest", flag, value, "--corpus", str(tmp_path / "nope.tsv"),
-                     "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
-                     "--out", str(tmp_path / "out")])
+        code = main(["build-dataset", flag, value]
+                    + missing_inputs("build-dataset", tmp_path)
+                    + out_flag(tmp_path / "out"))
         assert code == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -268,7 +147,7 @@ class TestExitCodes:
         (["sweep", "--cycles", "50,10"], "--cycles"),
         (["sweep", "--cycles", "50,50"], "--cycles"),
         (["build-dataset", "--cycle", "10"], "--cycle"),
-        (["ingest", "--cycle", "61"], "--cycle"),
+        (["interpret", "--cycle", "61"], "--cycle"),
         (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
         (["plot-data", "--synset", "a00001", "--years", "2000:1800"], "--years"),
         (["train", "--features", "f.tsv", "--only", "bogus"], "--only"),
@@ -285,31 +164,25 @@ class TestExitCodes:
     def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
         # the flag is checked before any input is read: the corpus named
         # here does not exist, which would otherwise be a data error
-        code = main(argv + ["--corpus", str(tmp_path / "nope.tsv"),
-                            "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
-                            "--out", str(tmp_path / "out")])
+        code = main(argv + missing_inputs(argv[0], tmp_path)
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"argument {flag}: " in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("source", ["flags", "other_spelling", "config"])
+    @pytest.mark.parametrize("source", ["flags", "other_spelling"])
     def test_repeated_corpus_is_usage_error(self, tmp_path, synthetic_paths, capsys,
                                             source):
         # one file given twice would double every count; it is refused
         # before any input is read, as the missing lexicon here shows
         corpus = synthetic_paths["corpus"]
         folder, name = os.path.split(corpus)
-        again = corpus if source != "other_spelling" else os.path.join(
+        again = corpus if source == "flags" else os.path.join(
             folder, "..", os.path.basename(folder), name)
-        if source == "config":
-            conf = tmp_path / "run.conf"
-            conf.write_text(f"corpus = {corpus}, {again}\n")
-            argv = ["--config", str(conf)]
-        else:
-            argv = ["--corpus", corpus, "--corpus", again]
-        code = main(["ingest"] + argv + ["--lexicon", str(tmp_path / "nope_lexicon.tsv"),
-                                         "--out", str(tmp_path / "out")])
+        code = main(["ingest", "--corpus", corpus, "--corpus", again,
+                     "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
+                     "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"repeated corpus file {again}" in err
@@ -332,35 +205,55 @@ class TestExitCodes:
     def test_removed_option_is_usage_error(self, tmp_path, capsys, argv):
         # the random baseline is exact, so it takes no seed, and ablate
         # always runs every feature into one report
-        code = main(argv + ["--corpus", str(tmp_path / "nope.tsv"),
-                            "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
-                            "--out", str(tmp_path / "out")])
+        code = main(argv + missing_inputs(argv[0], tmp_path)
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("half_width", "5"), ("anchor_year", "2000"), ("floor_year", "1800")])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_period_constant_is_not_an_option(self, tmp_path, capsys, source, key,
-                                              value):
+    @pytest.mark.parametrize("flag, value", [
+        ("--half-width", "5"), ("--anchor-year", "2000"), ("--floor-year", "1800")])
+    def test_period_constant_is_not_an_option(self, tmp_path, capsys, flag, value):
         # the paper fixes how periods are sampled, so not even the constant's
         # own value may be given; the corpus named here does not exist, so
         # reading any input would be a data error
-        if source == "flag":
-            flag = "--" + key.replace("_", "-")
-            argv, message = [flag, value], f"unrecognized arguments: {flag} {value}"
-        else:
-            conf = tmp_path / "run.conf"
-            conf.write_text(f"{key} = {value}\n")
-            argv, message = ["--config", str(conf)], f"line 1: unknown key {key!r}"
-        code = main(["sweep"] + argv + ["--corpus", str(tmp_path / "nope.tsv"),
-                                        "--lexicon", str(tmp_path / "nope_lexicon.tsv"),
-                                        "--out", str(tmp_path / "out")])
+        code = main(["sweep", flag, value] + missing_inputs("sweep", tmp_path)
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert message in err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "out").exists()
+
+
+# each command with the flags it requires, so that the only error left is
+# the flag under test
+COMMANDS = {
+    "ingest": [], "build-dataset": [], "ablate": [], "sweep": [], "interpret": [],
+    "plot-data": ["--synset", "a00001"],
+    "extract-features": ["--dataset", "d.tsv"],
+    "train": ["--features", "f.tsv"],
+    "predict": ["--features", "f.tsv", "--model", "m.json"],
+    "evaluate": ["--dataset", "d.tsv", "--probabilities", "p.tsv"],
+}
+
+
+class TestCommandFlags:
+    """Each command takes only the flags its handler reads."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--cycle"), ("plot-data", "--cycle"), ("ingest", "--cycle"),
+        ("train", "--corpus"), ("predict", "--lexicon"), ("evaluate", "--syllables"),
+        ("train", "--feature"),  # no abbreviation either: --features is given
+    ] + [(command, "--config") for command in COMMANDS])
+    def test_flag_not_read_is_usage_error(self, tmp_path, capsys, command, flag):
+        # each value would be valid, and the corpus named here does not
+        # exist, so a flag that was accepted would end in a data error
+        code = main([command, *COMMANDS[command], flag, "50"]
+                    + missing_inputs(command, tmp_path) + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 50" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -489,21 +382,24 @@ class TestPinnedOutputs:
     def test_stage_output_bytes(self, tmp_path, request, bundle):
         paths = request.getfixturevalue(f"{bundle}_paths")
         out = tmp_path / "out"
-        flags = [flag for key in ("corpus", "lexicon", "catvar", "syllables")
-                 for flag in (f"--{key}", paths[key])] + ["--out", str(out)]
+        syllables = ["--syllables", paths["syllables"]]
+        inputs = ["--corpus", paths["corpus"], "--lexicon", paths["lexicon"],
+                  "--catvar", paths["catvar"]] + syllables
         train, test = "1850_1900_1950", "1900_1950_2000"
         for argv in (
-            ["build-dataset"],
-            ["extract-features", "--dataset", str(out / f"dataset_{train}.tsv")],
-            ["extract-features", "--dataset", str(out / f"dataset_{test}.tsv")],
+            ["build-dataset"] + inputs,
+            ["extract-features", "--dataset", str(out / f"dataset_{train}.tsv")]
+            + syllables,
+            ["extract-features", "--dataset", str(out / f"dataset_{test}.tsv")]
+            + syllables,
             ["train", "--features", str(out / f"features_{train}.tsv")],
             ["predict", "--features", str(out / f"features_{test}.tsv"),
              "--model", str(out / "model.json")],
             ["evaluate", "--dataset", str(out / f"dataset_{test}.tsv"),
              "--probabilities", str(out / "probabilities.tsv")],
-            ["interpret"],
+            ["interpret"] + inputs,
         ):
-            assert main(argv + flags) == EXIT_OK
+            assert main(argv + out_flag(out)) == EXIT_OK
         assert {
             "features": tree_sha256(out, [f"features_{train}.tsv",
                                           f"features_{test}.tsv"]),
@@ -543,8 +439,8 @@ class TestPinnedOutputs:
 def run_stages(paths, out):
     """build-dataset through evaluate on the 50-year windows, each stage
     reading the files the one before wrote; returns report.json."""
-    flags = common_flags(paths, out)
-    assert main(["build-dataset"] + flags) == EXIT_OK
+    assert main(["build-dataset"] + common_flags(paths, out)) == EXIT_OK
+    flags = out_flag(out)
     train_tsv = str(out / "dataset_1850_1900_1950.tsv")
     test_tsv = str(out / "dataset_1900_1950_2000.tsv")
     assert main(["extract-features", "--dataset", train_tsv] + flags) == EXIT_OK
@@ -594,7 +490,7 @@ class TestStagePipeline:
         edited = out / "edited.tsv"
         edited.write_text("\n".join(edit(lines)) + "\n")
         code = main(["evaluate", "--dataset", str(out / "dataset_1900_1950_2000.tsv"),
-                     "--probabilities", str(edited)] + common_flags(paths, out))
+                     "--probabilities", str(edited)] + out_flag(out))
         return code, capsys.readouterr().err
 
     def test_evaluate_missing_sense_is_data_error(self, tmp_path, synthetic_paths,
@@ -651,8 +547,8 @@ class TestStagePipeline:
         from lexevo.model import load_model
 
         out = tmp_path / "out"
-        flags = common_flags(synthetic_paths, out)
-        assert main(["build-dataset"] + flags) == EXIT_OK
+        assert main(["build-dataset"] + common_flags(synthetic_paths, out)) == EXIT_OK
+        flags = out_flag(out)
         train_tsv = str(out / "dataset_1850_1900_1950.tsv")
         assert main(["extract-features", "--dataset", train_tsv] + flags) == EXIT_OK
         features_tsv = str(out / "features_1850_1900_1950.tsv")
@@ -715,7 +611,7 @@ class TestArtifactReaders:
         if reader == "dataset":
             shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(edited)))
         code = main(argv + [str(edited)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         if fault == "short_row":
@@ -742,7 +638,7 @@ class TestArtifactReaders:
         if reader == "dataset":
             shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(edited)))
         code = main(argv + [str(edited)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"{edited} line 2: bad sense id {fields[1]!r}" in err
@@ -780,9 +676,11 @@ class TestArtifactReaders:
         edited.write_bytes(b"\n".join(lines) + b"\n")
         if reader == "dataset":
             shutil.copy(summary_path(str(source)), summary_path(str(edited)))
-        # the flag given last wins over the one common_flags gives
-        code = main(argv[:1] + common_flags(synthetic_paths, tmp_path / "out")
-                    + argv[1:] + [str(edited)])
+        # an ingest flag given last wins over the one common_flags gives
+        out = tmp_path / "out"
+        flags = (common_flags(synthetic_paths, out) if argv[0] in LOADS_INPUTS
+                 else out_flag(out))
+        code = main(argv[:1] + flags + argv[1:] + [str(edited)])
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert (f"{edited} line {len(lines)} is not UTF-8 (invalid start byte)"
@@ -810,7 +708,7 @@ class TestArtifactReaders:
         else:
             argument = edited
         code = main(argv + [str(argument)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"{edited} line 3 is not UTF-8 (invalid start byte)" in err
@@ -838,7 +736,7 @@ class TestArtifactReaders:
         sidecar = tmp_path / "dataset.json"
         sidecar.write_text(sidecar_text)
         code = main(["extract-features", "--dataset", str(dataset)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"{sidecar}: {message}" in err
@@ -862,7 +760,7 @@ class TestArtifactReaders:
         features = tmp_path / name
         features.write_text("\n".join(lines) + "\n")
         code = main(["train", "--features", str(features)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"evocli: error: {features}: " in err and message in err
@@ -879,7 +777,7 @@ class TestArtifactReaders:
         sidecar["births"][member] = None
         (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
         code = main(["extract-features", "--dataset", str(dataset)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert (f"{tmp_path / name}.json: key 'births' maps dataset member {member} "
@@ -897,7 +795,7 @@ class TestArtifactReaders:
                                      if i not in rows[1:]) + "\n")
         shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(dataset)))
         code = main(["extract-features", "--dataset", str(dataset)]
-                    + common_flags(synthetic_paths, tmp_path / "out"))
+                    + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_DATA
         assert f"{dataset}: synset s00000 has 1 member; need at least 2" in err
@@ -910,7 +808,7 @@ class TestArtifactReaders:
     ], ids=["huge_float", "huge_int"])
     def test_huge_feature_value(self, tmp_path, synthetic_paths, stage_dir, capsys,
                                 column, value):
-        flags = common_flags(synthetic_paths, tmp_path)
+        flags = out_flag(tmp_path)
         assert main(["extract-features", "--dataset",
                      str(stage_dir / "dataset_1850_1900_1950.tsv")] + flags) == EXIT_OK
         features = tmp_path / "features_1850_1900_1950.tsv"
@@ -975,7 +873,6 @@ class TestExtractFeaturesFromDataset:
             label = window.label()
             assert main(["extract-features",
                          "--dataset", str(out / f"dataset_{label}.tsv"),
-                         "--catvar", paths["catvar"],
                          "--syllables", paths["syllables"],
                          "--out", str(out)]) == EXIT_OK
             expected = tmp_path / f"expected_{label}.tsv"
@@ -993,7 +890,7 @@ class TestExtractFeaturesFromDataset:
 
         monkeypatch.setattr(corpus, "load_corpus", refuse)
         monkeypatch.setattr(experiments, "load_corpus", refuse)
-        # --corpus and --lexicon are accepted and ignored
+        # --corpus, --lexicon and --catvar are accepted, hidden and ignored
         assert main(["extract-features",
                      "--dataset", str(out / "dataset_1850_1900_1950.tsv"),
                      "--corpus", str(tmp_path / "nope.tsv"),
@@ -1004,19 +901,23 @@ class TestExtractFeaturesFromDataset:
 
     def test_catvar_flag_is_ignored(self, tmp_path, rapture_paths):
         # the clusters come from the sidecar: without --catvar, or with a
-        # file that does not exist, the categorial variations stay counted
+        # file that does not exist, the categorial variations stay counted;
+        # "inputs" is the call perfbench's staged chain makes
         out = tmp_path / "out"
         self.build(rapture_paths, out, "catvar")
         dataset = str(out / "dataset_1850_1900_1950.tsv")
         features = {}
-        for name, catvar in (("given", rapture_paths["catvar"]), ("absent", None),
-                             ("missing", str(tmp_path / "nope.tsv"))):
-            flags = ["--catvar", catvar] if catvar else []
+        for name, flags in (
+            ("given", ["--catvar", rapture_paths["catvar"]]), ("absent", []),
+            ("missing", ["--catvar", str(tmp_path / "nope.tsv")]),
+            ("inputs", [flag for key in ("corpus", "lexicon", "catvar")
+                        for flag in (f"--{key}", rapture_paths[key])]),
+        ):
             assert main(["extract-features", "--dataset", dataset,
                          "--out", str(tmp_path / name)] + flags) == EXIT_OK
             features[name] = (tmp_path / name
                               / "features_1850_1900_1950.tsv").read_text()
-        assert features["absent"] == features["missing"] == features["given"]
+        assert len(set(features.values())) == 1
         rows = [line.split("\t") for line in features["absent"].splitlines()]
         column = rows[0].index("categorial_variations")
         variations = {row[1]: row[column] for row in rows[1:]}
