@@ -69,15 +69,20 @@ def _cycle_list(text):
 
 
 def _year_range(text):
-    """--years value: inclusive range START:END (or one year), not empty."""
-    start, _, end = text.partition(":")
+    """--years value: inclusive range START:END (or one year), not empty,
+    of years a corpus row may have (MIN_YEAR to MAX_YEAR)."""
+    start, colon, end = text.partition(":")
     try:
-        years = range(int(start), int(end or start) + 1)
+        years = range(int(start), int(end if colon else start) + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected START:END integer years, got {text!r}") from None
     if not years:
         raise argparse.ArgumentTypeError(f"empty year range {text!r}")
+    if years[0] < corpus_mod.MIN_YEAR or years[-1] > corpus_mod.MAX_YEAR:
+        raise argparse.ArgumentTypeError(
+            f"must be in [{corpus_mod.MIN_YEAR}, {corpus_mod.MAX_YEAR}], "
+            f"got {text!r}")
     return years
 
 

@@ -86,23 +86,31 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("damage, reason", [
-        ("truncated_gzip", "Compressed file ended before the end-of-stream marker"),
-        ("corrupt_gzip", ""),
-        ("not_utf8", "line 3 is not UTF-8 (invalid start byte)"),
-        ("not_utf8_gzip", "line 3 is not UTF-8 (invalid start byte)"),
-    ], ids=["truncated_gzip", "corrupt_gzip", "not_utf8", "not_utf8_gzip"])
+    @pytest.mark.parametrize("damage, message", [
+        ("truncated_gzip", "cannot read corpus file {corpus}: "
+         "Compressed file ended before the end-of-stream marker"),
+        ("corrupt_gzip", "cannot read corpus file {corpus}: "),
+        ("not_utf8", "cannot read corpus file {corpus}: "
+         "line 3 is not UTF-8 (invalid start byte)"),
+        ("not_utf8_gzip", "cannot read corpus file {corpus}: "
+         "line 3 is not UTF-8 (invalid start byte)"),
+        ("oversize_count", "corpus file {corpus}: the counts of aaquzzz_NOUN "
+         "total more than 9223372036854775807"),
+    ], ids=["truncated_gzip", "corrupt_gzip", "not_utf8", "not_utf8_gzip",
+            "oversize_count"])
     def test_unreadable_corpus_is_data_error(self, tmp_path, synthetic_paths,
-                                             capsys, damage, reason):
-        # a corpus file that cannot be decompressed or decoded names the
-        # file (and the line, when it is not UTF-8), with no traceback; how
-        # zlib words a corrupt stream depends on its version
+                                             capsys, damage, message):
+        # a corpus file that cannot be decompressed, decoded or summed in
+        # 64 bits names the file (and the line, when it is not UTF-8), with
+        # no traceback; how zlib words a corrupt stream depends on its version
         with open(synthetic_paths["corpus"], "rb") as handle:
             text = handle.read()
         if damage.startswith("not_utf8"):
             lines = text.split(b"\n")
             lines[2] = lines[2].replace(b"\t", b"\xff\t", 1)
             text = b"\n".join(lines)
+        elif damage == "oversize_count":  # 2**63 as the first row's count
+            text = text.replace(b"\t1840\t1\t", b"\t1840\t9223372036854775808\t", 1)
         if damage.endswith("gzip"):
             text = gzip.compress(text, mtime=0)
         if damage == "truncated_gzip":
@@ -117,21 +125,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_DATA
-        assert f"cannot read corpus file {corpus}: {reason}" in err
+        assert message.format(corpus=corpus) in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--floor-year", "2100"), ("--cycle", "0"), ("--half-width", "-1"),
-    ])
-    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, flag, value):
-        # --floor-year and --half-width are no longer options, so argparse
-        # refuses them as it refuses --cycle 0
-        code = main(["build-dataset", flag, value]
-                    + missing_inputs("build-dataset", tmp_path)
-                    + out_flag(tmp_path / "out"))
-        assert code == EXIT_USAGE
-        assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
@@ -142,33 +137,44 @@ class TestExitCodes:
                           "predict", "evaluate", "ablate", "sweep", "interpret",
                           "plot-data"}
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["sweep", "--cycles", "x"], "--cycles"),
-        (["sweep", "--cycles", "50,10"], "--cycles"),
-        (["sweep", "--cycles", "50,50"], "--cycles"),
-        (["build-dataset", "--cycle", "10"], "--cycle"),
-        (["interpret", "--cycle", "61"], "--cycle"),
-        (["plot-data", "--synset", "a00001", "--years", "1800-2000"], "--years"),
-        (["plot-data", "--synset", "a00001", "--years", "2000:1800"], "--years"),
-        (["train", "--features", "f.tsv", "--only", "bogus"], "--only"),
-        (["train", "--features", "f.tsv", "--drop", "present_agee"], "--drop"),
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--cycles", "x"], "--cycles: must be an integer, got 'x'"),
+        (["sweep", "--cycles", "50,10"], "--cycles: must be in [30, 60], got 10"),
+        (["sweep", "--cycles", "50,50"], "--cycles: repeated cycle length 50"),
+        (["build-dataset", "--cycle", "10"], "--cycle: must be in [30, 60], got 10"),
+        (["build-dataset", "--cycle", "0"], "--cycle: must be in [30, 60], got 0"),
+        (["interpret", "--cycle", "61"], "--cycle: must be in [30, 60], got 61"),
+        (["plot-data", "--synset", "a00001", "--years", "1800-2000"],
+         "--years: expected START:END integer years, got '1800-2000'"),
+        (["plot-data", "--synset", "a00001", "--years", "1800:"],
+         "--years: expected START:END integer years, got '1800:'"),
+        (["plot-data", "--synset", "a00001", "--years", "2000:1800"],
+         "--years: empty year range '2000:1800'"),
+        (["plot-data", "--synset", "a00001", "--years", "0:3000"],
+         "--years: must be in [1500, 2008], got '0:3000'"),
+        (["train", "--features", "f.tsv", "--only", "bogus"],
+         "--only: unknown features: bogus"),
+        (["train", "--features", "f.tsv", "--drop", "present_agee"],
+         "--drop: unknown features: present_agee"),
         (["train", "--features", "f.tsv", "--only", "present_age",
-          "--drop", "present_age"], "--drop"),
-        (["train", "--features", "f.tsv", "--only", ","], "--only"),
+          "--drop", "present_age"], "--drop: not allowed with argument --only"),
+        (["train", "--features", "f.tsv", "--only", ","],
+         "--only: no features selected"),
         (["train", "--features", "f.tsv", "--drop", ",".join(FEATURE_NAMES)],
-         "--drop"),
+         "--drop: no features selected"),
     ], ids=["cycles_not_integers", "cycles_below_30", "cycles_repeated",
-            "cycle_below_30", "cycle_above_60", "years_not_a_range", "years_reversed",
+            "cycle_below_30", "cycle_zero", "cycle_above_60", "years_not_a_range",
+            "years_open_ended", "years_reversed", "years_outside_the_corpus",
             "only_unknown_feature", "drop_unknown_feature", "only_and_drop",
             "only_nothing", "drop_everything"])
-    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, flag):
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, argv, message):
         # the flag is checked before any input is read: the corpus named
         # here does not exist, which would otherwise be a data error
         code = main(argv + missing_inputs(argv[0], tmp_path)
                     + out_flag(tmp_path / "out"))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert f"argument {flag}: " in err
+        assert f"error: argument {message}\n" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flags", "other_spelling"])
@@ -213,7 +219,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--half-width", "5"), ("--anchor-year", "2000"), ("--floor-year", "1800")])
+        ("--half-width", "5"), ("--anchor-year", "2000"), ("--floor-year", "1800"),
+        ("--half-width", "-1"), ("--floor-year", "2100")])
     def test_period_constant_is_not_an_option(self, tmp_path, capsys, flag, value):
         # the paper fixes how periods are sampled, so not even the constant's
         # own value may be given; the corpus named here does not exist, so
@@ -352,6 +359,18 @@ class TestPinnedOutputs:
         out = tmp_path / "out"
         assert main(command.split() + flags + ["--out", str(out)]) == EXIT_OK
         assert tree_sha256(out) == self.PINNED[bundle, command]
+
+    def test_gzipped_corpus_ingests_to_the_same_bytes(self, tmp_path,
+                                                       synthetic_paths):
+        corpus = tmp_path / "corpus.tsv.gz"
+        with open(synthetic_paths["corpus"], "rb") as handle:
+            corpus.write_bytes(gzip.compress(handle.read(), mtime=0))
+        flags = [flag for key in ("lexicon", "catvar", "syllables")
+                 for flag in (f"--{key}", synthetic_paths[key])]
+        out = tmp_path / "out"
+        assert main(["ingest", "--corpus", str(corpus)] + flags
+                    + ["--out", str(out)]) == EXIT_OK
+        assert tree_sha256(out) == self.PINNED["synthetic", "ingest"]
 
     # what the stages after build-dataset write, each hashed on its own so
     # that a change to one artifact shows which stage moved
