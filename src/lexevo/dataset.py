@@ -186,9 +186,10 @@ def read_dataset(tsv_path):
     """Reload a serialized dataset (synsets reconstructed from sense ids)
     as (dataset, clusters, births), the context its sidecar carries.
 
-    A header other than DATASET_COLUMNS is a DataError naming the file; a
-    malformed row, a negative count or a repeated sense is one naming the
-    line.
+    A missing TSV is an OSError naming it, raised before the sidecar is
+    read.  A header other than DATASET_COLUMNS is a DataError naming the
+    file; a malformed row, a negative count or a repeated sense is one
+    naming the line.
     Every synset must have two or more members of one part of speech and
     pass the removal rules that build_dataset applies; one that does not
     is a DataError naming the synset and the member count, the parts of
@@ -199,6 +200,7 @@ def read_dataset(tsv_path):
     cluster-mate, and a member whose birth is null: every member has a
     nonzero present count, so a birth year.
     """
+    os.stat(tsv_path)  # a missing TSV is named, not its sidecar
     json_path = summary_path(tsv_path)
     window, removals, births, clusters = _read_summary(json_path)
     groups = {}

@@ -115,25 +115,29 @@ class NaiveBayesModel:
         n0, n1 = self.class_sizes
         self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
         self.trigram_dims = tuple(sorted(self.trigram_ones))
-        self.trigram_params = {
-            tri: tuple(_fit_binary_gaussian(ones, n)
-                       for ones, n in zip(self.trigram_ones[tri], self.class_sizes))
-            for tri in self.trigram_dims
-        }
         self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
         self._scalar_constants = {
             name: tuple(_density_constants(p) for p in pair)
             for name, pair in self.scalar_params.items()
         }
+        # a trigram's Gaussians and terms depend only on its count pair,
+        # which many trigrams share, so each distinct pair is computed once;
         # a word with a trained trigram replaces its log N(0) by log N(1)
         # in each class; a word without any adds only the absent sum
-        self._trigram_corrections = {}
-        absent = []
-        for tri, (p0, p1) in self.trigram_params.items():
+        by_pair = {}  # count pair -> (Gaussians, corrections, absent terms)
+        for ones in set(self.trigram_ones.values()):
+            p0, p1 = params = tuple(_fit_binary_gaussian(k, n)
+                                    for k, n in zip(ones, self.class_sizes))
             zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
-            self._trigram_corrections[tri] = (
-                gaussian_log_pdf(p1, 1.0), -zero1, -gaussian_log_pdf(p0, 1.0), zero0)
-            absent += [zero1, -zero0]
+            by_pair[ones] = (params, (gaussian_log_pdf(p1, 1.0), -zero1,
+                                      -gaussian_log_pdf(p0, 1.0), zero0),
+                             (zero1, -zero0))
+        self.trigram_params, self._trigram_corrections, absent = {}, {}, []
+        for tri in self.trigram_dims:
+            params, corrections, zeros = by_pair[self.trigram_ones[tri]]
+            self.trigram_params[tri] = params
+            self._trigram_corrections[tri] = corrections
+            absent += zeros
         self._absent_parts = _exact_parts(absent)
 
 

@@ -13,11 +13,13 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lexevo import cli
 from lexevo.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
     _read_scores,
+    build_parser,
     main,
 )
 from lexevo.dataset import summary_path
@@ -85,6 +87,18 @@ class TestExitCodes:
                      "--lexicon", synthetic_paths["lexicon"],
                      "--out", str(tmp_path)])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("argv", [
+        ["extract-features"], ["evaluate", "--probabilities", "p.tsv"]],
+        ids=["extract_features", "evaluate"])
+    def test_nonexistent_dataset_is_named(self, tmp_path, capsys, argv):
+        # the TSV is named, not the sidecar read from beside it
+        dataset = tmp_path / "none.tsv"
+        code = main(argv + ["--dataset", str(dataset)] + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err == f"evocli: error: [Errno 2] No such file or directory: '{dataset}'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("damage, message", [
         ("truncated_gzip", "cannot read corpus file {corpus}: "
@@ -261,6 +275,73 @@ class TestCommandFlags:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 50" in err
+        assert not (tmp_path / "out").exists()
+
+
+def parsed(parser, argv, capsys):
+    """(Namespace or exit code, stdout, stderr) of parser.parse_args(argv)."""
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParser:
+    """main builds the parser of the command it runs, and only that one;
+    that parser parses the command's argv as the full parser does."""
+
+    @staticmethod
+    def count_parsers(monkeypatch):
+        """The prog of each cli._Parser built from now on."""
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("console_script", [False, True])
+    def test_one_command_builds_one_subparser(self, tmp_path, capsys, monkeypatch,
+                                              console_script):
+        argv = ["train", "--features", str(tmp_path / "f.tsv"),
+                *out_flag(tmp_path / "out")]
+        built = self.count_parsers(monkeypatch)
+        if console_script:  # as the installed evocli calls it
+            monkeypatch.setattr(sys, "argv", ["evocli", *argv])
+            code = main()
+        else:
+            code = main(argv)
+        assert code == EXIT_DATA  # the features file does not exist
+        assert built == ["evocli", "evocli train"]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--out", "x"]],
+                             ids=["no_command", "help", "unknown", "flag_first"])
+    def test_no_known_command_builds_every_subparser(self, capsys, monkeypatch,
+                                                     argv):
+        # so the help and the usage errors list every command
+        built = self.count_parsers(monkeypatch)
+        main(argv)
+        assert sorted(built) == sorted(
+            ["evocli"] + [f"evocli {name}" for name in COMMANDS])
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_command_parser_parses_as_the_full_one(self, tmp_path, capsys,
+                                                       command):
+        # the command's required flags and inputs: an argv that parses
+        valid = [command, *COMMANDS[command],
+                 *(["--corpus", "c.tsv", "--lexicon", "l.tsv"]
+                   if command in LOADS_INPUTS else []),
+                 *out_flag(tmp_path / "out")]
+        for argv in ([command, "--help"], [command], valid + ["--bogus", "1"],
+                     valid):
+            one = parsed(build_parser(command), argv, capsys)
+            assert one == parsed(build_parser(), argv, capsys)
+        assert one[0].handler is cli.COMMANDS[command][0]
         assert not (tmp_path / "out").exists()
 
 

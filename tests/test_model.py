@@ -14,6 +14,9 @@ from lexevo.lexicon import SenseId
 from lexevo.model import (
     VARIANCE_FLOOR,
     GaussianParams,
+    NaiveBayesModel,
+    _exact_parts,
+    _fit_binary_gaussian,
     feature_terms,
     fit,
     gaussian_log_pdf,
@@ -528,6 +531,27 @@ class TestSparseScoring:
         assert len(absent["unique_ngrams"]) <= 2
         assert (sum(map(len, terms.values()))
                 == 2 * len(model.scalar_params) + len(absent["unique_ngrams"]) + 4 * 2)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
+    def test_shared_count_pairs_match_per_dim_constants(self, n0, n1, pairs):
+        # few distinct count pairs, so that many trigrams share one
+        trigram_ones = {f"t{i:02d}": (min(k0, n0), min(k1, n1))
+                        for i, (k0, k1) in enumerate(pairs)}
+        model = NaiveBayesModel(("unique_ngrams",), (n0, n1), {}, trigram_ones)
+        params, corrections, absent = {}, {}, []
+        for tri in sorted(trigram_ones):
+            p0, p1 = params[tri] = tuple(
+                _fit_binary_gaussian(ones, n)
+                for ones, n in zip(trigram_ones[tri], (n0, n1)))
+            zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
+            corrections[tri] = (gaussian_log_pdf(p1, 1.0), -zero1,
+                                -gaussian_log_pdf(p0, 1.0), zero0)
+            absent += [zero1, -zero0]
+        assert model.trigram_params == params
+        assert list(model.trigram_params) == list(params)
+        assert model._trigram_corrections == corrections
+        assert model._absent_parts == _exact_parts(absent)
 
     def test_absent_sum_cache_is_private(self, tmp_path):
         rng = random.Random(13)
