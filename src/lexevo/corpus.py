@@ -7,7 +7,9 @@ Input rows follow the published unigram TSV shape:
 Years run from 1500 to 2008.  A word absent from the corpus behaves as an
 all-zero series.  Each word's series is stored as cumulative sums over its
 attested years, so a period sum is two bisections and a subtraction
-(prefix sums; Blelloch 1990).
+(prefix sums; Blelloch 1990).  A table sums a sampling year's period for
+all of its keys the first time the year is read, and keeps the counts:
+the 14 windows of a cycle 30-60 sweep read 13 distinct years.
 
 Rows grouped by token, as the published files and evocli ingest's
 corpus.tsv list each word's years one after another, are the fast path:
@@ -20,15 +22,16 @@ typed arrays: 2 B of year (array('H')) and 8 B of running sum
 (array('q')).  Any other row goes to a year -> count dict of the key,
 about 100 B a row, merged with the arrays when the table is built.  The
 table keeps 16 B a row: a tuple of shared year ints (8 B of pointer) and
-the array('q') of sums.  Counts are signed 64-bit: a count or a key's
-total above 2**63 - 1 is a DataError naming the file and the token.
+the array('q') of sums, and 8 B a key for each year read.  Counts are
+signed 64-bit: a count or a key's total above 2**63 - 1 is a DataError
+naming the file and the token.
 """
 
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 
 from ._util import open_maybe_gzip, undecodable_line
@@ -117,7 +120,8 @@ class _Rows:
 
 
 class CorpusTable:
-    """Immutable map from (lemma, POS) keys to period-sum lookups.
+    """Map from (lemma, POS) keys to period-sum lookups, with a store of
+    the period counts at the years read so far.
 
     Each key is stored once, as (years, cum): the sorted tuple of its
     attested years and the array('q') of cumulative sums of their counts,
@@ -126,8 +130,15 @@ class CorpusTable:
     module's shared int objects, so a row costs the table 16 B: 8 B of
     pointer in years and 8 B of sum.
 
+    Each key has a slot, its index in table key order.  The first
+    period_counts call for a year sums the period centered on it for every
+    key, and the table keeps these counts, an array('q') by slot, for its
+    life: 8 B a key per year read.  The sums never change, so neither do
+    the stored counts; each load builds a new table, which starts with
+    none.
+
     The constructor takes key -> {year: non-negative count} dicts, years
-    in [MIN_YEAR, MAX_YEAR] (ValueError otherwise), and
+    in [MIN_YEAR, MAX_YEAR] (ValueError naming the token otherwise), and
     load_corpus passes the rows it streamed instead; both are merged the
     same way (duplicate years summed, years sorted), so the table is
     identical however the input rows were sharded or ordered.  It keeps no
@@ -136,24 +147,53 @@ class CorpusTable:
     """
 
     def __init__(self, series):
-        self._sums = {}
+        self._slots = {}  # key -> slot
+        self._sums = []  # (years, cum) by slot
+        self._periods = {}  # year -> period counts by slot, then 0
         for key, rows in series.items():
             if not isinstance(rows, _Rows):
                 # _YEARS[year] would wrap a negative year round silently
                 if any(not MIN_YEAR <= year <= MAX_YEAR for year in rows):
                     raise ValueError(f"{join_token(key)} has a year outside "
                                      f"[{MIN_YEAR}, {MAX_YEAR}]")
+                # a negative count would hide the first nonzero one from
+                # birth_years and a zero present count from the removal rule
+                if any(count < 0 for count in rows.values()):
+                    raise ValueError(f"{join_token(key)} has a negative count")
                 rows = _Rows(dict(rows))
             try:
-                self._sums[key] = rows.sums()
+                sums = rows.sums()
             except OverflowError:
                 raise DataError(f"the counts of {join_token(key)} total more "
                                 f"than {MAX_TOTAL}") from None
+            self._slots[key] = len(self._sums)
+            self._sums.append(sums)
 
     def sums(self, key):
         """(years, cumulative sums) of key, as period_count takes them;
         the caller must not modify them."""
-        return self._sums.get(key, _NO_SUMS)
+        slot = self._slots.get(key)
+        return _NO_SUMS if slot is None else self._sums[slot]
+
+    def slots(self, keys):
+        """The slot of each key, as period_counts takes them; an absent
+        key's counts read as 0."""
+        get, absent = self._slots.get, len(self._sums)
+        return [get(key, absent) for key in keys]
+
+    def period_counts(self, slots, year):
+        """The period counts at year of the keys at slots (see slots).
+
+        The first call for a year sums the period of every key in the
+        table, into an array('q') by slot with a trailing 0 that absent
+        keys read, and keeps it for the life of the table.
+        """
+        counts = self._periods.get(year)
+        if counts is None:
+            # array('q') takes a list faster than an iterator
+            counts = self._periods[year] = array(
+                "q", [*map(period_count, self._sums, repeat(year)), 0])
+        return [counts[slot] for slot in slots]
 
     def counts(self, key):
         """(year, count) pairs of key in year order, attested zero counts
@@ -167,7 +207,7 @@ class CorpusTable:
         return dict(self.counts(key))
 
     def keys(self):
-        return self._sums.keys()
+        return self._slots.keys()
 
     def __len__(self):
         return len(self._sums)

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
-from .corpus import join_token, period_count, split_token
+from .corpus import join_token, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
 
@@ -106,18 +106,20 @@ def _removal_reason(presents, futures):
 def build_snapshot(synset, corpus, window):
     """Return (snapshot, None) or (None, removal reason).
 
-    Each period is summed only when the outcome needs it: the present
-    counts of every synset, the future counts of one with no dead member
-    (the rule does not read them otherwise) and the past counts of a kept
-    one.
+    The members' counts are read from the table's stored period counts
+    (CorpusTable.period_counts), and a period is read only when the
+    outcome needs it: the present counts of every synset, the future
+    counts of one with no dead member (the rule does not read them
+    otherwise) and the past counts of a kept one.  So a window whose
+    synsets are all dead makes the table sum its present year alone.
     """
-    sums = [corpus.sums(key) for key in synset.corpus_keys]
-    presents = [period_count(s, window.present) for s in sums]
-    futures = [] if 0 in presents else [period_count(s, window.future) for s in sums]
+    slots = corpus.slots(synset.corpus_keys)
+    presents = corpus.period_counts(slots, window.present)
+    futures = [] if 0 in presents else corpus.period_counts(slots, window.future)
     reason = _removal_reason(presents, futures)
     if reason is not None:
         return None, reason
-    pasts = [period_count(s, window.past) for s in sums]
+    pasts = corpus.period_counts(slots, window.past)
     return SynsetSnapshot(synset, dict(zip(
         synset.members, map(MemberCounts, pasts, presents, futures)))), None
 

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from lexevo import corpus as corpus_mod
 from lexevo.experiments import load_pipeline_inputs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -15,6 +16,20 @@ def bundle_paths(name):
         "catvar": os.path.join(base, "catvar.tsv"),
         "syllables": os.path.join(base, "syllables.tsv"),
     }
+
+
+def count_period_calls(monkeypatch):
+    """Patch corpus.period_count, which CorpusTable sums each stored year
+    with, to record the (sums, center) of every call."""
+    calls = []
+    original = corpus_mod.period_count
+
+    def counted(sums, center):
+        calls.append((sums, center))
+        return original(sums, center)
+
+    monkeypatch.setattr(corpus_mod, "period_count", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

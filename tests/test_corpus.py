@@ -466,6 +466,12 @@ class TestCompactTable:
         with pytest.raises(ValueError, match="rapt_ADJ has a year outside"):
             CorpusTable({RAPT: {1900: 1, year: 1}})
 
+    @pytest.mark.parametrize("series", [{1900: -5, 1901: 7}, {1900: 3, 1901: -1}])
+    def test_series_negative_count_rejected(self, series):
+        # a negative count would move the birth year and hide a dead word
+        with pytest.raises(ValueError, match="rapt_ADJ has a negative count"):
+            CorpusTable({RAPT: series})
+
     @given(st.lists(st.tuples(st.sampled_from([RAPT, ZEBRA, ("a_b", "NOUN")]),
                               st.integers(1898, 1906), st.integers(0, 10 ** 12)),
                     max_size=40),

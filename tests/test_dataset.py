@@ -2,12 +2,13 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
-from lexevo import dataset as dataset_mod
-from lexevo.corpus import HALF_WIDTH, CorpusTable, period_count
+from lexevo.corpus import HALF_WIDTH, CorpusTable
 from lexevo.dataset import (
     MAX_CYCLE,
     MIN_CYCLE,
@@ -22,6 +23,13 @@ from lexevo.dataset import (
 )
 from lexevo.errors import DataError
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
+from tests.conftest import count_period_calls
+
+
+def sweep_windows():
+    """The distinct windows of cycles 30-60, in order."""
+    return sorted({w for cycle in (30, 40, 50, 60)
+                   for pair in schedule_windows(cycle) for w in pair})
 
 
 def synset(*lemmas, pos="n"):
@@ -123,6 +131,11 @@ class TestBuildSnapshot:
         snapshot, reason = build_snapshot(synset("alpha", "beta", "gamma"), table, WINDOW)
         assert reason == "tie"
 
+    def test_member_absent_from_the_table_is_dead(self):
+        table = table_for({"alpha": {1900: 5, 1950: 5}, "beta": {1900: 3, 1950: 4}})
+        _, reason = build_snapshot(synset("alpha", "beta", "gamma"), table, WINDOW)
+        assert reason == "dead_word"
+
     def test_future_tie_removal(self):
         table = table_for({
             "alpha": {1900: 10, 1950: 5},
@@ -152,20 +165,18 @@ class TestBuildSnapshot:
     ])
     def test_sums_only_the_periods_the_outcome_needs(self, monkeypatch, series, reason,
                                                      calls_per_member):
-        # the present of every synset, the future of one with no dead member
-        # and the past of a kept one, each through period_count
-        calls = []
-
-        def counted(sums, center):
-            calls.append(center)
-            return period_count(sums, center)
-
-        monkeypatch.setattr(dataset_mod, "period_count", counted)
-        snapshot, got = build_snapshot(
-            synset("alpha", "beta", "gamma"), table_for(series), WINDOW)
+        # the table sums the present of every synset, the future of one with
+        # no dead member and the past of a kept one, each for all of its
+        # keys through period_count, once: a second build reads them stored
+        calls = count_period_calls(monkeypatch)
+        members, table = synset("alpha", "beta", "gamma"), table_for(series)
+        snapshot, got = build_snapshot(members, table, WINDOW)
         assert got == reason and (snapshot is None) == (reason is not None)
         years = (WINDOW.present, WINDOW.future, WINDOW.past)[:calls_per_member]
-        assert sorted(calls) == sorted(years * 3)
+        assert sorted(center for _, center in calls) == sorted(years * len(table))
+        del calls[:]
+        assert build_snapshot(members, table, WINDOW) == (snapshot, got)
+        assert calls == []
 
     def test_corpus_keys_resolved_once_per_synset(self, monkeypatch):
         members = synset("alpha", "beta")
@@ -272,6 +283,71 @@ class TestBuildDataset:
         summary = ds.summary()
         assert (summary["synsets"], summary["words"]) == (0, 0)
         assert summary["words_per_synset"] == summary["change_percent"] == 0.0
+
+    def test_all_dead_window_sums_its_present_year_alone(self, monkeypatch):
+        calls = count_period_calls(monkeypatch)
+        table = table_for({
+            "one": {1950: 9}, "two": {1900: 3, 1950: 1},
+            "three": {1850: 2}, "four": {1900: 2, 1950: 4},
+            "five": {1900: 7}, "six": {1950: 2},
+        })
+        ds = build_dataset(self.three_synsets(), table, WINDOW)
+        assert ds.removal_log == {"dead_word": 3}
+        assert [center for _, center in calls] == [WINDOW.present] * 6
+
+    def test_sweep_windows_sum_each_key_once_per_year_read(self, monkeypatch,
+                                                           fresh_synthetic_inputs):
+        # 14 windows of cycles 30-60 over 13 distinct years, on one table
+        calls = count_period_calls(monkeypatch)
+        inputs = fresh_synthetic_inputs
+        windows = sweep_windows()
+        datasets = [build_dataset(inputs.synsets, inputs.corpus, w) for w in windows]
+        assert len(windows) == 14 and len({y for w in windows for y in astuple(w)}) == 13
+        # every window reads its present year; the future year when a
+        # synset has no dead member; the past year when one is kept
+        read = set()
+        for ds in datasets:
+            read.add(ds.window.present)
+            if ds.removal_log["dead_word"] < len(inputs.synsets):
+                read.add(ds.window.future)
+            if ds.snapshots:
+                read.add(ds.window.past)
+        pairs = Counter((id(sums), center) for sums, center in calls)
+        assert set(pairs.values()) == {1}
+        assert {center for _, center in pairs} == read
+        assert len(pairs) == len(inputs.corpus) * len(read)
+        assert len({key for key, _ in pairs}) == len(inputs.corpus)
+
+    # member series near the sampling years of cycles 30-60, so that dead,
+    # tied and kept synsets are each common in every window
+    NEAR_SAMPLING_YEAR = st.builds(
+        lambda center, offset: center + offset,
+        st.sampled_from(sorted({y for w in sweep_windows() for y in astuple(w)})),
+        st.integers(-HALF_WIDTH - 1, HALF_WIDTH + 1))
+
+    # no explain phase: it traces every line of an example's 28 builds, and
+    # on a failure it took minutes and hundreds of MiB
+    @settings(max_examples=100, deadline=None,
+              phases=[phase for phase in Phase if phase is not Phase.explain])
+    @given(st.lists(st.lists(st.dictionaries(NEAR_SAMPLING_YEAR, st.integers(0, 3),
+                                             min_size=5, max_size=15),
+                             min_size=2, max_size=3),
+                    min_size=1, max_size=3),
+           st.permutations(sweep_windows()))
+    def test_warm_table_builds_what_a_cold_one_does(self, synsets_series, order):
+        rows, series = "", {}
+        for i, members in enumerate(synsets_series):
+            lemmas = [f"w{'abc'[i]}{'abc'[j]}" for j in range(len(members))]
+            rows += f"s{i}\tn\t{','.join(lemmas)}\n"
+            series.update(zip(lemmas, members))
+        synsets = load_lexicon(io.StringIO(rows)).synsets
+        shared = table_for(series)
+        for window in order:
+            got = build_dataset(synsets, shared, window)
+            cold = build_dataset(synsets, table_for(series), window)
+            assert got == cold
+            assert ([list(s.counts) for s in got.snapshots]
+                    == [list(s.counts) for s in cold.snapshots])
 
 
 class TestDatasetSerialization:

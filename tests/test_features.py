@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexevo.dataset import (Dataset, MemberCounts, SynsetSnapshot, TimeWindow,
-                            schedule_windows)
+                            build_dataset, schedule_windows)
 from lexevo.errors import DataError
 from lexevo.experiments import (AblationSpec, load_pipeline_inputs, prepare_window,
                                 run_ablations, run_cycle_sweep)
@@ -25,7 +25,7 @@ from lexevo.features import (
 )
 from lexevo.lexicon import CatVarClusters, SenseId, Synset, load_lexicon
 from lexevo.model import GaussianParams
-from tests.conftest import bundle_paths
+from tests.conftest import bundle_paths, count_period_calls
 
 LEMMA = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=12)
 
@@ -267,15 +267,24 @@ class TestExtractFeatures:
 
     def test_each_load_starts_cold(self, monkeypatch):
         calls = count_trigram_calls(monkeypatch)
+        period_calls = count_period_calls(monkeypatch)
         window = schedule_windows(50)[1][0]
         first = load_synthetic_inputs()
         kept = prepare_window(window, first)
         members = len(calls)
         assert members == sum(len(s.members) for s in first.synsets)
+        # the window keeps a synset, so its three years are summed per key
+        summed = len(period_calls)
+        assert summed == 3 * len(first.corpus)
+        # first's table keeps its years: a rebuild sums nothing
+        assert build_dataset(first.synsets, first.corpus, window) == kept[0]
+        assert len(period_calls) == summed
         second = load_synthetic_inputs()
         assert "word_shapes" not in vars(second)
         assert not second._prepared
+        assert not second.corpus._periods
         fresh = prepare_window(window, second)
+        assert len(period_calls) == 2 * summed
         # first keeps its window: the same dataset and the same read-only
         # vectors, while second prepared its own
         again = prepare_window(window, first)
