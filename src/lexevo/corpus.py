@@ -7,9 +7,9 @@ Input rows follow the published unigram TSV shape:
 Years run from 1500 to 2008.  A word absent from the corpus behaves as an
 all-zero series.  Each word's series is stored as cumulative sums over its
 attested years, so a period sum is two bisections and a subtraction
-(prefix sums; Blelloch 1990).  A table sums a sampling year's period for
-all of its keys the first time the year is read, and keeps the counts:
-the 14 windows of a cycle 30-60 sweep read 13 distinct years.
+(prefix sums; Blelloch 1990).  A table sums a sampling year's period
+once for each key that a synset reads, and keeps the counts: the 14
+windows of a cycle 30-60 sweep read 13 distinct years.
 
 Rows grouped by token, as the published files and evocli ingest's
 corpus.tsv list each word's years one after another, are the fast path:
@@ -22,8 +22,8 @@ typed arrays: 2 B of year (array('H')) and 8 B of running sum
 (array('q')).  Any other row goes to a year -> count dict of the key,
 about 100 B a row, merged with the arrays when the table is built.  The
 table keeps 16 B a row: a tuple of shared year ints (8 B of pointer) and
-the array('q') of sums, and 8 B a key for each year read.  Counts are
-signed 64-bit: a count or a key's total above 2**63 - 1 is a DataError
+the array('q') of sums, and 8 B a read key for each year read.  Counts
+are signed 64-bit: a count or a key's total above 2**63 - 1 is a DataError
 naming the file and the token.
 """
 
@@ -130,12 +130,16 @@ class CorpusTable:
     module's shared int objects, so a row costs the table 16 B: 8 B of
     pointer in years and 8 B of sum.
 
-    Each key has a slot, its index in table key order.  The first
-    period_counts call for a year sums the period centered on it for every
-    key, and the table keeps these counts, an array('q') by slot, for its
-    life: 8 B a key per year read.  The sums never change, so neither do
-    the stored counts; each load builds a new table, which starts with
-    none.
+    A key gets a slot the first time slots() reads it, so only the keys
+    that synsets read have one: not the cluster-only words that the corpus
+    filter loads for their births.  load_pipeline_inputs gives all synset
+    members their slots before any window reads them.  A period_counts
+    call for a year sums the period centered on it for each slot given
+    since the year was last read, and the table keeps these counts, an
+    array('q') by slot, for its life: 8 B a read key per year read, so
+    each (key, year) is summed at most once.  The sums never change, so
+    neither do the stored counts; each load builds a new table, which
+    starts with none.
 
     The constructor takes key -> {year: non-negative count} dicts, years
     in [MIN_YEAR, MAX_YEAR] (ValueError naming the token otherwise), and
@@ -147,9 +151,10 @@ class CorpusTable:
     """
 
     def __init__(self, series):
-        self._slots = {}  # key -> slot
-        self._sums = []  # (years, cum) by slot
-        self._periods = {}  # year -> period counts by slot, then 0
+        self._sums = {}  # key -> (years, cum)
+        self._slots = {}  # key -> slot, given on the key's first read
+        self._read = []  # (years, cum) by slot
+        self._periods = {}  # year -> period counts by slot
         for key, rows in series.items():
             if not isinstance(rows, _Rows):
                 # _YEARS[year] would wrap a negative year round silently
@@ -162,37 +167,43 @@ class CorpusTable:
                     raise ValueError(f"{join_token(key)} has a negative count")
                 rows = _Rows(dict(rows))
             try:
-                sums = rows.sums()
+                self._sums[key] = rows.sums()
             except OverflowError:
                 raise DataError(f"the counts of {join_token(key)} total more "
                                 f"than {MAX_TOTAL}") from None
-            self._slots[key] = len(self._sums)
-            self._sums.append(sums)
 
     def sums(self, key):
         """(years, cumulative sums) of key, as period_count takes them;
         the caller must not modify them."""
-        slot = self._slots.get(key)
-        return _NO_SUMS if slot is None else self._sums[slot]
+        return self._sums.get(key, _NO_SUMS)
 
     def slots(self, keys):
-        """The slot of each key, as period_counts takes them; an absent
-        key's counts read as 0."""
-        get, absent = self._slots.get, len(self._sums)
-        return [get(key, absent) for key in keys]
+        """The slot of each key, as period_counts takes them.  A key gets
+        the next free slot the first time it is read; an absent key too,
+        and its counts read as 0."""
+        slots = self._slots
+        try:
+            return [slots[key] for key in keys]
+        except KeyError:
+            for key in keys:
+                if key not in slots:
+                    slots[key] = len(self._read)
+                    self._read.append(self.sums(key))
+            return [slots[key] for key in keys]
 
     def period_counts(self, slots, year):
         """The period counts at year of the keys at slots (see slots).
 
-        The first call for a year sums the period of every key in the
-        table, into an array('q') by slot with a trailing 0 that absent
-        keys read, and keeps it for the life of the table.
+        A call sums the period of every key given a slot since the year
+        was last read, into the year's array('q') by slot, which the table
+        keeps for its life.
         """
         counts = self._periods.get(year)
         if counts is None:
+            counts = self._periods[year] = array("q")
+        if len(counts) < len(self._read):
             # array('q') takes a list faster than an iterator
-            counts = self._periods[year] = array(
-                "q", [*map(period_count, self._sums, repeat(year)), 0])
+            counts.extend([*map(period_count, self._read[len(counts):], repeat(year))])
         return [counts[slot] for slot in slots]
 
     def counts(self, key):
@@ -207,7 +218,7 @@ class CorpusTable:
         return dict(self.counts(key))
 
     def keys(self):
-        return self._slots.keys()
+        return self._sums.keys()
 
     def __len__(self):
         return len(self._sums)

@@ -111,7 +111,8 @@ def build_snapshot(synset, corpus, window):
     outcome needs it: the present counts of every synset, the future
     counts of one with no dead member (the rule does not read them
     otherwise) and the past counts of a kept one.  So a window whose
-    synsets are all dead makes the table sum its present year alone.
+    synsets are all dead makes the table sum its present year alone, and
+    only for its members' keys.
     """
     slots = corpus.slots(synset.corpus_keys)
     presents = corpus.period_counts(slots, window.present)

@@ -22,6 +22,7 @@ from lexevo.dataset import (
     write_dataset,
 )
 from lexevo.errors import DataError
+from lexevo.experiments import load_pipeline_inputs
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
 from tests.conftest import count_period_calls
 
@@ -315,8 +316,44 @@ class TestBuildDataset:
         pairs = Counter((id(sums), center) for sums, center in calls)
         assert set(pairs.values()) == {1}
         assert {center for _, center in pairs} == read
-        assert len(pairs) == len(inputs.corpus) * len(read)
-        assert len({key for key, _ in pairs}) == len(inputs.corpus)
+        member_sums = {id(inputs.corpus.sums(key))
+                       for s in inputs.synsets for key in s.corpus_keys}
+        assert len(pairs) == len(member_sums) * len(read)
+        assert {key for key, _ in pairs} == member_sums
+
+    def test_keys_no_synset_reads_are_never_summed(self, monkeypatch):
+        # the table sums a year for the keys that synsets have read, not
+        # for every key it holds
+        calls = count_period_calls(monkeypatch)
+        table = table_for({
+            "one": {1850: 2, 1900: 5, 1950: 9}, "two": {1850: 1, 1900: 3, 1950: 1},
+            "stray": {1850: 4, 1900: 4, 1950: 4},
+            "three": {1850: 3, 1900: 4, 1950: 5}, "four": {1850: 1, 1900: 2, 1950: 4},
+            "five": {1850: 2, 1900: 7, 1950: 8}, "six": {1850: 5, 1900: 6, 1950: 2},
+        })
+        ds = build_dataset(self.three_synsets(), table, WINDOW)
+        assert len(ds.snapshots) == 3
+        stray = table.sums(("stray", "NOUN"))
+        assert all(sums is not stray for sums, _ in calls)
+        assert Counter(center for _, center in calls) == {
+            WINDOW.past: 6, WINDOW.present: 6, WINDOW.future: 6}
+
+    def test_cluster_only_words_are_never_summed(self, monkeypatch, rapture_paths):
+        # the corpus filter loads every cluster member, so that births can
+        # be read, but no synset reads a cluster-only word's periods
+        calls = count_period_calls(monkeypatch)
+        inputs, _, _ = load_pipeline_inputs(
+            [rapture_paths["corpus"]], rapture_paths["lexicon"],
+            rapture_paths["catvar"], rapture_paths["syllables"])
+        member_keys = {key for s in inputs.synsets for key in s.corpus_keys}
+        cluster_only = set(inputs.corpus.keys()) - member_keys
+        assert cluster_only
+        # the load gives every member a slot, and no other key
+        assert set(inputs.corpus._slots) == member_keys
+        for window in sweep_windows():
+            build_dataset(inputs.synsets, inputs.corpus, window)
+        summed = {id(sums) for sums, _ in calls}
+        assert summed == {id(inputs.corpus.sums(key)) for key in member_keys}
 
     # member series near the sampling years of cycles 30-60, so that dead,
     # tied and kept synsets are each common in every window
@@ -333,9 +370,14 @@ class TestBuildDataset:
                                              min_size=5, max_size=15),
                              min_size=2, max_size=3),
                     min_size=1, max_size=3),
+           st.lists(st.dictionaries(NEAR_SAMPLING_YEAR, st.integers(0, 3), max_size=15),
+                    max_size=2),
            st.permutations(sweep_windows()))
-    def test_warm_table_builds_what_a_cold_one_does(self, synsets_series, order):
-        rows, series = "", {}
+    def test_warm_table_builds_what_a_cold_one_does(self, synsets_series, strays,
+                                                    order):
+        # strays are words of the table that no synset reads
+        series = {f"stray{i}": s for i, s in enumerate(strays)}
+        rows = ""
         for i, members in enumerate(synsets_series):
             lemmas = [f"w{'abc'[i]}{'abc'[j]}" for j in range(len(members))]
             rows += f"s{i}\tn\t{','.join(lemmas)}\n"

@@ -274,8 +274,9 @@ class TestExtractFeatures:
         members = len(calls)
         assert members == sum(len(s.members) for s in first.synsets)
         # the window keeps a synset, so its three years are summed per key
+        # that its synsets read
         summed = len(period_calls)
-        assert summed == 3 * len(first.corpus)
+        assert summed == 3 * len({key for s in first.synsets for key in s.corpus_keys})
         # first's table keeps its years: a rebuild sums nothing
         assert build_dataset(first.synsets, first.corpus, window) == kept[0]
         assert len(period_calls) == summed
