@@ -140,9 +140,6 @@ class FeatureVector(NamedTuple):
     present_age: int
     target_class: Optional[int] = None
 
-    def scalar(self, name):
-        return float(getattr(self, name))
-
     def without_class(self):
         return self._replace(target_class=None)
 

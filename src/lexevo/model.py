@@ -12,29 +12,38 @@ of a 0/1 column.  ``NaiveBayesModel`` derives the priors and the trigram
 Gaussians from them, whether ``fit`` or ``load_model`` builds it.
 
 Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
-``fit`` counts each class's trigram ones in one pass.  Scoring uses the
-Bernoulli event-model form of naive Bayes (McCallum & Nigam 1998): the
-classes' log densities with every trigram absent are summed once per
-model, and a word only corrects them for its own trained trigrams, adding
-log N(1) - log N(0) for each.  The model precomputes what scoring reads:
-the log priors, each scalar Gaussian's mean, log normaliser and twice its
-variance (the operands ``gaussian_log_pdf`` uses, so every term is the
-same float), and each trained trigram's four correction terms.
+``fit`` reads each scalar column of a class with one attrgetter map and
+counts its trigram ones in one pass.  Scoring uses the Bernoulli
+event-model form of naive Bayes (McCallum & Nigam 1998): the classes' log
+densities with every trigram absent are summed once per model, and a word
+only corrects them for its own trained trigrams, adding log N(1) -
+log N(0) for each.  The model precomputes what scoring reads:
+the log priors, a getter of the scalar values, each scalar Gaussian's
+mean, log normaliser and twice its variance (the operands
+``gaussian_log_pdf`` uses, so every term is the same float), and its
+constant terms folded into exact parts.  ``math.fsum`` (Shewchuk 1997)
+returns the correctly rounded exact sum of its inputs, so a group of
+constant terms can be replaced by fewer floats with the same exact sum
+(``_exact_parts``) and every score keeps its bits.  Each trained
+trigram's four correction terms fold into about two floats, and the two
+log priors plus the absent sum into the base parts that ``win_log_odds``
+starts from.
 
 A naive Bayes log odds is a sum of independent per-feature terms.
 ``feature_terms`` returns them for one vector, keyed by feature: the
 class-1 terms and the negated class-0 terms of each scalar, and for
-``unique_ngrams`` the exact parts of the absent sum plus the word's
-corrections.  ``subset_log_odds`` is one ``math.fsum`` (Shewchuk 1997)
-over the prior terms and the terms of any feature subset; ``win_log_odds``
-is that fsum over all of the model's features.  A dimension's Gaussians
-depend only on that dimension and the class split, and the priors on no
-feature, so the subset log odds equals what a model fitted on the subset
-alone gives, bit for bit: fsum is exact in any order.  It is the
-correctly rounded difference of the dense per-dimension class scores.
-That matters: floored variances make single terms reach about 5e8, where
-one ulp is about 6e-8, while the two classes often differ by less than
-one.  The win probability is the logistic of the log odds.
+``unique_ngrams`` the exact parts of the absent sum plus the folded
+corrections of the word's trained trigrams.  ``subset_log_odds`` is one
+fsum over the prior terms and the terms of any feature subset, and
+``win_log_odds`` one fsum of the same exact sum over all of the model's
+features.  A dimension's Gaussians depend only on that dimension and the
+class split, and the priors on no feature, so the subset log odds equals
+what a model fitted on the subset alone gives, bit for bit: fsum is
+exact in any order.  It is the correctly rounded difference of the dense
+per-dimension class scores.  That matters: floored variances make single
+terms reach about 5e8, where one ulp is about 6e-8, while the two classes
+often differ by less than one.  The win probability is the logistic of
+the log odds.
 """
 
 import json
@@ -42,6 +51,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from ._util import _not_utf8, atomic_write_json
@@ -79,7 +89,7 @@ def _fit_gaussian(values):
     if n < 2:
         variance = VARIANCE_FLOOR
     else:
-        ss = math.fsum((x - mean) * (x - mean) for x in values)
+        ss = math.fsum([(x - mean) * (x - mean) for x in values])
         variance = max(ss / (n - 1), VARIANCE_FLOOR)
     return GaussianParams(mean, variance)
 
@@ -100,11 +110,14 @@ def _fit_binary_gaussian(ones, n):
 class NaiveBayesModel:
     """A fitted model's stored facts.  __post_init__ derives priors,
     trigram_dims (sorted) and trigram_params (trigram -> class-0 and class-1
-    GaussianParams), and the private constants feature_terms reads: the two
-    log-prior terms, each scalar's _density_constants per class, each
-    trained trigram's four correction terms and _absent_parts, floats
-    summing exactly to the class-1 minus class-0 log density of "every
-    trigram absent".  The private ones are not saved, shown or compared."""
+    GaussianParams), and the private constants scoring reads: the two
+    log-prior terms, a getter of the scalar values and each scalar's
+    _density_constants per class (both in scalar_params order), each
+    trained trigram's folded correction parts, _absent_parts (the class-1
+    minus class-0 log density of "every trigram absent") and _base_parts
+    (the log-prior terms plus that sum), each a few floats of the exact
+    sum of the terms they replace.  The private ones are not saved, shown
+    or compared."""
 
     features: tuple  # subset of FEATURE_NAMES used by this model
     class_sizes: tuple  # (class-0 vectors, class-1 vectors), each at least 1
@@ -116,29 +129,40 @@ class NaiveBayesModel:
         self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
         self.trigram_dims = tuple(sorted(self.trigram_ones))
         self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
-        self._scalar_constants = {
-            name: tuple(_density_constants(p) for p in pair)
-            for name, pair in self.scalar_params.items()
-        }
+        self._scalar_values = _values_getter(tuple(self.scalar_params))
+        self._scalar_constants = tuple(
+            tuple(_density_constants(p) for p in pair)
+            for pair in self.scalar_params.values())
         # a trigram's Gaussians and terms depend only on its count pair,
         # which many trigrams share, so each distinct pair is computed once;
         # a word with a trained trigram replaces its log N(0) by log N(1)
         # in each class; a word without any adds only the absent sum
-        by_pair = {}  # count pair -> (Gaussians, corrections, absent terms)
+        by_pair = {}  # count pair -> (Gaussians, correction parts, absent terms)
         for ones in set(self.trigram_ones.values()):
             p0, p1 = params = tuple(_fit_binary_gaussian(k, n)
                                     for k, n in zip(ones, self.class_sizes))
             zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
-            by_pair[ones] = (params, (gaussian_log_pdf(p1, 1.0), -zero1,
-                                      -gaussian_log_pdf(p0, 1.0), zero0),
+            by_pair[ones] = (params, _exact_parts((gaussian_log_pdf(p1, 1.0), -zero1,
+                                                   -gaussian_log_pdf(p0, 1.0), zero0)),
                              (zero1, -zero0))
-        self.trigram_params, self._trigram_corrections, absent = {}, {}, []
+        self.trigram_params, self._trigram_parts, absent = {}, {}, []
         for tri in self.trigram_dims:
-            params, corrections, zeros = by_pair[self.trigram_ones[tri]]
+            params, parts, zeros = by_pair[self.trigram_ones[tri]]
             self.trigram_params[tri] = params
-            self._trigram_corrections[tri] = corrections
+            self._trigram_parts[tri] = parts
             absent += zeros
         self._absent_parts = _exact_parts(absent)
+        self._base_parts = _exact_parts(self._prior_terms + self._absent_parts)
+
+
+def _values_getter(names):
+    """A function returning the tuple of a vector's values of names, for
+    any number of names: attrgetter returns a bare value for one name and
+    takes at least one."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda vector: (get(vector),)
+    return attrgetter(*names) if names else lambda vector: ()
 
 
 def fit(vectors, features=FEATURE_NAMES):
@@ -163,19 +187,21 @@ def fit(vectors, features=FEATURE_NAMES):
         raise UnfittableModelError(
             f"need vectors in both classes, got {len(by_class[0])}/{len(by_class[1])}"
         )
+    # a column per map, not a zip transpose of rows: the rows' tuples
+    # would outlive the fit on the interpreter's tuple free list
     scalar_params = {
-        name: tuple(_fit_gaussian([v.scalar(name) for v in by_class[c]])
+        name: tuple(_fit_gaussian(list(map(attrgetter(name), by_class[c])))
                     for c in (0, 1))
         for name in SCALAR_FEATURES if name in features
     }
     trigram_ones = {}
     if "unique_ngrams" in features:
-        ones = (Counter(), Counter())
-        for c in (0, 1):
-            for v in by_class[c]:
-                ones[c].update(set(v.unique_ngrams))
-        trigram_ones = {tri: (ones[0][tri], ones[1][tri])
-                        for tri in sorted(ones[0].keys() | ones[1].keys())}
+        ones0, ones1 = (
+            Counter(chain.from_iterable(map(set, map(attrgetter("unique_ngrams"),
+                                                     by_class[c]))))
+            for c in (0, 1))
+        trigram_ones = {tri: (ones0[tri], ones1[tri])
+                        for tri in sorted(ones0.keys() | ones1.keys())}
     return NaiveBayesModel(tuple(features), (len(by_class[0]), len(by_class[1])),
                            scalar_params, trigram_ones)
 
@@ -204,22 +230,21 @@ def feature_terms(model, vector):
 
     A scalar's terms are its class-1 log density and its negated class-0
     one.  unique_ngrams' terms are the exact parts of the "every trigram
-    absent" sum plus four corrections per trained trigram of the word;
-    trigrams unseen in training are ignored.  The cost is O(scalar dims +
-    the word's own trigrams).
+    absent" sum plus the folded correction parts of each trained trigram
+    of the word; trigrams unseen in training are ignored.  The cost is
+    O(scalar dims + the word's own trigrams).
     """
     terms = {}
-    for name, constants in model._scalar_constants.items():
-        x = vector.scalar(name)
-        (mean0, log_normaliser0, twice_variance0), (
-            mean1, log_normaliser1, twice_variance1) = constants
+    for name, x, ((mean0, log_normaliser0, twice_variance0),
+                  (mean1, log_normaliser1, twice_variance1)) in zip(
+            model.scalar_params, model._scalar_values(vector), model._scalar_constants):
         d0, d1 = x - mean0, x - mean1
         terms[name] = (log_normaliser1 - (d1 * d1) / twice_variance1,
                        -(log_normaliser0 - (d0 * d0) / twice_variance0))
     if "unique_ngrams" in model.features:
-        corrections = model._trigram_corrections
+        parts = model._trigram_parts
         terms["unique_ngrams"] = model._absent_parts + tuple(chain.from_iterable(
-            corrections[tri] for tri in corrections.keys() & vector.unique_ngrams))
+            parts[tri] for tri in parts.keys() & vector.unique_ngrams))
     return terms
 
 
@@ -230,16 +255,30 @@ def subset_log_odds(model, terms, features):
     One fsum over the log-prior terms and the subset's terms: it equals
     win_log_odds of a model fitted on that subset alone, bit for bit.
     """
-    return math.fsum(chain(model._prior_terms, *(terms[f] for f in features)))
+    return math.fsum(chain(model._prior_terms, *map(terms.__getitem__, features)))
 
 
 def win_log_odds(model, vector):
     """log P(class 1) - log P(class 0) for one vector, correctly rounded.
 
+    One fsum over the model's base parts, the scalar terms and the folded
+    parts of the word's trained trigrams: the same exact sum as
+    subset_log_odds over all of the model's features, so the same float.
     Use this for ranking words: it never saturates the way win_probability
     does near 0 and 1.
     """
-    return subset_log_odds(model, feature_terms(model, vector), model.features)
+    terms = list(model._base_parts)
+    # feature_terms' scalar terms, inline: a call per vector costs more
+    for x, ((mean0, log_normaliser0, twice_variance0),
+            (mean1, log_normaliser1, twice_variance1)) in zip(
+            model._scalar_values(vector), model._scalar_constants):
+        d0, d1 = x - mean0, x - mean1
+        terms += (log_normaliser1 - (d1 * d1) / twice_variance1,
+                  -(log_normaliser0 - (d0 * d0) / twice_variance0))
+    parts = model._trigram_parts
+    for tri in parts.keys() & vector.unique_ngrams:
+        terms += parts[tri]
+    return math.fsum(terms)
 
 
 def logistic(odds):

@@ -152,7 +152,7 @@ def test_06_naive_bayes_oracle():
             class1 = [v for v in vectors if v.target_class == 1]
             for name, params in model.scalar_params.items():
                 for members, fitted in zip((class0, class1), params):
-                    values = [v.scalar(name) for v in members]
+                    values = [float(getattr(v, name)) for v in members]
                     mean = sum(values) / len(values)
                     assert fitted.mean == pytest.approx(mean, abs=1e-9)
                     if len(values) >= 2:
@@ -221,8 +221,9 @@ def test_09_interpretation_oracle(synthetic_inputs):
         losers = [v for v in vectors if v.target_class == 0]
         winners = [v for v in vectors if v.target_class == 1]
         for row in scalar_rows:
-            loser_mean = sum(v.scalar(row["dimension"]) for v in losers) / len(losers)
-            winner_mean = sum(v.scalar(row["dimension"]) for v in winners) / len(winners)
+            name = row["dimension"]
+            loser_mean = sum(float(getattr(v, name)) for v in losers) / len(losers)
+            winner_mean = sum(float(getattr(v, name)) for v in winners) / len(winners)
             assert row["difference"] == pytest.approx(
                 winner_mean - loser_mean, abs=1e-12
             )

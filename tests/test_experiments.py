@@ -11,7 +11,8 @@ import lexevo.experiments as experiments_mod
 from lexevo.dataset import schedule_windows
 from lexevo.errors import ConvergenceError, DataError, LexevoError
 from lexevo.evaluate import (evaluate_predictions, is_right, mcnemar_exact,
-                             random_baseline, uniform_baseline_tails)
+                             predict_synset_winner, random_baseline,
+                             uniform_baseline_tails)
 from lexevo.experiments import (
     AblationSpec,
     fisher_exact,
@@ -26,7 +27,8 @@ from lexevo.experiments import (
     welch_t_test,
 )
 from lexevo.features import FEATURE_NAMES, SCALAR_FEATURES
-from lexevo.model import fit, win_log_odds
+from lexevo.model import (VARIANCE_FLOOR, feature_terms, fit, subset_log_odds,
+                          win_log_odds)
 from tests.test_model import make_vector, random_vectors
 
 
@@ -261,8 +263,9 @@ class TestInterpretModel:
         losers = [v for v in vectors if v.target_class == 0]
         winners = [v for v in vectors if v.target_class == 1]
         for row in tables["scalar_features"]:
-            loser_mean = sum(v.scalar(row["dimension"]) for v in losers) / len(losers)
-            winner_mean = sum(v.scalar(row["dimension"]) for v in winners) / len(winners)
+            name = row["dimension"]
+            loser_mean = sum(float(getattr(v, name)) for v in losers) / len(losers)
+            winner_mean = sum(float(getattr(v, name)) for v in winners) / len(winners)
             assert row["loser_mean"] == pytest.approx(loser_mean, abs=1e-12)
             assert row["winner_mean"] == pytest.approx(winner_mean, abs=1e-12)
             assert row["difference"] == pytest.approx(
@@ -626,3 +629,60 @@ class TestRunCycleSweep:
         assert list(inputs._prepared) == list(pairs[-1])
         assert len(builds) == len(set(builds)) == 14
         assert set(builds) == {w for pair in pairs for w in pair}
+
+
+def floor_counts(inputs):
+    """What the variance floor does on the cycle-50 pair: per class, the
+    scalars and the count of trigram dims whose variance sits on the floor;
+    the largest |log odds| of a test word; and how many test synsets pick
+    the member that unique_ngrams alone picks, of how many."""
+    train_window, test_window = schedule_windows(50)[-1]
+    _, train_vectors = prepare_window(train_window, inputs)
+    test_ds, test_vectors = prepare_window(test_window, inputs)
+    model = fit(train_vectors)
+    full = {v.sense: win_log_odds(model, v) for v in test_vectors}
+    alone = {v.sense: subset_log_odds(model, feature_terms(model, v), ("unique_ngrams",))
+             for v in test_vectors}
+    same = sum(
+        predict_synset_winner({s: full[s] for s in snapshot.counts})
+        == predict_synset_winner({s: alone[s] for s in snapshot.counts})
+        for snapshot in test_ds.snapshots)
+    return {
+        "floored_scalars": tuple(
+            tuple(name for name, pair in model.scalar_params.items()
+                  if pair[c].variance == VARIANCE_FLOOR) for c in (0, 1)),
+        "floored_trigrams": tuple(
+            sum(pair[c].variance == VARIANCE_FLOOR
+                for pair in model.trigram_params.values()) for c in (0, 1)),
+        "trigram_dims": len(model.trigram_dims),
+        "largest_abs_log_odds": max(map(abs, full.values())),
+        "picks_as_unique_ngrams_alone": (same, len(test_ds.snapshots)),
+    }
+
+
+class TestVarianceFloor:
+    """Today's counts of what the absolute variance floor decides, pinned
+    so that a change of the floor rule shows what it moves."""
+
+    def test_synthetic_floor_counts(self, synthetic_inputs):
+        # categorial_variations is 0 in every vector (the bundle has no
+        # catvar cluster), and 35 of 51 trigrams occur in no training
+        # winner: a floored term of about 5e8 per such trigram decides
+        # every synset, as unique_ngrams alone would
+        assert floor_counts(synthetic_inputs) == {
+            "floored_scalars": (("categorial_variations",), ("categorial_variations",)),
+            "floored_trigrams": (0, 35),
+            "trigram_dims": 51,
+            "largest_abs_log_odds": 3999999706.29621,
+            "picks_as_unique_ngrams_alone": (50, 50),
+        }
+
+    def test_rapture_floor_counts(self, rapture_inputs):
+        # one training winner: every class-1 variance is on the floor
+        assert floor_counts(rapture_inputs) == {
+            "floored_scalars": ((), SCALAR_FEATURES),
+            "floored_trigrams": (7, 26),
+            "trigram_dims": 26,
+            "largest_abs_log_odds": 4518694204205.711,
+            "picks_as_unique_ngrams_alone": (0, 1),
+        }

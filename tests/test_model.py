@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -408,6 +409,11 @@ class TestModelFileFuzz:
                 assert "key '" in message or "keys '" in message or " line " in message
 
 
+def exact_sum(floats):
+    """The exact sum of floats, as a Fraction."""
+    return sum(map(Fraction, floats), Fraction(0))
+
+
 def floored_variance_case():
     """(training vectors, query) where the query's trigram terms are about
     -5e8.
@@ -448,21 +454,22 @@ class TestFeatureSubsets:
     @given(st.integers(0, 10_000))
     def test_terms_are_the_dense_terms(self, seed):
         # the precomputed constants give gaussian_log_pdf's floats, and the
-        # trigram terms sum exactly to the dense per-dimension terms
+        # trigram terms sum exactly (not merely after rounding) to the dense
+        # per-dimension terms
         rng = random.Random(seed)
         vectors = random_vectors(rng, rng.randint(4, 12))
         model = fit(vectors)
         for query in vectors[:3] + random_vectors(rng, 3):
             terms = feature_terms(model, query)
             for name, (p0, p1) in model.scalar_params.items():
-                x = query.scalar(name)
+                x = float(getattr(query, name))
                 assert terms[name] == (gaussian_log_pdf(p1, x),
                                        -gaussian_log_pdf(p0, x))
             dense = []
             for tri, (p0, p1) in model.trigram_params.items():
                 x = 1.0 if tri in query.unique_ngrams else 0.0
                 dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
-            assert math.fsum(terms["unique_ngrams"]) == math.fsum(dense)
+            assert exact_sum(terms["unique_ngrams"]) == exact_sum(dense)
 
     def test_every_subset_of_floored_variance_case(self):
         train, query = floored_variance_case()
@@ -490,9 +497,8 @@ class TestSparseScoring:
         # model's dense terms, not a difference of two rounded class scores
         dense = [math.log(model.priors[1]), -math.log(model.priors[0])]
         for name in SCALAR_FEATURES:
-            params = model.scalar_params[name]
-            dense += [gaussian_log_pdf(params[1], query.scalar(name)),
-                      -gaussian_log_pdf(params[0], query.scalar(name))]
+            params, x = model.scalar_params[name], float(getattr(query, name))
+            dense += [gaussian_log_pdf(params[1], x), -gaussian_log_pdf(params[0], x)]
         for tri in model.trigram_dims:
             params = model.trigram_params[tri]
             x = 1.0 if tri in query.unique_ngrams else 0.0
@@ -513,24 +519,38 @@ class TestSparseScoring:
         query = make_vector(99, [0.5, 2, 0.5, 1, 0.0, 0.5, 100],
                             ["0001", "0003", "unseen"], None)
 
-        calls = []
-        original = model_mod.gaussian_log_pdf
+        calls, summed = [], []
+        original, original_fsum = model_mod.gaussian_log_pdf, math.fsum
 
         def counted(params, x):
             calls.append(x)
             return original(params, x)
 
-        # the model derived every constant scoring reads when it was built
+        def recorded_fsum(terms):
+            terms = list(terms)
+            summed.append(len(terms))
+            return original_fsum(terms)
+
+        # the model derived every constant scoring reads when it was built:
+        # no density is evaluated and no part folded at score time
         monkeypatch.setattr(model_mod, "gaussian_log_pdf", counted)
+        monkeypatch.setattr(math, "fsum", recorded_fsum)
         win_log_odds(model, query)
         terms = feature_terms(model, query)
         assert calls == []
-        # two per scalar dimension, the few exact parts of the absent sum
-        # and four per trained trigram of the word, whatever the dims
-        absent = feature_terms(model, query._replace(unique_ngrams=()))
-        assert len(absent["unique_ngrams"]) <= 2
+        # one fsum of the base parts, two terms per scalar dimension and
+        # the folded parts of each trained trigram of the word, whatever
+        # the dims; feature_terms keeps the priors apart
+        word = model._trigram_parts["0001"] + model._trigram_parts["0003"]
+        assert len(model._base_parts) <= 2 and len(model._absent_parts) <= 2
+        assert all(len(parts) <= 4 for parts in model._trigram_parts.values())
+        assert summed == [len(model._base_parts) + 2 * len(model.scalar_params)
+                          + len(word)]
+        absent = len(model._absent_parts)
+        assert terms["unique_ngrams"][:absent] == model._absent_parts
+        assert sorted(terms["unique_ngrams"][absent:]) == sorted(word)
         assert (sum(map(len, terms.values()))
-                == 2 * len(model.scalar_params) + len(absent["unique_ngrams"]) + 4 * 2)
+                == 2 * len(model.scalar_params) + absent + len(word))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.lists(
         st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
@@ -539,19 +559,76 @@ class TestSparseScoring:
         trigram_ones = {f"t{i:02d}": (min(k0, n0), min(k1, n1))
                         for i, (k0, k1) in enumerate(pairs)}
         model = NaiveBayesModel(("unique_ngrams",), (n0, n1), {}, trigram_ones)
-        params, corrections, absent = {}, {}, []
+        params, parts, absent = {}, {}, []
         for tri in sorted(trigram_ones):
             p0, p1 = params[tri] = tuple(
                 _fit_binary_gaussian(ones, n)
                 for ones, n in zip(trigram_ones[tri], (n0, n1)))
             zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
-            corrections[tri] = (gaussian_log_pdf(p1, 1.0), -zero1,
-                                -gaussian_log_pdf(p0, 1.0), zero0)
+            parts[tri] = _exact_parts((gaussian_log_pdf(p1, 1.0), -zero1,
+                                       -gaussian_log_pdf(p0, 1.0), zero0))
             absent += [zero1, -zero0]
         assert model.trigram_params == params
         assert list(model.trigram_params) == list(params)
-        assert model._trigram_corrections == corrections
+        assert model._trigram_parts == parts
         assert model._absent_parts == _exact_parts(absent)
+        assert model._base_parts == _exact_parts(
+            [math.log(model.priors[1]), -math.log(model.priors[0])] + absent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.integers(1, 8),
+           st.lists(st.sampled_from(SCALAR_FEATURES), max_size=1),
+           st.booleans())
+    def test_folded_parts_sum_exactly_to_their_terms(self, data, n0, n1, scalars,
+                                                     trigrams):
+        # each trigram's folded parts, the absent parts and the base parts
+        # are a few floats whose exact sum is that of the terms they
+        # replace; counts of 0 or of the class size put a variance on the
+        # floor, where terms reach about 5e8; models of no or one scalar
+        features = tuple(scalars) + (("unique_ngrams",) if trigrams or not scalars else ())
+        counts = st.tuples(st.sampled_from((0, n0, n0 // 2)) | st.integers(0, n0),
+                           st.sampled_from((0, n1, n1 // 2)) | st.integers(0, n1))
+        trigram_ones = {f"t{i:02d}": ones for i, ones in enumerate(
+            data.draw(st.lists(counts, max_size=12)))} if "unique_ngrams" in features else {}
+        gaussians = st.builds(GaussianParams, st.floats(-1e3, 1e3),
+                              st.just(VARIANCE_FLOOR) | st.floats(VARIANCE_FLOOR, 1e6))
+        scalar_params = {name: data.draw(st.tuples(gaussians, gaussians))
+                         for name in scalars}
+        model = NaiveBayesModel(features, (n0, n1), scalar_params, trigram_ones)
+
+        priors = [math.log(model.priors[1]), -math.log(model.priors[0])]
+        absent = []
+        for tri, (p0, p1) in model.trigram_params.items():
+            zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
+            assert exact_sum(model._trigram_parts[tri]) == exact_sum(
+                [gaussian_log_pdf(p1, 1.0), -zero1, -gaussian_log_pdf(p0, 1.0), zero0])
+            absent += [zero1, -zero0]
+        assert exact_sum(model._absent_parts) == exact_sum(absent)
+        assert exact_sum(model._base_parts) == exact_sum(priors + absent)
+        for parts in (model._base_parts, model._absent_parts,
+                      *model._trigram_parts.values()):
+            # nonzero, finite, and led by the correctly rounded sum
+            assert all(part != 0.0 and math.isfinite(part) for part in parts)
+            assert not parts or math.fsum(parts) == parts[0]
+
+        # so scoring gives the correctly rounded sum of the dense terms; a
+        # trigram the word repeats counts once, as in fit
+        own = data.draw(st.lists(st.sampled_from(sorted(trigram_ones) or ["t00"]),
+                                 unique=True))
+        query = make_vector(99, [data.draw(st.floats(-1e3, 1e3))] * 7,
+                            own + own[:1] + ["unseen"], None)
+        dense = list(priors)
+        for name, (p0, p1) in model.scalar_params.items():
+            x = float(getattr(query, name))
+            dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
+        for tri, (p0, p1) in model.trigram_params.items():
+            x = 1.0 if tri in own else 0.0
+            dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
+        terms = feature_terms(model, query)
+        assert set(terms) == set(features)
+        assert exact_sum(priors) + sum(map(exact_sum, terms.values())) == exact_sum(dense)
+        assert (win_log_odds(model, query) == subset_log_odds(model, terms, features)
+                == math.fsum(dense))
 
     def test_absent_sum_cache_is_private(self, tmp_path):
         rng = random.Random(13)
