@@ -133,7 +133,7 @@ class CorpusTable:
     A key gets a slot the first time slots() reads it, so only the keys
     that synsets read have one: not the cluster-only words that the corpus
     filter loads for their births.  load_pipeline_inputs gives all synset
-    members their slots before any window reads them.  A period_counts
+    members their slots before any window reads them.  A period_array
     call for a year sums the period centered on it for each slot given
     since the year was last read, and the table keeps these counts, an
     array('q') by slot, for its life: 8 B a read key per year read, so
@@ -178,7 +178,7 @@ class CorpusTable:
         return self._sums.get(key, _NO_SUMS)
 
     def slots(self, keys):
-        """The slot of each key, as period_counts takes them.  A key gets
+        """The slot of each key, as period_array indexes them.  A key gets
         the next free slot the first time it is read; an absent key too,
         and its counts read as 0."""
         slots = self._slots
@@ -191,12 +191,14 @@ class CorpusTable:
                     self._read.append(self.sums(key))
             return [slots[key] for key in keys]
 
-    def period_counts(self, slots, year):
-        """The period counts at year of the keys at slots (see slots).
+    def period_array(self, year):
+        """The period counts at year of every key given a slot so far, as
+        an array('q') indexed by slot (see slots); the caller must not
+        modify it.
 
         A call sums the period of every key given a slot since the year
-        was last read, into the year's array('q') by slot, which the table
-        keeps for its life.
+        was last read, into the year's array, which the table keeps for its
+        life.
         """
         counts = self._periods.get(year)
         if counts is None:
@@ -204,7 +206,7 @@ class CorpusTable:
         if len(counts) < len(self._read):
             # array('q') takes a list faster than an iterator
             counts.extend([*map(period_count, self._read[len(counts):], repeat(year))])
-        return [counts[slot] for slot in slots]
+        return counts
 
     def counts(self, key):
         """(year, count) pairs of key in year order, attested zero counts

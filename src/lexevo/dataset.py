@@ -10,10 +10,9 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
-from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
+from ._util import _not_utf8, atomic_write_json, cached_property, read_tsv, write_tsv
 from .corpus import join_token, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
@@ -77,8 +76,6 @@ class SynsetSnapshot:
     synset: Synset
     counts: dict  # SenseId -> MemberCounts
 
-    # computed on first access and kept in the instance __dict__, which a
-    # frozen dataclass allows; fields, == and repr are unaffected
     @cached_property
     def present_leader(self):
         return max(self.counts, key=lambda sense: self.counts[sense].present)
@@ -101,28 +98,6 @@ def _removal_reason(presents, futures):
     if presents.count(max(presents)) > 1 or futures.count(max(futures)) > 1:
         return REMOVAL_TIE
     return None
-
-
-def build_snapshot(synset, corpus, window):
-    """Return (snapshot, None) or (None, removal reason).
-
-    The members' counts are read from the table's stored period counts
-    (CorpusTable.period_counts), and a period is read only when the
-    outcome needs it: the present counts of every synset, the future
-    counts of one with no dead member (the rule does not read them
-    otherwise) and the past counts of a kept one.  So a window whose
-    synsets are all dead makes the table sum its present year alone, and
-    only for its members' keys.
-    """
-    slots = corpus.slots(synset.corpus_keys)
-    presents = corpus.period_counts(slots, window.present)
-    futures = [] if 0 in presents else corpus.period_counts(slots, window.future)
-    reason = _removal_reason(presents, futures)
-    if reason is not None:
-        return None, reason
-    pasts = corpus.period_counts(slots, window.past)
-    return SynsetSnapshot(synset, dict(zip(
-        synset.members, map(MemberCounts, pasts, presents, futures)))), None
 
 
 @dataclass
@@ -148,15 +123,38 @@ class Dataset:
 
 
 def build_dataset(synsets, corpus, window):
-    """Apply the removal rules to every synset; order-independent result."""
+    """Apply the removal rules to every synset; order-independent result.
+
+    The members' counts are read from the table's stored period counts
+    (CorpusTable.period_array).  Every synset's slots are resolved first,
+    and each year's counts are fetched once, when the first synset needs
+    them: the present counts for any synset, the future counts for one
+    with no dead member (the rule does not read them otherwise) and the
+    past counts for a kept one.  So a window whose synsets are all dead
+    makes the table sum its present year alone, and only for its members'
+    keys.
+    """
+    member_slots = [corpus.slots(synset.corpus_keys) for synset in synsets]
+    presents = futures = pasts = None
     snapshots = []
     removal_log = Counter()
-    for synset in synsets:
-        snapshot, reason = build_snapshot(synset, corpus, window)
-        if snapshot is not None:
-            snapshots.append(snapshot)
-        else:
+    for synset, slots in zip(synsets, member_slots):
+        if presents is None:
+            presents = corpus.period_array(window.present)
+        present = [presents[slot] for slot in slots]
+        future = []
+        if 0 not in present:
+            if futures is None:
+                futures = corpus.period_array(window.future)
+            future = [futures[slot] for slot in slots]
+        reason = _removal_reason(present, future)
+        if reason is not None:
             removal_log[reason] += 1
+            continue
+        if pasts is None:
+            pasts = corpus.period_array(window.past)
+        snapshots.append(SynsetSnapshot(synset, dict(zip(synset.members, map(
+            MemberCounts, [pasts[slot] for slot in slots], present, future)))))
     return Dataset(window, snapshots, removal_log)
 
 

@@ -176,13 +176,14 @@ def random_baseline(snapshots):
     tp_offset, tp = _poisson_binomial((1 / k, (k - 1) / k) for k in changed)
     fp_offset, fp = _poisson_binomial(((k - 1) / k, 1 / k) for k in stable)
 
-    def expect(value):
-        return math.fsum(a * b * value(i, j) for i, a in enumerate(tp, tp_offset)
-                         for j, b in enumerate(fp, fp_offset) if i)
-
-    return Metrics(expect(lambda i, j: i / (i + j)),
-                   math.fsum(1 / k for k in changed) / c if c else 0.0,
-                   expect(lambda i, j: 2 * i / (i + j + c)))
+    # each expectation streams its terms into fsum: a list of them would
+    # hold the product of the two pmfs' lengths
+    return Metrics(
+        math.fsum(a * b * (i / (i + j)) for i, a in enumerate(tp, tp_offset) if i
+                  for j, b in enumerate(fp, fp_offset)),
+        math.fsum(1 / k for k in changed) / c if c else 0.0,
+        math.fsum(a * b * (2 * i / (i + j + c)) for i, a in enumerate(tp, tp_offset)
+                  if i for j, b in enumerate(fp, fp_offset)))
 
 
 def is_right(outcome):

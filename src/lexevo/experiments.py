@@ -7,9 +7,8 @@ carry no timestamps, so repeated runs are byte-identical.
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
-from ._util import open_maybe_gzip
+from ._util import cached_property, open_maybe_gzip
 from .corpus import birth_years, load_corpus
 from .dataset import build_dataset, schedule_windows
 from .errors import ConvergenceError, DataError, UnfittableModelError

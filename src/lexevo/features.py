@@ -7,7 +7,9 @@ that no other synset member shares.
 """
 
 import math
+import re
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from ._util import parse_lines, read_tsv, write_tsv
@@ -45,6 +47,11 @@ def boundary_trigrams(lemma):
     return tuple(seen)
 
 
+# a maximal run of the characters that _is_vowel_at calls vowels: the
+# lookarounds read the lemma's own characters, as _is_vowel_at does
+_VOWEL_GROUPS = re.compile(rf"(?:[{VOWELS}]|(?<=[^{VOWELS}])y(?![{VOWELS}]))+")
+
+
 def _is_vowel_at(lemma, i):
     ch = lemma[i]
     if ch in VOWELS:
@@ -67,15 +74,7 @@ def syllable_count(lemma, exceptions=None):
     """
     if exceptions and lemma in exceptions:
         return exceptions[lemma]
-    groups = 0
-    in_group = False
-    for i in range(len(lemma)):
-        if _is_vowel_at(lemma, i):
-            if not in_group:
-                groups += 1
-            in_group = True
-        else:
-            in_group = False
+    groups = len(_VOWEL_GROUPS.findall(lemma))
     if (
         lemma.endswith("e")
         and (len(lemma) < 2 or not _is_vowel_at(lemma, len(lemma) - 2))
@@ -110,23 +109,6 @@ def load_syllable_exceptions(source):
     return exceptions
 
 
-def relative_frequencies(snapshot):
-    """Per member (f1, f2): past and present frequency relative to the synset.
-
-    When the past total is zero, f1 is 0 for every member.
-    """
-    past_total = sum(c.past for c in snapshot.counts.values())
-    present_total = sum(c.present for c in snapshot.counts.values())
-    if present_total <= 0:
-        raise DataError("snapshot has zero present total")
-    out = {}
-    for sense, c in snapshot.counts.items():
-        f1 = c.past / past_total if past_total > 0 else 0.0
-        f2 = c.present / present_total
-        out[sense] = (f1, f2)
-    return out
-
-
 class FeatureVector(NamedTuple):
     sense: SenseId
     synset_id: str
@@ -159,15 +141,15 @@ def word_shapes(synsets, syllable_exceptions=None):
     shapes = {}
     for synset in synsets:
         lemmas = synset.lemmas()
-        trigrams = {lemma: boundary_trigrams(lemma) for lemma in lemmas}
+        trigrams = dict(zip(lemmas, map(boundary_trigrams, lemmas)))
         # how many distinct lemmas hold each trigram
-        holders = Counter(tri for own in trigrams.values() for tri in own)
-        max_len = max(len(lemma) for lemma in lemmas)
-        for member in synset.members:
-            own = trigrams[member.lemma]
-            unique = tuple(tri for tri in own if holders[tri] == 1)
-            shapes[member] = (len(member.lemma) / max_len,
-                              syllable_count(member.lemma, syllable_exceptions),
+        holders = Counter(chain.from_iterable(trigrams.values()))
+        max_len = max(map(len, lemmas))
+        for member, lemma in zip(synset.members, lemmas):
+            own = trigrams[lemma]
+            unique = tuple([tri for tri in own if holders[tri] == 1])
+            shapes[member] = (len(lemma) / max_len,
+                              syllable_count(lemma, syllable_exceptions),
                               unique, (len(own) - len(unique)) / len(own))
     return shapes
 
@@ -180,33 +162,38 @@ def extract_features(dataset, shapes, clusters, births):
     keys, the (lemma, corpus POS tag) tuples that SenseId.corpus_key()
     returns, to first-attestation years and must cover every snapshot
     member (they all have nonzero present counts, so a missing birth year
-    signals a corpus/dataset mismatch).
+    signals a corpus/dataset mismatch).  A snapshot whose present counts
+    total zero is a DataError too.
     """
     present = dataset.window.present
+    cluster_of = clusters.cluster_of
     vectors = []
+    append = vectors.append
     for snapshot in dataset.snapshots:
-        frequencies = relative_frequencies(snapshot)
-        for member in snapshot.counts:
+        counts = snapshot.counts
+        past_total = sum([c.past for c in counts.values()])
+        present_total = sum([c.present for c in counts.values()])
+        if present_total <= 0:
+            raise DataError("snapshot has zero present total")
+        synset_id = snapshot.synset.id
+        leader = snapshot.future_leader
+        for member, c in counts.items():
+            # f1 and f2: the past and present counts relative to the
+            # synset's totals; f1 is 0 when no member has a past count
+            f1 = c.past / past_total if past_total > 0 else 0.0
+            f2 = c.present / present_total
             normalized_length, syllables, unique, shared_fraction = shapes[member]
             key = member.corpus_key()
             born = births.get(key)
             if born is None:
                 raise DataError(f"no birth year for {join_token(key)}")
-            f1, f2 = frequencies[member]
-            vectors.append(FeatureVector(
-                sense=member,
-                synset_id=snapshot.synset.id,
-                normalized_length=normalized_length,
-                syllable_count=syllables,
-                unique_ngrams=unique,
-                shared_ngrams=shared_fraction,
-                categorial_variations=categorial_variation_count(
+            # positional, in FeatureVector's field order
+            append(FeatureVector(
+                member, synset_id, normalized_length, syllables, unique,
+                shared_fraction,
+                0 if cluster_of(key) is None else categorial_variation_count(
                     key, present, clusters, births),
-                relative_growth=f2 - f1,
-                linear_extrapolation=2.0 * f2 - f1,
-                present_age=present - born,
-                target_class=int(snapshot.future_leader == member),
-            ))
+                f2 - f1, 2.0 * f2 - f1, present - born, int(member == leader)))
     return vectors
 
 

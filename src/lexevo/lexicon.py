@@ -11,10 +11,9 @@ Lines starting with '#' are ignored in both formats.
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
-from ._util import parse_lines
+from ._util import cached_property, parse_lines
 from .corpus import join_token, split_token
 
 # lexicon pos letter -> corpus tag
@@ -41,7 +40,13 @@ class SenseId(NamedTuple):
     def parse(cls, text):
         """The sense whose canonical text, str(sense), is text: a non-empty
         lemma, a lexicon pos and k >= 1 in plain decimal digits, so that
-        rapt#a#01, rapt#a#0 and #a#1 are refused, each a ValueError."""
+        rapt#a#01, rapt#a#0 and #a#1 are refused, each a ValueError.
+
+        A lemma with a comma is refused too: the lexicon splits its
+        members on commas, so it never holds one, and the feature file
+        joins a word's trigrams with commas, so its trigrams would read
+        back as others.
+        """
         parts = text.split("#")
         try:
             sense = cls(parts[0], parts[1], int(parts[2]))
@@ -50,6 +55,8 @@ class SenseId(NamedTuple):
         if (sense is None or not sense.lemma or sense.pos not in POS_TO_CORPUS
                 or sense.sense_number < 1 or str(sense) != text):
             raise ValueError(f"bad sense id {text!r}")
+        if "," in sense.lemma:
+            raise ValueError(f"bad sense id {text!r}: a lemma holds no comma")
         return sense
 
     def corpus_key(self):
@@ -66,8 +73,6 @@ class Synset:
     def lemmas(self):
         return [m.lemma for m in self.members]
 
-    # computed on first access and kept in the instance __dict__, which a
-    # frozen dataclass allows; fields, == and repr are unaffected
     @cached_property
     def corpus_keys(self):
         """The members' corpus keys, in member order."""

@@ -745,6 +745,28 @@ class TestArtifactReaders:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reader", ["dataset", "features", "probabilities"])
+    def test_comma_in_lemma_names_its_line(self, tmp_path, stage_dir, capsys, reader):
+        # a lemma with a comma, as no lexicon holds: extract-features would
+        # write its trigrams into the comma-joined unique_ngrams column, and
+        # train would read other trigrams back
+        argv, name = self.table_reader(stage_dir, reader)
+        lines = (stage_dir / name).read_text().splitlines()
+        fields = lines[1].split("\t")
+        fields[1] = fields[1][:2] + "," + fields[1][2:]
+        lines[1] = "\t".join(fields)
+        edited = tmp_path / name
+        edited.write_text("\n".join(lines) + "\n")
+        if reader == "dataset":
+            shutil.copy(summary_path(str(stage_dir / name)), summary_path(str(edited)))
+        code = main(argv + [str(edited)] + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{edited} line 2: bad sense id {fields[1]!r}: a lemma holds no "
+                "comma") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("reader, late", [
         (reader, late)
         for reader in ("lexicon", "catvar", "syllables", "dataset", "features",

@@ -16,7 +16,6 @@ from lexevo.dataset import (
     SynsetSnapshot,
     TimeWindow,
     build_dataset,
-    build_snapshot,
     read_dataset,
     schedule_windows,
     write_dataset,
@@ -36,6 +35,16 @@ def sweep_windows():
 def synset(*lemmas, pos="n"):
     text = f"x1\t{pos}\t" + ",".join(lemmas) + "\n"
     return load_lexicon(io.StringIO(text)).synsets[0]
+
+
+def build_one(members, table, window):
+    """(snapshot, None) or (None, removal reason): build_dataset over the
+    one synset members."""
+    ds = build_dataset([members], table, window)
+    if ds.snapshots:
+        return ds.snapshots[0], None
+    [reason] = ds.removal_log
+    return None, reason
 
 
 def table_for(series_by_lemma, pos="NOUN"):
@@ -111,7 +120,7 @@ class TestBuildSnapshot:
             "alpha": {1850: 5, 1900: 20, 1950: 30},
             "beta": {1850: 10, 1900: 10, 1950: 5},
         })
-        snapshot, reason = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        snapshot, reason = build_one(synset("alpha", "beta"), table, WINDOW)
         assert reason is None
         assert snapshot.present_leader.lemma == "alpha"
         assert snapshot.future_leader.lemma == "alpha"
@@ -119,7 +128,7 @@ class TestBuildSnapshot:
 
     def test_dead_word_removal(self):
         table = table_for({"alpha": {1900: 5, 1950: 5}, "beta": {1950: 9}})
-        snapshot, reason = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        snapshot, reason = build_one(synset("alpha", "beta"), table, WINDOW)
         assert snapshot is None
         assert reason == "dead_word"
 
@@ -129,12 +138,12 @@ class TestBuildSnapshot:
             "beta": {1900: 10, 1950: 2},
             "gamma": {1900: 4, 1950: 3},
         })
-        snapshot, reason = build_snapshot(synset("alpha", "beta", "gamma"), table, WINDOW)
+        snapshot, reason = build_one(synset("alpha", "beta", "gamma"), table, WINDOW)
         assert reason == "tie"
 
     def test_member_absent_from_the_table_is_dead(self):
         table = table_for({"alpha": {1900: 5, 1950: 5}, "beta": {1900: 3, 1950: 4}})
-        _, reason = build_snapshot(synset("alpha", "beta", "gamma"), table, WINDOW)
+        _, reason = build_one(synset("alpha", "beta", "gamma"), table, WINDOW)
         assert reason == "dead_word"
 
     def test_future_tie_removal(self):
@@ -142,7 +151,7 @@ class TestBuildSnapshot:
             "alpha": {1900: 10, 1950: 5},
             "beta": {1900: 4, 1950: 5},
         })
-        _, reason = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        _, reason = build_one(synset("alpha", "beta"), table, WINDOW)
         assert reason == "tie"
 
     @pytest.mark.parametrize("series", [
@@ -152,7 +161,7 @@ class TestBuildSnapshot:
         {"alpha": {1900: 10, 1950: 5}, "beta": {1900: 4, 1950: 5}, "gamma": {1950: 3}},
     ])
     def test_dead_word_takes_precedence_over_tie(self, series):
-        snapshot, reason = build_snapshot(
+        snapshot, reason = build_one(
             synset("alpha", "beta", "gamma"), table_for(series), WINDOW)
         assert (snapshot, reason) == (None, "dead_word")
 
@@ -171,12 +180,12 @@ class TestBuildSnapshot:
         # keys through period_count, once: a second build reads them stored
         calls = count_period_calls(monkeypatch)
         members, table = synset("alpha", "beta", "gamma"), table_for(series)
-        snapshot, got = build_snapshot(members, table, WINDOW)
+        snapshot, got = build_one(members, table, WINDOW)
         assert got == reason and (snapshot is None) == (reason is not None)
         years = (WINDOW.present, WINDOW.future, WINDOW.past)[:calls_per_member]
         assert sorted(center for _, center in calls) == sorted(years * len(table))
         del calls[:]
-        assert build_snapshot(members, table, WINDOW) == (snapshot, got)
+        assert build_one(members, table, WINDOW) == (snapshot, got)
         assert calls == []
 
     def test_corpus_keys_resolved_once_per_synset(self, monkeypatch):
@@ -187,7 +196,7 @@ class TestBuildSnapshot:
         monkeypatch.setattr(SenseId, "corpus_key",
                             lambda sense: calls.append(sense) or corpus_key(sense))
         for window in (WINDOW, TimeWindow(1800, 1850, 1900)):
-            build_snapshot(members, table, window)
+            build_one(members, table, window)
         assert calls == list(members.members)
         assert members.corpus_keys == (("alpha", "NOUN"), ("beta", "NOUN"))
 
@@ -222,7 +231,7 @@ class TestBuildSnapshot:
             expected = (None, "tie")
         else:
             expected = (SynsetSnapshot(members, counts), None)
-        got = build_snapshot(members, table, WINDOW)
+        got = build_one(members, table, WINDOW)
         assert got == expected
         if got[0] is not None:
             assert list(got[0].counts) == list(members.members)
@@ -232,7 +241,7 @@ class TestBuildSnapshot:
             "alpha": {1850: 1, 1900: 7, 1950: 2},
             "beta": {1850: 9, 1900: 6, 1950: 8},
         })
-        snapshot, _ = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        snapshot, _ = build_one(synset("alpha", "beta"), table, WINDOW)
         best_present = max(snapshot.counts.items(), key=lambda kv: kv[1].present)[0]
         best_future = max(snapshot.counts.items(), key=lambda kv: kv[1].future)[0]
         assert snapshot.present_leader == best_present
@@ -243,7 +252,9 @@ class TestBuildSnapshot:
             "alpha": {1850: 1, 1900: 7, 1950: 2},
             "beta": {1850: 9, 1900: 6, 1950: 8},
         })
-        snapshot, _ = build_snapshot(synset("alpha", "beta"), table, WINDOW)
+        snapshot, _ = build_one(synset("alpha", "beta"), table, WINDOW)
+        # build_dataset leaves them to the first reader
+        assert not {"present_leader", "future_leader"} & set(vars(snapshot))
         fresh = SynsetSnapshot(snapshot.synset, snapshot.counts)
         leaders = (snapshot.present_leader, snapshot.future_leader)
         # kept on the instance, and invisible to == and repr

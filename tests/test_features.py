@@ -18,7 +18,6 @@ from lexevo.features import (
     extract_features,
     load_syllable_exceptions,
     read_feature_vectors,
-    relative_frequencies,
     syllable_count,
     word_shapes,
     write_feature_vectors,
@@ -96,6 +95,63 @@ class TestPartitionTrigrams:
         assert set(unique) <= set(own)
 
 
+def oracle_syllable_count(lemma):
+    """syllable_count without exceptions, one character at a time: the
+    groups of consecutive vowels, where y is a vowel between two
+    non-vowels or after one at the end, less a silent final e."""
+    vowels = "aeiou"
+
+    def is_vowel_at(i):
+        ch = lemma[i]
+        if ch in vowels:
+            return True
+        if ch != "y" or i == 0:
+            return False
+        if lemma[i - 1] in vowels:
+            return False
+        if i + 1 < len(lemma) and lemma[i + 1] in vowels:
+            return False
+        return True
+
+    groups = 0
+    in_group = False
+    for i in range(len(lemma)):
+        if is_vowel_at(i):
+            if not in_group:
+                groups += 1
+            in_group = True
+        else:
+            in_group = False
+    if (
+        lemma.endswith("e")
+        and (len(lemma) < 2 or not is_vowel_at(len(lemma) - 2))
+        and not (
+            lemma.endswith("le")
+            and len(lemma) >= 3
+            and not is_vowel_at(len(lemma) - 3)
+        )
+    ):
+        groups -= 1
+    return max(groups, 1)
+
+
+def oracle_word_shapes(synsets, exceptions):
+    """word_shapes by its definition, with the oracle syllable count."""
+    shapes = {}
+    for synset in synsets:
+        trigrams = {lemma: boundary_trigrams(lemma) for lemma in synset.lemmas()}
+        max_len = max(len(lemma) for lemma in trigrams)
+        for member in synset.members:
+            own = trigrams[member.lemma]
+            unique = tuple(tri for tri in own
+                           if not any(tri in trigrams[other] for other in trigrams
+                                      if other != member.lemma))
+            syllables = exceptions.get(member.lemma) or oracle_syllable_count(member.lemma)
+            shapes[member] = (len(member.lemma) / max_len, syllables, unique,
+                              (len(own) - len(unique)) / len(own))
+    return shapes
+
+
 class TestSyllableCount:
     @pytest.mark.parametrize("lemma,expected", [
         ("cat", 1),
@@ -116,6 +172,23 @@ class TestSyllableCount:
 
     def test_exception_table_wins(self):
         assert syllable_count("rapt", {"rapt": 2}) == 2
+
+    # runs of y among vowels, consonants and the trigram boundary bar, and
+    # any text at all, non-ASCII letters and capitals included
+    @settings(max_examples=500)
+    @given(st.text(alphabet="yyyaeiouélbt|", max_size=12)
+           | st.text(max_size=12)
+           | st.text(alphabet="yeYÿ|", max_size=8))
+    def test_matches_the_per_character_oracle(self, lemma):
+        assert syllable_count(lemma) == oracle_syllable_count(lemma)
+
+    @pytest.mark.parametrize("lemma", [
+        "", "y", "yy", "yyy", "ye", "ey", "aye", "yay", "syzygy", "ryye", "tyle",
+        "ble", "le", "e", "|y|", "by|", "|ye", "naïve", "café", "ÿy", "yé",
+        "rhythm\ny",
+    ])
+    def test_matches_the_oracle_at_the_edges(self, lemma):
+        assert syllable_count(lemma) == oracle_syllable_count(lemma)
 
     @given(LEMMA)
     def test_always_at_least_one(self, lemma):
@@ -147,22 +220,37 @@ class TestSyllableCount:
 
 
 class TestRelativeFrequencies:
+    """f1 and f2, a member's past and present count over its synset's
+    totals, as extract_features writes them: relative_growth is f2 - f1
+    and linear_extrapolation 2 f2 - f1."""
+
+    def growths(self, snap):
+        vectors = extract_features(Dataset(WINDOW, [snap]), word_shapes([snap.synset]),
+                                   NO_CLUSTERS, {m.corpus_key(): 1800 for m in snap.counts})
+        return {v.sense: (v.relative_growth, v.linear_extrapolation) for v in vectors}
+
     def test_sums_to_one(self):
         snap = snapshot_for({"one": (3, 6, 2), "two": (1, 2, 8)})
-        rel = relative_frequencies(snap)
-        assert sum(f1 for f1, _ in rel.values()) == pytest.approx(1.0)
-        assert sum(f2 for _, f2 in rel.values()) == pytest.approx(1.0)
+        got = self.growths(snap)
+        for sense, c in snap.counts.items():
+            f1, f2 = c.past / 4, c.present / 8
+            assert got[sense] == (f2 - f1, 2.0 * f2 - f1)
+        # f1 and f2 each sum to one over the synset
+        assert sum(growth for growth, _ in got.values()) == pytest.approx(0.0)
+        assert sum(line for _, line in got.values()) == pytest.approx(1.0)
 
     def test_zero_past_total(self):
         snap = snapshot_for({"one": (0, 6, 2), "two": (0, 2, 8)})
-        rel = relative_frequencies(snap)
-        assert all(f1 == 0.0 for f1, _ in rel.values())
+        got = self.growths(snap)
+        # f1 is 0 for every member
+        assert got == {sense: (c.present / 8, 2.0 * (c.present / 8))
+                       for sense, c in snap.counts.items()}
 
     def test_zero_present_total_rejected(self):
         synset = load_lexicon(io.StringIO("x1\ta\tone,two\n")).synsets[0]
         counts = {m: MemberCounts(1, 0, 1) for m in synset.members}
-        with pytest.raises(DataError):
-            relative_frequencies(SynsetSnapshot(synset, counts))
+        with pytest.raises(DataError, match="zero present total"):
+            self.growths(SynsetSnapshot(synset, counts))
 
 
 WINDOW = TimeWindow(1850, 1900, 1950)
@@ -220,6 +308,15 @@ class TestWordShapes:
         assert shapes[tiny] == (4 / 8, 5, boundary_trigrams("tiny"), 0.0)
         assert shapes[longword] == (1.0, syllable_count("longword"),
                                     boundary_trigrams("longword"), 0.0)
+
+    @pytest.mark.parametrize("name", ["rapture", "synthetic"])
+    def test_fixture_tables_match_the_oracle(self, name):
+        paths = bundle_paths(name)
+        with open(paths["lexicon"], encoding="utf-8") as handle:
+            synsets = load_lexicon(handle).synsets
+        with open(paths["syllables"], encoding="utf-8") as handle:
+            exceptions = load_syllable_exceptions(handle)
+        assert word_shapes(synsets, exceptions) == oracle_word_shapes(synsets, exceptions)
 
     def test_keyed_by_sense(self):
         # the two senses of 'rapt' get their own synset's shapes

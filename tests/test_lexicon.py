@@ -143,6 +143,15 @@ class TestCategorialVariationCount:
             previous = count
 
 
+@pytest.mark.parametrize("text", ["aa,quzzz#n#1", ",#a#1", "rapt,#a#2"])
+def test_sense_id_parse_refuses_a_comma_in_the_lemma(text):
+    # the feature file would write the lemma's trigrams aa, and a,q into its
+    # comma-joined unique_ngrams column, to read them back as aa, a and q
+    with pytest.raises(ValueError) as info:
+        SenseId.parse(text)
+    assert str(info.value) == f"bad sense id {text!r}: a lemma holds no comma"
+
+
 def test_sense_id_rendering_roundtrip():
     sense = SenseId("rapt", "a", 1)
     assert str(sense) == "rapt#a#1"
