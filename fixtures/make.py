@@ -1,6 +1,9 @@
-"""Fixture bundle generators.
+"""Write the two fixture bundles into the directory that holds this script:
 
-Two bundles back the test suite and serve as runnable demo inputs:
+    python3 fixtures/make.py
+
+It rewrites fixtures/rapture and fixtures/synthetic byte for byte.  The
+two bundles back the test suite and serve as runnable demo inputs:
 
 * the five-adjective rapture synset, with annual counts engineered so
   the eleven-year period sums, birth years, and derivational clusters
@@ -39,15 +42,12 @@ TABLE2_CATVAR = [
 
 
 def _write_bundle(directory, **files):
-    """Write each name's lines to directory/<name>.tsv, one per line, and
-    return the name -> path map."""
-    os.makedirs(directory or ".", exist_ok=True)
-    paths = {}
+    """Write each name's lines to directory/<name>.tsv, one per line."""
+    os.makedirs(directory, exist_ok=True)
     for name, lines in files.items():
-        paths[name] = os.path.join(directory, f"{name}.tsv")
-        with open(paths[name], "w", encoding="utf-8") as handle:
+        with open(os.path.join(directory, f"{name}.tsv"), "w",
+                  encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-    return paths
 
 
 def write_rapture_fixture(directory):
@@ -68,7 +68,7 @@ def write_rapture_fixture(directory):
             corpus_rows.append(f"{lemma}_ADJ\t{year}\t{count}\t1")
     for token, born in TABLE2_CLUSTER_EXTRAS:
         corpus_rows.append(f"{token}\t{born}\t5\t1")
-    return _write_bundle(
+    _write_bundle(
         directory,
         corpus=corpus_rows,
         lexicon=["a00001\ta\tecstatic,enraptured,rapt,rapturous,rhapsodic"],
@@ -89,11 +89,6 @@ SYNTHETIC_TYPES = {
 SYNTHETIC_MINOR = (50, 60, 70, 80)
 
 
-# two letters a-z give 26 * 26 distinct synset codes; past that the
-# lemmas leave a-z and fail eligibility
-MAX_SYNTHETIC_SYNSETS = 26 * 26
-
-
 def _code(i):
     a, b = divmod(i, 26)
     return chr(97 + a) + chr(97 + b) + "q"
@@ -106,22 +101,18 @@ _RIVAL_TAILS = ("", "l", "li")
 _MINOR_TAILS = ("", "e", "er")
 
 
-def write_synthetic_fixture(directory, n_synsets=50):
+def write_synthetic_fixture(directory):
     """Write the engineered 50-synset bundle (corpus + lexicon).
 
     Winner lemmas contain 'uzzz'; the 'zzz' trigram never appears in the
     other members, so it lands in the winner's unique set.  Counts carry
     small deterministic jitter (margins stay far larger) so the corpus
-    features vary across synsets.  n_synsets must lie in
-    [1, MAX_SYNTHETIC_SYNSETS].
+    features vary across synsets.
     """
-    if not 1 <= n_synsets <= MAX_SYNTHETIC_SYNSETS:
-        raise ValueError(
-            f"n_synsets {n_synsets} outside [1, {MAX_SYNTHETIC_SYNSETS}]")
     type_names = list(SYNTHETIC_TYPES)
     corpus_rows = []
     lexicon_rows = []
-    for i in range(n_synsets):
+    for i in range(50):
         kind = SYNTHETIC_TYPES[type_names[i % len(type_names)]]
         code = _code(i)
         # tail index varies within each synset type (i // 3), so no tail
@@ -142,10 +133,16 @@ def write_synthetic_fixture(directory, n_synsets=50):
         lexicon_rows.append(
             f"s{i:05d}\tn\t" + ",".join(m[0] for m in members)
         )
-    return _write_bundle(
+    _write_bundle(
         directory,
         corpus=corpus_rows,
         lexicon=lexicon_rows,
         catvar=["# no clusters in the synthetic bundle"],
         syllables=["# no overrides"],
     )
+
+
+if __name__ == "__main__":
+    here = os.path.dirname(os.path.abspath(__file__))
+    write_rapture_fixture(os.path.join(here, "rapture"))
+    write_synthetic_fixture(os.path.join(here, "synthetic"))

@@ -1,5 +1,5 @@
-"""Small shared helpers: gzip-aware opening, line parsing, TSV tables,
-atomic writes and lazily computed attributes."""
+"""Small shared helpers: gzip-aware opening, line parsing, TSV tables
+and atomic writes."""
 
 import gzip
 import itertools
@@ -127,27 +127,3 @@ def atomic_write_lines(path, lines):
 
 def atomic_write_json(path, obj):
     atomic_write_lines(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
-
-
-class cached_property:
-    """A method computed on first access and kept in the instance __dict__.
-
-    This is functools.cached_property as Python 3.12 has it, without the
-    lock that 3.11's takes on every first access.  It is a non-data
-    descriptor, so once the value is in the instance __dict__, attribute
-    lookup finds it there and never calls __get__ again.  A frozen
-    dataclass allows the store; its fields, == and repr are unaffected.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value

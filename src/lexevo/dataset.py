@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._util import _not_utf8, atomic_write_json, cached_property, read_tsv, write_tsv
+from ._util import _not_utf8, atomic_write_json, read_tsv, write_tsv
 from .corpus import join_token, split_token
 from .errors import DataError
 from .lexicon import CatVarClusters, SenseId, Synset, disjoint_cluster
@@ -65,39 +65,38 @@ class MemberCounts(NamedTuple):
     future: int
 
 
-@dataclass(frozen=True)
-class SynsetSnapshot:
-    """One synset's smoothed counts at a window's three periods.
+class SynsetSnapshot(NamedTuple):
+    """One synset's smoothed counts at a window's three periods, and its
+    present and future leaders: the members with the highest present and
+    future count.
 
-    Only built for synsets that passed the removal rules, so the present
-    and future leaders are unique and every present count is positive.
+    Only built for synsets that pass the removal rule (_removal_reason),
+    so both leaders are unique and every present count is positive.
     """
 
     synset: Synset
     counts: dict  # SenseId -> MemberCounts
-
-    @cached_property
-    def present_leader(self):
-        return max(self.counts, key=lambda sense: self.counts[sense].present)
-
-    @cached_property
-    def future_leader(self):
-        return max(self.counts, key=lambda sense: self.counts[sense].future)
+    present_leader: SenseId
+    future_leader: SenseId
 
 
 def _removal_reason(presents, futures):
-    """The removal rule that a synset breaks, or None, from its members'
+    """(reason, present index, future index) from a synset's members'
     present and future counts, in one member order.
 
     A synset is removed as dead_word when any member has a zero present
-    count, and as tie when the maximum present or future count is shared.
-    futures is not read when a present count is zero.
+    count, and as tie when its maximum present or future count is held by
+    more than one member; then both indices are None.  Otherwise reason
+    is None and the indices are those of the members holding the two
+    maxima, the present and future leaders.  futures is not read when a
+    present count is zero.
     """
     if 0 in presents:
-        return REMOVAL_DEAD_WORD
-    if presents.count(max(presents)) > 1 or futures.count(max(futures)) > 1:
-        return REMOVAL_TIE
-    return None
+        return REMOVAL_DEAD_WORD, None, None
+    present_max, future_max = max(presents), max(futures)
+    if presents.count(present_max) > 1 or futures.count(future_max) > 1:
+        return REMOVAL_TIE, None, None
+    return None, presents.index(present_max), futures.index(future_max)
 
 
 @dataclass
@@ -147,14 +146,16 @@ def build_dataset(synsets, corpus, window):
             if futures is None:
                 futures = corpus.period_array(window.future)
             future = [futures[slot] for slot in slots]
-        reason = _removal_reason(present, future)
+        reason, present_index, future_index = _removal_reason(present, future)
         if reason is not None:
             removal_log[reason] += 1
             continue
         if pasts is None:
             pasts = corpus.period_array(window.past)
-        snapshots.append(SynsetSnapshot(synset, dict(zip(synset.members, map(
-            MemberCounts, [pasts[slot] for slot in slots], present, future)))))
+        members = synset.members
+        snapshots.append(SynsetSnapshot(synset, dict(zip(members, map(
+            MemberCounts, [pasts[slot] for slot in slots], present, future))),
+            members[present_index], members[future_index]))
     return Dataset(window, snapshots, removal_log)
 
 
@@ -191,10 +192,11 @@ def read_dataset(tsv_path):
     read.  A header other than DATASET_COLUMNS is a DataError naming the
     file; a malformed row, a negative count or a repeated sense is one
     naming the line.
-    Every synset must have two or more members of one part of speech and
-    pass the removal rules that build_dataset applies; one that does not
+    Every synset must have two or more members of one part of speech, no
+    lemma twice (as load_lexicon refuses a repeated lemma in a synset) and
+    pass the removal rule that build_dataset applies; one that does not
     is a DataError naming the synset and the member count, the parts of
-    speech or the rule.
+    speech, the lemma or the rule.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
     births or clusters is a DataError naming the file (and the key); so
     are clusters that share a member, births that lack a member or a
@@ -228,12 +230,17 @@ def read_dataset(tsv_path):
         if len(pos) > 1:
             raise DataError(f"{tsv_path}: synset {synset_id} mixes parts of speech "
                             f"{', '.join(pos)}")
-        reason = _removal_reason([c.present for _, c in members],
-                                 [c.future for _, c in members])
+        senses = tuple(sense for sense, _ in members)
+        lemmas = Counter(sense.lemma for sense in senses)
+        if len(lemmas) < len(senses):
+            repeated = min(lemma for lemma, n in lemmas.items() if n > 1)
+            raise DataError(f"{tsv_path}: synset {synset_id} repeats lemma {repeated}")
+        reason, present_index, future_index = _removal_reason(
+            [c.present for _, c in members], [c.future for _, c in members])
         if reason is not None:
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
-        synset = Synset(synset_id, pos[0], tuple(s for s, _ in members))
-        snapshots.append(SynsetSnapshot(synset, dict(members)))
+        snapshots.append(SynsetSnapshot(Synset(synset_id, pos[0], senses), dict(members),
+                                        senses[present_index], senses[future_index]))
     members = {m.corpus_key() for s in snapshots for m in s.counts}
     missing = members.union(clusters.members()) - births.keys()
     if missing:

@@ -11,9 +11,10 @@ Lines starting with '#' are ignored in both formats.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
-from ._util import cached_property, parse_lines
+from ._util import parse_lines
 from .corpus import join_token, split_token
 
 # lexicon pos letter -> corpus tag
@@ -73,6 +74,8 @@ class Synset:
     def lemmas(self):
         return [m.lemma for m in self.members]
 
+    # computed on first access and kept in the instance __dict__, which a
+    # frozen dataclass allows; fields, == and repr are unaffected
     @cached_property
     def corpus_keys(self):
         """The members' corpus keys, in member order."""

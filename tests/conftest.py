@@ -3,6 +3,7 @@ import os
 import pytest
 
 from lexevo import corpus as corpus_mod
+from lexevo.dataset import SynsetSnapshot
 from lexevo.experiments import load_pipeline_inputs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -16,6 +17,15 @@ def bundle_paths(name):
         "catvar": os.path.join(base, "catvar.tsv"),
         "syllables": os.path.join(base, "syllables.tsv"),
     }
+
+
+def snapshot_of(synset, counts):
+    """The SynsetSnapshot of synset with counts (SenseId -> MemberCounts),
+    its leaders found by brute force: the first member with the highest
+    present count and the first with the highest future count."""
+    return SynsetSnapshot(synset, counts,
+                          max(counts, key=lambda sense: counts[sense].present),
+                          max(counts, key=lambda sense: counts[sense].future))
 
 
 def count_period_calls(monkeypatch):

@@ -15,7 +15,6 @@ import pytest
 from lexevo.corpus import synset_annual_shares
 from lexevo.dataset import (
     MemberCounts,
-    SynsetSnapshot,
     TimeWindow,
     build_dataset,
     schedule_windows,
@@ -26,6 +25,7 @@ from lexevo.features import extract_features
 from lexevo.lexicon import SenseId, Synset
 from lexevo.model import fit, win_probability
 
+from tests.conftest import snapshot_of
 from tests.test_model import brute_force_probability, random_vectors
 
 TEST1_WINDOW = TimeWindow(1850, 1900, 1950)
@@ -200,7 +200,7 @@ def test_08_random_baseline_expectation():
                 first: MemberCounts(5, 9, 2 if changed else 9),
                 second: MemberCounts(4, 5, 9 if changed else 2),
             }
-            snapshots.append(SynsetSnapshot(synset, counts))
+            snapshots.append(snapshot_of(synset, counts))
         # the time bound rules out a DP over the whole count range, which
         # is quadratic in the synsets
         started = time.perf_counter()

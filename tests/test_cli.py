@@ -924,6 +924,25 @@ class TestArtifactReaders:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_lemma_in_synset(self, tmp_path, capsys):
+        # two senses of one lemma in a synset, which load_lexicon refuses:
+        # they would share every trigram and the one corpus key foo_NOUN
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
+                           "x1\tfoo#n#1\t2\t5\t9\n"
+                           "x1\tfoo#n#2\t4\t3\t1\n"
+                           "x1\tbar#n#1\t1\t1\t1\n")
+        (tmp_path / "dataset.json").write_text(json.dumps({
+            "window": [1850, 1900, 1950], "clusters": [],
+            "births": {"foo_NOUN": 1850, "bar_NOUN": 1850}}))
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{dataset}: synset x1 repeats lemma foo" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("column, value", [
         (2, "1e200"),  # normalized_length
         (8, str(10 ** 200)),  # present_age

@@ -13,7 +13,6 @@ from lexevo.dataset import (
     MAX_CYCLE,
     MIN_CYCLE,
     MemberCounts,
-    SynsetSnapshot,
     TimeWindow,
     build_dataset,
     read_dataset,
@@ -23,7 +22,7 @@ from lexevo.dataset import (
 from lexevo.errors import DataError
 from lexevo.experiments import load_pipeline_inputs
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
-from tests.conftest import count_period_calls
+from tests.conftest import count_period_calls, snapshot_of
 
 
 def sweep_windows():
@@ -230,7 +229,8 @@ class TestBuildSnapshot:
               or futures.count(max(futures)) > 1):
             expected = (None, "tie")
         else:
-            expected = (SynsetSnapshot(members, counts), None)
+            # the leaders by brute force: max of the members by count
+            expected = (snapshot_of(members, counts), None)
         got = build_one(members, table, WINDOW)
         assert got == expected
         if got[0] is not None:
@@ -246,22 +246,6 @@ class TestBuildSnapshot:
         best_future = max(snapshot.counts.items(), key=lambda kv: kv[1].future)[0]
         assert snapshot.present_leader == best_present
         assert snapshot.future_leader == best_future
-
-    def test_leaders_computed_once(self):
-        table = table_for({
-            "alpha": {1850: 1, 1900: 7, 1950: 2},
-            "beta": {1850: 9, 1900: 6, 1950: 8},
-        })
-        snapshot, _ = build_one(synset("alpha", "beta"), table, WINDOW)
-        # build_dataset leaves them to the first reader
-        assert not {"present_leader", "future_leader"} & set(vars(snapshot))
-        fresh = SynsetSnapshot(snapshot.synset, snapshot.counts)
-        leaders = (snapshot.present_leader, snapshot.future_leader)
-        # kept on the instance, and invisible to == and repr
-        assert {"present_leader", "future_leader"} <= set(vars(snapshot))
-        assert (snapshot.present_leader, snapshot.future_leader) == leaders
-        assert snapshot == fresh
-        assert repr(snapshot) == repr(fresh)
 
 
 class TestBuildDataset:
@@ -405,12 +389,14 @@ class TestBuildDataset:
 
 class TestDatasetSerialization:
     def test_roundtrip(self, tmp_path):
+        # neither leader is the first member, and they differ
         table = table_for({
-            "one": {1850: 2, 1900: 5, 1950: 9},
-            "two": {1850: 4, 1900: 3, 1950: 1},
+            "one": {1850: 2, 1900: 1, 1950: 2},
+            "two": {1850: 4, 1900: 5, 1950: 1},
+            "three": {1850: 1, 1900: 3, 1950: 9},
         })
-        ds = build_dataset([synset("one", "two")], table, WINDOW)
-        births = {("one", "NOUN"): 1850, ("two", "NOUN"): 1850}
+        ds = build_dataset([synset("one", "two", "three")], table, WINDOW)
+        births = {(lemma, "NOUN"): 1850 for lemma in ("one", "two", "three")}
         tsv = tmp_path / "dataset.tsv"
         write_dataset(ds, str(tsv), CatVarClusters(), births)
         assert (tmp_path / "dataset.json").exists()
@@ -420,6 +406,10 @@ class TestDatasetSerialization:
         original = {str(s): c for s, c in ds.snapshots[0].counts.items()}
         restored = {str(s): c for s, c in loaded.snapshots[0].counts.items()}
         assert restored == original
+        [snapshot] = loaded.snapshots
+        assert (snapshot.present_leader.lemma, snapshot.future_leader.lemma) == (
+            "two", "three")
+        assert loaded.snapshots == ds.snapshots
         assert (clusters.clusters, loaded_births) == ([], births)
 
     def test_births_roundtrip(self, tmp_path):
@@ -527,6 +517,16 @@ class TestDatasetSerialization:
                                                     "x1\ttwo#v#1\t4\t3\t1"]))
         assert str(info.value) == (f"{tmp_path / 'dataset.tsv'}: synset x1 mixes "
                                    "parts of speech n, v")
+
+    def test_read_rejects_repeated_lemma(self, tmp_path):
+        # two senses of one lemma in a synset, which load_lexicon refuses:
+        # they would share every trigram and the one corpus key
+        with pytest.raises(DataError) as info:
+            read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                                    "x1\ttwo#n#1\t1\t1\t1",
+                                                    "x1\tone#n#2\t4\t3\t1"]))
+        assert str(info.value) == (f"{tmp_path / 'dataset.tsv'}: synset x1 repeats "
+                                   "lemma one")
 
     def test_read_reports_bad_row_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexevo._util import read_tsv, write_tsv
-from lexevo.dataset import (MemberCounts, SynsetSnapshot, build_dataset,
-                            schedule_windows)
+from lexevo.dataset import MemberCounts, build_dataset, schedule_windows
 from lexevo.evaluate import (
     OUTCOME_COLUMNS,
     ContingencyCounts,
@@ -24,6 +23,7 @@ from lexevo.evaluate import (
     wilson_interval,
 )
 from lexevo.lexicon import SenseId, load_lexicon
+from tests.conftest import snapshot_of
 
 
 def snapshot_for(index, counts_by_lemma, pos="n"):
@@ -31,7 +31,7 @@ def snapshot_for(index, counts_by_lemma, pos="n"):
     text = f"s{index:05d}\t{pos}\t" + ",".join(lemmas) + "\n"
     synset = load_lexicon(io.StringIO(text)).synsets[0]
     counts = {m: MemberCounts(*counts_by_lemma[m.lemma]) for m in synset.members}
-    return SynsetSnapshot(synset, counts)
+    return snapshot_of(synset, counts)
 
 
 class TestPredictSynsetWinner:

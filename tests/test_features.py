@@ -1,12 +1,13 @@
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexevo.dataset import (Dataset, MemberCounts, SynsetSnapshot, TimeWindow,
-                            build_dataset, schedule_windows)
+from lexevo.dataset import (Dataset, MemberCounts, TimeWindow, build_dataset,
+                            schedule_windows)
 from lexevo.errors import DataError
 from lexevo.experiments import (AblationSpec, load_pipeline_inputs, prepare_window,
                                 run_ablations, run_cycle_sweep)
@@ -24,7 +25,7 @@ from lexevo.features import (
 )
 from lexevo.lexicon import CatVarClusters, SenseId, Synset, load_lexicon
 from lexevo.model import GaussianParams
-from tests.conftest import bundle_paths, count_period_calls
+from tests.conftest import bundle_paths, count_period_calls, snapshot_of
 
 LEMMA = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=3, max_size=12)
 
@@ -36,7 +37,7 @@ def snapshot_for(counts_by_lemma, pos="a"):
     counts = {
         m: MemberCounts(*counts_by_lemma[m.lemma]) for m in synset.members
     }
-    return SynsetSnapshot(synset, counts)
+    return snapshot_of(synset, counts)
 
 
 class TestBoundaryTrigrams:
@@ -250,7 +251,7 @@ class TestRelativeFrequencies:
         synset = load_lexicon(io.StringIO("x1\ta\tone,two\n")).synsets[0]
         counts = {m: MemberCounts(1, 0, 1) for m in synset.members}
         with pytest.raises(DataError, match="zero present total"):
-            self.growths(SynsetSnapshot(synset, counts))
+            self.growths(snapshot_of(synset, counts))
 
 
 WINDOW = TimeWindow(1850, 1900, 1950)
@@ -391,6 +392,19 @@ class TestExtractFeatures:
         assert fresh[0] is not kept[0] and fresh[1] == kept[1]
         assert len(calls) == 2 * members
         assert second.word_shapes == first.word_shapes
+
+    def test_word_shapes_computed_once_out_of_eq_and_repr(self, monkeypatch):
+        calls = count_trigram_calls(monkeypatch)
+        inputs = load_synthetic_inputs()
+        fresh = replace(inputs)
+        assert "word_shapes" not in vars(inputs)
+        shapes = inputs.word_shapes
+        assert inputs.word_shapes is shapes
+        assert len(calls) == sum(len(s.members) for s in inputs.synsets)
+        # kept in the instance __dict__, and no field
+        assert vars(inputs)["word_shapes"] is shapes
+        assert inputs == fresh and repr(inputs) == repr(fresh)
+        assert "word_shapes" not in vars(fresh)
 
 
 RAPT = SenseId("rapt", "a", 1)

@@ -152,6 +152,23 @@ def test_sense_id_parse_refuses_a_comma_in_the_lemma(text):
     assert str(info.value) == f"bad sense id {text!r}: a lemma holds no comma"
 
 
+def test_corpus_keys_computed_once_out_of_eq_and_repr(monkeypatch):
+    text = "x1\tn\talpha,beta\n"
+    synset, fresh = lexicon_from(text).synsets[0], lexicon_from(text).synsets[0]
+    calls = []
+    corpus_key = SenseId.corpus_key
+    monkeypatch.setattr(SenseId, "corpus_key",
+                        lambda sense: calls.append(sense) or corpus_key(sense))
+    assert "corpus_keys" not in vars(synset)
+    assert synset.corpus_keys == (("alpha", "NOUN"), ("beta", "NOUN"))
+    assert synset.corpus_keys is synset.corpus_keys
+    assert calls == list(synset.members)
+    # kept in the instance __dict__, which a frozen dataclass allows
+    assert vars(synset)["corpus_keys"] is synset.corpus_keys
+    assert synset == fresh and repr(synset) == repr(fresh)
+    assert "corpus_keys" not in vars(fresh)
+
+
 def test_sense_id_rendering_roundtrip():
     sense = SenseId("rapt", "a", 1)
     assert str(sense) == "rapt#a#1"

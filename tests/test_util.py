@@ -1,13 +1,11 @@
 """The one atomic writer: lines stream into a temp file that is renamed
-into place, or is removed whatever interrupts them; and the lazily
-computed attribute."""
+into place, or is removed whatever interrupts them."""
 
 import os
-from dataclasses import dataclass
 
 import pytest
 
-from lexevo._util import atomic_write_lines, cached_property
+from lexevo._util import atomic_write_lines
 from lexevo.errors import DataError
 
 
@@ -40,32 +38,3 @@ def test_interrupted_write_leaves_no_trace(tmp_path, exc, existing):
     else:
         assert target.read_bytes() == existing
 
-
-
-@dataclass(frozen=True)
-class Lazy:
-    value: int
-    calls: list
-
-    @cached_property
-    def doubled(self):
-        """Twice the value."""
-        self.calls.append(self.value)
-        return 2 * self.value
-
-
-def test_cached_property_computes_once_out_of_eq_and_repr():
-    calls = []
-    lazy, fresh = Lazy(3, calls), Lazy(3, calls)
-    assert "doubled" not in vars(lazy)
-    assert (lazy.doubled, lazy.doubled) == (6, 6)
-    assert calls == [3]
-    # kept in the instance __dict__, which a frozen dataclass allows
-    assert vars(lazy)["doubled"] == 6
-    assert lazy == fresh and repr(lazy) == repr(fresh)
-    assert "doubled" not in vars(fresh)
-
-
-def test_cached_property_on_the_class_is_the_descriptor():
-    assert isinstance(Lazy.doubled, cached_property)
-    assert Lazy.doubled.__doc__ == "Twice the value."
