@@ -14,7 +14,11 @@ windows of a cycle 30-60 sweep read 13 distinct years.
 Rows grouped by token, as the published files and evocli ingest's
 corpus.tsv list each word's years one after another, are the fast path:
 a token is split and looked up once per run of rows.  Rows in any other
-order load to the same table and counts, at one lookup per row.
+order load to the same table and counts, at one lookup per row.  Fields
+in plain ASCII digits, as those files write them, are checked by a year
+table and str.isdecimal(), so a filtered row converts no field and a kept
+row only its match count; any other field is checked by int(), with the
+same verdict.
 
 Memory per kept row.  While a key's years strictly increase, as they do
 in the published files and in corpus.tsv, each row is appended to two
@@ -54,6 +58,16 @@ MAX_TOTAL = (1 << 63) - 1
 # them, so a year costs a key 8 B of pointer, not a 28 B int of its own.
 # array('H') years would cost 2 B, but bisect boxes every probe of an array.
 _YEARS = tuple(range(MAX_YEAR + 1))
+
+# the year of each plain year field: the ASCII digits of a year in
+# [MIN_YEAR, MAX_YEAR], with no sign, space, underscore or leading zero
+_YEAR_OF = {str(year): year for year in _YEARS[MIN_YEAR:]}
+
+# the longest line whose fields are checked without int(): a field of such
+# a line has at most 640 digits, and 640 is the lowest limit that
+# sys.set_int_max_str_digits takes, so int() accepts each decimal field of
+# it whatever the limit
+MAX_PLAIN_LINE = 640
 
 
 def split_token(token):
@@ -230,16 +244,24 @@ def _read_rows(source, filter_keys, series, report):
     """Add one stream's kept rows to series and count them in report.
 
     series maps each key to its _Rows.  A row is kept only if it has four
-    tab-separated columns, a lemma_POS token, integer fields, a year in
-    [MIN_YEAR, MAX_YEAR] and non-negative counts; any other non-blank row
-    is skipped and counted, whatever its token, and a valid row outside
-    filter_keys is counted as filtered.  Rows of one (key, year) are
-    summed, by the time the table is built.  OverflowError naming the
-    token when a key's total gets above MAX_TOTAL.
+    tab-separated columns, a lemma_POS token, fields that int() accepts, a
+    year in [MIN_YEAR, MAX_YEAR] and non-negative counts; any other
+    non-blank row is skipped and counted, whatever its token, and a valid
+    row outside filter_keys is counted as filtered.  Rows of one
+    (key, year) are summed, by the time the table is built.  OverflowError
+    naming the token when a key's total gets above MAX_TOTAL.
 
     The stream is read in blocks of BLOCK_SIZE characters.  A valid row's
     token is split and looked up only when it differs from the last valid
     row's, so a run of rows of one token costs one lookup.
+
+    A row of plain fields, as every published unigram file and corpus.tsv
+    has, is checked without int(): its year is looked up in _YEAR_OF and
+    each count is valid when str.isdecimal() holds, which is when int()
+    takes it, on a line of at most MAX_PLAIN_LINE characters.  Only a kept
+    row's match count is converted.  Any other row (a leading zero, a sign,
+    an underscore, spaces, a year out of range, a longer line) is checked
+    by int(), field by field, to the same verdict.
     """
     if not filter_keys:
         raise DataError("empty vocabulary filter")
@@ -249,6 +271,7 @@ def _read_rows(source, filter_keys, series, report):
     # last in-order year, its in-order total and its extra rows
     last = rows = extra = None
     add_year = add_sum = None
+    plain_year = _YEAR_OF.get
     top = total = 0
     tail = ""
     while True:
@@ -260,11 +283,13 @@ def _read_rows(source, filter_keys, series, report):
         for line in lines:
             try:
                 token, year_s, match_s, volume_s = line.split("\t")
-                year = int(year_s)
-                match_count = int(match_s)
-                if (int(volume_s) < 0 or match_count < 0
-                        or not MIN_YEAR <= year <= MAX_YEAR):
-                    raise ValueError
+                year = plain_year(year_s)
+                if (year is None or len(line) > MAX_PLAIN_LINE
+                        or not match_s.isdecimal() or not volume_s.isdecimal()):
+                    year = int(year_s)
+                    if (int(volume_s) < 0 or int(match_s) < 0
+                            or not MIN_YEAR <= year <= MAX_YEAR):
+                        raise ValueError
                 if token != last:
                     key = split_token(token)
                     last, rows = token, None
@@ -284,6 +309,7 @@ def _read_rows(source, filter_keys, series, report):
             if rows is None:
                 filtered += 1
                 continue
+            match_count = int(match_s)
             if year > top:
                 total += match_count
                 try:

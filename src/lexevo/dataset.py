@@ -196,7 +196,9 @@ def read_dataset(tsv_path):
     lemma twice (as load_lexicon refuses a repeated lemma in a synset) and
     pass the removal rule that build_dataset applies; one that does not
     is a DataError naming the synset and the member count, the parts of
-    speech, the lemma or the rule.
+    speech, the lemma or the rule.  No two synsets may hold one corpus key
+    (eligible_synsets drops a lemma with senses in two synsets); a shared
+    key is a DataError naming it and both synsets.
     A JSON sidecar that is not JSON or lacks a valid window, removals,
     births or clusters is a DataError naming the file (and the key); so
     are clusters that share a member, births that lack a member or a
@@ -222,6 +224,7 @@ def read_dataset(tsv_path):
 
     read_tsv(tsv_path, DATASET_COLUMNS, parse)
     snapshots = []
+    synset_of = {}  # corpus key -> the synset that holds it
     for synset_id, members in groups.items():
         if len(members) < 2:
             raise DataError(f"{tsv_path}: synset {synset_id} has {len(members)} "
@@ -235,17 +238,22 @@ def read_dataset(tsv_path):
         if len(lemmas) < len(senses):
             repeated = min(lemma for lemma, n in lemmas.items() if n > 1)
             raise DataError(f"{tsv_path}: synset {synset_id} repeats lemma {repeated}")
+        for sense in senses:
+            key = sense.corpus_key()
+            other = synset_of.setdefault(key, synset_id)
+            if other != synset_id:
+                raise DataError(f"{tsv_path}: corpus key {join_token(key)} is in "
+                                f"synsets {other} and {synset_id}")
         reason, present_index, future_index = _removal_reason(
             [c.present for _, c in members], [c.future for _, c in members])
         if reason is not None:
             raise DataError(f"{tsv_path}: synset {synset_id} breaks the {reason} rule")
         snapshots.append(SynsetSnapshot(Synset(synset_id, pos[0], senses), dict(members),
                                         senses[present_index], senses[future_index]))
-    members = {m.corpus_key() for s in snapshots for m in s.counts}
-    missing = members.union(clusters.members()) - births.keys()
+    missing = set(synset_of).union(clusters.members()) - births.keys()
     if missing:
         raise DataError(f"{json_path}: key 'births' has no {join_token(min(missing))}")
-    unborn = [key for key in members if births[key] is None]
+    unborn = [key for key in synset_of if births[key] is None]
     if unborn:
         raise DataError(f"{json_path}: key 'births' maps dataset member "
                         f"{join_token(min(unborn))} to null; a member needs a year")

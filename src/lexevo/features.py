@@ -8,8 +8,6 @@ that no other synset member shares.
 
 import math
 import re
-from collections import Counter
-from itertools import chain
 from typing import NamedTuple, Optional
 
 from ._util import parse_lines, read_tsv, write_tsv
@@ -142,12 +140,15 @@ def word_shapes(synsets, syllable_exceptions=None):
     for synset in synsets:
         lemmas = synset.lemmas()
         trigrams = dict(zip(lemmas, map(boundary_trigrams, lemmas)))
-        # how many distinct lemmas hold each trigram
-        holders = Counter(chain.from_iterable(trigrams.values()))
+        # the trigrams that two or more lemmas hold
+        seen, shared = set(), set()
+        for own in trigrams.values():
+            shared |= seen.intersection(own)
+            seen.update(own)
         max_len = max(map(len, lemmas))
         for member, lemma in zip(synset.members, lemmas):
             own = trigrams[lemma]
-            unique = tuple([tri for tri in own if holders[tri] == 1])
+            unique = tuple([tri for tri in own if tri not in shared])
             shapes[member] = (len(lemma) / max_len,
                               syllable_count(lemma, syllable_exceptions),
                               unique, (len(own) - len(unique)) / len(own))

@@ -943,6 +943,26 @@ class TestArtifactReaders:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_lemma_in_two_synsets(self, tmp_path, capsys):
+        # two senses of one lemma in two synsets, a polysemous word that
+        # eligible_synsets drops: both would read the one corpus key foo_NOUN
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text("synset_id\tsense_id\tpast\tpresent\tfuture\n"
+                           "x1\tfoo#n#1\t2\t5\t9\n"
+                           "x1\tbar#n#1\t1\t1\t1\n"
+                           "x2\tfoo#n#2\t4\t7\t1\n"
+                           "x2\tbaz#n#1\t1\t1\t3\n")
+        (tmp_path / "dataset.json").write_text(json.dumps({
+            "window": [1850, 1900, 1950], "clusters": [],
+            "births": {"foo_NOUN": 1850, "bar_NOUN": 1850, "baz_NOUN": 1850}}))
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{dataset}: corpus key foo_NOUN is in synsets x1 and x2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("column, value", [
         (2, "1e200"),  # normalized_length
         (8, str(10 ** 200)),  # present_age

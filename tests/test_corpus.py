@@ -1,5 +1,6 @@
 import gzip
 import random
+import sys
 import tracemalloc
 from array import array
 from itertools import accumulate
@@ -7,9 +8,11 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
+from lexevo import corpus
 from lexevo.corpus import (
     BLOCK_SIZE,
     HALF_WIDTH,
+    MAX_PLAIN_LINE,
     MAX_TOTAL,
     MAX_YEAR,
     MIN_YEAR,
@@ -82,12 +85,51 @@ class TestParseNgramRow:
         "rapt_ADJ\t2009\t5\t1",
         "rapt_ADJ\t1900\t-5\t1",
         "rapt_ADJ\t1900\t5\t-1",
+        "rapt_ADJ\t1900\t\u00b2\t1",
+        "rapt_ADJ\t1900\t5\t\u00b2",
+        "zebra_NOUN\t1900\t5\t\u00b2",
     ])
     def test_bad_row_is_skipped(self, tmp_path, row):
-        # wrong column count, no lemma or POS, a non-integer field, a year
-        # outside [1500, 2008], a negative count (the volume count too)
+        # wrong column count, no lemma or POS, a non-integer field (a
+        # superscript two is a digit that int() refuses), a year outside
+        # [1500, 2008], a negative count (the volume count too)
         _, report = load_text(tmp_path, row + "\n", {RAPT})
         assert report == LoadReport(rows_skipped=1)
+
+    @pytest.mark.parametrize("row", [
+        "rapt_ADJ\t01900\t007\t0",
+        "rapt_ADJ\t+1900\t+7\t+0",
+        "rapt_ADJ\t1_900\t7\t1_0",
+        "rapt_ADJ\t 1900\t7 \t\u00a00",
+        "rapt_ADJ\t\uff11\uff19\uff10\uff10\t\uff17\t\uff10",
+        "rapt_ADJ\t\u0661\u0669\u0660\u0660\t\u0667\t\u0660",
+    ], ids=["leading_zeros", "plus", "underscores", "spaces", "fullwidth",
+            "arabic_indic"])
+    def test_fields_that_int_takes_are_kept(self, tmp_path, row):
+        # fields that are not plain ASCII digits load as int() reads them
+        table, report = load_text(tmp_path, row + "\n", {RAPT})
+        assert table.series(RAPT) == {1900: 7}
+        assert report == LoadReport(rows_kept=1)
+
+    def test_plain_rows_convert_only_kept_match_counts(self, tmp_path, monkeypatch):
+        # a valid filtered row converts no field, a kept row its match
+        # count alone; a row that is not plain is checked by int()
+        calls = []
+
+        def counting_int(text):
+            calls.append(text)
+            return int(text)
+
+        monkeypatch.setattr(corpus, "int", counting_int, raising=False)
+        text = ("zebra_NOUN\t1900\t5\t1\n" * 3 + "rapt_ADJ\t1900\t7\t2\n"
+                "rapt_ADJ\t1901\t8\t3\n")
+        table, report = load_text(tmp_path, text, {RAPT})
+        assert calls == ["7", "8"]
+        assert report == LoadReport(rows_kept=2, rows_filtered=3)
+        calls.clear()
+        _, report = load_text(tmp_path, "zebra_NOUN\t01900\t5\t1\n", {RAPT})
+        assert sorted(calls) == ["01900", "1", "5"]
+        assert report == LoadReport(rows_filtered=1)
 
     def test_roundtrip_identity(self, tmp_path):
         # rows written back from the table, as evocli ingest writes
@@ -301,19 +343,30 @@ SPACE = st.sampled_from(["", " ", "\x0c", "\u00a0"])
 
 @st.composite
 def integer_fields(draw):
-    """An integer written as int() may or may not accept it, or not one."""
+    """An integer written as int() may or may not accept it, or not one:
+    with a sign, underscores, spaces, leading zeros or non-ASCII digits,
+    or a junk string (a superscript two is a digit that int() refuses)."""
     value = draw(st.sampled_from([1499, 1500, 1900, 2008, 2009, 0, 7, 1234, -1, -30]))
     text = str(value)
-    form = draw(st.sampled_from(["plain", "plus", "underscore", "spaced", "junk"]))
+    form = draw(st.sampled_from(["plain", "plus", "underscore", "spaced", "zeros",
+                                 "digits", "junk"]))
     if form == "plus" and value >= 0:
         text = "+" + text
+    elif form == "zeros":
+        zeros = draw(st.sampled_from(["0", "00"]))
+        text = ("-" if value < 0 else "") + zeros + str(abs(value))
+    elif form == "digits":
+        # fullwidth or Arabic-Indic digits, which int() reads as ASCII ones
+        zero = draw(st.sampled_from(["\uff10", "\u0660"]))
+        text = "".join(chr(ord(zero) + int(c)) if c.isdigit() else c for c in text)
     elif form == "underscore":
         text = draw(st.sampled_from([text[:1] + "_" + text[1:], "_" + text,
                                      text + "_", text[:1] + "__" + text[1:]]))
     elif form == "spaced":
         text = draw(SPACE) + text + draw(SPACE)
     elif form == "junk":
-        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--1", "+-1"]))
+        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--1", "+-1",
+                                     "\u00b2", "1\u00b2"]))
     return text
 
 
@@ -414,6 +467,61 @@ class TestBlockReads:
             for path in (plain, packed):
                 table, report = load_corpus([str(path)], vocab)
                 assert_loads_as(table, report, rows, vocab)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Set int()'s limit on the digits of a string for one test, and put
+    the interpreter's own limit back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("int() has no digit limit on this interpreter")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+class TestLongFields:
+    """int() refuses a decimal string longer than its digit limit (4,300
+    by default, at least 640), so such a field fails the row; a line of
+    at most MAX_PLAIN_LINE characters holds no field that long."""
+
+    LONG = "1" * 5_000
+
+    @pytest.mark.parametrize("row", [
+        "rapt_ADJ\t1900\t5\t" + LONG,
+        "zebra_NOUN\t1900\t" + LONG + "\t1",
+        "rapt_ADJ\t1900\t" + LONG + "\t1",
+    ], ids=["volume", "filtered_match", "kept_match"])
+    def test_field_past_the_default_limit_is_skipped(self, tmp_path, int_digit_limit,
+                                                      row):
+        int_digit_limit(sys.int_info.default_max_str_digits)
+        table, report = load_text(tmp_path, row + "\n", {RAPT})
+        assert report == LoadReport(rows_skipped=1)
+        assert_loads_as(table, report, [row], {RAPT})
+
+    @pytest.mark.parametrize("token", ["rapt_ADJ", "zebra_NOUN"])
+    @pytest.mark.parametrize("length", [MAX_PLAIN_LINE, MAX_PLAIN_LINE + 1])
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_lines_either_side_of_the_plain_length(self, tmp_path, int_digit_limit,
+                                                   token, length, limit):
+        # the volume field takes up the rest of the line; with the lowest
+        # digit limit, 640, int() still takes it, and with none too
+        int_digit_limit(limit)
+        head = f"{token}\t1900\t5\t"
+        row = head + "9" * (length - len(head))
+        assert len(row) == length
+        table, report = load_text(tmp_path, row + "\n", {RAPT})
+        assert report.rows_skipped == 0
+        assert_loads_as(table, report, [row], {RAPT})
+
+    @pytest.mark.parametrize("digits, verdict", [(640, "kept"), (641, "skipped")])
+    def test_lowest_limit_refuses_a_longer_field(self, tmp_path, int_digit_limit,
+                                                 digits, verdict):
+        int_digit_limit(640)
+        row = "rapt_ADJ\t1900\t5\t" + "9" * digits
+        table, report = load_text(tmp_path, row + "\n", {RAPT})
+        assert classify_row(row, {RAPT})[0] == verdict
+        assert_loads_as(table, report, [row], {RAPT})
 
 
 class TestAnnualShares:

@@ -528,6 +528,17 @@ class TestDatasetSerialization:
         assert str(info.value) == (f"{tmp_path / 'dataset.tsv'}: synset x1 repeats "
                                    "lemma one")
 
+    def test_read_rejects_corpus_key_in_two_synsets(self, tmp_path):
+        # two senses of one lemma in two synsets, a polysemous word that
+        # eligible_synsets drops: both would read the one key one_NOUN
+        with pytest.raises(DataError) as info:
+            read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
+                                                    "x1\ttwo#n#1\t4\t3\t1",
+                                                    "x2\tone#n#2\t2\t7\t9",
+                                                    "x2\ttwo#n#2\t4\t3\t1"]))
+        assert str(info.value) == (f"{tmp_path / 'dataset.tsv'}: corpus key one_NOUN "
+                                   "is in synsets x1 and x2")
+
     def test_read_reports_bad_row_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
             read_dataset(self.write_rows(tmp_path, ["x1\tone#n#1\t2"]))
