@@ -1,5 +1,5 @@
-"""Small shared helpers: gzip-aware opening, line parsing, TSV tables
-and atomic writes."""
+"""Small shared helpers: gzip-aware opening, line parsing, TSV tables,
+atomic writes and tuple getters."""
 
 import gzip
 import itertools
@@ -39,6 +39,16 @@ def _not_utf8(path, exc):
     """The DataError of a UnicodeDecodeError met reading path."""
     return DataError(f"{path} line {undecodable_line(path)} is not UTF-8 "
                      f"({exc.reason})")
+
+
+def tuple_getter(make, fields):
+    """make(*fields), an attrgetter or itemgetter, returning a tuple for
+    any number of fields: those return a bare value for one field and
+    take at least one."""
+    if len(fields) == 1:
+        get = make(fields[0])
+        return lambda obj: (get(obj),)
+    return make(*fields) if fields else lambda obj: ()
 
 
 def parse_lines(lines, parse, start=1, comments=False):

@@ -36,9 +36,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import sub
+from operator import itemgetter, sub
 
-from ._util import open_maybe_gzip, undecodable_line
+from ._util import open_maybe_gzip, tuple_getter, undecodable_line
 from .errors import DataError
 
 MIN_YEAR = 1500
@@ -144,16 +144,18 @@ class CorpusTable:
     module's shared int objects, so a row costs the table 16 B: 8 B of
     pointer in years and 8 B of sum.
 
-    A key gets a slot the first time slots() reads it, so only the keys
-    that synsets read have one: not the cluster-only words that the corpus
-    filter loads for their births.  load_pipeline_inputs gives all synset
-    members their slots before any window reads them.  A period_array
-    call for a year sums the period centered on it for each slot given
-    since the year was last read, and the table keeps these counts, an
-    array('q') by slot, for its life: 8 B a read key per year read, so
-    each (key, year) is summed at most once.  The sums never change, so
-    neither do the stored counts; each load builds a new table, which
-    starts with none.
+    A key gets a slot the first time period_getter() reads it, so only
+    the keys that synsets read have one: not the cluster-only words that
+    the corpus filter loads for their births.  period_getter resolves a
+    synset's keys to their slots once, and keeps one itemgetter over them
+    per keys tuple, about 110 B a synset; load_pipeline_inputs makes every
+    synset's getter, so its members take the first slots, before any
+    window reads them.  A period_array call for a year sums the period
+    centered on it for each slot given since the year was last read, and
+    the table keeps these counts, an array('q') by slot, for its life: 8 B
+    a read key per year read, so each (key, year) is summed at most once.
+    The sums never change, so neither do the stored counts; each load
+    builds a new table, which starts with none.
 
     The constructor takes key -> {year: non-negative count} dicts, years
     in [MIN_YEAR, MAX_YEAR] (ValueError naming the token otherwise), and
@@ -167,6 +169,7 @@ class CorpusTable:
     def __init__(self, series):
         self._sums = {}  # key -> (years, cum)
         self._slots = {}  # key -> slot, given on the key's first read
+        self._getters = {}  # keys tuple -> period_getter result
         self._read = []  # (years, cum) by slot
         self._periods = {}  # year -> period counts by slot
         for key, rows in series.items():
@@ -191,24 +194,32 @@ class CorpusTable:
         the caller must not modify them."""
         return self._sums.get(key, _NO_SUMS)
 
-    def slots(self, keys):
-        """The slot of each key, as period_array indexes them.  A key gets
-        the next free slot the first time it is read; an absent key too,
-        and its counts read as 0."""
-        slots = self._slots
-        try:
-            return [slots[key] for key in keys]
-        except KeyError:
-            for key in keys:
-                if key not in slots:
-                    slots[key] = len(self._read)
-                    self._read.append(self.sums(key))
-            return [slots[key] for key in keys]
+    def period_getter(self, keys):
+        """The function that takes a period_array to the counts of keys,
+        a tuple of keys, as a tuple in the same order.
+
+        The getter is made on the first call for keys and kept: each key
+        is looked up in the slot map once per table, not once per window.
+        A key gets the next free slot the first time it is read; an absent
+        key too, and its counts read as 0.
+        """
+        getter = self._getters.get(keys)
+        if getter is None:
+            getter = self._getters[keys] = tuple_getter(
+                itemgetter, [self._slot(key) for key in keys])
+        return getter
+
+    def _slot(self, key):
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._read)
+            self._read.append(self.sums(key))
+        return slot
 
     def period_array(self, year):
         """The period counts at year of every key given a slot so far, as
-        an array('q') indexed by slot (see slots); the caller must not
-        modify it.
+        an array('q') indexed by slot (see period_getter); the caller must
+        not modify it.
 
         A call sums the period of every key given a slot since the year
         was last read, into the year's array, which the table keeps for its

@@ -125,27 +125,28 @@ def build_dataset(synsets, corpus, window):
     """Apply the removal rules to every synset; order-independent result.
 
     The members' counts are read from the table's stored period counts
-    (CorpusTable.period_array).  Every synset's slots are resolved first,
-    and each year's counts are fetched once, when the first synset needs
-    them: the present counts for any synset, the future counts for one
-    with no dead member (the rule does not read them otherwise) and the
-    past counts for a kept one.  So a window whose synsets are all dead
-    makes the table sum its present year alone, and only for its members'
-    keys.
+    (CorpusTable.period_array), each year's by one itemgetter call per
+    synset (CorpusTable.period_getter).  Every synset's getter is fetched
+    first, so every member has its slot before a year is read, and each
+    year's counts are fetched once, when the first synset needs them: the
+    present counts for any synset, the future counts for one with no dead
+    member (the rule does not read them otherwise) and the past counts for
+    a kept one.  So a window whose synsets are all dead makes the table
+    sum its present year alone, and only for its members' keys.
     """
-    member_slots = [corpus.slots(synset.corpus_keys) for synset in synsets]
+    getters = [corpus.period_getter(synset.corpus_keys) for synset in synsets]
     presents = futures = pasts = None
     snapshots = []
     removal_log = Counter()
-    for synset, slots in zip(synsets, member_slots):
+    for synset, get in zip(synsets, getters):
         if presents is None:
             presents = corpus.period_array(window.present)
-        present = [presents[slot] for slot in slots]
-        future = []
+        present = get(presents)
+        future = ()
         if 0 not in present:
             if futures is None:
                 futures = corpus.period_array(window.future)
-            future = [futures[slot] for slot in slots]
+            future = get(futures)
         reason, present_index, future_index = _removal_reason(present, future)
         if reason is not None:
             removal_log[reason] += 1
@@ -154,7 +155,7 @@ def build_dataset(synsets, corpus, window):
             pasts = corpus.period_array(window.past)
         members = synset.members
         snapshots.append(SynsetSnapshot(synset, dict(zip(members, map(
-            MemberCounts, [pasts[slot] for slot in slots], present, future))),
+            MemberCounts, get(pasts), present, future))),
             members[present_index], members[future_index]))
     return Dataset(window, snapshots, removal_log)
 
@@ -281,9 +282,11 @@ def _read_summary(json_path):
         raise DataError(f"{json_path}: bad key 'window' {years!r}: {exc}") from None
     removals = summary.get("removals", {})
     if not (isinstance(removals, dict)
+            and removals.keys() <= {REMOVAL_DEAD_WORD, REMOVAL_TIE}
             and all(type(n) is int and n >= 0 for n in removals.values())):
-        raise DataError(f"{json_path}: key 'removals' must map reasons to "
-                        f"counts, got {removals!r}")
+        raise DataError(f"{json_path}: key 'removals' must map reasons "
+                        f"{REMOVAL_DEAD_WORD} and {REMOVAL_TIE} to counts, "
+                        f"got {removals!r}")
     if "births" not in summary:
         raise DataError(f"{json_path}: dataset summary has no key 'births'")
     tokens = summary["births"]

@@ -55,19 +55,19 @@ def load_pipeline_inputs(corpus_paths, lexicon_path, catvar_path=None,
 
     The corpus vocabulary filter covers the eligible synset members plus
     every cluster member, so categorial variations can be birth-dated.
-    The synset members then take the table's first slots, so that the
-    first read of a sampling year sums their periods in one pass and
-    never a cluster-only word's.  Returns (inputs, lexicon, corpus load
-    report).
+    Each synset then gets its period getter, so that the members take
+    the table's first slots, in synset order, and the first read of a
+    sampling year sums their periods in one pass and never a cluster-only
+    word's.  Returns (inputs, lexicon, corpus load report).
     """
     lexicon = _load_file(lexicon_path, load_lexicon)
     synsets = eligible_synsets(lexicon)
     clusters = _load_file(catvar_path, load_catvar) if catvar_path else CatVarClusters()
     exceptions = load_syllables(syllables_path)
-    member_keys = [key for s in synsets for key in s.corpus_keys]
-    table, report = load_corpus(corpus_paths,
-                                set(member_keys) | set(clusters.members()))
-    table.slots(member_keys)
+    member_keys = {key for s in synsets for key in s.corpus_keys}
+    table, report = load_corpus(corpus_paths, member_keys | set(clusters.members()))
+    for synset in synsets:
+        table.period_getter(synset.corpus_keys)
     inputs = PipelineInputs(
         corpus=table,
         synsets=synsets,

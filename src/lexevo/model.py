@@ -54,7 +54,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
-from ._util import _not_utf8, atomic_write_json
+from ._util import _not_utf8, atomic_write_json, tuple_getter
 from .errors import DataError, UnfittableModelError
 from .features import FEATURE_NAMES, MAX_FEATURE_MAGNITUDE, SCALAR_FEATURES
 
@@ -129,7 +129,7 @@ class NaiveBayesModel:
         self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
         self.trigram_dims = tuple(sorted(self.trigram_ones))
         self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
-        self._scalar_values = _values_getter(tuple(self.scalar_params))
+        self._scalar_values = tuple_getter(attrgetter, tuple(self.scalar_params))
         self._scalar_constants = tuple(
             tuple(_density_constants(p) for p in pair)
             for pair in self.scalar_params.values())
@@ -153,16 +153,6 @@ class NaiveBayesModel:
             absent += zeros
         self._absent_parts = _exact_parts(absent)
         self._base_parts = _exact_parts(self._prior_terms + self._absent_parts)
-
-
-def _values_getter(names):
-    """A function returning the tuple of a vector's values of names, for
-    any number of names: attrgetter returns a bare value for one name and
-    takes at least one."""
-    if len(names) == 1:
-        get = attrgetter(names[0])
-        return lambda vector: (get(vector),)
-    return attrgetter(*names) if names else lambda vector: ()
 
 
 def fit(vectors, features=FEATURE_NAMES):
@@ -295,7 +285,8 @@ def win_probability(model, vector):
 
 
 def _params_from_json(obj):
-    params = GaussianParams(float(obj["mean"]), float(obj["variance"]))
+    params = GaussianParams(_number_from_json(obj, "mean"),
+                            _number_from_json(obj, "variance"))
     # fit keeps means within the feature bound (up to rounding, hence the
     # factor 2) and variances at or above the floor; with a feature value
     # within the bound, every score term then stays finite
@@ -332,7 +323,8 @@ def load_model(path):
     So are counts that are not integers with 1 <= class size <= 2**53
     (an exact float) and 0 <= ones <= class size, a feature list that is
     empty or names an unknown feature, scalar parameters for other scalars
-    than it names, or trigram counts without 'unique_ngrams' in it.
+    than it names or that are not JSON numbers, or trigram counts without
+    'unique_ngrams' in it.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -391,6 +383,15 @@ def _counts_from_json(obj, low, highs, prefix=""):
         raise ValueError(f"{prefix}need two integer counts from {low} to "
                          f"{list(highs)}, got {obj!r}")
     return tuple(obj)
+
+
+def _number_from_json(obj, key):
+    """obj[key] as a float: a JSON number, not a string or a bool, which
+    float() would take."""
+    number = obj[key]
+    if type(number) not in (int, float):
+        raise ValueError(f"{key!r} must be a number, got {number!r}")
+    return float(number)
 
 
 def _params_by_name_from_json(obj):

@@ -864,6 +864,25 @@ class TestArtifactReaders:
         assert f"{sidecar}: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["extract-features", "evaluate"])
+    def test_unknown_removal_reason(self, tmp_path, stage_dir, capsys, stage):
+        # evaluate would copy the removals into report.json
+        name = "dataset_1900_1950_2000"
+        dataset = shutil.copy(stage_dir / f"{name}.tsv", tmp_path)
+        sidecar = json.loads((stage_dir / f"{name}.json").read_text())
+        sidecar["removals"]["bogus"] = 3
+        (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+        argv = {"extract-features": [],
+                "evaluate": ["--probabilities", str(stage_dir / "probabilities.tsv")]}
+        code = main([stage, "--dataset", str(dataset)] + argv[stage]
+                    + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert (f"{tmp_path / name}.json: key 'removals' must map reasons dead_word "
+                "and tie to counts, got {") in err and "'bogus': 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("target, message", [
         ("0", "need vectors in both classes, got "),
         ("", "has no target class"),
@@ -1190,13 +1209,18 @@ class TestPredict:
         (model_text(trigram_ones={"abc": [3, 2]}), "bad key 'trigram_ones'"),
         (model_text(class_sizes=[True, 2]), "bad key 'class_sizes'"),
         (model_text(trigram_ones={"abc": [1.0, 2]}), "bad key 'trigram_ones'"),
+        # float() would take both
+        (model_text(mean="0.5"), "bad key 'scalar_features': 'present_age': "
+                                 "'mean' must be a number, got '0.5'"),
+        (model_text(variance=True), "bad key 'scalar_features': 'present_age': "
+                                    "'variance' must be a number, got True"),
         # a model of no features ranks every member of a synset alike
         (model_text(features=[], scalar_features={}, trigram_ones={}),
          "bad key 'features'"),
     ], ids=["missing_key", "not_json", "parent_format", "infinite_mean",
             "variance_below_floor", "unknown_feature", "scalar_feature_missing",
             "zero_class_size", "ones_above_class_size", "bool_count", "float_count",
-            "no_features"])
+            "string_mean", "bool_variance", "no_features"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
         from lexevo.dataset import schedule_windows

@@ -19,10 +19,31 @@ from lexevo.dataset import (
     schedule_windows,
     write_dataset,
 )
+from lexevo import experiments
 from lexevo.errors import DataError
 from lexevo.experiments import load_pipeline_inputs
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
 from tests.conftest import count_period_calls, snapshot_of
+
+
+class ReadCountingDict(dict):
+    """A dict that counts the reads of each key, however it is read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads[key] += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
 
 
 def sweep_windows():
@@ -187,6 +208,19 @@ class TestBuildSnapshot:
         assert build_one(members, table, WINDOW) == (snapshot, got)
         assert calls == []
 
+    def test_one_member_synset_leads_itself(self):
+        # the removal rule cannot remove a lone living member: it holds both
+        # maxima alone, and its counts are read from the table
+        member = synset("alpha")
+        table = table_for({"alpha": {1850: 2, 1900: 5, 1950: 7}})
+        snapshot, reason = build_one(member, table, WINDOW)
+        [sense] = member.members
+        assert reason is None
+        assert snapshot.counts == {sense: MemberCounts(2, 5, 7)}
+        assert snapshot.present_leader == snapshot.future_leader == sense
+        dead = table_for({"alpha": {1850: 2, 1950: 7}})
+        assert build_one(member, dead, WINDOW) == (None, "dead_word")
+
     def test_corpus_keys_resolved_once_per_synset(self, monkeypatch):
         members = synset("alpha", "beta")
         table = table_for({"alpha": {1900: 5, 1950: 6}, "beta": {1900: 2, 1950: 5}})
@@ -349,6 +383,43 @@ class TestBuildDataset:
             build_dataset(inputs.synsets, inputs.corpus, window)
         summed = {id(sums) for sums, _ in calls}
         assert summed == {id(inputs.corpus.sums(key)) for key in member_keys}
+
+    def test_sweep_windows_look_up_each_key_once(self, monkeypatch, rapture_paths):
+        # the load resolves each synset's keys to their slots, and the 14
+        # windows read its counts through the getters the table kept
+        tables = []
+        load_corpus = experiments.load_corpus
+
+        def load(*args):
+            table, report = load_corpus(*args)
+            table._slots = ReadCountingDict()
+            tables.append(table)
+            return table, report
+
+        monkeypatch.setattr(experiments, "load_corpus", load)
+        inputs, _, _ = load_pipeline_inputs(
+            [rapture_paths["corpus"]], rapture_paths["lexicon"],
+            rapture_paths["catvar"], rapture_paths["syllables"])
+        for window in sweep_windows():
+            build_dataset(inputs.synsets, inputs.corpus, window)
+        [table] = tables
+        assert table._slots.reads == Counter(
+            key for s in inputs.synsets for key in s.corpus_keys)
+
+    def test_shared_table_builds_any_synset_list_as_a_cold_one(self):
+        # a table's getters belong to the synsets' keys, not to their
+        # positions: one table serves subsets and reorderings of its synsets
+        series = {
+            "one": {1850: 1, 1900: 5, 1950: 9}, "two": {1850: 2, 1900: 3, 1950: 10},
+            "three": {1850: 3, 1900: 4, 1950: 5}, "four": {1850: 4, 1900: 2, 1950: 4},
+            "five": {1850: 5, 1900: 7, 1950: 8}, "six": {1850: 6, 1900: 6, 1950: 2},
+        }
+        synsets = self.three_synsets()
+        shared = table_for(series)
+        for chosen in (synsets, synsets[::-1], synsets[1:], synsets[2:] + synsets[:1]):
+            got = build_dataset(chosen, shared, WINDOW)
+            assert got == build_dataset(chosen, table_for(series), WINDOW)
+            assert len(got.snapshots) == len(chosen)
 
     # member series near the sampling years of cycles 30-60, so that dead,
     # tied and kept synsets are each common in every window

@@ -1,11 +1,12 @@
 """The one atomic writer: lines stream into a temp file that is renamed
-into place, or is removed whatever interrupts them."""
+into place, or is removed whatever interrupts them; and the tuple getter."""
 
 import os
+from operator import attrgetter, itemgetter
 
 import pytest
 
-from lexevo._util import atomic_write_lines
+from lexevo._util import atomic_write_lines, tuple_getter
 from lexevo.errors import DataError
 
 
@@ -38,3 +39,12 @@ def test_interrupted_write_leaves_no_trace(tmp_path, exc, existing):
     else:
         assert target.read_bytes() == existing
 
+
+
+@pytest.mark.parametrize("fields", [(), (2,), (3, 0)], ids=["none", "one", "two"])
+def test_tuple_getter_returns_a_tuple_for_any_number_of_fields(fields):
+    # itemgetter and attrgetter return a bare value for one field
+    assert tuple_getter(itemgetter, fields)("abcd") == tuple("abcd"[i] for i in fields)
+    names = tuple(("real", "imag")[i % 2] for i in fields)
+    assert tuple_getter(attrgetter, names)(2 + 3j) == tuple(
+        getattr(2 + 3j, name) for name in names)
