@@ -109,10 +109,10 @@ class _Rows:
 
     __slots__ = ("years", "cum", "extra")
 
-    def __init__(self, extra=None):
+    def __init__(self):
         self.years = array("H")
         self.cum = array("q", (0,))
-        self.extra = extra
+        self.extra = None
 
     def sums(self):
         """(years, cum) as CorpusTable stores them: years a tuple of the
@@ -120,7 +120,7 @@ class _Rows:
 
         The in-order rows are used as they are; extra rows are summed per
         year with them, in place, so this is called once, when the table is
-        built.  OverflowError when the total is above MAX_TOTAL.
+        built.
         """
         extra = self.extra
         if not extra:
@@ -157,37 +157,21 @@ class CorpusTable:
     The sums never change, so neither do the stored counts; each load
     builds a new table, which starts with none.
 
-    The constructor takes key -> {year: non-negative count} dicts, years
-    in [MIN_YEAR, MAX_YEAR] (ValueError naming the token otherwise), and
-    load_corpus passes the rows it streamed instead; both are merged the
-    same way (duplicate years summed, years sorted), so the table is
-    identical however the input rows were sharded or ordered.  It keeps no
-    reference to the dicts.  A key whose total is above 2**63 - 1 is a
-    DataError naming it.
+    The constructor takes the key -> _Rows map that load_corpus streamed
+    the rows into, which _read_rows has checked: years in [MIN_YEAR,
+    MAX_YEAR], non-negative counts and totals of at most MAX_TOTAL.  Each
+    key's rows are merged the same way (duplicate years summed, years
+    sorted), so the table is identical however the input rows were
+    sharded or ordered.
     """
 
     def __init__(self, series):
-        self._sums = {}  # key -> (years, cum)
+        # key -> (years, cum)
+        self._sums = {key: rows.sums() for key, rows in series.items()}
         self._slots = {}  # key -> slot, given on the key's first read
         self._getters = {}  # keys tuple -> period_getter result
         self._read = []  # (years, cum) by slot
         self._periods = {}  # year -> period counts by slot
-        for key, rows in series.items():
-            if not isinstance(rows, _Rows):
-                # _YEARS[year] would wrap a negative year round silently
-                if any(not MIN_YEAR <= year <= MAX_YEAR for year in rows):
-                    raise ValueError(f"{join_token(key)} has a year outside "
-                                     f"[{MIN_YEAR}, {MAX_YEAR}]")
-                # a negative count would hide the first nonzero one from
-                # birth_years and a zero present count from the removal rule
-                if any(count < 0 for count in rows.values()):
-                    raise ValueError(f"{join_token(key)} has a negative count")
-                rows = _Rows(dict(rows))
-            try:
-                self._sums[key] = rows.sums()
-            except OverflowError:
-                raise DataError(f"the counts of {join_token(key)} total more "
-                                f"than {MAX_TOTAL}") from None
 
     def sums(self, key):
         """(years, cumulative sums) of key, as period_count takes them;

@@ -280,7 +280,9 @@ def _read_summary(json_path):
         window = TimeWindow(*years)
     except ValueError as exc:
         raise DataError(f"{json_path}: bad key 'window' {years!r}: {exc}") from None
-    removals = summary.get("removals", {})
+    if "removals" not in summary:
+        raise DataError(f"{json_path}: dataset summary has no key 'removals'")
+    removals = summary["removals"]
     if not (isinstance(removals, dict)
             and removals.keys() <= {REMOVAL_DEAD_WORD, REMOVAL_TIE}
             and all(type(n) is int and n >= 0 for n in removals.values())):

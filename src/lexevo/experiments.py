@@ -398,10 +398,11 @@ def interpretation_tables(model):
     Returns the JSON-ready {"scalar_features": rows, "top_trigrams":
     rows}: one row per fitted scalar feature, and the TOP_TRIGRAMS trigram
     rows of largest absolute mean gap (ties by trigram), each also naming
-    the class the trigram suggests.  Scalar rows use Welch's t test, which
-    needs two vectors per class, and trigram rows Fisher's exact test on
-    their counts of ones.  The trigram block is analyzed dimension by
-    dimension rather than as one feature.
+    the class the trigram suggests.  Scalar rows use Welch's t test on the
+    data's means and variances (model.scalar_statistics, not the floored
+    Gaussians), which needs two vectors per class, and trigram rows
+    Fisher's exact test on their counts of ones.  The trigram block is
+    analyzed dimension by dimension rather than as one feature.
     """
     n0, n1 = model.class_sizes
 
@@ -416,9 +417,9 @@ def interpretation_tables(model):
 
     scalar_rows = []
     for name in SCALAR_FEATURES:
-        if name not in model.scalar_params:
+        if name not in model.scalar_statistics:
             continue
-        p0, p1 = model.scalar_params[name]
+        p0, p1 = model.scalar_statistics[name]
         significant = n0 >= 2 and n1 >= 2 and welch_t_test(
             p1.mean, p1.variance, n1, p0.mean, p0.variance, n0)[3]
         scalar_rows.append(row(name, p0, p1, significant))

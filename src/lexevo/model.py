@@ -2,14 +2,17 @@
 
 Every dimension (the seven scalars plus one binary dimension per trained
 trigram) gets two Gaussians, one per class.  Priors carry add-one
-smoothing and variances are floored so binary dimensions never produce a
-singular density.  Fitting uses exact sums, so a permutation of the
-training set yields bit-identical parameters.
+smoothing.  Fitting uses exact sums, so a permutation of the training set
+yields bit-identical parameters.
 
-A model stores each fact once: the class sizes, the scalar Gaussians and
-each trained trigram's count of ones per class, the sufficient statistics
-of a 0/1 column.  ``NaiveBayesModel`` derives the priors and the trigram
-Gaussians from them, whether ``fit`` or ``load_model`` builds it.
+A model stores each fact once, as the data gave it: the class sizes, each
+scalar's exact mean and unbiased variance per class, and each trained
+trigram's count of ones per class, the sufficient statistics of a 0/1
+column.  ``NaiveBayesModel`` derives the priors and every Gaussian from
+them, whether ``fit`` or ``load_model`` builds it.  One function,
+``_gaussian``, turns a dimension's statistics into the Gaussian scoring
+uses: it floors the variance at an absolute 1e-9, so that a constant
+column or a one-vector class gives no singular density.
 
 Fitting and scoring cost O(nonzeros), not O(vectors x trigram dims).
 ``fit`` reads each scalar column of a class with one attrgetter map and
@@ -82,52 +85,62 @@ def gaussian_log_pdf(params, x):
     return log_normaliser - (d * d) / twice_variance
 
 
-def _fit_gaussian(values):
-    """Exact mean and unbiased variance of a value list, floored."""
+def _statistics(values):
+    """Exact mean and unbiased variance of a value list; 0.0 for one value."""
     n = len(values)
     mean = math.fsum(values) / n
-    if n < 2:
-        variance = VARIANCE_FLOOR
-    else:
-        ss = math.fsum([(x - mean) * (x - mean) for x in values])
-        variance = max(ss / (n - 1), VARIANCE_FLOOR)
-    return GaussianParams(mean, variance)
+    ss = math.fsum([(x - mean) * (x - mean) for x in values])
+    return GaussianParams(mean, ss / (n - 1 or 1))
 
 
-def _fit_binary_gaussian(ones, n):
-    """Gaussian of a 0/1 dimension from its count of ones (exact)."""
+def _binary_statistics(ones, n):
+    """(mean, unbiased variance) of a 0/1 column of n values, ones of them
+    1; 0.0 for one value.  A plain pair: the model stores counts, not these."""
     mean = ones / n
-    if n < 2:
-        variance = VARIANCE_FLOOR
-    else:
-        # sum of squared deviations of a binary sample, in closed form
-        ss = ones * (1.0 - mean) ** 2 + (n - ones) * mean ** 2
-        variance = max(ss / (n - 1), VARIANCE_FLOOR)
-    return GaussianParams(mean, variance)
+    # sum of squared deviations of a binary sample, in closed form
+    ss = ones * (1.0 - mean) ** 2 + (n - ones) * mean ** 2
+    return mean, ss / (n - 1 or 1)
+
+
+def _gaussian(statistics):
+    """The Gaussian a model scores with for a dimension's (mean, variance).
+
+    The one variance rule: a variance is floored at VARIANCE_FLOOR, so a
+    constant column (a trigram in none or all of a class's vectors among
+    them) and a one-vector class give a nonsingular density.
+    """
+    mean, variance = statistics
+    return GaussianParams(mean, max(variance, VARIANCE_FLOOR))
 
 
 @dataclass
 class NaiveBayesModel:
-    """A fitted model's stored facts.  __post_init__ derives priors,
-    trigram_dims (sorted) and trigram_params (trigram -> class-0 and class-1
-    GaussianParams), and the private constants scoring reads: the two
-    log-prior terms, a getter of the scalar values and each scalar's
-    _density_constants per class (both in scalar_params order), each
-    trained trigram's folded correction parts, _absent_parts (the class-1
-    minus class-0 log density of "every trigram absent") and _base_parts
-    (the log-prior terms plus that sum), each a few floats of the exact
-    sum of the terms they replace.  The private ones are not saved, shown
-    or compared."""
+    """A fitted model's stored facts: the data's statistics, unfloored.
+    __post_init__ derives priors, scalar_params (name -> class-0 and
+    class-1 GaussianParams, the Gaussians scoring uses), trigram_dims
+    (sorted) and trigram_params (trigram -> class-0 and class-1
+    GaussianParams), every Gaussian through _gaussian, and the private
+    constants scoring reads: the two log-prior terms, a getter of the
+    scalar values and each scalar's _density_constants per class (both in
+    scalar_params order), each trained trigram's folded correction parts,
+    _absent_parts (the class-1 minus class-0 log density of "every trigram
+    absent") and _base_parts (the log-prior terms plus that sum), each a
+    few floats of the exact sum of the terms they replace.  Only the
+    fields are saved, shown and compared."""
 
     features: tuple  # subset of FEATURE_NAMES used by this model
     class_sizes: tuple  # (class-0 vectors, class-1 vectors), each at least 1
-    scalar_params: dict  # name -> (GaussianParams class0, GaussianParams class1)
+    # name -> (class-0, class-1) GaussianParams of the column's exact mean
+    # and unbiased variance (0.0 for a constant column or a one-vector class)
+    scalar_statistics: dict
     trigram_ones: dict  # trigram -> (class-0 vectors with it, class-1 vectors with it)
 
     def __post_init__(self):
         n0, n1 = self.class_sizes
         self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
         self.trigram_dims = tuple(sorted(self.trigram_ones))
+        self.scalar_params = {name: tuple(map(_gaussian, pair))
+                              for name, pair in self.scalar_statistics.items()}
         self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
         self._scalar_values = tuple_getter(attrgetter, tuple(self.scalar_params))
         self._scalar_constants = tuple(
@@ -139,7 +152,7 @@ class NaiveBayesModel:
         # in each class; a word without any adds only the absent sum
         by_pair = {}  # count pair -> (Gaussians, correction parts, absent terms)
         for ones in set(self.trigram_ones.values()):
-            p0, p1 = params = tuple(_fit_binary_gaussian(k, n)
+            p0, p1 = params = tuple(_gaussian(_binary_statistics(k, n))
                                     for k, n in zip(ones, self.class_sizes))
             zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
             by_pair[ones] = (params, _exact_parts((gaussian_log_pdf(p1, 1.0), -zero1,
@@ -179,8 +192,8 @@ def fit(vectors, features=FEATURE_NAMES):
         )
     # a column per map, not a zip transpose of rows: the rows' tuples
     # would outlive the fit on the interpreter's tuple free list
-    scalar_params = {
-        name: tuple(_fit_gaussian(list(map(attrgetter(name), by_class[c])))
+    scalar_statistics = {
+        name: tuple(_statistics(list(map(attrgetter(name), by_class[c])))
                     for c in (0, 1))
         for name in SCALAR_FEATURES if name in features
     }
@@ -193,7 +206,7 @@ def fit(vectors, features=FEATURE_NAMES):
         trigram_ones = {tri: (ones0[tri], ones1[tri])
                         for tri in sorted(ones0.keys() | ones1.keys())}
     return NaiveBayesModel(tuple(features), (len(by_class[0]), len(by_class[1])),
-                           scalar_params, trigram_ones)
+                           scalar_statistics, trigram_ones)
 
 
 def _exact_parts(terms):
@@ -284,19 +297,20 @@ def win_probability(model, vector):
     return logistic(win_log_odds(model, vector))
 
 
-def _params_from_json(obj):
-    params = GaussianParams(_number_from_json(obj, "mean"),
-                            _number_from_json(obj, "variance"))
+def _statistics_from_json(obj):
+    statistics = GaussianParams(_number_from_json(obj, "mean"),
+                                _number_from_json(obj, "variance"))
     # fit keeps means within the feature bound (up to rounding, hence the
-    # factor 2) and variances at or above the floor; with a feature value
-    # within the bound, every score term then stays finite
-    if not (abs(params.mean) <= 2 * MAX_FEATURE_MAGNITUDE
-            and VARIANCE_FLOOR <= params.variance < math.inf):
+    # factor 2) and variances finite and non-negative; with a feature value
+    # within the bound, every score term of the derived Gaussians then
+    # stays finite
+    if not (abs(statistics.mean) <= 2 * MAX_FEATURE_MAGNITUDE
+            and 0.0 <= statistics.variance < math.inf):
         raise ValueError(f"need a finite mean of magnitude at most "
-                         f"{2 * MAX_FEATURE_MAGNITUDE:g} and a finite variance of "
-                         f"at least {VARIANCE_FLOOR:g}, got {params.mean!r} and "
-                         f"{params.variance!r}")
-    return params
+                         f"{2 * MAX_FEATURE_MAGNITUDE:g} and a finite, non-negative "
+                         f"variance, got {statistics.mean!r} and "
+                         f"{statistics.variance!r}")
+    return statistics
 
 
 def save_model(model, path):
@@ -307,7 +321,7 @@ def save_model(model, path):
         "class_sizes": list(model.class_sizes),
         "scalar_features": {
             name: {"class0": p[0]._asdict(), "class1": p[1]._asdict()}
-            for name, p in model.scalar_params.items()
+            for name, p in model.scalar_statistics.items()
         },
         "trigram_ones": {tri: list(ones) for tri, ones in model.trigram_ones.items()},
     }
@@ -322,9 +336,11 @@ def load_model(path):
     a missing key or a malformed value is one naming the file and the key.
     So are counts that are not integers with 1 <= class size <= 2**53
     (an exact float) and 0 <= ones <= class size, a feature list that is
-    empty or names an unknown feature, scalar parameters for other scalars
-    than it names or that are not JSON numbers, or trigram counts without
-    'unique_ngrams' in it.
+    empty or names an unknown feature, scalar statistics for other scalars
+    than it names, that are not JSON numbers, or with a mean beyond twice
+    the feature bound or a negative or infinite variance, or trigram
+    counts without 'unique_ngrams' in it.  A file that stored floored
+    variances loads to the same Gaussians as one that stores the data's.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -347,20 +363,20 @@ def load_model(path):
     features = value("features", _names_from_json)
     class_sizes = value("class_sizes",
                         lambda sizes: _counts_from_json(sizes, 1, (2 ** 53,) * 2))
-    scalar_params = value("scalar_features", _params_by_name_from_json)
+    scalar_statistics = value("scalar_features", _statistics_by_name_from_json)
     trigram_ones = value("trigram_ones", lambda counts: {
         tri: _counts_from_json(ones, 0, class_sizes, f"{tri!r}: ")
         for tri, ones in counts.items()})
     unknown = sorted(set(features) - set(FEATURE_NAMES))
     if unknown:
         raise DataError(f"{path}: key 'features' names unknown features {unknown}")
-    if set(scalar_params) != set(features) & set(SCALAR_FEATURES):
+    if set(scalar_statistics) != set(features) & set(SCALAR_FEATURES):
         raise DataError(f"{path}: keys 'features' and 'scalar_features' name "
                         "different scalar features")
     if trigram_ones and "unique_ngrams" not in features:
         raise DataError(f"{path}: key 'trigram_ones' must be empty when "
                         "'features' leaves out 'unique_ngrams'")
-    return NaiveBayesModel(features, class_sizes, scalar_params, trigram_ones)
+    return NaiveBayesModel(features, class_sizes, scalar_statistics, trigram_ones)
 
 
 # what converting a malformed JSON value can raise
@@ -394,15 +410,15 @@ def _number_from_json(obj, key):
     return float(number)
 
 
-def _params_by_name_from_json(obj):
+def _statistics_by_name_from_json(obj):
     """name -> (class-0, class-1) GaussianParams; ValueError names the name."""
-    params = {}
+    statistics = {}
     for name, pair in obj.items():
         try:
-            params[name] = (_params_from_json(pair["class0"]),
-                            _params_from_json(pair["class1"]))
+            statistics[name] = (_statistics_from_json(pair["class0"]),
+                                _statistics_from_json(pair["class1"]))
         except KeyError as exc:
             raise ValueError(f"{name!r} has no key {exc.args[0]!r}") from None
         except _VALUE_ERRORS as exc:
             raise ValueError(f"{name!r}: {exc}") from None
-    return params
+    return statistics

@@ -1,8 +1,10 @@
+import io
 import os
 
 import pytest
 
 from lexevo import corpus as corpus_mod
+from lexevo.corpus import CorpusTable, LoadReport, join_token
 from lexevo.dataset import SynsetSnapshot
 from lexevo.experiments import load_pipeline_inputs
 
@@ -26,6 +28,19 @@ def snapshot_of(synset, counts):
     return SynsetSnapshot(synset, counts,
                           max(counts, key=lambda sense: counts[sense].present),
                           max(counts, key=lambda sense: counts[sense].future))
+
+
+def corpus_table(series):
+    """The CorpusTable of key -> {year: count} dicts, built as load_corpus
+    builds one: their rows, as TSV text in year order, through the reader
+    (which refuses an empty vocabulary, so no keys make an empty table)."""
+    text = "".join(f"{join_token(key)}\t{year}\t{count}\t1\n"
+                   for key, counts in series.items()
+                   for year, count in sorted(counts.items()))
+    rows = {}
+    if series:
+        corpus_mod._read_rows(io.StringIO(text), series.keys(), rows, LoadReport())
+    return CorpusTable(rows)
 
 
 def count_period_calls(monkeypatch):

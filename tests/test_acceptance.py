@@ -150,18 +150,17 @@ def test_06_naive_bayes_oracle():
             # parameters against direct per-class statistics
             class0 = [v for v in vectors if v.target_class == 0]
             class1 = [v for v in vectors if v.target_class == 1]
-            for name, params in model.scalar_params.items():
-                for members, fitted in zip((class0, class1), params):
+            for name, statistics in model.scalar_statistics.items():
+                for members, stored, fitted in zip(
+                        (class0, class1), statistics, model.scalar_params[name]):
                     values = [float(getattr(v, name)) for v in members]
                     mean = sum(values) / len(values)
-                    assert fitted.mean == pytest.approx(mean, abs=1e-9)
-                    if len(values) >= 2:
-                        var = sum((x - mean) ** 2 for x in values) / (
-                            len(values) - 1
-                        )
-                        assert fitted.variance == pytest.approx(
-                            max(var, 1e-9), abs=1e-9
-                        )
+                    var = sum((x - mean) ** 2 for x in values) / max(
+                        len(values) - 1, 1
+                    )
+                    assert stored.mean == fitted.mean == pytest.approx(mean, abs=1e-9)
+                    assert stored.variance == pytest.approx(var, abs=1e-9)
+                    assert fitted.variance == max(stored.variance, 1e-9)
 
             # probabilities against the independent scorer, 4 queries each
             for _ in range(4):

@@ -459,6 +459,8 @@ class TestPinnedOutputs:
         "rapture": {
             "features":
                 "d2f1a9bf4636527d7a10ab0a6ef0b95226f16ad8afad6533b338be0d3c6dea8d",
+            "model":
+                "36d46fc2627419840ebba6d814d771299077c22e3c5448bf946e28438e38ab6b",
             "probabilities":
                 "3fa99b9a7f520c91cac5dd3358904b9d648ea618fb650fd925db71a8d1ebd5df",
             "evaluate":
@@ -469,6 +471,8 @@ class TestPinnedOutputs:
         "synthetic": {
             "features":
                 "a0839b9e206a8ada2df86bfa5e5d8a0e678da62b2db9d64f056738f939130cc3",
+            "model":
+                "337d2d9021c9554c10117d757890bfaa98d1438c3b09b2d99dce8edbc856a7eb",
             "probabilities":
                 "be5ae3cd241944eee11d7b275fc4b4418f1673b9e599c4ef70c78c9b04cb75a4",
             "evaluate":
@@ -503,11 +507,28 @@ class TestPinnedOutputs:
         assert {
             "features": tree_sha256(out, [f"features_{train}.tsv",
                                           f"features_{test}.tsv"]),
+            "model": tree_sha256(out, ["model.json"]),
             "probabilities": tree_sha256(out, ["probabilities.tsv"]),
             "evaluate": tree_sha256(out, ["report.json", "outcomes.tsv"]),
             "interpret": tree_sha256(out / "reports" / "interpretation" / "50"
                                      / test),
         } == self.PINNED_STAGES[bundle]
+        # a model file that stores floored variances, as model files did
+        # before they stored the data's, predicts the same bytes
+        stored = json.loads((out / "model.json").read_text())
+        floored = json.loads(json.dumps(stored))
+        for pair in floored["scalar_features"].values():
+            for statistics in pair.values():
+                statistics["variance"] = max(statistics["variance"], 1e-9)
+        assert floored != stored
+        floored_out = tmp_path / "floored"
+        floored_out.mkdir()
+        (floored_out / "model.json").write_text(json.dumps(floored))
+        assert main(["predict", "--features", str(out / f"features_{test}.tsv"),
+                     "--model", str(floored_out / "model.json")]
+                    + out_flag(floored_out)) == EXIT_OK
+        assert (tree_sha256(floored_out, ["probabilities.tsv"])
+                == self.PINNED_STAGES[bundle]["probabilities"])
 
     # the experiment commands' report directories (report.json and a csv)
     PINNED_REPORTS = {
@@ -840,17 +861,20 @@ class TestArtifactReaders:
         ('{"synsets": 1}\n', "dataset summary has no key 'window'"),
         ('{"window": [1900, 1950]}\n', "bad key 'window' [1900, 1950]"),
         ("not json\n", "not a JSON dataset summary"),
-        ('{"window": [1850, 1900, 1950]}\n', "dataset summary has no key 'births'"),
-        ('{"window": [1850, 1900, 1950], "births": {}}\n',
+        ('{"window": [1850, 1900, 1950]}\n', "dataset summary has no key 'removals'"),
+        ('{"window": [1850, 1900, 1950], "removals": {}}\n',
+         "dataset summary has no key 'births'"),
+        ('{"window": [1850, 1900, 1950], "removals": {}, "births": {}}\n',
          "dataset summary has no key 'clusters'"),
-        ('{"window": [1850, 1900, 1950], "births": {}, "clusters": '
+        ('{"window": [1850, 1900, 1950], "removals": {}, "births": {}, "clusters": '
          '[["rapt_ADJ", "rapture_NOUN"], ["rapture_NOUN", "rapt_ADV"]]}\n',
          "bad key 'clusters' entry ['rapture_NOUN', 'rapt_ADV']: rapture_NOUN "
          "appears in more than one cluster"),
-        ('{"window": [1850, 1900, 1950], "births": {}, "clusters": []}\n',
+        ('{"window": [1850, 1900, 1950], "removals": {}, "births": {}, '
+         '"clusters": []}\n',
          "key 'births' has no "),
-    ], ids=["no_window", "short_window", "not_json", "no_births", "no_clusters",
-            "overlapping_clusters", "births_lack_a_member"])
+    ], ids=["no_window", "short_window", "not_json", "no_removals", "no_births",
+            "no_clusters", "overlapping_clusters", "births_lack_a_member"])
     def test_bad_dataset_sidecar(self, tmp_path, synthetic_paths, stage_dir, capsys,
                                  sidecar_text, message):
         dataset = tmp_path / "dataset.tsv"
@@ -863,6 +887,22 @@ class TestArtifactReaders:
         assert code == EXIT_DATA
         assert f"{sidecar}: {message}" in err
         assert "Traceback" not in err
+
+    def test_sidecar_without_removals(self, tmp_path, stage_dir, capsys):
+        # a build-dataset sidecar with its removals deleted is refused, as
+        # one without its window, births or clusters is
+        name = "dataset_1850_1900_1950"
+        dataset = shutil.copy(stage_dir / f"{name}.tsv", tmp_path)
+        sidecar = json.loads((stage_dir / f"{name}.json").read_text())
+        del sidecar["removals"]
+        (tmp_path / f"{name}.json").write_text(json.dumps(sidecar))
+        code = main(["extract-features", "--dataset", str(dataset)]
+                    + out_flag(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert f"{tmp_path / name}.json: dataset summary has no key 'removals'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["extract-features", "evaluate"])
     def test_unknown_removal_reason(self, tmp_path, stage_dir, capsys, stage):
@@ -952,7 +992,7 @@ class TestArtifactReaders:
                            "x1\tfoo#n#2\t4\t3\t1\n"
                            "x1\tbar#n#1\t1\t1\t1\n")
         (tmp_path / "dataset.json").write_text(json.dumps({
-            "window": [1850, 1900, 1950], "clusters": [],
+            "window": [1850, 1900, 1950], "removals": {}, "clusters": [],
             "births": {"foo_NOUN": 1850, "bar_NOUN": 1850}}))
         code = main(["extract-features", "--dataset", str(dataset)]
                     + out_flag(tmp_path / "out"))
@@ -972,7 +1012,7 @@ class TestArtifactReaders:
                            "x2\tfoo#n#2\t4\t7\t1\n"
                            "x2\tbaz#n#1\t1\t1\t3\n")
         (tmp_path / "dataset.json").write_text(json.dumps({
-            "window": [1850, 1900, 1950], "clusters": [],
+            "window": [1850, 1900, 1950], "removals": {}, "clusters": [],
             "births": {"foo_NOUN": 1850, "bar_NOUN": 1850, "baz_NOUN": 1850}}))
         code = main(["extract-features", "--dataset", str(dataset)]
                     + out_flag(tmp_path / "out"))
@@ -1162,16 +1202,24 @@ def model_text(mean=0, variance=1, **keys):
 
 
 class TestPredict:
-    def test_one_log_odds_per_vector(self, tmp_path, synthetic_inputs, monkeypatch):
-        import lexevo.model as model_mod
+    @staticmethod
+    def predict_inputs(tmp_path, inputs):
+        """(run_nbcp result, path of its test vectors' features file) for the
+        second cycle-50 pair."""
         from lexevo.dataset import schedule_windows
         from lexevo.experiments import run_nbcp
         from lexevo.features import write_feature_vectors
 
         train_window, test_window = schedule_windows(50)[1]
-        run = run_nbcp(train_window, test_window, synthetic_inputs)
+        run = run_nbcp(train_window, test_window, inputs)
         features = tmp_path / "features.tsv"
         write_feature_vectors(run["test_vectors"], str(features))
+        return run, features
+
+    def test_one_log_odds_per_vector(self, tmp_path, synthetic_inputs, monkeypatch):
+        import lexevo.model as model_mod
+
+        run, features = self.predict_inputs(tmp_path, synthetic_inputs)
         model = tmp_path / "model.json"
         model_mod.save_model(run["model"], str(model))
         calls = []
@@ -1200,7 +1248,7 @@ class TestPredict:
          '"trigram_dims": [], "trigram_params": {}}',
          "model file has no key 'class_sizes'"),
         (model_text(mean=math.inf), "need a finite mean"),
-        (model_text(variance=1e-300), "a finite variance of at least 1e-09"),
+        (model_text(variance=-1e-300), "a finite, non-negative variance"),
         (model_text(features=["bogus"], scalar_features={}, trigram_ones={}),
          "names unknown features"),
         (model_text(features=["present_age", "relative_growth", "unique_ngrams"]),
@@ -1218,19 +1266,12 @@ class TestPredict:
         (model_text(features=[], scalar_features={}, trigram_ones={}),
          "bad key 'features'"),
     ], ids=["missing_key", "not_json", "parent_format", "infinite_mean",
-            "variance_below_floor", "unknown_feature", "scalar_feature_missing",
+            "negative_variance", "unknown_feature", "scalar_feature_missing",
             "zero_class_size", "ones_above_class_size", "bool_count", "float_count",
             "string_mean", "bool_variance", "no_features"])
     def test_bad_model_file_is_data_error(self, tmp_path, synthetic_inputs,
                                           capsys, model_text, message):
-        from lexevo.dataset import schedule_windows
-        from lexevo.experiments import run_nbcp
-        from lexevo.features import write_feature_vectors
-
-        train_window, test_window = schedule_windows(50)[1]
-        run = run_nbcp(train_window, test_window, synthetic_inputs)
-        features = tmp_path / "features.tsv"
-        write_feature_vectors(run["test_vectors"], str(features))
+        _, features = self.predict_inputs(tmp_path, synthetic_inputs)
         model = tmp_path / "model.json"
         model.write_text(model_text)
         code = main(["predict", "--features", str(features), "--model", str(model),
@@ -1239,6 +1280,21 @@ class TestPredict:
         assert code == EXIT_DATA
         assert f"{model}: " in err and message in err
         assert "Traceback" not in err
+
+    def test_variance_below_floor_loads(self, tmp_path, synthetic_inputs):
+        # a model stores the data's variances, 0.0 for a constant column;
+        # any below the floor scores as the floor does
+        _, features = self.predict_inputs(tmp_path, synthetic_inputs)
+        probabilities = []
+        for variance in (1e-9, 0.0, 0, 1e-300):
+            model, out = tmp_path / f"{variance!r}.json", tmp_path / repr(variance)
+            model.write_text(model_text(scalar_features={"present_age": {
+                "class0": {"mean": 100, "variance": variance},
+                "class1": {"mean": 120, "variance": 400}}}))
+            assert main(["predict", "--features", str(features), "--model", str(model),
+                         "--out", str(out)]) == EXIT_OK
+            probabilities.append((out / "probabilities.tsv").read_bytes())
+        assert probabilities[1:] == probabilities[:1] * 3
 
 
 class TestImports:

@@ -26,6 +26,7 @@ from lexevo.corpus import (
     synset_annual_shares,
 )
 from lexevo.errors import DataError
+from tests.conftest import corpus_table
 
 RAPT = ("rapt", "ADJ")
 
@@ -240,7 +241,7 @@ class TestLoadUnigramSeries:
 
 def sums_of(series):
     """period_count's argument for one year -> count dict, via CorpusTable."""
-    return CorpusTable({RAPT: dict(series)}).sums(RAPT)
+    return corpus_table({RAPT: series}).sums(RAPT)
 
 
 SERIES = st.dictionaries(st.integers(1500, 2008), st.integers(0, 10_000), max_size=40)
@@ -271,12 +272,12 @@ class TestPeriodCount:
     def test_series_round_trips(self, series):
         # the sums are the only stored form; the series derived from them
         # keeps every attested year, zero counts included, in year order
-        table = CorpusTable({RAPT: dict(series)})
+        table = corpus_table({RAPT: series})
         assert list(table.series(RAPT).items()) == sorted(series.items())
 
     def test_table_keeps_no_input_dict(self):
         series = {RAPT: {1900: 1}, ("zebra", "NOUN"): {1901: 2}}
-        table = CorpusTable(series)
+        table = corpus_table(series)
         series[RAPT][1900] = 5
         series[("zebra", "NOUN")].clear()
         assert table.series(RAPT) == {1900: 1}
@@ -286,7 +287,7 @@ class TestPeriodCount:
 
 def births_of(series):
     """birth_years of a one-key table holding one year -> count dict."""
-    return birth_years(CorpusTable({RAPT: dict(series)}))
+    return birth_years(corpus_table({RAPT: series}))
 
 
 class TestBirthYear:
@@ -305,7 +306,7 @@ class TestBirthYear:
         assert births_of(series) == ({RAPT: born[0]} if born else {})
 
     def test_birth_years_skips_unborn_keys(self):
-        table = CorpusTable({RAPT: {1900: 0, 1950: 3}, ("zebra", "NOUN"): {1900: 0}})
+        table = corpus_table({RAPT: {1900: 0, 1950: 3}, ("zebra", "NOUN"): {1900: 0}})
         assert birth_years(table) == {RAPT: 1950}
 
 
@@ -559,26 +560,14 @@ class TestCompactTable:
         text = ("rapt_ADJ\t1900\t1\t1\nrapt_ADJ\t1901\t2\t1\n"
                 "zebra_NOUN\t1901\t3\t1\nzebra_NOUN\t1900\t4\t1\n")
         table, _ = load_text(tmp_path, text, {RAPT, ZEBRA})
-        built = CorpusTable({RAPT: {int("1900"): 5, int("1901"): 6}})
-        sums = [table.sums(RAPT), table.sums(ZEBRA), built.sums(RAPT)]
+        sums = [table.sums(RAPT), table.sums(ZEBRA)]
         for years, cum in sums:
             assert type(years) is tuple and years == (1900, 1901)
             assert type(cum) is array and cum.typecode == "q"
-        assert [cum.tolist() for _, cum in sums] == [[0, 1, 3], [0, 4, 7], [0, 5, 11]]
+        assert [cum.tolist() for _, cum in sums] == [[0, 1, 3], [0, 4, 7]]
         for i in range(2):
             first = sums[0][0][i]
             assert all(years[i] is first for years, _ in sums)
-
-    @pytest.mark.parametrize("year", [-5, MIN_YEAR - 1, MAX_YEAR + 1])
-    def test_series_year_out_of_range_rejected(self, year):
-        with pytest.raises(ValueError, match="rapt_ADJ has a year outside"):
-            CorpusTable({RAPT: {1900: 1, year: 1}})
-
-    @pytest.mark.parametrize("series", [{1900: -5, 1901: 7}, {1900: 3, 1901: -1}])
-    def test_series_negative_count_rejected(self, series):
-        # a negative count would move the birth year and hide a dead word
-        with pytest.raises(ValueError, match="rapt_ADJ has a negative count"):
-            CorpusTable({RAPT: series})
 
     @given(st.lists(st.tuples(st.sampled_from([RAPT, ZEBRA, ("a_b", "NOUN")]),
                               st.integers(1898, 1906), st.integers(0, 10 ** 12)),
@@ -606,12 +595,11 @@ class TestCompactTable:
         table, report = load_corpus(paths, {RAPT, ZEBRA, ("a_b", "NOUN")})
         assert report == LoadReport(rows_kept=len(rows))
         assert set(table.keys()) == set(expected)
-        built = CorpusTable(expected)
         for key, points in expected.items():
             years = sorted(points)
             cum = list(accumulate((points[y] for y in years), initial=0))
-            for got in (table.sums(key), built.sums(key)):
-                assert got[0] == tuple(years) and got[1].tolist() == cum
+            years_got, cum_got = table.sums(key)
+            assert years_got == tuple(years) and cum_got.tolist() == cum
 
 
 class TestCountLimits:
@@ -645,11 +633,6 @@ class TestCountLimits:
                 "rapt_ADJ\t1900\t4611686018427387903\t1\n")
         table, _ = load_text(tmp_path, text, {RAPT})
         assert table.sums(RAPT)[1][-1] == MAX_TOTAL == 2 ** 63 - 1
-
-    def test_oversize_series_is_named(self):
-        with pytest.raises(DataError, match=f"the counts of rapt_ADJ total more "
-                                            f"than {MAX_TOTAL}"):
-            CorpusTable({RAPT: {1900: 2 ** 62, 1901: 2 ** 62}})
 
 
 def test_in_order_rows_load_in_few_bytes(tmp_path):

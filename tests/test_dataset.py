@@ -8,7 +8,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from lexevo.corpus import HALF_WIDTH, CorpusTable
+from lexevo.corpus import HALF_WIDTH
 from lexevo.dataset import (
     MAX_CYCLE,
     MIN_CYCLE,
@@ -23,7 +23,7 @@ from lexevo import experiments
 from lexevo.errors import DataError
 from lexevo.experiments import load_pipeline_inputs
 from lexevo.lexicon import CatVarClusters, SenseId, load_lexicon
-from tests.conftest import count_period_calls, snapshot_of
+from tests.conftest import corpus_table, count_period_calls, snapshot_of
 
 
 class ReadCountingDict(dict):
@@ -68,7 +68,7 @@ def build_one(members, table, window):
 
 
 def table_for(series_by_lemma, pos="NOUN"):
-    return CorpusTable({
+    return corpus_table({
         (lemma, pos): series for lemma, series in series_by_lemma.items()
     })
 
@@ -515,14 +515,16 @@ class TestDatasetSerialization:
                                          "x1\ttwo#n#1\t4\t3\t1"])
         sidecar = tmp_path / "dataset.json"
         sidecar.write_text(json.dumps({
-            "window": [1850, 1900, 1950], "clusters": [["two_NOUN", "twin_VERB"]],
+            "window": [1850, 1900, 1950], "removals": {},
+            "clusters": [["two_NOUN", "twin_VERB"]],
             "births": {"one_NOUN": 1850, "two_NOUN": None, "twin_VERB": None}}))
         with pytest.raises(DataError) as info:
             read_dataset(tsv)
         assert str(info.value) == (f"{sidecar}: key 'births' maps dataset member "
                                    "two_NOUN to null; a member needs a year")
         sidecar.write_text(json.dumps({
-            "window": [1850, 1900, 1950], "clusters": [["two_NOUN", "twin_VERB"]],
+            "window": [1850, 1900, 1950], "removals": {},
+            "clusters": [["two_NOUN", "twin_VERB"]],
             "births": {"one_NOUN": 1850, "two_NOUN": 1850, "twin_VERB": None}}))
         _, _, births = read_dataset(tsv)
         assert births[("twin", "VERB")] is None
@@ -538,7 +540,8 @@ class TestDatasetSerialization:
         tsv = self.write_rows(tmp_path, ["x1\tone#n#1\t2\t5\t9",
                                          "x1\ttwo#n#1\t4\t3\t1"])
         (tmp_path / "dataset.json").write_text(
-            json.dumps({"window": [1850, 1900, 1950], "births": births}))
+            json.dumps({"window": [1850, 1900, 1950], "removals": {},
+                        "births": births}))
         with pytest.raises(DataError) as info:
             read_dataset(tsv)
         assert str(info.value).startswith(f"{tmp_path / 'dataset.json'}: {message}")
@@ -561,7 +564,7 @@ class TestDatasetSerialization:
         assert str(info.value).startswith(f"{tmp_path / 'dataset.json'}: {message}")
 
     # births for the members one and two of the rows below
-    SIDECAR = ('{"window": [1850, 1900, 1950], "clusters": [], '
+    SIDECAR = ('{"window": [1850, 1900, 1950], "removals": {}, "clusters": [], '
                '"births": {"one_NOUN": 1850, "two_NOUN": 1850}}\n')
 
     @classmethod

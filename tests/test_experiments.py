@@ -27,8 +27,8 @@ from lexevo.experiments import (
     welch_t_test,
 )
 from lexevo.features import FEATURE_NAMES, SCALAR_FEATURES
-from lexevo.model import (VARIANCE_FLOOR, feature_terms, fit, subset_log_odds,
-                          win_log_odds)
+from lexevo.model import (VARIANCE_FLOOR, GaussianParams, NaiveBayesModel,
+                          feature_terms, fit, subset_log_odds, win_log_odds)
 from tests.test_model import make_vector, random_vectors
 
 
@@ -323,6 +323,17 @@ class TestInterpretModel:
         assert trigram_rows[0]["dimension"] in ("zzz", "|ab")
         assert abs(trigram_rows[0]["difference"]) == pytest.approx(1.0)
         assert trigram_rows[0]["significant_95"]
+
+    def test_welch_reads_the_data_variances(self):
+        # the winners vary by 1e-12 and the losers not at all: on the data's
+        # variances a gap of 1e-5 is significant, as it would not be on the
+        # floored ones
+        statistics = (GaussianParams(0.0, 0.0), GaussianParams(1e-5, 1e-12))
+        model = NaiveBayesModel(("present_age",), (3, 3), {"present_age": statistics}, {})
+        assert welch_t_test(1e-5, 1e-12, 3, 0.0, 0.0, 3)[3]
+        assert not welch_t_test(1e-5, VARIANCE_FLOOR, 3, 0.0, VARIANCE_FLOOR, 3)[3]
+        [row] = interpretation_tables(model)["scalar_features"]
+        assert row["significant_95"]
 
     def test_tables_shape(self):
         _, model = self.fitted_model()

@@ -16,8 +16,9 @@ from lexevo.model import (
     VARIANCE_FLOOR,
     GaussianParams,
     NaiveBayesModel,
+    _binary_statistics,
     _exact_parts,
-    _fit_binary_gaussian,
+    _gaussian,
     feature_terms,
     fit,
     gaussian_log_pdf,
@@ -167,14 +168,30 @@ class TestFit:
             fit(vectors)
 
     def test_variance_floor_applied(self):
+        # constant columns: the model stores the data's variance, 0.0, and
+        # scores with the floored one
         vectors = [
             make_vector(i, [0.5, 2, 0.5, 1, 0.0, 0.5, 100], [], i % 2)
             for i in range(6)
         ]
         model = fit(vectors)
-        for params in model.scalar_params.values():
-            assert params[0].variance >= VARIANCE_FLOOR
-            assert params[1].variance >= VARIANCE_FLOOR
+        assert model.scalar_params.keys() == model.scalar_statistics.keys()
+        for name, statistics in model.scalar_statistics.items():
+            assert [s.variance for s in statistics] == [0.0, 0.0]
+            assert [p.variance for p in model.scalar_params[name]] == [VARIANCE_FLOOR] * 2
+            assert ([p.mean for p in model.scalar_params[name]]
+                    == [s.mean for s in statistics])
+
+    def test_one_vector_class_stores_zero_variance(self):
+        vectors = random_vectors(random.Random(16), 6)
+        vectors = [v for v in vectors if v.target_class == 0] + vectors[1:2]
+        model = fit(vectors)
+        assert model.class_sizes[1] == 1
+        for name, (_, statistics) in model.scalar_statistics.items():
+            assert statistics == (float(getattr(vectors[-1], name)), 0.0)
+            assert model.scalar_params[name][1].variance == VARIANCE_FLOOR
+        for tri, (_, p1) in model.trigram_params.items():
+            assert p1 == (float(tri in vectors[-1].unique_ngrams), VARIANCE_FLOOR)
 
     def test_trigram_dims_are_training_union(self):
         rng = random.Random(4)
@@ -202,6 +219,7 @@ class TestFit:
             random.Random(seed).shuffle(shuffled)
             model = fit(shuffled)
             assert model.priors == reference.priors
+            assert model.scalar_statistics == reference.scalar_statistics
             assert model.scalar_params == reference.scalar_params
             assert model.trigram_params == reference.trigram_params
 
@@ -562,7 +580,7 @@ class TestSparseScoring:
         params, parts, absent = {}, {}, []
         for tri in sorted(trigram_ones):
             p0, p1 = params[tri] = tuple(
-                _fit_binary_gaussian(ones, n)
+                _gaussian(_binary_statistics(ones, n))
                 for ones, n in zip(trigram_ones[tri], (n0, n1)))
             zero0, zero1 = gaussian_log_pdf(p0, 0.0), gaussian_log_pdf(p1, 0.0)
             parts[tri] = _exact_parts((gaussian_log_pdf(p1, 1.0), -zero1,
@@ -590,11 +608,17 @@ class TestSparseScoring:
                            st.sampled_from((0, n1, n1 // 2)) | st.integers(0, n1))
         trigram_ones = {f"t{i:02d}": ones for i, ones in enumerate(
             data.draw(st.lists(counts, max_size=12)))} if "unique_ngrams" in features else {}
-        gaussians = st.builds(GaussianParams, st.floats(-1e3, 1e3),
-                              st.just(VARIANCE_FLOOR) | st.floats(VARIANCE_FLOOR, 1e6))
-        scalar_params = {name: data.draw(st.tuples(gaussians, gaussians))
-                         for name in scalars}
-        model = NaiveBayesModel(features, (n0, n1), scalar_params, trigram_ones)
+        # stored variances from 0.0 up, as fit stores the data's, on both
+        # sides of the floor
+        statistics = st.builds(GaussianParams, st.floats(-1e3, 1e3),
+                               st.sampled_from((0.0, 1e-300, VARIANCE_FLOOR))
+                               | st.floats(0.0, 1e6))
+        scalar_statistics = {name: data.draw(st.tuples(statistics, statistics))
+                             for name in scalars}
+        model = NaiveBayesModel(features, (n0, n1), scalar_statistics, trigram_ones)
+        for name, pair in scalar_statistics.items():
+            assert model.scalar_params[name] == tuple(
+                GaussianParams(s.mean, max(s.variance, VARIANCE_FLOOR)) for s in pair)
 
         priors = [math.log(model.priors[1]), -math.log(model.priors[0])]
         absent = []
