@@ -222,13 +222,12 @@ def _read_scores(path):
 def cmd_evaluate(args):
     ds, _, _ = dataset_mod.read_dataset(args.dataset)
     scores_by_sense = _read_scores(args.probabilities)
-    for snapshot in ds.snapshots:
-        for sense in snapshot.counts:
-            if sense not in scores_by_sense:
-                raise DataError(f"{args.probabilities}: no score for sense {sense}")
-    counts, scores, outcomes = evaluate_mod.evaluate_predictions(
-        ds.snapshots, scores_by_sense
-    )
+    try:
+        counts, scores, outcomes = evaluate_mod.evaluate_predictions(
+            ds.snapshots, scores_by_sense)
+    except KeyError as exc:  # the first member without a score
+        raise DataError(f"{args.probabilities}: no score for sense "
+                        f"{exc.args[0]}") from None
     report = evaluate_mod.evaluation_report(counts, scores)
     report["dataset"] = ds.summary()
     atomic_write_json(os.path.join(args.out, "report.json"), report)

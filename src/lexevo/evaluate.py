@@ -10,7 +10,7 @@ with right/wrong).
 
 import math
 import statistics as _stats
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 
 
@@ -36,10 +36,20 @@ def predict_synset_winner(scores):
     A score is anything that ranks senses by how likely each is to win,
     such as the model's log-odds.
     """
-    if len(scores) < 2:
+    return _winner(scores, scores)
+
+
+def _winner(senses, scores):
+    """predict_synset_winner over senses, in one pass; str only on a tie."""
+    predicted = best = None
+    for sense in senses:
+        score = scores[sense]
+        if (predicted is None or score > best
+                or score == best and str(sense) < str(predicted)):
+            predicted, best = sense, score
+    if len(senses) < 2:
         raise ValueError("need at least two candidate senses")
-    best = max(scores.values())
-    return min((s for s, score in scores.items() if score == best), key=str)
+    return predicted
 
 
 def classify_outcome(present_leader, future_leader, predicted):
@@ -87,18 +97,16 @@ OUTCOME_COLUMNS = ("synset_id", "present_leader", "future_leader", "predicted",
 def evaluate_predictions(snapshots, scores):
     """Evaluate per-word scores at the synset level.
 
-    scores maps SenseId -> score and must cover every member of every
-    snapshot; each synset predicts its highest-scored member.  Returns
-    (ContingencyCounts, Metrics, per-synset outcome rows).
+    scores maps SenseId -> score: the first member without one is a
+    KeyError of its sense.  Each synset predicts its highest-scored member.
+    Returns (ContingencyCounts, Metrics, per-synset outcome rows).
     """
     tallies = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     outcomes = []
     for snapshot in snapshots:
-        per_sense = {s: scores[s] for s in snapshot.counts}
-        predicted = predict_synset_winner(per_sense)
-        cell = classify_outcome(
-            snapshot.present_leader, snapshot.future_leader, predicted
-        )
+        predicted = _winner(snapshot.counts, scores)
+        cell = classify_outcome(snapshot.present_leader, snapshot.future_leader,
+                                predicted)
         tallies[cell] += 1
         outcomes.append({
             "synset_id": snapshot.synset.id,
@@ -117,21 +125,12 @@ def evaluation_report(counts, scores):
     wilson_95 holds a band for precision and one for recall, each only
     when it has at least one trial.
     """
+    cells, fractions = asdict(counts), asdict(scores)
     report = {
-        "counts": {
-            "tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn,
-            "synsets": counts.tp + counts.fp + counts.fn + counts.tn,
-        },
-        "metrics_percent": {
-            "precision": round(100.0 * scores.precision, 1),
-            "recall": round(100.0 * scores.recall, 1),
-            "f_score": round(100.0 * scores.f_score, 1),
-        },
-        "metrics": {
-            "precision": scores.precision,
-            "recall": scores.recall,
-            "f_score": scores.f_score,
-        },
+        "counts": {**cells, "synsets": sum(cells.values())},
+        "metrics_percent": {name: round(100.0 * value, 1)
+                            for name, value in fractions.items()},
+        "metrics": fractions,
     }
     # precision is tp of tp+fp trials and recall tp of tp+fn; F is not a
     # binomial proportion and has no band, nor has a proportion of 0 trials

@@ -168,9 +168,9 @@ def run_ablations(specs, train_window, test_window, inputs):
     further calls on this pair prepare nothing again.  One model is fitted
     on all features.  A naive Bayes log odds is a sum of per-feature
     terms, and a dimension's Gaussians and the priors do not depend on the
-    other features, so each variant's log odds is the exact subset sum of
-    one feature_terms table per test vector: what fitting the variant's
-    features alone gives, bit for bit.
+    other features, so each variant's log odds is the exact sum of its
+    features' entries of one feature_terms list per test vector: what
+    fitting the variant's features alone gives, bit for bit.
     """
     _, train_vectors = prepare_window(train_window, inputs)
     test_ds, test_vectors = prepare_window(test_window, inputs)
@@ -179,7 +179,8 @@ def run_ablations(specs, train_window, test_window, inputs):
 
     def evaluate(features):
         """(F, outcome rows) of the model restricted to features."""
-        log_odds = {sense: subset_log_odds(model, t, features)
+        positions = [model.term_positions[name] for name in features]
+        log_odds = {sense: subset_log_odds(model, t, positions)
                     for sense, t in terms.items()}
         _, scores, outcomes = evaluate_predictions(test_ds.snapshots, log_odds)
         return scores.f_score, outcomes

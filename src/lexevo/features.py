@@ -234,8 +234,9 @@ def _feature_value(text, parse):
 def read_feature_vectors(path):
     """Reload vectors written by write_feature_vectors.
 
-    A malformed row, a value beyond MAX_FEATURE_MAGNITUDE or a repeated
-    sense is a DataError naming the file and line.
+    A malformed row, a value beyond MAX_FEATURE_MAGNITUDE, a repeated
+    sense or a row that repeats a trigram is a DataError naming the file
+    and line: the model counts each trigram of a word once.
     """
     seen = set()
 
@@ -247,10 +248,13 @@ def read_feature_vectors(path):
         if sense in seen:
             raise ValueError(f"repeated sense {sense_text}")
         seen.add(sense)
+        unique_ngrams = tuple(t for t in trigrams.split(",") if t)
+        if len(set(unique_ngrams)) < len(unique_ngrams):
+            raise ValueError(f"repeated trigram in {trigrams!r}")
         return FeatureVector(
             sense=sense,
             synset_id=synset_id,
-            unique_ngrams=tuple(t for t in trigrams.split(",") if t),
+            unique_ngrams=unique_ngrams,
             target_class=int(target) if target else None,
             # each scalar parsed as the type FeatureVector declares for it
             **{name: _feature_value(text, FeatureVector.__annotations__[name])

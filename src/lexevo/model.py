@@ -20,33 +20,28 @@ counts its trigram ones in one pass.  Scoring uses the Bernoulli
 event-model form of naive Bayes (McCallum & Nigam 1998): the classes' log
 densities with every trigram absent are summed once per model, and a word
 only corrects them for its own trained trigrams, adding log N(1) -
-log N(0) for each.  The model precomputes what scoring reads:
-the log priors, a getter of the scalar values, each scalar Gaussian's
-mean, log normaliser and twice its variance (the operands
-``gaussian_log_pdf`` uses, so every term is the same float), and its
-constant terms folded into exact parts.  ``math.fsum`` (Shewchuk 1997)
-returns the correctly rounded exact sum of its inputs, so a group of
-constant terms can be replaced by fewer floats with the same exact sum
-(``_exact_parts``) and every score keeps its bits.  Each trained
-trigram's four correction terms fold into about two floats, and the two
-log priors plus the absent sum into the base parts that ``win_log_odds``
-starts from.
+log N(0) for each.  The model precomputes what scoring reads: each
+scalar's mean, log normaliser and twice its variance per class are the
+operands ``gaussian_log_pdf`` uses, so every term is the same float.
+``math.fsum`` (Shewchuk 1997) returns the correctly rounded exact sum of
+its inputs, so constant terms fold into fewer floats with the same exact
+sum (``_exact_parts``): a trained trigram's four correction terms into
+about two, and so does the absent sum.
 
 A naive Bayes log odds is a sum of independent per-feature terms.
-``feature_terms`` returns them for one vector, keyed by feature: the
-class-1 terms and the negated class-0 terms of each scalar, and for
-``unique_ngrams`` the exact parts of the absent sum plus the folded
-corrections of the word's trained trigrams.  ``subset_log_odds`` is one
-fsum over the prior terms and the terms of any feature subset, and
-``win_log_odds`` one fsum of the same exact sum over all of the model's
-features.  A dimension's Gaussians depend only on that dimension and the
-class split, and the priors on no feature, so the subset log odds equals
-what a model fitted on the subset alone gives, bit for bit: fsum is
-exact in any order.  It is the correctly rounded difference of the dense
-per-dimension class scores.  That matters: floored variances make single
-terms reach about 5e8, where one ulp is about 6e-8, while the two classes
-often differ by less than one.  The win probability is the logistic of
-the log odds.
+``feature_terms`` is their one statement: a list of one term sequence per
+feature in FEATURE_NAMES order, a scalar's two class terms and, for
+``unique_ngrams``, the absent parts plus the corrections of the word's
+trained trigrams.  ``win_log_odds`` is one fsum over the log-prior terms
+and every entry, and ``subset_log_odds`` over those at chosen positions.
+A dimension's Gaussians depend only on that dimension and the class
+split, and the priors on no feature, so a subset's log odds is what a
+model fitted on the subset alone gives, bit for bit: fsum is exact in any
+order.  It is the correctly rounded difference of the dense per-dimension
+class scores.  That matters: floored variances make single terms reach
+about 5e8, where one ulp is about 6e-8, while the two classes often
+differ by less than one.  The win probability is the logistic of the log
+odds.
 """
 
 import json
@@ -116,17 +111,15 @@ def _gaussian(statistics):
 @dataclass
 class NaiveBayesModel:
     """A fitted model's stored facts: the data's statistics, unfloored.
-    __post_init__ derives priors, scalar_params (name -> class-0 and
-    class-1 GaussianParams, the Gaussians scoring uses), trigram_dims
-    (sorted) and trigram_params (trigram -> class-0 and class-1
-    GaussianParams), every Gaussian through _gaussian, and the private
-    constants scoring reads: the two log-prior terms, a getter of the
-    scalar values and each scalar's _density_constants per class (both in
-    scalar_params order), each trained trigram's folded correction parts,
-    _absent_parts (the class-1 minus class-0 log density of "every trigram
-    absent") and _base_parts (the log-prior terms plus that sum), each a
-    few floats of the exact sum of the terms they replace.  Only the
-    fields are saved, shown and compared."""
+    __post_init__ derives, in FEATURE_NAMES order whatever order fit's
+    caller or the file gave: priors, term_positions (feature name -> index
+    of its entry in a feature_terms list), scalar_params and
+    trigram_params (name or trigram -> class-0 and class-1 GaussianParams,
+    each through _gaussian), trigram_dims (sorted), and the constants
+    scoring reads: the log-prior terms, a scalar getter, each scalar's two
+    _density_constants as one 6-tuple, and the folded parts of each
+    trained trigram's correction and of the absent sum (None without
+    unique_ngrams).  Only the fields are saved, shown and compared."""
 
     features: tuple  # subset of FEATURE_NAMES used by this model
     class_sizes: tuple  # (class-0 vectors, class-1 vectors), each at least 1
@@ -139,13 +132,15 @@ class NaiveBayesModel:
         n0, n1 = self.class_sizes
         self.priors = ((n0 + 1) / (n0 + n1 + 2), (n1 + 1) / (n0 + n1 + 2))
         self.trigram_dims = tuple(sorted(self.trigram_ones))
-        self.scalar_params = {name: tuple(map(_gaussian, pair))
-                              for name, pair in self.scalar_statistics.items()}
+        order = tuple(name for name in FEATURE_NAMES if name in self.features)
+        self.term_positions = {name: i for i, name in enumerate(order)}
+        self.scalar_params = {name: tuple(map(_gaussian, self.scalar_statistics[name]))
+                              for name in order if name != "unique_ngrams"}
         self._prior_terms = (math.log(self.priors[1]), -math.log(self.priors[0]))
         self._scalar_values = tuple_getter(attrgetter, tuple(self.scalar_params))
         self._scalar_constants = tuple(
-            tuple(_density_constants(p) for p in pair)
-            for pair in self.scalar_params.values())
+            _density_constants(p0) + _density_constants(p1)
+            for p0, p1 in self.scalar_params.values())
         # a trigram's Gaussians and terms depend only on its count pair,
         # which many trigrams share, so each distinct pair is computed once;
         # a word with a trained trigram replaces its log N(0) by log N(1)
@@ -164,8 +159,7 @@ class NaiveBayesModel:
             self.trigram_params[tri] = params
             self._trigram_parts[tri] = parts
             absent += zeros
-        self._absent_parts = _exact_parts(absent)
-        self._base_parts = _exact_parts(self._prior_terms + self._absent_parts)
+        self._absent_parts = _exact_parts(absent) if "unique_ngrams" in order else None
 
 
 def fit(vectors, features=FEATURE_NAMES):
@@ -173,14 +167,17 @@ def fit(vectors, features=FEATURE_NAMES):
 
     The trigram dimension space is the union of unique trigrams seen in
     the training vectors (when the trigram block is enabled).  Raises
-    DataError when features is empty or names an unknown feature, and
-    UnfittableModelError when either class is empty.
+    DataError when features is empty, names an unknown feature or repeats
+    one, and UnfittableModelError when either class is empty.
     """
     if not features:
         raise DataError("no features to fit")
     unknown = set(features) - set(FEATURE_NAMES)
     if unknown:
         raise DataError(f"unknown features: {sorted(unknown)}")
+    repeated = sorted(name for name, n in Counter(features).items() if n > 1)
+    if repeated:
+        raise DataError(f"repeated features: {repeated}")
     by_class = {0: [], 1: []}
     for v in vectors:
         if v.target_class not in (0, 1):
@@ -228,60 +225,59 @@ def _exact_parts(terms):
 
 
 def feature_terms(model, vector):
-    """{feature: class-1 minus class-0 log density terms} for one vector,
-    for every feature of the model.
+    """One vector's class-1 minus class-0 log density terms: a list of one
+    term sequence per feature, at the model's term_positions.
 
     A scalar's terms are its class-1 log density and its negated class-0
-    one.  unique_ngrams' terms are the exact parts of the "every trigram
-    absent" sum plus the folded correction parts of each trained trigram
-    of the word; trigrams unseen in training are ignored.  The cost is
+    one.  unique_ngrams' terms are the absent parts plus the correction
+    parts of each trained trigram of the word; unseen trigrams are
+    ignored.  A trigram listed twice would count twice: read_feature_vectors
+    refuses one, and extract_features never writes one.  The cost is
     O(scalar dims + the word's own trigrams).
     """
-    terms = {}
-    for name, x, ((mean0, log_normaliser0, twice_variance0),
-                  (mean1, log_normaliser1, twice_variance1)) in zip(
-            model.scalar_params, model._scalar_values(vector), model._scalar_constants):
+    terms = []
+    for x, (mean0, log_normaliser0, twice_variance0,
+            mean1, log_normaliser1, twice_variance1) in zip(
+            model._scalar_values(vector), model._scalar_constants):
         d0, d1 = x - mean0, x - mean1
-        terms[name] = (log_normaliser1 - (d1 * d1) / twice_variance1,
-                       -(log_normaliser0 - (d0 * d0) / twice_variance0))
-    if "unique_ngrams" in model.features:
+        # b - a is -(a - b) to the bit: rounding is symmetric in sign
+        terms.append((log_normaliser1 - d1 * d1 / twice_variance1,
+                      d0 * d0 / twice_variance0 - log_normaliser0))
+    if model._absent_parts is not None:
+        trigram_terms = list(model._absent_parts)
         parts = model._trigram_parts
-        terms["unique_ngrams"] = model._absent_parts + tuple(chain.from_iterable(
-            parts[tri] for tri in parts.keys() & vector.unique_ngrams))
+        for tri in vector.unique_ngrams:
+            if tri in parts:
+                trigram_terms += parts[tri]
+        terms.append(trigram_terms)
     return terms
 
 
-def subset_log_odds(model, terms, features):
+def subset_log_odds(model, terms, positions):
     """log P(class 1) - log P(class 0), correctly rounded, under the model
-    restricted to `features`, from one vector's feature_terms.
+    restricted to the features at `positions` of one vector's feature_terms.
 
-    One fsum over the log-prior terms and the subset's terms: it equals
+    One fsum over the log-prior terms and those features' terms: it equals
     win_log_odds of a model fitted on that subset alone, bit for bit.
     """
-    return math.fsum(chain(model._prior_terms, *map(terms.__getitem__, features)))
+    # one list, which fsum reads faster than a chain of the entries
+    summed = list(model._prior_terms)
+    for position in positions:
+        summed += terms[position]
+    return math.fsum(summed)
 
 
 def win_log_odds(model, vector):
-    """log P(class 1) - log P(class 0) for one vector, correctly rounded.
+    """log P(class 1) - log P(class 0) for one vector, correctly rounded:
+    subset_log_odds over every position of feature_terms.
 
-    One fsum over the model's base parts, the scalar terms and the folded
-    parts of the word's trained trigrams: the same exact sum as
-    subset_log_odds over all of the model's features, so the same float.
     Use this for ranking words: it never saturates the way win_probability
     does near 0 and 1.
     """
-    terms = list(model._base_parts)
-    # feature_terms' scalar terms, inline: a call per vector costs more
-    for x, ((mean0, log_normaliser0, twice_variance0),
-            (mean1, log_normaliser1, twice_variance1)) in zip(
-            model._scalar_values(vector), model._scalar_constants):
-        d0, d1 = x - mean0, x - mean1
-        terms += (log_normaliser1 - (d1 * d1) / twice_variance1,
-                  -(log_normaliser0 - (d0 * d0) / twice_variance0))
-    parts = model._trigram_parts
-    for tri in parts.keys() & vector.unique_ngrams:
-        terms += parts[tri]
-    return math.fsum(terms)
+    summed = list(model._prior_terms)
+    for entry in feature_terms(model, vector):
+        summed += entry
+    return math.fsum(summed)
 
 
 def logistic(odds):

@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexevo._util import read_tsv, write_tsv
-from lexevo.dataset import MemberCounts, build_dataset, schedule_windows
+from lexevo.dataset import MemberCounts, SynsetSnapshot, build_dataset, schedule_windows
 from lexevo.evaluate import (
     OUTCOME_COLUMNS,
     ContingencyCounts,
@@ -22,7 +22,7 @@ from lexevo.evaluate import (
     uniform_baseline_tails,
     wilson_interval,
 )
-from lexevo.lexicon import SenseId, load_lexicon
+from lexevo.lexicon import SenseId, Synset, load_lexicon
 from tests.conftest import snapshot_of
 
 
@@ -180,6 +180,70 @@ class TestEvaluatePredictions:
         assert len(lines) == 3
         assert read_tsv(path, OUTCOME_COLUMNS,
                         lambda fields: dict(zip(OUTCOME_COLUMNS, fields))) == outcomes
+
+
+def dict_evaluate_predictions(snapshots, scores):
+    """evaluate_predictions as a per-synset dict of its members' scores and
+    two passes over it: the formulation the one-pass winner replaced, kept
+    as its oracle."""
+    tallies = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    outcomes = []
+    for snapshot in snapshots:
+        per_sense = {s: scores[s] for s in snapshot.counts}
+        if len(per_sense) < 2:
+            raise ValueError("need at least two candidate senses")
+        best = max(per_sense.values())
+        predicted = min((s for s, score in per_sense.items() if score == best), key=str)
+        cell = classify_outcome(snapshot.present_leader, snapshot.future_leader,
+                                predicted)
+        tallies[cell] += 1
+        outcomes.append({
+            "synset_id": snapshot.synset.id,
+            "present_leader": str(snapshot.present_leader),
+            "future_leader": str(snapshot.future_leader),
+            "predicted": str(predicted),
+            "cell": cell,
+        })
+    counts = ContingencyCounts(**tallies)
+    return counts, metrics(counts), outcomes
+
+
+# few distinct scores, so that ties are common; -0.0 ties with 0.0
+TIED_SCORES = st.sampled_from((-math.inf, -1.5, -0.0, 0.0, 0.25, 3.0, math.inf))
+
+
+class TestOnePassWinner:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.lists(st.integers(1, 5), min_size=1, max_size=8),
+           st.booleans())
+    def test_matches_dict_formulation(self, data, sizes, drop_a_score):
+        # sense numbers from 1 to 12, so that "ab#n#10" sorts before
+        # "ab#n#2" as a string and not as a number
+        pool = [SenseId(lemma, "n", k) for lemma in ("ab", "b", "c", "d")
+                for k in range(1, 13)]
+        senses = data.draw(st.permutations(pool))[:sum(sizes)]
+        snapshots, start = [], 0
+        for i, size in enumerate(sizes):
+            members = tuple(senses[start:start + size])
+            start += size
+            snapshots.append(SynsetSnapshot(
+                Synset(f"s{i:05d}", "n", members),
+                dict.fromkeys(members, MemberCounts(1, 1, 1)),
+                data.draw(st.sampled_from(members)),
+                data.draw(st.sampled_from(members))))
+        scores = {sense: data.draw(TIED_SCORES | st.floats(allow_nan=False))
+                  for sense in senses}
+        if drop_a_score:
+            del scores[data.draw(st.sampled_from(senses))]
+        try:
+            expected = dict_evaluate_predictions(snapshots, scores)
+        except (KeyError, ValueError) as exc:
+            # the same error, naming the same first sense without a score
+            with pytest.raises(type(exc)) as info:
+                evaluate_predictions(snapshots, scores)
+            assert info.value.args == exc.args
+        else:
+            assert evaluate_predictions(snapshots, scores) == expected
 
 
 class TestEvaluationReport:

@@ -652,7 +652,8 @@ def floor_counts(inputs):
     test_ds, test_vectors = prepare_window(test_window, inputs)
     model = fit(train_vectors)
     full = {v.sense: win_log_odds(model, v) for v in test_vectors}
-    alone = {v.sense: subset_log_odds(model, feature_terms(model, v), ("unique_ngrams",))
+    position = model.term_positions["unique_ngrams"]
+    alone = {v.sense: subset_log_odds(model, feature_terms(model, v), (position,))
              for v in test_vectors}
     same = sum(
         predict_synset_winner({s: full[s] for s in snapshot.counts})

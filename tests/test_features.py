@@ -319,6 +319,16 @@ class TestWordShapes:
             exceptions = load_syllable_exceptions(handle)
         assert word_shapes(synsets, exceptions) == oracle_word_shapes(synsets, exceptions)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text("abn", min_size=1, max_size=9), min_size=2, max_size=4,
+                    unique=True))
+    def test_unique_trigrams_are_distinct(self, lemmas):
+        # lemmas of few letters repeat trigrams ("banana"); extract_features
+        # copies these tuples, and the model counts each listed trigram
+        lexicon = load_lexicon(io.StringIO(f"x1\tn\t{','.join(lemmas)}\n"))
+        for _, _, unique, _ in word_shapes(lexicon.synsets).values():
+            assert len(set(unique)) == len(unique)
+
     def test_keyed_by_sense(self):
         # the two senses of 'rapt' get their own synset's shapes
         lexicon = load_lexicon(io.StringIO("x1\ta\trapt,enrapt\nx2\ta\trapt,ok\n"))
@@ -555,8 +565,11 @@ class TestSerialization:
         (lambda f: f[:8] + [str(10 ** 200)] + f[9:],
          "exceeds the feature magnitude bound"),
         (lambda f: f[:1] + ["rapt#a#1"] + f[2:], "repeated sense rapt#a#1"),
+        # the model counts a word's trigram once, so a file may not list
+        # one twice
+        (lambda f: f[:-1] + ["tic|,ec,tic|"], "repeated trigram in 'tic|,ec,tic|'"),
     ], ids=["bad_float", "short_row", "nan", "bad_target", "bad_sense",
-            "huge_float", "huge_int", "repeated_sense"])
+            "huge_float", "huge_int", "repeated_sense", "repeated_trigram"])
     def test_bad_row_names_file_and_line(self, tmp_path, edit, message):
         path = str(tmp_path / "features.tsv")
         write_feature_vectors(self.make_vectors(), path)

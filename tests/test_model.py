@@ -160,6 +160,27 @@ class TestFit:
         with pytest.raises(DataError):
             fit(random_vectors(rng, 6), features=())
 
+    def test_repeated_feature_rejected(self):
+        vectors = random_vectors(random.Random(2), 6)
+        with pytest.raises(DataError, match=r"repeated features: \['present_age'\]"):
+            fit(vectors, features=("present_age", "present_age"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=9))
+    def test_every_fitted_model_round_trips(self, features):
+        # fit refuses what load_model would refuse, so a model fit returns
+        # always saves to a file that loads back to it
+        vectors = random_vectors(random.Random(len(features)), 10)
+        try:
+            model = fit(vectors, features=tuple(features))
+        except DataError:
+            assert len(set(features)) < len(features)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(model, path)
+            assert load_model(path) == model
+
     def test_unlabeled_vector_rejected(self):
         rng = random.Random(3)
         vectors = random_vectors(rng, 6)
@@ -432,6 +453,11 @@ def exact_sum(floats):
     return sum(map(Fraction, floats), Fraction(0))
 
 
+def positions(model, features):
+    """The indices of features' entries in model's feature_terms lists."""
+    return [model.term_positions[name] for name in features]
+
+
 def floored_variance_case():
     """(training vectors, query) where the query's trigram terms are about
     -5e8.
@@ -465,7 +491,8 @@ class TestFeatureSubsets:
         vectors = random_vectors(rng, rng.randint(4, 12))
         full, alone = fit(vectors), fit(vectors, features=tuple(subset))
         for query in vectors[:3] + random_vectors(rng, 3):
-            assert (subset_log_odds(full, feature_terms(full, query), subset)
+            assert (subset_log_odds(full, feature_terms(full, query),
+                                    positions(full, subset))
                     == win_log_odds(alone, query))
 
     @settings(max_examples=100, deadline=None)
@@ -481,23 +508,69 @@ class TestFeatureSubsets:
             terms = feature_terms(model, query)
             for name, (p0, p1) in model.scalar_params.items():
                 x = float(getattr(query, name))
-                assert terms[name] == (gaussian_log_pdf(p1, x),
-                                       -gaussian_log_pdf(p0, x))
+                assert terms[model.term_positions[name]] == (gaussian_log_pdf(p1, x),
+                                                             -gaussian_log_pdf(p0, x))
             dense = []
             for tri, (p0, p1) in model.trigram_params.items():
                 x = 1.0 if tri in query.unique_ngrams else 0.0
                 dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
-            assert exact_sum(terms["unique_ngrams"]) == exact_sum(dense)
+            assert (exact_sum(terms[model.term_positions["unique_ngrams"]])
+                    == exact_sum(dense))
 
     def test_every_subset_of_floored_variance_case(self):
         train, query = floored_variance_case()
         full = fit(train)
         terms = feature_terms(full, query)
-        assert min(terms["unique_ngrams"]) < -4e8
+        assert min(terms[full.term_positions["unique_ngrams"]]) < -4e8
         for size in range(1, len(FEATURE_NAMES) + 1):
             for subset in itertools.combinations(FEATURE_NAMES, size):
-                assert (subset_log_odds(full, terms, subset)
+                assert (subset_log_odds(full, terms, positions(full, subset))
                         == win_log_odds(fit(train, features=subset), query))
+
+
+class TestFeatureOrder:
+    """The order in which fit's caller or a model file names the features
+    changes no score: the model derives its tables in FEATURE_NAMES order."""
+
+    def test_fit_order_gives_canonical_scores(self):
+        vectors = random_vectors(random.Random(21), 14)
+        canonical = fit(vectors, features=("present_age", "unique_ngrams"))
+        shuffled = fit(vectors, features=("unique_ngrams", "present_age"))
+        assert shuffled.features == ("unique_ngrams", "present_age")
+        assert shuffled.term_positions == canonical.term_positions == {
+            "present_age": 0, "unique_ngrams": 1}
+        for query in vectors + random_vectors(random.Random(22), 5):
+            assert win_log_odds(shuffled, query) == win_log_odds(canonical, query)
+            assert feature_terms(shuffled, query) == feature_terms(canonical, query)
+
+    def test_shuffled_model_file_gives_canonical_rows(self, tmp_path):
+        vectors = random_vectors(random.Random(23), 14)
+        canonical = fit(vectors)
+        path = tmp_path / "model.json"
+        save_model(canonical, str(path))
+        obj = json.loads(path.read_text())
+        rng = random.Random(24)
+        rng.shuffle(obj["features"])
+        scalars = list(obj["scalar_features"].items())
+        rng.shuffle(scalars)
+        obj["scalar_features"] = dict(scalars)
+        path.write_text(json.dumps(obj))
+        loaded = load_model(str(path))
+        assert list(loaded.features) == obj["features"] != list(FEATURE_NAMES)
+        assert list(loaded.scalar_statistics) == [name for name, _ in scalars]
+        assert list(loaded.scalar_params) == list(SCALAR_FEATURES)
+        assert loaded.term_positions == canonical.term_positions
+        # every drop-one row's subset sum, and the full sum, of each query
+        subsets = [tuple(f for f in FEATURE_NAMES if f != dropped)
+                   for dropped in FEATURE_NAMES] + [FEATURE_NAMES]
+        for query in vectors + random_vectors(random.Random(25), 5):
+            assert win_log_odds(loaded, query) == win_log_odds(canonical, query)
+            terms = feature_terms(loaded, query)
+            assert terms == feature_terms(canonical, query)
+            assert ([subset_log_odds(loaded, terms, positions(loaded, subset))
+                     for subset in subsets]
+                    == [subset_log_odds(canonical, terms, positions(canonical, subset))
+                        for subset in subsets])
 
 
 class TestSparseScoring:
@@ -522,6 +595,26 @@ class TestSparseScoring:
             x = 1.0 if tri in query.unique_ngrams else 0.0
             dense += [gaussian_log_pdf(params[1], x), -gaussian_log_pdf(params[0], x)]
         assert win_log_odds(model, query) == math.fsum(dense) == 0.012499999999999512
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000), st.lists(st.sampled_from(FEATURE_NAMES), min_size=1,
+                                            unique=True))
+    def test_hand_built_vectors_score_as_dense_oracle(self, seed, features):
+        # vectors built by hand, each trigram listed at most once, as
+        # read_feature_vectors and extract_features guarantee: the log odds
+        # is the correctly rounded sum of the dense per-dimension terms
+        rng = random.Random(seed)
+        train = random_vectors(rng, rng.randint(4, 12))
+        model = fit(train, features=tuple(features))
+        for query in random_vectors(rng, 4):
+            dense = [math.log(model.priors[1]), -math.log(model.priors[0])]
+            for name, (p0, p1) in model.scalar_params.items():
+                x = float(getattr(query, name))
+                dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
+            for tri, (p0, p1) in model.trigram_params.items():
+                x = 1.0 if tri in query.unique_ngrams else 0.0
+                dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
+            assert win_log_odds(model, query) == math.fsum(dense)
 
     @pytest.mark.parametrize("dims", [5, 5000])
     def test_score_cost_ignores_absent_trigrams(self, dims, monkeypatch):
@@ -556,18 +649,19 @@ class TestSparseScoring:
         win_log_odds(model, query)
         terms = feature_terms(model, query)
         assert calls == []
-        # one fsum of the base parts, two terms per scalar dimension and
-        # the folded parts of each trained trigram of the word, whatever
-        # the dims; feature_terms keeps the priors apart
+        # one fsum of the two log-prior terms, the absent parts, two terms
+        # per scalar dimension and the folded parts of each trained trigram
+        # of the word, whatever the dims; feature_terms keeps the priors
+        # apart
         word = model._trigram_parts["0001"] + model._trigram_parts["0003"]
-        assert len(model._base_parts) <= 2 and len(model._absent_parts) <= 2
+        assert len(model._absent_parts) <= 2
         assert all(len(parts) <= 4 for parts in model._trigram_parts.values())
-        assert summed == [len(model._base_parts) + 2 * len(model.scalar_params)
-                          + len(word)]
         absent = len(model._absent_parts)
-        assert terms["unique_ngrams"][:absent] == model._absent_parts
-        assert sorted(terms["unique_ngrams"][absent:]) == sorted(word)
-        assert (sum(map(len, terms.values()))
+        assert summed == [2 + absent + 2 * len(model.scalar_params) + len(word)]
+        trigram_terms = terms[model.term_positions["unique_ngrams"]]
+        assert tuple(trigram_terms[:absent]) == model._absent_parts
+        assert sorted(trigram_terms[absent:]) == sorted(word)
+        assert (sum(map(len, terms))
                 == 2 * len(model.scalar_params) + absent + len(word))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.lists(
@@ -590,8 +684,6 @@ class TestSparseScoring:
         assert list(model.trigram_params) == list(params)
         assert model._trigram_parts == parts
         assert model._absent_parts == _exact_parts(absent)
-        assert model._base_parts == _exact_parts(
-            [math.log(model.priors[1]), -math.log(model.priors[0])] + absent)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 8), st.integers(1, 8),
@@ -599,10 +691,10 @@ class TestSparseScoring:
            st.booleans())
     def test_folded_parts_sum_exactly_to_their_terms(self, data, n0, n1, scalars,
                                                      trigrams):
-        # each trigram's folded parts, the absent parts and the base parts
-        # are a few floats whose exact sum is that of the terms they
-        # replace; counts of 0 or of the class size put a variance on the
-        # floor, where terms reach about 5e8; models of no or one scalar
+        # each trigram's folded parts and the absent parts are a few floats
+        # whose exact sum is that of the terms they replace; counts of 0 or
+        # of the class size put a variance on the floor, where terms reach
+        # about 5e8; models of no or one scalar
         features = tuple(scalars) + (("unique_ngrams",) if trigrams or not scalars else ())
         counts = st.tuples(st.sampled_from((0, n0, n0 // 2)) | st.integers(0, n0),
                            st.sampled_from((0, n1, n1 // 2)) | st.integers(0, n1))
@@ -627,20 +719,19 @@ class TestSparseScoring:
             assert exact_sum(model._trigram_parts[tri]) == exact_sum(
                 [gaussian_log_pdf(p1, 1.0), -zero1, -gaussian_log_pdf(p0, 1.0), zero0])
             absent += [zero1, -zero0]
-        assert exact_sum(model._absent_parts) == exact_sum(absent)
-        assert exact_sum(model._base_parts) == exact_sum(priors + absent)
-        for parts in (model._base_parts, model._absent_parts,
-                      *model._trigram_parts.values()):
+        # a model without unique_ngrams has no absent parts
+        absent_parts = model._absent_parts or ()
+        assert exact_sum(absent_parts) == exact_sum(absent)
+        for parts in (absent_parts, *model._trigram_parts.values()):
             # nonzero, finite, and led by the correctly rounded sum
             assert all(part != 0.0 and math.isfinite(part) for part in parts)
             assert not parts or math.fsum(parts) == parts[0]
 
-        # so scoring gives the correctly rounded sum of the dense terms; a
-        # trigram the word repeats counts once, as in fit
+        # so scoring gives the correctly rounded sum of the dense terms
         own = data.draw(st.lists(st.sampled_from(sorted(trigram_ones) or ["t00"]),
                                  unique=True))
         query = make_vector(99, [data.draw(st.floats(-1e3, 1e3))] * 7,
-                            own + own[:1] + ["unseen"], None)
+                            own + ["unseen"], None)
         dense = list(priors)
         for name, (p0, p1) in model.scalar_params.items():
             x = float(getattr(query, name))
@@ -649,9 +740,11 @@ class TestSparseScoring:
             x = 1.0 if tri in own else 0.0
             dense += [gaussian_log_pdf(p1, x), -gaussian_log_pdf(p0, x)]
         terms = feature_terms(model, query)
-        assert set(terms) == set(features)
-        assert exact_sum(priors) + sum(map(exact_sum, terms.values())) == exact_sum(dense)
-        assert (win_log_odds(model, query) == subset_log_odds(model, terms, features)
+        assert len(terms) == len(features) == len(model.term_positions)
+        assert set(model.term_positions) == set(features)
+        assert exact_sum(priors) + sum(map(exact_sum, terms)) == exact_sum(dense)
+        assert (win_log_odds(model, query)
+                == subset_log_odds(model, terms, positions(model, features))
                 == math.fsum(dense))
 
     def test_absent_sum_cache_is_private(self, tmp_path):
