@@ -232,7 +232,7 @@ def cmd_evaluate(args):
     report["dataset"] = ds.summary()
     atomic_write_json(os.path.join(args.out, "report.json"), report)
     write_tsv(os.path.join(args.out, "outcomes.tsv"), evaluate_mod.OUTCOME_COLUMNS,
-              ([row[c] for c in evaluate_mod.OUTCOME_COLUMNS] for row in outcomes))
+              ([str(row[c]) for c in evaluate_mod.OUTCOME_COLUMNS] for row in outcomes))
     return EXIT_OK
 
 

@@ -20,15 +20,15 @@ table and str.isdecimal(), so a filtered row converts no field and a kept
 row only its match count; any other field is checked by int(), with the
 same verdict.
 
-Memory per kept row.  While a key's years strictly increase, as they do
-in the published files and in corpus.tsv, each row is appended to two
-typed arrays: 2 B of year (array('H')) and 8 B of running sum
-(array('q')).  Any other row goes to a year -> count dict of the key,
-about 100 B a row, merged with the arrays when the table is built.  The
-table keeps 16 B a row: a tuple of shared year ints (8 B of pointer) and
-the array('q') of sums, and 8 B a read key for each year read.  Counts
-are signed 64-bit: a count or a key's total above 2**63 - 1 is a DataError
-naming the file and the token.
+Memory per kept row.  Each kept row, in any order, is appended to two
+sequences of its key: its year, 8 B of pointer to a shared year int, and
+the running sum of the key's counts, 8 B of array('q').  A key with a row
+whose year is not above its last one has its counts summed per year,
+through one dict, when the table is built.  The table keeps 16 B a row: a
+tuple of the shared year ints (8 B of pointer), built as the key's list
+of years is emptied, and the array('q') of sums; and 8 B a read key for
+each year read.  Counts are signed 64-bit: a count or a key's total above
+2**63 - 1 is a DataError naming the file and the token.
 """
 
 import zlib
@@ -101,36 +101,39 @@ _NO_SUMS = ((), (0,))
 class _Rows:
     """One key's rows while they load.
 
-    years (array('H')) and cum (array('q'), cum[0] = 0) hold the rows that
-    arrived in strictly increasing year order: each is appended with the
-    running sum of the counts so far.  Any other row is added to extra, a
-    year -> count dict (None until such a row arrives).
+    Each kept row, in any order, appends its year to years, a list of the
+    shared _YEARS ints, and the running sum of the key's counts to cum
+    (array('q'), cum[0] = 0).  unsorted is set by a row whose year is not
+    above the key's last one.
     """
 
-    __slots__ = ("years", "cum", "extra")
+    __slots__ = ("years", "cum", "unsorted")
 
     def __init__(self):
-        self.years = array("H")
+        self.years = []
         self.cum = array("q", (0,))
-        self.extra = None
+        self.unsorted = False
 
     def sums(self):
-        """(years, cum) as CorpusTable stores them: years a tuple of the
-        shared _YEARS ints, cum the cumulative sums as an array('q').
+        """(years, cum) as CorpusTable stores them: years the sorted tuple
+        of the shared _YEARS ints, cum the cumulative sums of their counts
+        as an array('q').
 
-        The in-order rows are used as they are; extra rows are summed per
-        year with them, in place, so this is called once, when the table is
-        built.
+        An unsorted key's counts are summed per year first.  The years list
+        is then emptied, so that no key's years are held twice while the
+        table is built; so this is called once.
         """
-        extra = self.extra
-        if not extra:
-            return tuple([_YEARS[year] for year in self.years]), self.cum
-        for year, count in zip(self.years, map(sub, self.cum[1:], self.cum)):
-            extra[year] = extra.get(year, 0) + count
-        years = sorted(extra)
-        # array('q') takes a list faster than an iterator
-        return (tuple([_YEARS[year] for year in years]),
-                array("q", list(accumulate(map(extra.__getitem__, years), initial=0))))
+        years, cum = self.years, self.cum
+        if self.unsorted:
+            merged = {}
+            for year, count in zip(years, map(sub, cum[1:], cum)):
+                merged[year] = merged.get(year, 0) + count
+            years = sorted(merged)
+            # array('q') takes a list faster than an iterator
+            cum = array("q", list(accumulate(map(merged.__getitem__, years), initial=0)))
+        sums = tuple(years), cum
+        self.years.clear()
+        return sums
 
 
 class CorpusTable:
@@ -159,10 +162,10 @@ class CorpusTable:
 
     The constructor takes the key -> _Rows map that load_corpus streamed
     the rows into, which _read_rows has checked: years in [MIN_YEAR,
-    MAX_YEAR], non-negative counts and totals of at most MAX_TOTAL.  Each
-    key's rows are merged the same way (duplicate years summed, years
-    sorted), so the table is identical however the input rows were
-    sharded or ordered.
+    MAX_YEAR], non-negative counts and totals of at most MAX_TOTAL.  A key
+    whose rows came out of year order has them summed per year and sorted,
+    so the table is identical however the input rows were sharded or
+    ordered.
     """
 
     def __init__(self, series):
@@ -244,7 +247,7 @@ def _read_rows(source, filter_keys, series, report):
     non-blank row is skipped and counted, whatever its token, and a valid
     row outside filter_keys is counted as filtered.  Rows of one
     (key, year) are summed, by the time the table is built.  OverflowError
-    naming the token when a key's total gets above MAX_TOTAL.
+    naming the token at the row that takes a key's total above MAX_TOTAL.
 
     The stream is read in blocks of BLOCK_SIZE characters.  A valid row's
     token is split and looked up only when it differs from the last valid
@@ -262,9 +265,9 @@ def _read_rows(source, filter_keys, series, report):
         raise DataError("empty vocabulary filter")
     kept = filtered = skipped = 0
     # the last valid row's token and its key's _Rows, None while that key
-    # is filtered; for that key, the appenders of its in-order arrays, its
-    # last in-order year, its in-order total and its extra rows
-    last = rows = extra = None
+    # is filtered; for that key, the appenders of its years and sums, its
+    # last year and its total
+    last = rows = None
     add_year = add_sum = None
     plain_year = _YEAR_OF.get
     top = total = 0
@@ -285,6 +288,7 @@ def _read_rows(source, filter_keys, series, report):
                     if (int(volume_s) < 0 or int(match_s) < 0
                             or not MIN_YEAR <= year <= MAX_YEAR):
                         raise ValueError
+                    year = _YEARS[year]
                 if token != last:
                     key = split_token(token)
                     last, rows = token, None
@@ -295,7 +299,6 @@ def _read_rows(source, filter_keys, series, report):
                         add_year, add_sum = rows.years.append, rows.cum.append
                         top = rows.years[-1] if rows.years else 0
                         total = rows.cum[-1]
-                        extra = rows.extra
             except ValueError:
                 # a blank line fails the column or token check and is not a row
                 if line.strip():
@@ -304,27 +307,18 @@ def _read_rows(source, filter_keys, series, report):
             if rows is None:
                 filtered += 1
                 continue
-            match_count = int(match_s)
-            if year > top:
-                total += match_count
-                try:
-                    add_sum(total)
-                except OverflowError:
-                    raise OverflowError(token) from None
-                add_year(year)
-                top = year
-            else:
-                if extra is None:
-                    extra = rows.extra = {}
-                extra[year] = extra.get(year, 0) + match_count
+            if year <= top:
+                rows.unsorted = True
+            top = year
+            total += int(match_s)
+            try:
+                add_sum(total)
+            except OverflowError:
+                raise OverflowError(token) from None
+            add_year(year)
             kept += 1
         if not block:
             break
-    # the in-order sums are bounded as they grow; a key with extra rows is
-    # checked once per stream, so the stream that overflows it is named
-    for key, rows in series.items():
-        if rows.extra and rows.cum[-1] + sum(rows.extra.values()) > MAX_TOTAL:
-            raise OverflowError(join_token(key))
     report.rows_kept += kept
     report.rows_filtered += filtered
     report.rows_skipped += skipped

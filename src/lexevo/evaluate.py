@@ -99,7 +99,8 @@ def evaluate_predictions(snapshots, scores):
 
     scores maps SenseId -> score: the first member without one is a
     KeyError of its sense.  Each synset predicts its highest-scored member.
-    Returns (ContingencyCounts, Metrics, per-synset outcome rows).
+    Returns (ContingencyCounts, Metrics, per-synset outcome rows); a row's
+    leaders and prediction are SenseIds, which evocli writes as their str.
     """
     tallies = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
     outcomes = []
@@ -110,9 +111,9 @@ def evaluate_predictions(snapshots, scores):
         tallies[cell] += 1
         outcomes.append({
             "synset_id": snapshot.synset.id,
-            "present_leader": str(snapshot.present_leader),
-            "future_leader": str(snapshot.future_leader),
-            "predicted": str(predicted),
+            "present_leader": snapshot.present_leader,
+            "future_leader": snapshot.future_leader,
+            "predicted": predicted,
             "cell": cell,
         })
     counts = ContingencyCounts(**tallies)

@@ -138,7 +138,7 @@ def run_nbcp(train_window, test_window, inputs):
     # rank by log-odds: same argmax as the probability, but immune to
     # float saturation at 0/1
     log_odds = {v.sense: win_log_odds(model, v) for v in test_vectors}
-    counts, scores, outcomes = evaluate_predictions(test_ds.snapshots, log_odds)
+    counts, scores, _ = evaluate_predictions(test_ds.snapshots, log_odds)
     report = evaluation_report(counts, scores)
     report["train"] = train_ds.summary()
     report["test"] = test_ds.summary()
@@ -149,7 +149,6 @@ def run_nbcp(train_window, test_window, inputs):
         "model": model,
         "train_vectors": train_vectors,
         "test_vectors": test_vectors,
-        "outcomes": outcomes,
     }
 
 

@@ -168,7 +168,9 @@ def fit(vectors, features=FEATURE_NAMES):
     The trigram dimension space is the union of unique trigrams seen in
     the training vectors (when the trigram block is enabled).  Raises
     DataError when features is empty, names an unknown feature or repeats
-    one, and UnfittableModelError when either class is empty.
+    one, or when a vector has no target class or lists a trigram twice
+    (feature_terms would count it twice), and UnfittableModelError when
+    either class is empty.
     """
     if not features:
         raise DataError("no features to fit")
@@ -182,6 +184,8 @@ def fit(vectors, features=FEATURE_NAMES):
     for v in vectors:
         if v.target_class not in (0, 1):
             raise DataError(f"vector for {v.sense} has no target class")
+        if len(set(v.unique_ngrams)) < len(v.unique_ngrams):
+            raise DataError(f"vector for {v.sense} repeats a trigram")
         by_class[v.target_class].append(v)
     if not by_class[0] or not by_class[1]:
         raise UnfittableModelError(
@@ -197,8 +201,7 @@ def fit(vectors, features=FEATURE_NAMES):
     trigram_ones = {}
     if "unique_ngrams" in features:
         ones0, ones1 = (
-            Counter(chain.from_iterable(map(set, map(attrgetter("unique_ngrams"),
-                                                     by_class[c]))))
+            Counter(chain.from_iterable(map(attrgetter("unique_ngrams"), by_class[c])))
             for c in (0, 1))
         trigram_ones = {tri: (ones0[tri], ones1[tri])
                         for tri in sorted(ones0.keys() | ones1.keys())}
@@ -231,9 +234,9 @@ def feature_terms(model, vector):
     A scalar's terms are its class-1 log density and its negated class-0
     one.  unique_ngrams' terms are the absent parts plus the correction
     parts of each trained trigram of the word; unseen trigrams are
-    ignored.  A trigram listed twice would count twice: read_feature_vectors
-    refuses one, and extract_features never writes one.  The cost is
-    O(scalar dims + the word's own trigrams).
+    ignored.  A trigram listed twice would count twice: fit and
+    read_feature_vectors refuse one, and extract_features never writes
+    one.  The cost is O(scalar dims + the word's own trigrams).
     """
     terms = []
     for x, (mean0, log_normaliser0, twice_variance0,

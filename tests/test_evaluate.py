@@ -172,14 +172,20 @@ class TestEvaluatePredictions:
         # written as evocli evaluate writes outcomes.tsv, then read back
         path = tmp_path / "outcomes.tsv"
         write_tsv(path, OUTCOME_COLUMNS,
-                  ([row[c] for c in OUTCOME_COLUMNS] for row in outcomes))
+                  ([str(row[c]) for c in OUTCOME_COLUMNS] for row in outcomes))
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == [
             "synset_id", "present_leader", "future_leader", "predicted", "cell",
         ]
         assert len(lines) == 3
-        assert read_tsv(path, OUTCOME_COLUMNS,
-                        lambda fields: dict(zip(OUTCOME_COLUMNS, fields))) == outcomes
+        assert (read_tsv(path, OUTCOME_COLUMNS,
+                         lambda fields: dict(zip(OUTCOME_COLUMNS, fields)))
+                == as_text(outcomes))
+
+
+def as_text(outcomes):
+    """Outcome rows with each field as its str, as outcomes.tsv holds them."""
+    return [{name: str(value) for name, value in row.items()} for row in outcomes]
 
 
 def dict_evaluate_predictions(snapshots, scores):
@@ -243,7 +249,8 @@ class TestOnePassWinner:
                 evaluate_predictions(snapshots, scores)
             assert info.value.args == exc.args
         else:
-            assert evaluate_predictions(snapshots, scores) == expected
+            counts, got, outcomes = evaluate_predictions(snapshots, scores)
+            assert (counts, got, as_text(outcomes)) == expected
 
 
 class TestEvaluationReport:

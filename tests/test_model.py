@@ -181,6 +181,16 @@ class TestFit:
             save_model(model, path)
             assert load_model(path) == model
 
+    def test_repeated_trigram_rejected(self):
+        # feature_terms counts a trigram once per listing, so a vector that
+        # lists one twice is refused, as read_feature_vectors refuses its row
+        vectors = random_vectors(random.Random(3), 6)
+        vectors[2] = vectors[2]._replace(unique_ngrams=("abc", "abc"))
+        with pytest.raises(DataError, match=r"vector for w002#n#1 repeats a trigram"):
+            fit(vectors)
+        with pytest.raises(DataError, match="repeats a trigram"):
+            fit(vectors, features=("present_age",))
+
     def test_unlabeled_vector_rejected(self):
         rng = random.Random(3)
         vectors = random_vectors(rng, 6)
